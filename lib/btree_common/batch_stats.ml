@@ -1,9 +1,8 @@
 (* Process-wide instrumentation for batched level-wise descents.
 
-   Every [search_batch] implementation (the generic paged-tree walker
-   and the fpB+-Tree fast paths) reports into the same four instruments,
-   so the telemetry spine and the CI asserts see one `batch.*` family
-   regardless of index kind.  All bookkeeping is host-side (uncharged).
+   The one batch walker ([Wave]) behind every index's [search_batch]
+   reports into these four instruments, so the telemetry spine and the
+   tests see one `batch.*` family regardless of index kind.  All bookkeeping is host-side (uncharged).
 
    Conventions (documented in docs/BATCHING.md and OBSERVABILITY.md):
    - [size] records the number of probes per executed wave; a batch that

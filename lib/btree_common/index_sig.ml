@@ -76,12 +76,6 @@ module type S = sig
      violation.  Uncharged. *)
   val check : t -> unit
 
-  (* amcheck-style verification: the same structural pass as [check] but
-     as data — [Ok pages_owned] on success, [Error description] on the
-     first violation — so scrub/chaos harnesses can keep going and
-     count.  Uncharged. *)
-  val check_invariants : t -> (int, string) result
-
   (* In-order uncharged iteration over all entries (test oracle). *)
   val iter : t -> (int -> int -> unit) -> unit
 end
@@ -105,6 +99,14 @@ let page_count (Instance ((module M), t)) = M.page_count t
 let meta (Instance ((module M), t)) = M.meta t
 let restore_meta (Instance ((module M), t)) m = M.restore_meta t m
 let check (Instance ((module M), t)) = M.check t
-let check_invariants (Instance ((module M), t)) = M.check_invariants t
+
+(* amcheck-style verification: [check] as data — [Ok pages_owned] on
+   success, [Error description] on the first violation — so scrub/chaos
+   harnesses can keep going and count.  Uncharged. *)
+let check_invariants (Instance ((module M), t)) =
+  match M.check t with
+  | () -> Ok (M.page_count t)
+  | exception Failure msg -> Error msg
+
 let iter (Instance ((module M), t)) f = M.iter t f
 let name (Instance ((module M), _)) = M.name

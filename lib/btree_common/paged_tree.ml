@@ -53,12 +53,8 @@ module Make (F : PAGE_FORMAT) = struct
     mutable levels : int;  (* 1 = root is a leaf *)
     mutable n_pages : int;
     mutable io_prefetch_distance : int;
-    level_acc : int array;  (* page accesses by depth, slot 0 = root *)
-    mutable trace : Fpb_obs.Trace.t option;
+    acc : Level_acc.t;
   }
-
-  (* Deeper than any tree the 62-bit key space can produce. *)
-  let max_levels = 16
 
   let name = F.name
 
@@ -94,8 +90,7 @@ module Make (F : PAGE_FORMAT) = struct
         levels = 1;
         n_pages = 0;
         io_prefetch_distance = 16;
-        level_acc = Array.make max_levels 0;
-        trace = None;
+        acc = Level_acc.create sim;
       }
     in
     let root, _r = new_page t ~leaf:true in
@@ -107,31 +102,9 @@ module Make (F : PAGE_FORMAT) = struct
 
   (* --- Uncharged instrumentation ------------------------------------------ *)
 
-  let level_accesses t = Array.sub t.level_acc 0 t.levels
-  let reset_level_accesses t = Array.fill t.level_acc 0 max_levels 0
-  let set_trace t tr = t.trace <- tr
-
-  let bump_level t depth =
-    if depth <= max_levels then
-      t.level_acc.(depth - 1) <- t.level_acc.(depth - 1) + 1
-
-  (* Record one node visit: bump the per-level counter and, if a trace is
-     attached, emit a [node_access] event with the cache-stall cycles this
-     visit incurred ([stall0] = stall counter before the visit). *)
-  let note_access t ~page ~depth ~stall0 =
-    bump_level t depth;
-    match t.trace with
-    | None -> ()
-    | Some tr ->
-        let stall = Fpb_obs.Counter.value t.sim.Sim.stats.Stats.stall in
-        Fpb_obs.Trace.emit tr "node_access"
-          [
-            ("level", Fpb_obs.Json.Int depth);
-            ("page", Fpb_obs.Json.Int page);
-            ("stall_cycles", Fpb_obs.Json.Int (stall - stall0));
-          ]
-
-  let stall_now t = Fpb_obs.Counter.value t.sim.Sim.stats.Stats.stall
+  let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
+  let reset_level_accesses t = Level_acc.reset t.acc
+  let set_trace t tr = Level_acc.set_trace t.acc tr
 
   (* --- Search ------------------------------------------------------------ *)
 
@@ -141,18 +114,18 @@ module Make (F : PAGE_FORMAT) = struct
 
   let descend t key ~visit =
     let rec go page depth =
-      let stall0 = stall_now t in
+      let stall0 = Level_acc.stall_now t.acc in
       let r = Buffer_pool.get t.pool page in
       Sim.busy_node t.sim;
       if Mem.read_u8 t.sim r off_is_leaf = 1 then begin
-        note_access t ~page ~depth ~stall0;
+        Level_acc.note t.acc ~page ~depth ~stall0;
         (page, r)
       end
       else begin
         let n = Mem.read_u16 t.sim r off_n in
         let i = route t r ~n key in
         let child = Mem.read_i32 t.sim r (ptr_off t i) in
-        note_access t ~page ~depth ~stall0;
+        Level_acc.note t.acc ~page ~depth ~stall0;
         visit page r n i;
         Buffer_pool.unpin t.pool page;
         go child (depth + 1)
@@ -160,134 +133,39 @@ module Make (F : PAGE_FORMAT) = struct
     in
     go t.root 1
 
+  let leaf_lookup t r ~n key =
+    let i = F.find_slot t.sim t.cfg r ~n ~key `Lower in
+    if i < n && Mem.read_i32 t.sim r (key_off t i) = key then
+      Some (Mem.read_i32 t.sim r (ptr_off t i))
+    else None
+
   let search t key =
     Sim.busy_op t.sim;
     let page, r = descend t key ~visit:(fun _ _ _ _ -> ()) in
-    let n = Mem.read_u16 t.sim r off_n in
-    let i = F.find_slot t.sim t.cfg r ~n ~key `Lower in
-    let result =
-      if i < n && Mem.read_i32 t.sim r (key_off t i) = key then
-        Some (Mem.read_i32 t.sim r (ptr_off t i))
-      else None
-    in
+    let result = leaf_lookup t r ~n:(Mem.read_u16 t.sim r off_n) key in
     Buffer_pool.unpin t.pool page;
     result
 
-  (* --- Batched search (level-wise waves; see docs/BATCHING.md) ------------ *)
-
-  (* Prefetch the part of a frontier node the search will touch: the
-     header plus the full key array ([F.key_base] covers any in-page
-     micro structure laid out before the keys). *)
-  let prefetch_node_area t r =
-    let len = min (Mem.length r) (F.key_base t.cfg + (Key.size * t.fanout)) in
-    Mem.prefetch t.sim r ~off:0 ~len
-
-  (* One level-wise wave over the sorted probes [order.(lo..hi-1)].
-     Probes arrive sorted by key, so the probes routing through one node
-     are consecutive and the frontier stays key-ordered: dedup is "same
-     child as the previous probe".  Only one level's unique pages are
-     pinned at a time, and [Buffer_pool.get_batch] unwinds its own pins
-     on [Overloaded], so the exception escapes with nothing pinned and
-     the caller can split the batch. *)
-  let wave t keys order lo hi out =
-    let np = hi - lo in
-    Batch_stats.note_wave np;
-    for _ = 1 to np do
-      Sim.busy_op t.sim
-    done;
-    let child_of = Array.make np 0 in
-    (* [pages.(g)] is the g-th unique page of the current level;
-       [starts.(g) .. starts.(g+1)-1] its slice of sorted probes. *)
-    let rec go pages starts depth =
-      let ng = Array.length pages in
-      let regions = Buffer_pool.get_batch t.pool pages in
-      let leaf = Mem.read_u8 t.sim regions.(0) off_is_leaf = 1 in
-      let prev_child = ref (-1) in
-      for g = 0 to ng - 1 do
-        (* Cache pipeline: queue the next frontier node's lines while
-           this node is being searched. *)
-        if g + 1 < ng then prefetch_node_area t regions.(g + 1);
-        let page = pages.(g) and r = regions.(g) in
-        let stall0 = stall_now t in
-        Sim.busy_node t.sim;
-        let n = Mem.read_u16 t.sim r off_n in
-        for j = starts.(g) to starts.(g + 1) - 1 do
-          let key = keys.(order.(j)) in
-          if leaf then begin
-            let i = F.find_slot t.sim t.cfg r ~n ~key `Lower in
-            out.(order.(j)) <-
-              (if i < n && Mem.read_i32 t.sim r (key_off t i) = key then
-                 Some (Mem.read_i32 t.sim r (ptr_off t i))
-               else None)
-          end
-          else begin
-            let i = route t r ~n key in
-            let child = Mem.read_i32 t.sim r (ptr_off t i) in
-            child_of.(j - lo) <- child;
-            (* Disk pipeline: async-read each newly discovered child
-               while the rest of this level is still being routed. *)
-            if child <> !prev_child then begin
-              prev_child := child;
-              if not (Buffer_pool.is_resident t.pool child) then begin
-                Batch_stats.note_stall ();
-                Buffer_pool.prefetch t.pool child
-              end
-            end
-          end
-        done;
-        (* Accounting convention (see Index_sig): one page access per
-           unique node per wave, however many probes shared it. *)
-        note_access t ~page ~depth ~stall0;
-        Batch_stats.note_group (starts.(g + 1) - starts.(g))
-      done;
-      Array.iter (fun p -> Buffer_pool.unpin t.pool p) pages;
-      if not leaf then begin
-        (* Compress consecutive equal children into the next frontier. *)
-        let ng' = ref 0 in
-        for j = 0 to np - 1 do
-          if j = 0 || child_of.(j) <> child_of.(j - 1) then incr ng'
-        done;
-        let next_pages = Array.make !ng' 0 in
-        let next_starts = Array.make (!ng' + 1) 0 in
-        let g = ref 0 in
-        for j = 0 to np - 1 do
-          if j = 0 || child_of.(j) <> child_of.(j - 1) then begin
-            next_pages.(!g) <- child_of.(j);
-            next_starts.(!g) <- lo + j;
-            incr g
-          end
-        done;
-        next_starts.(!ng') <- hi;
-        go next_pages next_starts (depth + 1)
-      end
-    in
-    go [| t.root |] [| lo; hi |] 1
-
+  (* Batched search: the shared walker over whole pages.  Before each
+     frontier page is entered, the next one's header and key array
+     ([F.key_base] covers any in-page micro structure laid out before
+     the keys) are already being prefetched. *)
   let search_batch t keys =
-    let m = Array.length keys in
-    let out = Array.make m None in
-    if m > 0 then begin
-      let order = Array.init m (fun i -> i) in
-      Array.sort
-        (fun a b ->
-          let c = compare keys.(a) keys.(b) in
-          if c <> 0 then c else compare a b)
-        order;
-      let rec run lo hi =
-        if hi - lo = 1 then begin
-          Batch_stats.note_wave 1;
-          out.(order.(lo)) <- search t keys.(order.(lo))
-        end
-        else
-          try wave t keys order lo hi out
-          with Buffer_pool.Overloaded _ ->
-            let mid = (lo + hi) / 2 in
-            run lo mid;
-            run mid hi
-      in
-      run 0 m
-    end;
-    out
+    let area = F.key_base t.cfg + (Key.size * t.fanout) in
+    Wave.search_batch t.acc t.pool ~root:(t.root, 0) keys
+      {
+        Wave.is_leaf = (fun ~depth:_ r -> Mem.read_u8 t.sim r off_is_leaf = 1);
+        lookahead =
+          (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:(min (Mem.length r) area));
+        enter =
+          (fun r _ ~next:_ ->
+            Sim.busy_node t.sim;
+            Mem.read_u16 t.sim r off_n);
+        route =
+          (fun r _ ~n key -> (Mem.read_i32 t.sim r (ptr_off t (route t r ~n key)), 0));
+        lookup = (fun r _ ~n key -> leaf_lookup t r ~n key);
+        search = search t;
+      }
 
   (* --- Insertion ---------------------------------------------------------- *)
 
@@ -565,7 +443,7 @@ module Make (F : PAGE_FORMAT) = struct
           if !outstanding > 0 then decr outstanding;
           pump ();
           let nr = Buffer_pool.get t.pool next in
-          bump_level t t.levels;
+          Level_acc.bump t.acc t.levels;
           scan_page next nr
         end
       in
@@ -660,7 +538,7 @@ module Make (F : PAGE_FORMAT) = struct
           if !outstanding > 0 then decr outstanding;
           pump ();
           let pr = Buffer_pool.get t.pool prev in
-          bump_level t t.levels;
+          Level_acc.bump t.acc t.levels;
           scan_page prev pr
         end
       in
@@ -750,11 +628,4 @@ module Make (F : PAGE_FORMAT) = struct
     | first :: _ ->
         let chained = chain first [] in
         if chained <> expected then fail "leaf chain disagrees with tree order"
-
-  (* amcheck-style entry point: the structural check as data, for the
-     scrub and chaos harnesses that must keep counting past a failure. *)
-  let check_invariants t =
-    match check t with
-    | () -> Ok (page_count t)
-    | exception Failure msg -> Error msg
 end

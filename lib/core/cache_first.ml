@@ -67,8 +67,7 @@ type t = {
   mutable overflow_page : int;  (* current overflow allocation page *)
   level_pool : (int, int) Hashtbl.t;  (* tree depth -> allocation page *)
   mutable io_prefetch_distance : int;
-  level_acc : int array;  (* node accesses by depth, slot 0 = root *)
-  mutable trace : Fpb_obs.Trace.t option;
+  acc : Level_acc.t;
 }
 
 let name = "cache-first fpB+tree"
@@ -203,8 +202,7 @@ let create_with_cfg pool cfg =
       overflow_page = nil;
       level_pool = Hashtbl.create 8;
       io_prefetch_distance = 16;
-      level_acc = Array.make 16 0;
-      trace = None;
+      acc = Level_acc.create sim;
     }
   in
   let page, r = new_page t ~kind:0 in
@@ -234,30 +232,9 @@ let set_io_prefetch_distance t d = t.io_prefetch_distance <- max 1 d
 
 (* --- Uncharged instrumentation --------------------------------------------- *)
 
-let level_accesses t = Array.sub t.level_acc 0 t.levels
-let reset_level_accesses t = Array.fill t.level_acc 0 (Array.length t.level_acc) 0
-let set_trace t tr = t.trace <- tr
-
-let bump_level t depth =
-  if depth <= Array.length t.level_acc then
-    t.level_acc.(depth - 1) <- t.level_acc.(depth - 1) + 1
-
-let stall_now t = Fpb_obs.Counter.value t.sim.Sim.stats.Stats.stall
-
-(* Record one node visit: bump the per-level counter and, if a trace is
-   attached, emit a [node_access] event with the cache-stall cycles the
-   visit incurred ([stall0] = stall counter before the visit). *)
-let note_access t ~page ~depth ~stall0 =
-  bump_level t depth;
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-      Fpb_obs.Trace.emit tr "node_access"
-        [
-          ("level", Fpb_obs.Json.Int depth);
-          ("page", Fpb_obs.Json.Int page);
-          ("stall_cycles", Fpb_obs.Json.Int (stall_now t - stall0));
-        ]
+let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
+let reset_level_accesses t = Level_acc.reset t.acc
+let set_trace t tr = Level_acc.set_trace t.acc tr
 
 (* --- Search ---------------------------------------------------------------- *)
 
@@ -265,25 +242,29 @@ let prefetch_node t r line =
   Mem.prefetch t.sim r ~off:(node_off line) ~len:(t.cfg.w * line_bytes);
   Sim.busy_node t.sim
 
+(* Child pointer [slot] of nonleaf node [line]. *)
+let child_at t r line slot =
+  let pg = Mem.read_i32 t.sim r (cpg_off t.cfg line slot) in
+  let ln = Mem.read_u16 t.sim r (cln_off t.cfg line slot) in
+  (pg, ln)
+
 (* Descend to the leaf node containing [key].  Returns (page, region, line)
    with the page pinned.  [visit] sees each nonleaf (ptr, slot taken). *)
 let descend t key ~visit =
-  let c = t.cfg in
   let rec go page r line depth =
-    let stall0 = stall_now t in
+    let stall0 = Level_acc.stall_now t.acc in
     prefetch_node t r line;
     if depth = t.levels then begin
-      note_access t ~page ~depth ~stall0;
+      Level_acc.note t.acc ~page ~depth ~stall0;
       (page, r, line)
     end
     else begin
       let n = Mem.read_u16 t.sim r (node_off line + n_count) in
       let i = Array_search.upper_bound t.sim r ~off:(key_off line 0) ~n ~key in
       let slot = max 0 (i - 1) in
-      note_access t ~page ~depth ~stall0;
+      Level_acc.note t.acc ~page ~depth ~stall0;
       visit { pg = page; ln = line } slot;
-      let child_pg = Mem.read_i32 t.sim r (cpg_off c line slot) in
-      let child_ln = Mem.read_u16 t.sim r (cln_off c line slot) in
+      let child_pg, child_ln = child_at t r line slot in
       if child_pg = page then go page r child_ln (depth + 1)
       else begin
         Buffer_pool.unpin t.pool page;
@@ -295,156 +276,46 @@ let descend t key ~visit =
   let r = Buffer_pool.get t.pool t.root.pg in
   go t.root.pg r t.root.ln 1
 
+let leaf_lookup t r line ~n key =
+  let i = Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key in
+  if i < n && Mem.read_i32 t.sim r (key_off line i) = key then
+    Some (Mem.read_i32 t.sim r (tid_off t.cfg line i))
+  else None
+
 let search t key =
   Sim.busy_op t.sim;
   let page, r, line = descend t key ~visit:(fun _ _ -> ()) in
-  let n = Mem.read_u16 t.sim r (node_off line + n_count) in
-  let i = Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key in
   let result =
-    if i < n && Mem.read_i32 t.sim r (key_off line i) = key then
-      Some (Mem.read_i32 t.sim r (tid_off t.cfg line i))
-    else None
+    leaf_lookup t r line ~n:(Mem.read_u16 t.sim r (node_off line + n_count)) key
   in
   Buffer_pool.unpin t.pool page;
   result
 
-(* --- Batched search (level-wise waves; see docs/BATCHING.md) -------------- *)
-
-(* One level-wise wave over the sorted probes [order.(lo..hi-1)].  The
-   frontier is a key-ordered list of unique (page, line) nodes; probes
-   routing through one node are consecutive, so dedup is "same node as
-   the previous probe".  Nodes of one level may share pages, so the
-   level's underlying pages are deduplicated separately and pinned once
-   each through [get_batch] (coalesced disk reads); while one node is
-   searched the next frontier node's lines are prefetched, and each
-   newly discovered off-page child page is async-read while the rest of
-   the level still routes.  Accounting: one [note_access] per unique
-   node per wave (see [Index_sig.search_batch]). *)
-let batch_wave t keys order lo hi out =
-  let c = t.cfg in
-  let np = hi - lo in
-  Batch_stats.note_wave np;
-  for _ = 1 to np do
-    Sim.busy_op t.sim
-  done;
-  let cpg = Array.make np 0 and cln = Array.make np 0 in
-  let rec go gpg gln starts depth =
-    let ng = Array.length gpg in
-    (* Pin each page underlying this level's nodes exactly once. *)
-    let seen = Hashtbl.create (2 * ng) in
-    let acc = ref [] in
-    Array.iter
-      (fun p ->
-        if not (Hashtbl.mem seen p) then begin
-          Hashtbl.add seen p ();
-          acc := p :: !acc
-        end)
-      gpg;
-    let upages = Array.of_list (List.rev !acc) in
-    let regions = Buffer_pool.get_batch t.pool upages in
-    let region_of = Hashtbl.create (2 * Array.length upages) in
-    Array.iteri (fun i p -> Hashtbl.replace region_of p regions.(i)) upages;
-    let leaf = depth = t.levels in
-    let prev_pg = ref nil and prev_ln = ref (-1) in
-    for g = 0 to ng - 1 do
-      let page = gpg.(g) and line = gln.(g) in
-      let r = Hashtbl.find region_of page in
-      let stall0 = stall_now t in
-      prefetch_node t r line;
-      (* Pipeline: queue the next frontier node's lines while this node
-         is searched, so they arrive before their own prefetch_node. *)
-      if g + 1 < ng then begin
-        let nr = Hashtbl.find region_of gpg.(g + 1) in
-        Mem.prefetch t.sim nr ~off:(node_off gln.(g + 1))
-          ~len:(c.w * line_bytes)
-      end;
-      let n = Mem.read_u16 t.sim r (node_off line + n_count) in
-      for j = starts.(g) to starts.(g + 1) - 1 do
-        let key = keys.(order.(j)) in
-        if leaf then begin
-          let i =
-            Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key
-          in
-          out.(order.(j)) <-
-            (if i < n && Mem.read_i32 t.sim r (key_off line i) = key then
-               Some (Mem.read_i32 t.sim r (tid_off c line i))
-             else None)
-        end
-        else begin
-          let i =
-            Array_search.upper_bound t.sim r ~off:(key_off line 0) ~n ~key
-          in
-          let slot = max 0 (i - 1) in
-          let child_pg = Mem.read_i32 t.sim r (cpg_off c line slot) in
-          let child_ln = Mem.read_u16 t.sim r (cln_off c line slot) in
-          cpg.(j - lo) <- child_pg;
-          cln.(j - lo) <- child_ln;
-          if child_pg <> !prev_pg || child_ln <> !prev_ln then begin
-            prev_pg := child_pg;
-            prev_ln := child_ln;
-            if
-              child_pg <> page
-              && not (Buffer_pool.is_resident t.pool child_pg)
-            then begin
-              Batch_stats.note_stall ();
-              Buffer_pool.prefetch t.pool child_pg
-            end
-          end
-        end
-      done;
-      note_access t ~page ~depth ~stall0;
-      Batch_stats.note_group (starts.(g + 1) - starts.(g))
-    done;
-    Array.iter (fun p -> Buffer_pool.unpin t.pool p) upages;
-    if not leaf then begin
-      (* Compress consecutive equal children into the next frontier. *)
-      let ng' = ref 0 in
-      for j = 0 to np - 1 do
-        if j = 0 || cpg.(j) <> cpg.(j - 1) || cln.(j) <> cln.(j - 1) then
-          incr ng'
-      done;
-      let npg = Array.make !ng' 0 and nln = Array.make !ng' 0 in
-      let nstarts = Array.make (!ng' + 1) 0 in
-      let g = ref 0 in
-      for j = 0 to np - 1 do
-        if j = 0 || cpg.(j) <> cpg.(j - 1) || cln.(j) <> cln.(j - 1) then begin
-          npg.(!g) <- cpg.(j);
-          nln.(!g) <- cln.(j);
-          nstarts.(!g) <- lo + j;
-          incr g
-        end
-      done;
-      nstarts.(!ng') <- hi;
-      go npg nln nstarts (depth + 1)
-    end
-  in
-  go [| t.root.pg |] [| t.root.ln |] [| lo; hi |] 1
-
+(* Batched search: the shared walker over [(page, node)] frontiers.
+   Entering a node prefetches its lines, then queues the next frontier
+   node's lines while this one is searched, so they arrive before its
+   own [prefetch_node]. *)
 let search_batch t keys =
-  let m = Array.length keys in
-  let out = Array.make m None in
-  if m > 0 then begin
-    let order = Array.init m (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = compare keys.(a) keys.(b) in
-        if c <> 0 then c else compare a b)
-      order;
-    let rec run lo hi =
-      if hi - lo = 1 then begin
-        Batch_stats.note_wave 1;
-        out.(order.(lo)) <- search t keys.(order.(lo))
-      end
-      else
-        try batch_wave t keys order lo hi out
-        with Buffer_pool.Overloaded _ ->
-          let mid = (lo + hi) / 2 in
-          run lo mid;
-          run mid hi
-    in
-    run 0 m
-  end;
-  out
+  Wave.search_batch t.acc t.pool ~root:(t.root.pg, t.root.ln) keys
+    {
+      Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
+      lookahead = (fun _ _ -> ());
+      enter =
+        (fun r line ~next ->
+          prefetch_node t r line;
+          Option.iter
+            (fun (nr, nln) ->
+              Mem.prefetch t.sim nr ~off:(node_off nln)
+                ~len:(t.cfg.w * line_bytes))
+            next;
+          Mem.read_u16 t.sim r (node_off line + n_count));
+      route =
+        (fun r line ~n key ->
+          let i = Array_search.upper_bound t.sim r ~off:(key_off line 0) ~n ~key in
+          child_at t r line (max 0 (i - 1)));
+      lookup = (fun r line ~n key -> leaf_lookup t r line ~n key);
+      search = search t;
+    }
 
 (* --- Leaf page split -------------------------------------------------------- *)
 
@@ -1004,7 +875,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
         let next_pg = Mem.read_i32 t.sim r (node_off line + n_next_pg) in
         let next_ln = Mem.read_u16 t.sim r (node_off line + n_next_ln) in
         if next_pg = page then begin
-          bump_level t t.levels;
+          Level_acc.bump t.acc t.levels;
           scan page r next_ln
         end
         else begin
@@ -1014,7 +885,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
             pump ();
             let nr = Buffer_pool.get t.pool next_pg in
             prefetch_page_nodes nr;
-            bump_level t t.levels;
+            Level_acc.bump t.acc t.levels;
             scan next_pg nr next_ln
           end
         end
@@ -1177,10 +1048,3 @@ let check t =
   | [] -> ()
   | first :: _ ->
       if page_chain first [] <> expected then fail "leaf page chain disagrees"
-
-(* amcheck-style entry point: the structural check as data, for the scrub
-   and chaos harnesses that must keep counting past a failure. *)
-let check_invariants t =
-  match check t with
-  | () -> Ok (page_count t)
-  | exception Failure msg -> Error msg

@@ -59,8 +59,7 @@ type t = {
   mutable io_prefetch_distance : int;
   mutable cache_prefetch_leaves : bool;  (* prefetch leaf nodes per page in scans *)
   mutable bound_scan_end : bool;  (* stop I/O prefetch at the end page *)
-  level_acc : int array;  (* page accesses by depth, slot 0 = root *)
-  mutable trace : Fpb_obs.Trace.t option;
+  acc : Level_acc.t;
 }
 
 let name = "disk-first fpB+tree"
@@ -232,8 +231,7 @@ let create_with_cfg pool cfg =
       io_prefetch_distance = 16;
       cache_prefetch_leaves = true;
       bound_scan_end = true;
-      level_acc = Array.make 16 0;
-      trace = None;
+      acc = Level_acc.create sim;
     }
   in
   let root, r = new_page t ~kind:0 in
@@ -261,30 +259,9 @@ let set_bound_scan_end t b = t.bound_scan_end <- b
 
 (* --- Uncharged instrumentation --------------------------------------------- *)
 
-let level_accesses t = Array.sub t.level_acc 0 t.levels
-let reset_level_accesses t = Array.fill t.level_acc 0 (Array.length t.level_acc) 0
-let set_trace t tr = t.trace <- tr
-
-let bump_level t depth =
-  if depth <= Array.length t.level_acc then
-    t.level_acc.(depth - 1) <- t.level_acc.(depth - 1) + 1
-
-let stall_now t = Fpb_obs.Counter.value t.sim.Sim.stats.Stats.stall
-
-(* Record one page visit: bump the per-level counter and, if a trace is
-   attached, emit a [node_access] event with the cache-stall cycles the
-   visit incurred ([stall0] = stall counter before the visit). *)
-let note_access t ~page ~depth ~stall0 =
-  bump_level t depth;
-  match t.trace with
-  | None -> ()
-  | Some tr ->
-      Fpb_obs.Trace.emit tr "node_access"
-        [
-          ("level", Fpb_obs.Json.Int depth);
-          ("page", Fpb_obs.Json.Int page);
-          ("stall_cycles", Fpb_obs.Json.Int (stall_now t - stall0));
-        ]
+let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
+let reset_level_accesses t = Level_acc.reset t.acc
+let set_trace t tr = Level_acc.set_trace t.acc tr
 
 (* --- In-page search ------------------------------------------------------- *)
 
@@ -328,135 +305,49 @@ let ip_route t r key =
 
 (* --- Search --------------------------------------------------------------- *)
 
+(* Look [key] up in leaf page [r] through its in-page tree. *)
+let page_lookup t r key =
+  let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
+  let n = read_n t r line in
+  let i = ip_leaf_slot t r line ~n ~key `Lower in
+  if i < n && Mem.read_i32 t.sim r (leaf_key_off t.cfg line i) = key then
+    Some (Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line i))
+  else None
+
 let search t key =
   Sim.busy_op t.sim;
   let rec go page depth =
-    let stall0 = stall_now t in
+    let stall0 = Level_acc.stall_now t.acc in
     let r = Buffer_pool.get t.pool page in
     if depth = t.levels then begin
-      let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
-      let n = read_n t r line in
-      let i = ip_leaf_slot t r line ~n ~key `Lower in
-      let result =
-        if i < n && Mem.read_i32 t.sim r (leaf_key_off t.cfg line i) = key then
-          Some (Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line i))
-        else None
-      in
-      note_access t ~page ~depth ~stall0;
+      let result = page_lookup t r key in
+      Level_acc.note t.acc ~page ~depth ~stall0;
       Buffer_pool.unpin t.pool page;
       result
     end
     else begin
       let child = ip_route t r key in
-      note_access t ~page ~depth ~stall0;
+      Level_acc.note t.acc ~page ~depth ~stall0;
       Buffer_pool.unpin t.pool page;
       go child (depth + 1)
     end
   in
   go t.root 1
 
-(* --- Batched search (level-wise waves; see docs/BATCHING.md) -------------- *)
-
-(* One level-wise wave over the sorted probes [order.(lo..hi-1)]: at each
-   page level the probes routing through one page are consecutive, so the
-   frontier is deduplicated by comparing with the previous probe's child
-   and every unique page is pinned once per wave ([get_batch] coalesces
-   the disk reads).  Within a page the in-page tree prefetches its own
-   node path ([ip_find_leaf]); across probes we warm the next frontier
-   page's header line while routing the current one, and async-read each
-   newly discovered child page while the rest of the level still routes.
-   Accounting: one [note_access] per unique page per wave (see
-   [Index_sig.search_batch]). *)
-let batch_wave t keys order lo hi out =
-  let np = hi - lo in
-  Batch_stats.note_wave np;
-  for _ = 1 to np do
-    Sim.busy_op t.sim
-  done;
-  let child_of = Array.make np 0 in
-  let rec go pages starts depth =
-    let ng = Array.length pages in
-    let regions = Buffer_pool.get_batch t.pool pages in
-    let leaf = depth = t.levels in
-    let prev_child = ref nil in
-    for g = 0 to ng - 1 do
-      if g + 1 < ng then
-        Mem.prefetch t.sim regions.(g + 1) ~off:0 ~len:line_bytes;
-      let page = pages.(g) and r = regions.(g) in
-      let stall0 = stall_now t in
-      for j = starts.(g) to starts.(g + 1) - 1 do
-        let key = keys.(order.(j)) in
-        if leaf then begin
-          let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
-          let n = read_n t r line in
-          let i = ip_leaf_slot t r line ~n ~key `Lower in
-          out.(order.(j)) <-
-            (if i < n && Mem.read_i32 t.sim r (leaf_key_off t.cfg line i) = key
-             then Some (Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line i))
-             else None)
-        end
-        else begin
-          let child = ip_route t r key in
-          child_of.(j - lo) <- child;
-          if child <> !prev_child then begin
-            prev_child := child;
-            if not (Buffer_pool.is_resident t.pool child) then begin
-              Batch_stats.note_stall ();
-              Buffer_pool.prefetch t.pool child
-            end
-          end
-        end
-      done;
-      note_access t ~page ~depth ~stall0;
-      Batch_stats.note_group (starts.(g + 1) - starts.(g))
-    done;
-    Array.iter (fun p -> Buffer_pool.unpin t.pool p) pages;
-    if not leaf then begin
-      let ng' = ref 0 in
-      for j = 0 to np - 1 do
-        if j = 0 || child_of.(j) <> child_of.(j - 1) then incr ng'
-      done;
-      let next_pages = Array.make !ng' 0 in
-      let next_starts = Array.make (!ng' + 1) 0 in
-      let g = ref 0 in
-      for j = 0 to np - 1 do
-        if j = 0 || child_of.(j) <> child_of.(j - 1) then begin
-          next_pages.(!g) <- child_of.(j);
-          next_starts.(!g) <- lo + j;
-          incr g
-        end
-      done;
-      next_starts.(!ng') <- hi;
-      go next_pages next_starts (depth + 1)
-    end
-  in
-  go [| t.root |] [| lo; hi |] 1
-
+(* Batched search: the shared walker over whole pages.  The in-page tree
+   prefetches its own node path per probe ([ip_find_leaf]); across probes
+   the next frontier page's header line is warmed before each page is
+   entered. *)
 let search_batch t keys =
-  let m = Array.length keys in
-  let out = Array.make m None in
-  if m > 0 then begin
-    let order = Array.init m (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = compare keys.(a) keys.(b) in
-        if c <> 0 then c else compare a b)
-      order;
-    let rec run lo hi =
-      if hi - lo = 1 then begin
-        Batch_stats.note_wave 1;
-        out.(order.(lo)) <- search t keys.(order.(lo))
-      end
-      else
-        try batch_wave t keys order lo hi out
-        with Buffer_pool.Overloaded _ ->
-          let mid = (lo + hi) / 2 in
-          run lo mid;
-          run mid hi
-    in
-    run 0 m
-  end;
-  out
+  Wave.search_batch t.acc t.pool ~root:(t.root, 0) keys
+    {
+      Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
+      lookahead = (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:line_bytes);
+      enter = (fun _ _ ~next:_ -> 0);
+      route = (fun r _ ~n:_ key -> (ip_route t r key, 0));
+      lookup = (fun r _ ~n:_ key -> page_lookup t r key);
+      search = search t;
+    }
 
 (* --- Entry collection (charged; used by reorganise / page split) ---------- *)
 
@@ -718,13 +609,13 @@ let insert t key tid =
   (* descend to the leaf page, recording the page path *)
   let rec go page depth path =
     if depth = t.levels then begin
-      bump_level t depth;
+      Level_acc.bump t.acc depth;
       (page, path)
     end
     else begin
       let r = Buffer_pool.get t.pool page in
       let child = ip_route t r key in
-      bump_level t depth;
+      Level_acc.bump t.acc depth;
       Buffer_pool.unpin t.pool page;
       go child (depth + 1) (page :: path)
     end
@@ -743,7 +634,7 @@ let delete t key =
   Sim.busy_op t.sim;
   let rec go page depth =
     let r = Buffer_pool.get t.pool page in
-    bump_level t depth;
+    Level_acc.bump t.acc depth;
     if depth < t.levels then begin
       let child = ip_route t r key in
       Buffer_pool.unpin t.pool page;
@@ -888,7 +779,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
       else begin
         let r = Buffer_pool.get t.pool page in
         let child = ip_route t r key in
-        bump_level t depth;
+        Level_acc.bump t.acc depth;
         visit page r;
         Buffer_pool.unpin t.pool page;
         find_page key child (depth + 1) ~visit
@@ -932,7 +823,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
     let count = ref 0 in
     let rec scan_page page =
       let r = Buffer_pool.get t.pool page in
-      bump_level t t.levels;
+      Level_acc.bump t.acc t.levels;
       if prefetch && t.cache_prefetch_leaves then prefetch_page_leaves t r;
       let line = ref (Mem.read_u16 t.sim r h_first_leaf) in
       let stop = ref false in
@@ -982,7 +873,7 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
       else begin
         let r = Buffer_pool.get t.pool page in
         let child = ip_route t r key in
-        bump_level t depth;
+        Level_acc.bump t.acc depth;
         visit page;
         Buffer_pool.unpin t.pool page;
         find_page key child (depth + 1) ~visit
@@ -1069,7 +960,7 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
     let first_page = ref true in
     let rec scan_page page =
       let r = Buffer_pool.get t.pool page in
-      bump_level t t.levels;
+      Level_acc.bump t.acc t.levels;
       if prefetch && t.cache_prefetch_leaves then prefetch_page_leaves t r;
       let stop = ref false in
       let line = ref 0 in
@@ -1260,10 +1151,3 @@ let check t =
   | [] -> ()
   | first :: _ ->
       if chain first [] <> expected then fail "leaf page chain disagrees"
-
-(* amcheck-style entry point: the structural check as data, for the scrub
-   and chaos harnesses that must keep counting past a failure. *)
-let check_invariants t =
-  match check t with
-  | () -> Ok (page_count t)
-  | exception Failure msg -> Error msg

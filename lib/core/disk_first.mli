@@ -53,15 +53,8 @@ val set_bound_scan_end : t -> bool -> unit
 val bulkload : t -> (int * int) array -> fill:float -> unit
 val search : t -> int -> int option
 
-(** Batched lookup, semantically [Array.map (search t) keys], executed
-    as sorted level-wise waves with cross-probe prefetch pipelining.
-    Accounting convention: a page shared by [k] probes of one wave
-    counts ONE access in [level_accesses] (and one [node_access] trace
-    event) plus [k-1] probe-routings under [batch.dup_probes], keeping
-    [level_accesses] a count of physical page accesses under both
-    service disciplines.  Splits and retries smaller under
-    [Buffer_pool.Overloaded].  See {!Fpb_btree_common.Index_sig.S} and
-    [docs/BATCHING.md]. *)
+(** Batched lookup through {!Fpb_btree_common.Wave}; semantics and
+    accounting as in {!Fpb_btree_common.Index_sig.S}. *)
 val search_batch : t -> int array -> int option array
 
 val insert : t -> int -> int -> [ `Inserted | `Updated ]
@@ -99,9 +92,5 @@ val set_trace : t -> Fpb_obs.Trace.t option -> unit
 (** {1 Uncharged introspection (tests)} *)
 
 val check : t -> unit
-
-(** amcheck-style verification: [check] as data — [Ok pages_owned] or
-    [Error description] — so scrub/chaos harnesses can keep counting. *)
-val check_invariants : t -> (int, string) result
 
 val iter : t -> (int -> int -> unit) -> unit

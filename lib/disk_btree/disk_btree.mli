@@ -8,13 +8,8 @@
     come from {!Fpb_btree_common.Paged_tree}; this module only supplies
     the page layout and its binary search. *)
 
-(** The full common index interface: [create], [bulkload], [search],
-    [search_batch] (sorted level-wise waves from
-    {!Fpb_btree_common.Paged_tree}; a page shared by [k] probes of a
-    wave counts one [level_accesses] access plus [k-1]
-    [batch.dup_probes] — see [docs/BATCHING.md]), [insert], [delete],
-    [range_scan], sizes, telemetry ([level_accesses] / [set_trace]) and
-    uncharged checkers. *)
+(** The full common index interface ({!Fpb_btree_common.Index_sig.S},
+    which also states [search_batch]'s accounting convention). *)
 include Fpb_btree_common.Index_sig.S
 
 (** Reverse (descending) scan of [start_key, end_key] entries, following

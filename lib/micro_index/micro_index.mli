@@ -11,14 +11,8 @@
     only supplies the page layout and the two-phase search.  Sub-array
     size and fan-out come from {!Fpb_btree_common.Tuning} (Table 2). *)
 
-(** The full common index interface: [create], [bulkload], [search],
-    [search_batch] (sorted level-wise waves from
-    {!Fpb_btree_common.Paged_tree}, each page searched through its
-    micro-index once per probe but fetched once per wave; a page shared
-    by [k] probes counts one [level_accesses] access plus [k-1]
-    [batch.dup_probes] — see [docs/BATCHING.md]), [insert], [delete],
-    [range_scan], sizes, telemetry ([level_accesses] / [set_trace]) and
-    uncharged checkers. *)
+(** The full common index interface ({!Fpb_btree_common.Index_sig.S},
+    which also states [search_batch]'s accounting convention). *)
 include Fpb_btree_common.Index_sig.S
 
 (** Reverse (descending) scan of [start_key, end_key] entries, following

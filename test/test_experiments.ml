@@ -54,12 +54,55 @@ let test_find_prefix () =
     "exact id wins over prefixes" true
     (match Registry.find "fig18a" with Some e -> e.Registry.id = "fig18a" | None -> false)
 
+(* The claims `exp batch` makes at Tiny scale: batching at B=8 out-serves
+   the singleton discipline on every index, with cross-probe sharing and
+   the disk pipeline engaged; root accesses amortize to probes/B; every
+   skewed batch speeds up; the batch server pays the size-or-timeout
+   latency floor below capacity yet keeps up with the singleton server
+   past it. *)
+let check_batch_claims (o : Registry.outcome) =
+  let c = Fpb_obs.Registry.snapshot o.metrics in
+  let get k =
+    match List.assoc_opt k c with
+    | Some v -> v
+    | None -> Alcotest.failf "batch: missing counter %s" k
+  in
+  let claim what ok = Alcotest.(check bool) ("batch: " ^ what) true ok in
+  claim "not aborted" (o.aborted = None);
+  List.iter
+    (fun kind ->
+      let k = Run.slug (Setup.kind_name kind) in
+      claim (k ^ " B8 >= B1")
+        (get (Printf.sprintf "batch.a.%s.b8.ops_per_s" k)
+        >= get (Printf.sprintf "batch.a.%s.b1.ops_per_s" k)))
+    Setup.all_kinds;
+  claim "sharing observed" (get "batch.shared_nodes" > 0 && get "batch.dup_probes" > 0);
+  claim "pipeline engaged" (get "batch.pipeline_stalls" > 0);
+  Alcotest.(check int)
+    "batch: root accesses = probes/B"
+    (Exp_batch.total_probes Scale.Tiny / 32)
+    (get "batch.a.disk-first-fpb-tree.b32.level0_accesses");
+  let speedups =
+    List.filter (fun (k, _) -> String.ends_with ~suffix:".speedup_pct" k) c
+  in
+  claim "every speedup > 100%"
+    (List.length speedups >= 5 && List.for_all (fun (_, v) -> v > 100) speedups);
+  claim "latency floor below capacity"
+    (get "batch.c.b32-r40.p50_ns" > get "batch.c.single-r40.p50_ns");
+  claim "capacity past saturation"
+    (get "batch.c.b32-r110.ops_per_s" >= get "batch.c.single-r110.ops_per_s");
+  Alcotest.(check (list string))
+    "batch: tables" [ "batch-a"; "batch-b"; "batch-c" ]
+    (List.map (fun t -> t.Table.id) o.tables)
+
 (* Every registered experiment runs at Tiny scale, and the resulting
    report serialises to JSON that parses back with all ids present and a
    metrics record per experiment. *)
 let test_full_report_roundtrip () =
   let module J = Fpb_obs.Json in
   let outcomes = List.map (Registry.run_entry Scale.Tiny) Registry.all in
+  check_batch_claims
+    (List.find (fun o -> o.Registry.entry.Registry.id = "batch") outcomes);
   let json =
     Report.make ~scale:Scale.Tiny ~timestamp:"1970-01-01T00:00:00Z"
       ~bechamel:[ ("search/demo", 120.5) ]

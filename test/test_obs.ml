@@ -218,7 +218,19 @@ let test_index_trace_events () =
           match List.assoc_opt "level" ev.Trace.ev_attrs with
           | Some (J.Int l) when l >= 1 && l <= height -> ()
           | _ -> Alcotest.failf "%s: bad level attr" name)
-        (Trace.events tr))
+        (Trace.events tr);
+      (* A batch emits one event per unique node per wave, exactly what
+         the level counters count. *)
+      Trace.clear tr;
+      Index_sig.reset_level_accesses idx;
+      Index_sig.set_trace idx (Some tr);
+      ignore
+        (Index_sig.search_batch idx (Array.init 48 (fun i -> i * i * 17 mod 40_000)));
+      Index_sig.set_trace idx None;
+      Alcotest.(check int)
+        (name ^ ": one event per unique node per wave")
+        (Array.fold_left ( + ) 0 (Index_sig.level_accesses idx))
+        (Trace.length tr))
     Fpb_experiments.Setup.all_kinds
 
 (* --- End-to-end: one experiment through the report -------------------- *)

@@ -94,6 +94,43 @@ let test_batch_one_root_access kind () =
     "16 root accesses for 16 singleton probes" 16
     (Index_sig.level_accesses idx).(0)
 
+(* The exact simulated cost of one fixed 64-probe batch, pinned so a
+   refactor of the wave walker cannot change what it charges.  Each
+   result is [sim ns; waves; shared_nodes; dup_probes; pipeline_stalls]
+   followed by [level_accesses].  The 8-frame pool cannot pin a whole
+   leaf frontier, so that batch takes the [Overloaded] split path. *)
+let batch_cost kind ~capacity =
+  let pool = Util.make_pool ~page_size:4096 ~capacity () in
+  let idx = Fpb_experiments.Setup.make_index kind pool in
+  Index_sig.bulkload idx (Array.init 20_000 (fun i -> (2 * i, i))) ~fill:0.8;
+  let keys = Array.init 64 (fun i -> i * i * 37 mod 40_000) in
+  let sim = Fpb_storage.Buffer_pool.sim pool in
+  let counters () =
+    Fpb_obs.Histogram.count Batch_stats.size
+    :: List.map Fpb_obs.Counter.value
+         [ Batch_stats.shared_nodes; Batch_stats.dup_probes;
+           Batch_stats.pipeline_stalls ]
+  in
+  Index_sig.reset_level_accesses idx;
+  let c0 = counters () and t0 = Fpb_simmem.Sim.now sim in
+  let got = Index_sig.search_batch idx keys in
+  let cost =
+    ((Fpb_simmem.Sim.now sim - t0) :: List.map2 ( - ) (counters ()) c0)
+    @ Array.to_list (Index_sig.level_accesses idx)
+  in
+  Array.iteri
+    (fun i k ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "probe %d" k)
+        (if k mod 2 = 0 then Some (k / 2) else None)
+        got.(i))
+    keys;
+  cost
+
+let test_batch_cost_pinned kind ~roomy ~tiny () =
+  Alcotest.(check (list int)) "roomy pool" roomy (batch_cost kind ~capacity:16384);
+  Alcotest.(check (list int)) "8-frame pool" tiny (batch_cost kind ~capacity:8)
+
 (* --- Correctness under a thrashing buffer pool ----------------------------- *)
 
 let test_tiny_pool kind () =
@@ -237,3 +274,23 @@ let suite =
           `Quick
           (test_batch_one_root_access kind))
       kinds
+  @ List.map
+      (fun (name, kind, roomy, tiny) ->
+        Alcotest.test_case
+          (name ^ ": search_batch cost pinned")
+          `Quick
+          (test_batch_cost_pinned kind ~roomy ~tiny))
+      [
+        ( "disk_opt", Fpb_experiments.Setup.Disk_opt,
+          [ 25836; 1; 17; 88; 0; 1; 39 ],
+          [ 255563524; 13; 27; 248; 127; 13; 43 ] );
+        ( "micro", Fpb_experiments.Setup.Micro,
+          [ 23978; 1; 20; 92; 0; 1; 35 ],
+          [ 239656746; 13; 30; 253; 114; 13; 38 ] );
+        ( "disk_first", Fpb_experiments.Setup.Disk_first,
+          [ 29166; 1; 20; 91; 0; 1; 36 ],
+          [ 247550374; 13; 31; 252; 113; 13; 39 ] );
+        ( "cache_first", Fpb_experiments.Setup.Cache_first,
+          [ 24842; 1; 19; 129; 0; 1; 8; 54 ],
+          [ 311434222; 13; 58; 437; 158; 13; 39; 55 ] );
+      ]
