@@ -132,11 +132,12 @@ let capacity scale ~pool_pages =
       in
       let n_clients = base_clients scale in
       let st =
-        W.Clients.run ~sim:s.sys.Setup.sim ~n_clients
-          ~ops_per_client:(total_ops scale / n_clients)
-          op
+        W.Driver.run ~sim:s.sys.Setup.sim
+          (W.Driver.config ~n_clients
+             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
+          (W.Driver.each op)
       in
-      st.W.Clients.throughput_ops_per_s)
+      st.W.Driver.throughput_ops_per_s)
 
 type policy_cell = {
   policy : policy;
@@ -171,8 +172,10 @@ let run_policy scale ~pool_pages ~rate policy =
         | _ -> ()
       in
       let st =
-        W.Arrival.run ~sim:s.sys.Setup.sim ~n_clients:(base_clients scale)
-          ~n_ops:(total_ops scale) ~rate_ops_per_s:rate op
+        W.Driver.run ~sim:s.sys.Setup.sim
+          (W.Driver.config ~n_clients:(base_clients scale)
+             (W.Driver.open_loop ~n_ops:(total_ops scale) rate))
+          (W.Driver.each op)
       in
       (* a pass begun near the end of the run has no later operations to
          tick it home; drain it outside the measured window so every
@@ -196,8 +199,8 @@ let run_policy scale ~pool_pages ~rate policy =
       {
         policy;
         ckpts = !ckpts;
-        latency = st.W.Arrival.latency;
-        max_backlog = st.W.Arrival.max_backlog;
+        latency = st.W.Driver.latency;
+        max_backlog = st.W.Driver.max_backlog;
         max_stall_ns;
       })
 

@@ -6,9 +6,9 @@
    bulkload, so operations are CPU plus buffer-pool bookkeeping: with
    one shard every page access serializes on a single pool latch, with N
    shards the latch demand spreads by page-id hash and clients queue far
-   less.  The driver is [Fpb_workload.Clients]: a conservative
-   discrete-event schedule that runs the earliest client next, with
-   shard latches and disks holding absolute free-at times.
+   less.  The driver is [Fpb_workload.Driver]'s closed loop: a
+   conservative discrete-event schedule that runs the earliest client
+   next, with shard latches and disks holding absolute free-at times.
 
    Each cell sweeps (clients x shards) over a fresh system running a
    search/update mix (updates commit through a group-commit WAL), and
@@ -46,7 +46,7 @@ let shard_counts = function
   | Scale.Quick | Scale.Full -> [ 1; 4; 8 ]
 
 type cell = {
-  stats : Fpb_workload.Clients.stats;
+  stats : Fpb_workload.Driver.stats;
   conflicts : int;
   waits_ns : int;
   hits : int;
@@ -74,8 +74,10 @@ let run_cell scale ~n_clients ~n_shards =
   in
   let committed = ref 0 in
   let stats =
-    Fpb_workload.Clients.run ~sim:sys.Setup.sim ~n_clients
-      ~ops_per_client:(ops_per_client scale) (fun ~client ~seq:_ ->
+    let module D = Fpb_workload.Driver in
+    D.run ~sim:sys.Setup.sim
+      (D.config ~n_clients (D.Closed { ops_per_client = ops_per_client scale }))
+      (D.each @@ fun ~client ~seq:_ ->
         let rng = rngs.(client) in
         let k = Fpb_workload.Prng.int rng key_space in
         if Fpb_workload.Prng.int rng 100 < update_frac_pct then begin
@@ -92,7 +94,7 @@ let run_cell scale ~n_clients ~n_shards =
   Telemetry.add
     (Printf.sprintf "concurrency.c%d.s%d.throughput_ops_per_s" n_clients
        n_shards)
-    (int_of_float stats.Fpb_workload.Clients.throughput_ops_per_s);
+    (int_of_float stats.Fpb_workload.Driver.throughput_ops_per_s);
   {
     stats;
     conflicts = v p.Buffer_pool.shard_conflicts;
@@ -123,7 +125,7 @@ let run scale =
            :: List.map
                 (fun (_, cell) ->
                   Table.cell_f
-                    (cell.stats.Fpb_workload.Clients.throughput_ops_per_s
+                    (cell.stats.Fpb_workload.Driver.throughput_ops_per_s
                    /. 1e3))
                 row)
          cells)
@@ -140,7 +142,7 @@ let run scale =
                   Table.cell_f
                     (1000.
                     *. float_of_int cell.conflicts
-                    /. float_of_int (max 1 cell.stats.Fpb_workload.Clients.ops)))
+                    /. float_of_int (max 1 cell.stats.Fpb_workload.Driver.ops)))
                 row)
          cells)
   in
@@ -151,7 +153,7 @@ let run scale =
     | Some row ->
         List.map
           (fun (s, cell) ->
-            let h = cell.stats.Fpb_workload.Clients.latency in
+            let h = cell.stats.Fpb_workload.Driver.latency in
             [
               Table.cell_i s;
               Table.cell_i (int_of_float (Fpb_obs.Histogram.mean h));

@@ -119,12 +119,13 @@ let probe scale ~pool_pages =
   with_system scale ~pool_pages (fun sys op ->
       let n_clients = base_clients scale in
       let st =
-        W.Clients.run ~sim:sys.Setup.sim ~n_clients
-          ~ops_per_client:(total_ops scale / n_clients)
-          op
+        W.Driver.run ~sim:sys.Setup.sim
+          (W.Driver.config ~n_clients
+             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
+          (W.Driver.each op)
       in
-      ( st.W.Clients.throughput_ops_per_s,
-        Histogram.percentile st.W.Clients.latency 99. ))
+      ( st.W.Driver.throughput_ops_per_s,
+        Histogram.percentile st.W.Driver.latency 99. ))
 
 let policy_slug = function
   | W.Admission.Admit_all -> "admit-all"
@@ -137,11 +138,14 @@ let run_cell scale ~pool_pages ~deadline_ns ~admission ?retry ?rate_change
     ?n_ops ~rate_ops_per_s () =
   let n_ops = Option.value ~default:(total_ops scale) n_ops in
   with_system scale ~pool_pages (fun sys op ->
-      W.Arrival.run ~sim:sys.Setup.sim ~n_clients:(base_clients scale)
-        ~n_ops ~rate_ops_per_s ~deadline_ns ~admission ?retry ?rate_change op)
+      W.Driver.run ~sim:sys.Setup.sim
+        (W.Driver.config ~n_clients:(base_clients scale) ~deadline_ns
+           ~admission ?retry
+           (W.Driver.open_loop ?rate_change ~n_ops rate_ops_per_s))
+        (W.Driver.each op))
 
-let good_pct (st : W.Arrival.stats) =
-  100. *. float_of_int st.W.Arrival.good /. float_of_int (max 1 st.W.Arrival.ops)
+let good_pct (st : W.Driver.stats) =
+  100. *. float_of_int st.W.Driver.good /. float_of_int (max 1 st.W.Driver.ops)
 
 let policy_sweep scale ~pool_pages ~capacity ~deadline_ns =
   let policies =
@@ -161,27 +165,27 @@ let policy_sweep scale ~pool_pages ~capacity ~deadline_ns =
                 ~rate_ops_per_s:rate ()
             in
             let key m = Printf.sprintf "overload.a.%s.r%d.%s" slug pct m in
-            let p99 = Histogram.percentile st.W.Arrival.latency 99. in
+            let p99 = Histogram.percentile st.W.Driver.latency 99. in
             Telemetry.add (key "goodput")
-              (int_of_float st.W.Arrival.goodput_ops_per_s);
+              (int_of_float st.W.Driver.goodput_ops_per_s);
             Telemetry.add (key "good_pct") (int_of_float (good_pct st));
-            Telemetry.add (key "shed") st.W.Arrival.shed;
-            Telemetry.add (key "expired") st.W.Arrival.expired;
+            Telemetry.add (key "shed") st.W.Driver.shed;
+            Telemetry.add (key "expired") st.W.Driver.expired;
             Telemetry.add (key "p99_ns") p99;
-            Telemetry.add (key "max_backlog") st.W.Arrival.max_backlog;
+            Telemetry.add (key "max_backlog") st.W.Driver.max_backlog;
             Telemetry.add (key "above_wm_ns")
-              st.W.Arrival.time_above_watermark_ns;
+              st.W.Driver.time_above_watermark_ns;
             [
               W.Admission.name admission;
               Table.cell_i pct;
-              Table.cell_f (st.W.Arrival.offered_ops_per_s /. 1e3);
-              Table.cell_f (st.W.Arrival.goodput_ops_per_s /. 1e3);
+              Table.cell_f (st.W.Driver.offered_ops_per_s /. 1e3);
+              Table.cell_f (st.W.Driver.goodput_ops_per_s /. 1e3);
               Table.cell_f (good_pct st);
-              Table.cell_i st.W.Arrival.shed;
-              Table.cell_i st.W.Arrival.expired;
+              Table.cell_i st.W.Driver.shed;
+              Table.cell_i st.W.Driver.expired;
               Table.cell_i p99;
-              Table.cell_i st.W.Arrival.max_backlog;
-              Table.cell_i st.W.Arrival.time_above_watermark_ns;
+              Table.cell_i st.W.Driver.max_backlog;
+              Table.cell_i st.W.Driver.time_above_watermark_ns;
             ])
           pcts)
       policies
@@ -249,28 +253,28 @@ let storm scale ~pool_pages ~capacity ~deadline_ns =
             ~admission:(W.Admission.Queue_cap storm_queue_cap) ~retry
             ~rate_change:(change_at, calm) ~n_ops ~rate_ops_per_s:burst ()
         in
-        let w = Option.get st.W.Arrival.recovery in
+        let w = Option.get st.W.Driver.recovery in
         let w_good_pct =
-          100. *. float_of_int w.W.Arrival.w_good
-          /. float_of_int (max 1 w.W.Arrival.w_offered)
+          100. *. float_of_int w.W.Driver.w_good
+          /. float_of_int (max 1 w.W.Driver.w_offered)
         in
         let key m = Printf.sprintf "overload.b.%s.%s" slug m in
-        Telemetry.add (key "retries") st.W.Arrival.retries;
-        Telemetry.add (key "dropped") st.W.Arrival.dropped;
-        Telemetry.add (key "shed") st.W.Arrival.shed;
+        Telemetry.add (key "retries") st.W.Driver.retries;
+        Telemetry.add (key "dropped") st.W.Driver.dropped;
+        Telemetry.add (key "shed") st.W.Driver.shed;
         Telemetry.add (key "recovery_good_pct") (int_of_float w_good_pct);
         Telemetry.add (key "recovery_goodput")
-          (int_of_float w.W.Arrival.w_goodput_ops_per_s);
-        Telemetry.add (key "recovery_shed") w.W.Arrival.w_shed;
+          (int_of_float w.W.Driver.w_goodput_ops_per_s);
+        Telemetry.add (key "recovery_shed") w.W.Driver.w_shed;
         [
           (slug ^ " " ^ W.Retry.name retry);
-          Table.cell_i st.W.Arrival.retries;
-          Table.cell_i st.W.Arrival.shed;
-          Table.cell_i st.W.Arrival.dropped;
-          Table.cell_i w.W.Arrival.w_offered;
+          Table.cell_i st.W.Driver.retries;
+          Table.cell_i st.W.Driver.shed;
+          Table.cell_i st.W.Driver.dropped;
+          Table.cell_i w.W.Driver.w_offered;
           Table.cell_f w_good_pct;
-          Table.cell_f (w.W.Arrival.w_goodput_ops_per_s /. 1e3);
-          Table.cell_i w.W.Arrival.w_shed;
+          Table.cell_f (w.W.Driver.w_goodput_ops_per_s /. 1e3);
+          Table.cell_i w.W.Driver.w_shed;
         ])
       legs
   in

@@ -128,13 +128,14 @@ let probe scale ~pool_pages ~mode =
       in
       let n_clients = base_clients scale in
       let st =
-        W.Clients.run ~sim:sys.Setup.sim ~n_clients
-          ~ops_per_client:(total_ops scale / n_clients)
-          op
+        W.Driver.run ~sim:sys.Setup.sim
+          (W.Driver.config ~n_clients
+             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
+          (W.Driver.each op)
       in
       Index_sig.check idx;
       Replica.detach group;
-      st.W.Clients.throughput_ops_per_s)
+      st.W.Driver.throughput_ops_per_s)
 
 (* ------------------ replica-a: mode x offered rate ------------------- *)
 
@@ -149,8 +150,10 @@ let mode_cell scale ~pool_pages ~mode ~rate =
         W.Mix.execute idx ~commit (W.Mix.next gen)
       in
       let st =
-        W.Arrival.run ~sim:sys.Setup.sim ~n_clients:(base_clients scale)
-          ~n_ops:(total_ops scale) ~rate_ops_per_s:rate op
+        W.Driver.run ~sim:sys.Setup.sim
+          (W.Driver.config ~n_clients:(base_clients scale)
+             (W.Driver.open_loop ~n_ops:(total_ops scale) rate))
+          (W.Driver.each op)
       in
       Index_sig.check idx;
       Telemetry.add_kv (Replica.kv group);
@@ -180,21 +183,21 @@ let mode_sweep scale ~pool_pages ~capacities =
             Telemetry.add (key "commit_p99_ns") (pc cl 99.);
             Telemetry.add (key "ack_wait_p99_ns") (pc aw 99.);
             Telemetry.add (key "p99_ns")
-              (pc st.W.Arrival.latency 99.);
+              (pc st.W.Driver.latency 99.);
             Telemetry.add (key "throughput")
-              (int_of_float st.W.Arrival.throughput_ops_per_s);
-            Telemetry.add (key "max_backlog") st.W.Arrival.max_backlog;
+              (int_of_float st.W.Driver.throughput_ops_per_s);
+            Telemetry.add (key "max_backlog") st.W.Driver.max_backlog;
             [
               mode_name mode;
               Table.cell_f (capacity /. 1e3);
               Table.cell_i pct;
-              Table.cell_f (st.W.Arrival.offered_ops_per_s /. 1e3);
-              Table.cell_f (st.W.Arrival.throughput_ops_per_s /. 1e3);
+              Table.cell_f (st.W.Driver.offered_ops_per_s /. 1e3);
+              Table.cell_f (st.W.Driver.throughput_ops_per_s /. 1e3);
               Table.cell_i (pc cl 50.);
               Table.cell_i (pc cl 99.);
               Table.cell_i (pc aw 99.);
-              Table.cell_i (pc st.W.Arrival.latency 99.);
-              Table.cell_i st.W.Arrival.max_backlog;
+              Table.cell_i (pc st.W.Driver.latency 99.);
+              Table.cell_i st.W.Driver.max_backlog;
             ])
           pcts)
       capacities
@@ -258,29 +261,31 @@ let failover scale ~pool_pages ~capacity =
         W.Mix.execute !idx_r ~commit (W.Mix.next gen)
       in
       let st =
-        W.Arrival.run ~sim:sys.Setup.sim ~n_clients:(base_clients scale)
-          ~n_ops ~rate_ops_per_s:rate
-          ~rate_change:(kill_at, rate) (* same rate: phase 2 isolates the
-                                          post-failover recovery window *)
-          op
+        W.Driver.run ~sim:sys.Setup.sim
+          (W.Driver.config ~n_clients:(base_clients scale)
+             (W.Driver.open_loop ~n_ops rate
+                ~rate_change:(kill_at, rate) (* same rate: phase 2 isolates
+                                                the post-failover recovery
+                                                window *)))
+          (W.Driver.each op)
       in
       Index_sig.check !idx_r;
       let survivor_op = Replica.sync_node !group_r (Replica.node !group_r 0) in
       let lost = max 0 (!acked_at_kill - !promoted_op) in
-      let w = Option.get st.W.Arrival.recovery in
+      let w = Option.get st.W.Driver.recovery in
       Telemetry.add_kv (Replica.kv !group_r);
       Telemetry.add "replica.b.blackout_ns" !blackout;
       Telemetry.add "replica.b.acked_at_kill" !acked_at_kill;
       Telemetry.add "replica.b.promoted_op" !promoted_op;
       Telemetry.add "replica.b.lost_acked" lost;
       Telemetry.add "replica.b.truncated_records" !truncated;
-      Telemetry.add "replica.b.max_backlog" st.W.Arrival.max_backlog;
+      Telemetry.add "replica.b.max_backlog" st.W.Driver.max_backlog;
       Telemetry.add "replica.b.backlog_peak_at_ns"
-        st.W.Arrival.backlog_peak_at_ns;
+        st.W.Driver.backlog_peak_at_ns;
       Telemetry.add "replica.b.recovery_goodput"
-        (int_of_float w.W.Arrival.w_goodput_ops_per_s);
+        (int_of_float w.W.Driver.w_goodput_ops_per_s);
       Telemetry.add "replica.b.p99_ns"
-        (Histogram.percentile st.W.Arrival.latency 99.);
+        (Histogram.percentile st.W.Driver.latency 99.);
       Telemetry.add "replica.b.survivor_synced"
         (if survivor_op = !committed then 1 else 0);
       Replica.detach !group_r;
@@ -299,16 +304,16 @@ let failover scale ~pool_pages ~capacity =
             "recov goodput Kops/s"; "arrival p99" ]
         [
           [
-            Table.cell_f (st.W.Arrival.offered_ops_per_s /. 1e3);
+            Table.cell_f (st.W.Driver.offered_ops_per_s /. 1e3);
             Table.cell_f (float_of_int !blackout /. 1e6);
             Table.cell_i !acked_at_kill;
             Table.cell_i !promoted_op;
             Table.cell_i lost;
             Table.cell_i !truncated;
-            Table.cell_i st.W.Arrival.max_backlog;
-            Table.cell_f (float_of_int st.W.Arrival.backlog_peak_at_ns /. 1e6);
-            Table.cell_f (w.W.Arrival.w_goodput_ops_per_s /. 1e3);
-            Table.cell_i (Histogram.percentile st.W.Arrival.latency 99.);
+            Table.cell_i st.W.Driver.max_backlog;
+            Table.cell_f (float_of_int st.W.Driver.backlog_peak_at_ns /. 1e6);
+            Table.cell_f (w.W.Driver.w_goodput_ops_per_s /. 1e3);
+            Table.cell_i (Histogram.percentile st.W.Driver.latency 99.);
           ];
         ])
 

@@ -1,153 +1,13 @@
-(* Open-loop batch server: the second service discipline beside the
-   per-client descents of [Arrival].
+(** Batch-server entry point kept for the benchmark harness: one client
+    fed by an open-loop Poisson schedule, dispatching under the
+    size-or-timeout rule.  [exec] gets each batch's ops in arrival
+    order.  A thin adapter over {!Driver.run}; new callers use {!Driver}
+    directly. *)
 
-   Arrivals follow the same open-loop schedule as [Arrival.run] (Poisson
-   or fixed-rate, precomputed from the seed, independent of how the
-   system keeps up), but instead of fanning out over per-client FIFOs
-   they feed ONE server that collects probes and serves them as a batch:
-   when the server is idle it dispatches as soon as [batch] operations
-   are queued, or when the oldest queued operation has waited
-   [batch_wait_ns], whichever comes first — the classic size-or-timeout
-   group rule (the same shape as the WAL's group commit).  A dispatch
-   hands the collected sequence numbers to [exec], which runs one
-   level-wise descent wave ([search_batch]) and advances the simulated
-   clock by the batch's service time.
+include Driver.Stats
 
-   The trade is explicit in the stats: batching amortises shared upper
-   tree levels and pipelines leaf misses across probes (service time per
-   op shrinks as the batch fills), but below saturation an op waits up
-   to [batch_wait_ns] for company — the latency floor the `exp batch`
-   sweep shows at low arrival rates.
-
-   Scheduling is the same conservative discrete-event discipline as the
-   other drivers: all decision times are non-decreasing, the shared
-   clock is rewound to each dispatch ([Clock.set]) and [exec] moves it
-   forward, so a run is exactly reproducible from its seed. *)
-
-open Fpb_simmem
-
-type stats = {
-  ops : int;
-  batches : int;
-  batch_cap : int;
-  batch_wait_ns : int;
-  discipline : Arrival.discipline;
-  offered_ops_per_s : float;
-  makespan_ns : int;
-  latency : Fpb_obs.Histogram.t;
-  wait_ns : Fpb_obs.Histogram.t;
-  service_ns : Fpb_obs.Histogram.t;
-  batch_fill : Fpb_obs.Histogram.t;
-  throughput_ops_per_s : float;
-  mean_batch : float;
-  max_backlog : int;
-}
-
-let run ~sim ~n_ops ~rate_ops_per_s ?(discipline = Arrival.Poisson)
-    ?(seed = 4242) ~batch ~batch_wait_ns exec =
-  if n_ops < 0 then invalid_arg "Batch.run: n_ops < 0";
-  if rate_ops_per_s <= 0. then invalid_arg "Batch.run: rate <= 0";
-  if batch < 1 then invalid_arg "Batch.run: batch < 1";
-  if batch_wait_ns < 0 then invalid_arg "Batch.run: batch_wait_ns < 0";
-  let clock = sim.Sim.clock in
-  let t0 = Clock.now clock in
-  (* The arrival schedule is fixed up front, exactly as in [Arrival]. *)
-  let rng = Prng.create seed in
-  let arrivals = Array.make (max 1 n_ops) t0 in
-  let t = ref (float_of_int t0) in
-  let mean_gap_ns = 1e9 /. rate_ops_per_s in
-  for j = 0 to n_ops - 1 do
-    let gap =
-      match discipline with
-      | Arrival.Poisson -> Prng.exponential rng ~mean:mean_gap_ns
-      | Arrival.Fixed -> mean_gap_ns
-    in
-    t := !t +. gap;
-    arrivals.(j) <- int_of_float !t
-  done;
-  let latency = Fpb_obs.Histogram.make "batch.latency_ns" in
-  let wait_ns = Fpb_obs.Histogram.make "batch.wait_ns" in
-  let service_ns = Fpb_obs.Histogram.make "batch.service_ns" in
-  let batch_fill = Fpb_obs.Histogram.make "batch.fill" in
-  let q = Queue.create () in
-  let next = ref 0 in
-  let max_backlog = ref 0 in
-  let completed = ref 0 and batches = ref 0 in
-  let last_finish = ref t0 in
-  (* Server-idle time: non-decreasing; arrivals at or before it are
-     already queued. *)
-  let s = ref t0 in
-  let absorb_until time =
-    while !next < n_ops && arrivals.(!next) <= time do
-      Queue.add (!next, arrivals.(!next)) q;
-      incr next;
-      if Queue.length q > !max_backlog then max_backlog := Queue.length q
-    done
-  in
-  let dispatch at =
-    let k = min batch (Queue.length q) in
-    let seqs = Array.make k 0 in
-    let arrs = Array.make k 0 in
-    for i = 0 to k - 1 do
-      let seq, arr = Queue.pop q in
-      seqs.(i) <- seq;
-      arrs.(i) <- arr;
-      Fpb_obs.Histogram.record wait_ns (at - arr)
-    done;
-    Clock.set clock at;
-    exec seqs;
-    let fin = Clock.now clock in
-    Fpb_obs.Histogram.record service_ns (fin - at);
-    Fpb_obs.Histogram.record batch_fill k;
-    Array.iter (fun arr -> Fpb_obs.Histogram.record latency (fin - arr)) arrs;
-    completed := !completed + k;
-    incr batches;
-    if fin > !last_finish then last_finish := fin;
-    s := fin;
-    absorb_until !s
-  in
-  let running = ref true in
-  while !running do
-    if Queue.is_empty q then
-      if !next >= n_ops then running := false
-      else begin
-        s := max !s arrivals.(!next);
-        absorb_until !s
-      end
-    else if Queue.length q >= batch then dispatch !s
-    else begin
-      let _, head_arr = Queue.peek q in
-      let timeout = head_arr + batch_wait_ns in
-      if timeout <= !s then dispatch !s
-      else
-        let na = if !next < n_ops then arrivals.(!next) else max_int in
-        if na <= timeout then begin
-          s := na;
-          absorb_until !s
-        end
-        else dispatch timeout
-    end
-  done;
-  Clock.set clock !last_finish;
-  let makespan_ns = !last_finish - t0 in
-  let per_s n span =
-    if span = 0 then 0. else float_of_int n *. 1e9 /. float_of_int span
-  in
-  {
-    ops = !completed;
-    batches = !batches;
-    batch_cap = batch;
-    batch_wait_ns;
-    discipline;
-    offered_ops_per_s = rate_ops_per_s;
-    makespan_ns;
-    latency;
-    wait_ns;
-    service_ns;
-    batch_fill;
-    throughput_ops_per_s = per_s !completed makespan_ns;
-    mean_batch =
-      (if !batches = 0 then 0.
-       else float_of_int !completed /. float_of_int !batches);
-    max_backlog = !max_backlog;
-  }
+let run ~sim ~n_ops ~rate_ops_per_s ?seed ~batch ~batch_wait_ns exec =
+  Driver.run ~sim
+    (Driver.config ~batch ~batch_wait_ns ?seed
+       (Driver.open_loop ~n_ops rate_ops_per_s))
+    (fun ~client:_ seqs -> exec seqs)

@@ -1,75 +1,10 @@
-(* Closed-loop multi-client driver over the discrete-event clock.
+(** Closed-loop entry point kept for the benchmark harness: [n_clients]
+    clients, [ops_per_client] ops each, per-op service.  A thin adapter
+    over {!Driver.run}; new callers use {!Driver} directly. *)
 
-   M logical clients share one simulated machine (pool, WAL, disks).
-   Each client is a loop of operations separated by a think time; the
-   driver always runs the client with the smallest local time next,
-   rewinding the shared clock to that client's present ([Clock.set])
-   before executing its operation atomically in virtual time.
+include Driver.Stats
 
-   This is the standard conservative discrete-event schedule: since the
-   chosen client's local time is the minimum over all clients, no other
-   client could still execute anything earlier, so resource contention
-   is resolved correctly even though operations run one at a time in
-   host order.  Shared resources (disks, buffer-pool shard latches, the
-   log) keep *absolute* free-at times, so a client arriving at a
-   resource another client holds until later waits via
-   [max now free_at] — that wait is exactly the queueing delay a truly
-   concurrent execution would have produced.
-
-   Within one operation there is no preemption: the model's unit of
-   interleaving is the operation, not the instruction.  That matches
-   what the simulation can answer ("how do M clients queue on shards,
-   disks and the log?"), and keeps every structure's single-writer
-   invariants intact. *)
-
-open Fpb_simmem
-
-type stats = {
-  clients : int;
-  ops : int;
-  makespan_ns : int;  (* first op start to last op completion *)
-  latency : Fpb_obs.Histogram.t;  (* per-operation simulated latency *)
-  throughput_ops_per_s : float;  (* ops / makespan, simulated time *)
-}
-
-let run ~sim ~n_clients ~ops_per_client ?(think_ns = 0) op =
-  if n_clients < 1 then invalid_arg "Clients.run: n_clients < 1";
-  if ops_per_client < 0 then invalid_arg "Clients.run: ops_per_client < 0";
-  let clock = sim.Sim.clock in
-  let t0 = Clock.now clock in
-  let local = Array.make n_clients t0 in  (* next-op start time *)
-  let done_at = Array.make n_clients t0 in  (* last completion *)
-  let next = Array.make n_clients 0 in
-  let latency = Fpb_obs.Histogram.make "clients.op_latency_ns" in
-  let remaining = ref (n_clients * ops_per_client) in
-  while !remaining > 0 do
-    let c = ref (-1) in
-    for i = 0 to n_clients - 1 do
-      if next.(i) < ops_per_client && (!c < 0 || local.(i) < local.(!c)) then
-        c := i
-    done;
-    let i = !c in
-    Clock.set clock local.(i);
-    op ~client:i ~seq:next.(i);
-    let finish = Clock.now clock in
-    Fpb_obs.Histogram.record latency (finish - local.(i));
-    done_at.(i) <- finish;
-    local.(i) <- finish + think_ns;
-    next.(i) <- next.(i) + 1;
-    decr remaining
-  done;
-  (* Leave the shared clock at the end of the run, not at whichever
-     client happened to execute last. *)
-  let finish = Array.fold_left max (Clock.now clock) done_at in
-  Clock.set clock finish;
-  let ops = n_clients * ops_per_client in
-  let makespan_ns = finish - t0 in
-  {
-    clients = n_clients;
-    ops;
-    makespan_ns;
-    latency;
-    throughput_ops_per_s =
-      (if makespan_ns = 0 then 0.
-       else float_of_int ops *. 1e9 /. float_of_int makespan_ns);
-  }
+let run ~sim ~n_clients ~ops_per_client op =
+  Driver.run ~sim
+    (Driver.config ~n_clients (Driver.Closed { ops_per_client }))
+    (Driver.each op)

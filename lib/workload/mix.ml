@@ -6,7 +6,7 @@
    else defaults to scrambled Zipfian).  A [gen] owns the mutable
    key-space state — the key-age array that starts as the bulk-loaded
    keys and grows at the frontier with every insert — plus its own PRNG,
-   so drivers (closed-loop [Clients], open-loop [Arrival]) draw one
+   so the driver ([Driver], closed or open loop) draws one
    fully-formed action per dispatch and the Latest distribution always
    sees the current frontier. *)
 

@@ -5,8 +5,8 @@
     standard core workloads A-F are provided with their conventional
     key-popularity distributions; a {!gen} owns the mutable key-space
     state — the key-age array that starts as the bulk-loaded keys and
-    grows at the frontier with every insert — so both the closed-loop
-    ({!Clients}) and open-loop ({!Arrival}) drivers draw one
+    grows at the frontier with every insert — so the driver
+    ({!Driver}), closed or open loop, draws one
     fully-formed {!action} per dispatch, and the [Latest] distribution
     always sees the current insert frontier.  See [docs/WORKLOADS.md]. *)
 

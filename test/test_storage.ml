@@ -3,6 +3,7 @@
 
 open Fpb_simmem
 open Fpb_storage
+module Driver = Fpb_workload.Driver
 
 let check_int = Alcotest.(check int)
 let cv = Fpb_obs.Counter.value
@@ -275,12 +276,13 @@ let test_shard_latch_contention () =
       pages;
     Buffer_pool.reset_stats pool;
     ignore
-      (Fpb_workload.Clients.run ~sim ~n_clients:4 ~ops_per_client:50
-         (fun ~client ~seq ->
-           let p = pages.((client + (7 * seq)) mod Array.length pages) in
-           ignore (Buffer_pool.get pool p);
-           Buffer_pool.unpin pool p)
-        : Fpb_workload.Clients.stats);
+      (Driver.run ~sim
+         (Driver.config ~n_clients:4 (Driver.Closed { ops_per_client = 50 }))
+         (Driver.each (fun ~client ~seq ->
+              let p = pages.((client + (7 * seq)) mod Array.length pages) in
+              ignore (Buffer_pool.get pool p);
+              Buffer_pool.unpin pool p))
+        : Driver.stats);
     let s = Buffer_pool.stats pool in
     (cv s.Buffer_pool.shard_conflicts, cv s.Buffer_pool.shard_waits_ns)
   in
@@ -311,8 +313,9 @@ let test_multi_client_pin_evict () =
   Buffer_pool.clear pool;
   let bad = ref 0 in
   ignore
-    (Fpb_workload.Clients.run ~sim ~n_clients:3 ~ops_per_client:60
-       (fun ~client ~seq ->
+    (Driver.run ~sim
+       (Driver.config ~n_clients:3 (Driver.Closed { ops_per_client = 60 }))
+       (Driver.each @@ fun ~client ~seq ->
          let i = (client + (3 * seq)) mod Array.length pages in
          let j = (i + 7) mod Array.length pages in
          let r = Buffer_pool.get pool pages.(i) in
@@ -322,7 +325,7 @@ let test_multi_client_pin_evict () =
          if Mem.read_i32 sim r 0 <> 1000 + i then incr bad;
          Buffer_pool.unpin pool pages.(i);
          if Buffer_pool.resident_pages pool > 8 then incr bad)
-      : Fpb_workload.Clients.stats);
+      : Driver.stats);
   check_int "no stale reads or over-residency" 0 !bad
 
 let prop_sharded_pool_equivalent =
