@@ -57,8 +57,9 @@ let bucket_mid i =
   end
 
 let record t v =
-  let v = max 0 v in
-  t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+  let v = if v > 0 then v else 0 in
+  let b = bucket_of v in
+  t.buckets.(b) <- t.buckets.(b) + 1;
   t.count <- t.count + 1;
   t.sum <- t.sum + v;
   if v < t.min_v then t.min_v <- v;
