@@ -8,7 +8,9 @@
    shards the latch demand spreads by page-id hash and clients queue far
    less.  The driver is [Fpb_workload.Driver]'s closed loop: a
    conservative discrete-event schedule that runs the earliest client
-   next, with shard latches and disks holding absolute free-at times.
+   next.  Shard latches keep busy-interval timelines, so a client
+   replayed at an earlier time waits only inside another client's hold;
+   disks and the log keep a single free-at time.
 
    Each cell sweeps (clients x shards) over a fresh system running a
    search/update mix (updates commit through a group-commit WAL), and

@@ -4,6 +4,10 @@
     [max (now + T1) (last_completion + Tnext)], so a batch of prefetches
     issued back-to-back for a w-line node costs [T1 + (w-1)*Tnext] once
     the node is accessed — the pB+-Tree cost model (paper, Section 3.1.1).
+    The pipeline is kept as a {!Timeline} of [Tnext]-long slots, so a
+    client the multi-client driver replays at an earlier time uses the
+    gaps between other clients' bursts; on a monotone clock the slots
+    chain back to back and the formula above is exact.
 
     L1 is set-associative with LRU replacement; L2 is direct-mapped.
     Stores are modeled like loads.  Software prefetches occupy one of a
