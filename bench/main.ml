@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4) on the simulated substrates, plus Bechamel
-   wall-clock microbenchmarks of the core index operations and of the
-   simulator's busy-interval timeline.
+   wall-clock microbenchmarks of the core index operations, of the
+   simulator's busy-interval timeline and of the durability kernels
+   (CRC-32, page diff, log-record framing).
 
    Usage:
      dune exec bench/main.exe                 # every experiment, quick scale
@@ -46,6 +47,32 @@ let timeline_test ~name ~fronts ~latch =
          ignore (Tl.add tl s (s + 10) : bool);
          now.(i) <- s + 37))
 
+(* Host cost of the durability kernels every logged update and every
+   page read or write-back runs: the CRC-32 of a 4 KB page, the diff of
+   a 4 KB page against its shadow copy when one word mid-page changed,
+   and the framing of a delta record and of a 4 KB image record. *)
+let kernel_tests () =
+  let open Bechamel in
+  let module Wal = Fpb_wal.Wal in
+  let page = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 0xff)) in
+  let dirty = Bytes.copy page in
+  Bytes.set_int64_le dirty 2048 0x5a5a5a5aL;
+  let delta =
+    Wal.Delta { lsn = 1; page = 7; off = 2048; bytes = Bytes.sub dirty 2048 8 }
+  in
+  let image = Wal.Image { lsn = 1; page = 7; img = page } in
+  [
+    Test.make ~name:"crc32-4k"
+      (Staged.stage (fun () -> ignore (Fpb_storage.Checksum.bytes page : int)));
+    Test.make ~name:"diff-span-4k"
+      (Staged.stage (fun () ->
+           ignore (Wal.diff_span page dirty : (int * int) option)));
+    Test.make ~name:"encode-delta"
+      (Staged.stage (fun () -> ignore (Wal.Codec.encode delta : string)));
+    Test.make ~name:"encode-image-4k"
+      (Staged.stage (fun () -> ignore (Wal.Codec.encode image : string)));
+  ]
+
 (* OLS ns/run estimate of every test in [tests], printed and returned. *)
 let measure tests =
   let open Bechamel in
@@ -68,11 +95,12 @@ let measure tests =
 
 let run_bechamel () =
   (* Wall-clock cost of the real implementations (not simulated time):
-     one Test.make per operation and index over a 100K-key tree, and the
+     one Test.make per operation and index over a 100K-key tree, the
      timeline sequences of the memory pipeline and the shard latch, each
-     append-only and interleaved.  The timeline group
-     runs first, before the trees fill the heap: GC work on that heap
-     would otherwise swamp a primitive this cheap. *)
+     append-only and interleaved, and the durability kernels.  The
+     timeline and kernel groups run first, before the trees fill the
+     heap: GC work on that heap would otherwise swamp primitives this
+     cheap. *)
   let open Bechamel in
   let timeline =
     measure
@@ -84,6 +112,7 @@ let run_bechamel () =
            timeline_test ~name:"latch-interleaved-4" ~fronts:4 ~latch:true;
          ])
   in
+  let kernels = measure (Test.make_grouped ~name:"kernels" (kernel_tests ())) in
   let make_setup kind =
     let sys = Setup.make ~page_size:16384 () in
     let rng = Fpb_workload.Prng.create 99 in
@@ -125,7 +154,7 @@ let run_bechamel () =
            Test.make_grouped ~name:"scan" (List.map scan_test Setup.all_kinds);
          ])
   in
-  fpbtree @ timeline
+  fpbtree @ timeline @ kernels
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -105,6 +105,11 @@ module Codec : sig
   val decode : ?len:int -> Bytes.t -> int -> (record * int) option
 end
 
+(** [diff_span a b] is the smallest [(off, len)] such that two
+    equal-length buffers agree outside [[off, off + len)], or [None] if
+    they are equal: the span a delta record logs.  Exposed for tests. *)
+val diff_span : Bytes.t -> Bytes.t -> (int * int) option
+
 type t
 
 (** One sealed record in the durable byte stream: its end offset, its

@@ -201,9 +201,63 @@ let check_replica_claims o =
   claim "caught up" (get "replica.c.caught_up" = 1);
   tables [ "replica-a"; "replica-b"; "replica-c" ]
 
-(* Every registered experiment runs at Tiny scale, and the resulting
-   report serialises to JSON that parses back with all ids present and a
-   metrics record per experiment. *)
+(* The committed tiny report, [BENCH_results.json] at the repository
+   root (a dependency of this test, so dune copies it next to the test
+   directory).  Regenerate it with
+   [dune exec bench/main.exe -- --tiny --json BENCH_results.json all]
+   whenever a change moves a simulated number on purpose. *)
+let committed_report = "../BENCH_results.json"
+
+(* First path at which two JSON values differ, for the failure message. *)
+let rec first_diff path (a : Fpb_obs.Json.t) (b : Fpb_obs.Json.t) =
+  let module J = Fpb_obs.Json in
+  match (a, b) with
+  | J.Obj xs, J.Obj ys when List.map fst xs = List.map fst ys ->
+      List.find_map (fun ((k, x), (_, y)) -> first_diff (path ^ "." ^ k) x y)
+        (List.combine xs ys)
+  | J.List xs, J.List ys when List.length xs = List.length ys ->
+      List.find_map
+        (fun (i, (x, y)) -> first_diff (Printf.sprintf "%s[%d]" path i) x y)
+        (List.mapi (fun i p -> (i, p)) (List.combine xs ys))
+  | _ -> if a = b then None else Some path
+
+(* Every experiment's simulated results equal the committed report's:
+   [metrics] and [tables] exactly; host numbers ([wall_s], [bechamel])
+   are not compared. *)
+let check_matches_committed (fresh : Fpb_obs.Json.t) =
+  let module J = Fpb_obs.Json in
+  let experiments json =
+    Option.value ~default:[] (Option.bind (J.member "experiments" json) J.to_list)
+  in
+  let committed =
+    experiments (J.parse (In_channel.with_open_bin committed_report In_channel.input_all))
+  in
+  let fresh = experiments fresh in
+  let id e = Option.value ~default:"?" (Option.bind (J.member "id" e) J.to_str) in
+  Alcotest.(check (list string))
+    "committed report has the same experiments" (List.map id fresh)
+    (List.map id committed);
+  List.iter2
+    (fun f c ->
+      List.iter
+        (fun field ->
+          match (J.member field f, J.member field c) with
+          | Some x, Some y -> (
+              match first_diff (id f ^ "." ^ field) x y with
+              | None -> ()
+              | Some path ->
+                  Alcotest.failf
+                    "%s differs from %s (regenerate it if the change is \
+                     intended)"
+                    path committed_report)
+          | _ -> Alcotest.failf "%s: %s missing" (id f) field)
+        [ "metrics"; "tables" ])
+    fresh committed
+
+(* Every registered experiment runs at Tiny scale, the resulting report
+   serialises to JSON that parses back with all ids present and a
+   metrics record per experiment, and its simulated results equal the
+   committed report's. *)
 let test_full_report_roundtrip () =
   let module J = Fpb_obs.Json in
   let outcomes = List.map (Registry.run_entry Scale.Tiny) Registry.all in
@@ -239,7 +293,8 @@ let test_full_report_roundtrip () =
       | _ ->
           Alcotest.failf "%s: missing counters object"
             (Option.value ~default:"?" (Option.bind (J.member "id" e) J.to_str)))
-    exps
+    exps;
+  check_matches_committed parsed
 
 let suite =
   [

@@ -39,6 +39,54 @@ let test_crc_sensitivity () =
   Bytes.set b 63 'b';
   check_bool "single byte changes digest" true (Checksum.bytes b <> h0)
 
+(* Bytewise reference: the classic one-table CRC-32, one byte per step. *)
+let crc_reference crc b off len =
+  let c = ref (crc lxor 0xffffffff) in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code (Bytes.get b i);
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xffffffff
+
+(* Property: the word-at-a-time CRC equals the reference on random
+   buffers up to 5 000 B at any offset, from any running digest, and a
+   chain of two [update] calls equals one over the concatenation. *)
+let prop_crc_matches_reference =
+  let open QCheck2.Gen in
+  let short_or_long hi = frequency [ (1, 0 -- min hi 16); (2, 0 -- hi) ] in
+  let gen =
+    let* n = short_or_long 5000 in
+    let* s = string_size (return n) in
+    let* off = short_or_long n in
+    let* len = short_or_long (n - off) in
+    let* cut = 0 -- len in
+    let* hi = int_bound 0xffff in
+    let* lo = int_bound 0xffff in
+    return (s, off, len, cut, (hi lsl 16) lor lo)
+  in
+  Util.qtest ~count:500 "crc32 equals bytewise reference" gen
+    (fun (s, off, len, cut, seed) ->
+      let b = Bytes.of_string s in
+      let want = crc_reference seed b off len in
+      Checksum.update seed b off len = want
+      && Checksum.update (Checksum.update seed b off cut) b (off + cut)
+           (len - cut)
+         = want)
+
+let test_crc_bounds () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (off, len) ->
+      match Checksum.update 0 b off len with
+      | _ -> Alcotest.failf "update off=%d len=%d accepted" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (10, 7); (17, 0); (0, 17); (max_int, 1) ];
+  (* the empty range at either end is valid *)
+  check_int "empty range at end" 0 (Checksum.update 0 b 16 0);
+  check_int "whole buffer" (Checksum.bytes b) (Checksum.update 0 b 0 16)
+
 (* --- page checksum headers --- *)
 
 let test_stamp_verify () =
@@ -320,6 +368,8 @@ let suite =
     Alcotest.test_case "crc32 known vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc32 incremental update" `Quick test_crc_incremental;
     Alcotest.test_case "crc32 bit sensitivity" `Quick test_crc_sensitivity;
+    Alcotest.test_case "crc32 rejects out-of-range spans" `Quick test_crc_bounds;
+    prop_crc_matches_reference;
     Alcotest.test_case "page stamp/verify/heal" `Quick test_stamp_verify;
     Alcotest.test_case "transient reads retried with backoff" `Quick
       test_retry_recovers;

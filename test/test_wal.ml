@@ -70,6 +70,97 @@ let test_codec_crc_framing () =
   Alcotest.(check bool) "corrupt trailer rejected" true
     (Wal.Codec.decode b 0 = None)
 
+(* Golden frames, one per record kind: the on-log byte format must not
+   move, whatever the encoder's implementation. *)
+let golden_frames =
+  [
+    ( "image",
+      Wal.Image
+        { lsn = 2; page = 5; img = Bytes.init 24 (fun i -> Char.chr (i * 31 land 0xff)) },
+      "21000000010200000005000000001f3e5d7c9bbad9f81736557493b2d1f00f2e4d6c8baac9321b99a0" );
+    ( "delta",
+      Wal.Delta { lsn = 9; page = 4; off = 123; bytes = Bytes.of_string "hello" },
+      "120000000209000000040000007b00000068656c6c6f16460441" );
+    ( "commit",
+      Wal.Commit { lsn = 7; op = 3; meta = [ 1; 0; -5; 1 lsl 30 ] },
+      "1d000000030700000003000000040000000100000000000000fbffffff0000004005e1857a" );
+    ( "checkpoint",
+      Wal.Checkpoint { lsn = 1; op = 0; meta = [] },
+      "0d000000040100000000000000000000007b606854" );
+    ("alloc", Wal.Alloc { lsn = 11; page = 6 }, "09000000050b000000060000006b129fd4");
+    ("free", Wal.Free { lsn = 12; page = 7 }, "09000000060c00000007000000d2406b5f");
+  ]
+
+let hex s =
+  String.concat ""
+    (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let test_codec_golden () =
+  List.iter
+    (fun (label, r, want) ->
+      Alcotest.(check string) (label ^ ": frame bytes") want (hex (Wal.Codec.encode r));
+      roundtrip label r)
+    golden_frames;
+  (* a full 4 KB image, pinned by its length and the CRC-32 of its frame *)
+  let img = Bytes.init 4096 (fun i -> Char.chr (i * 31 land 0xff)) in
+  let s = Wal.Codec.encode (Wal.Image { lsn = 70000; page = 123456; img }) in
+  check_int "4 KB image: frame length" 4113 (String.length s);
+  check_int "4 KB image: frame crc" 0x17cd4061 (Fpb_storage.Checksum.string s)
+
+(* --- page diff --- *)
+
+(* Bytewise reference for [Wal.diff_span]. *)
+let diff_reference a b =
+  let n = Bytes.length a in
+  let lo = ref 0 in
+  while !lo < n && Bytes.get a !lo = Bytes.get b !lo do incr lo done;
+  if !lo = n then None
+  else begin
+    let hi = ref (n - 1) in
+    while Bytes.get a !hi = Bytes.get b !hi do decr hi done;
+    Some (!lo, !hi - !lo + 1)
+  end
+
+(* [flip b i] changes byte [i] of a copy of [b]. *)
+let flips b positions =
+  let c = Bytes.copy b in
+  List.iter
+    (fun i -> Bytes.set c i (Char.chr (Char.code (Bytes.get c i) lxor 0x5a)))
+    positions;
+  c
+
+let test_diff_span_cases () =
+  let page = Bytes.init 4096 (fun i -> Char.chr (i * 13 land 0xff)) in
+  let span = Alcotest.(option (pair int int)) in
+  let check label positions want =
+    Alcotest.check span label want (Wal.diff_span page (flips page positions))
+  in
+  check "identical pages" [] None;
+  check "byte 0" [ 0 ] (Some (0, 1));
+  check "last byte" [ 4095 ] (Some (4095, 1));
+  check "single mid byte" [ 2051 ] (Some (2051, 1));
+  check "both ends" [ 0; 4095 ] (Some (0, 4096));
+  check "word-straddling span" [ 7; 8 ] (Some (7, 2));
+  Alcotest.check span "short page" (Some (2, 1))
+    (Wal.diff_span (Bytes.of_string "abcde") (Bytes.of_string "abXde"))
+
+(* Property: on page pairs that differ at random positions (byte 0 and
+   the last byte favoured), the word-wise diff equals the reference. *)
+let prop_diff_span_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* n = frequency [ (1, 1 -- 24); (2, return 4096); (1, 1 -- 4096) ] in
+    let* s = string_size (return n) in
+    let pos = frequency [ (1, return 0); (1, return (n - 1)); (4, 0 -- (n - 1)) ] in
+    let* positions = list_size (0 -- 3) pos in
+    return (s, positions)
+  in
+  Util.qtest ~count:500 "diff_span equals bytewise reference" gen
+    (fun (s, positions) ->
+      let a = Bytes.of_string s in
+      let b = flips a positions in
+      Wal.diff_span a b = diff_reference a b)
+
 (* --- commit / crash / recover on a real system --- *)
 
 let build_small kind n =
@@ -402,6 +493,9 @@ let suite =
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
     Alcotest.test_case "codec torn tail" `Quick test_codec_torn_tail;
     Alcotest.test_case "codec crc32 framing" `Quick test_codec_crc_framing;
+    Alcotest.test_case "codec golden frames" `Quick test_codec_golden;
+    Alcotest.test_case "diff_span cases" `Quick test_diff_span_cases;
+    prop_diff_span_matches_reference;
     Alcotest.test_case "commit then recover" `Quick test_commit_recover;
     Alcotest.test_case "group commit loses buffered tail" `Quick
       test_group_commit_loss;
