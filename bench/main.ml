@@ -1,8 +1,9 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 4) on the simulated substrates, plus Bechamel
    wall-clock microbenchmarks of the core index operations, of the
-   simulator's busy-interval timeline and of the durability kernels
-   (CRC-32, page diff, log-record framing).
+   simulator's busy-interval timeline, of the durability kernels
+   (CRC-32, page diff, log-record framing) and of the cache simulator's
+   charged accesses.
 
    Usage:
      dune exec bench/main.exe                 # every experiment, quick scale
@@ -73,6 +74,58 @@ let kernel_tests () =
       (Staged.stage (fun () -> ignore (Wal.Codec.encode image : string)));
   ]
 
+(* Host cost of the cache simulator's per-access path, through the
+   charged [Mem] accessors the indexes use.  Lines one L1 stride (32 KB)
+   apart share an L1 set but not an L2 line, so cycling three of them
+   through the 2-way set hits L2 every time; lines one L2 size (2 MB)
+   apart also share the direct-mapped L2 line, so three of them miss to
+   memory every time.  The node test prefetches an 8-line node and
+   touches each line, cycling over 4 MB of nodes so every one is cold
+   again when its turn comes. *)
+let simmem_tests () =
+  let open Bechamel in
+  let module Mem = Fpb_simmem.Mem in
+  let cfg = Fpb_simmem.Config.default in
+  let line = cfg.Fpb_simmem.Config.line_size in
+  let bytes = Bytes.make line '\000' in
+  let cycle ~stride n =
+    let sim = Fpb_simmem.Sim.create () in
+    let regions = Array.init n (fun i -> Mem.make ~bytes ~base:(i * stride)) in
+    let k = ref 0 in
+    Staged.stage (fun () ->
+        let r = regions.(!k) in
+        k := if !k + 1 = n then 0 else !k + 1;
+        ignore (Mem.read_i32 sim r 0 : int))
+  in
+  let l1_stride = cfg.l1_size / cfg.l1_assoc in
+  let node = 8 * line in
+  let nodes =
+    let sim = Fpb_simmem.Sim.create () in
+    let bytes = Bytes.make node '\000' in
+    let n = 2 * cfg.l2_size / node in
+    let regions = Array.init n (fun i -> Mem.make ~bytes ~base:(i * node)) in
+    let k = ref 0 in
+    Staged.stage (fun () ->
+        let r = regions.(!k) in
+        k := if !k + 1 = n then 0 else !k + 1;
+        Mem.prefetch sim r ~off:0 ~len:node;
+        for l = 0 to 7 do
+          ignore (Mem.read_i32 sim r (l * line) : int)
+        done)
+  in
+  let frame =
+    let sim = Fpb_simmem.Sim.create () in
+    Staged.stage (fun () ->
+        Fpb_simmem.Cache.invalidate_range sim.Fpb_simmem.Sim.cache 0 4096)
+  in
+  [
+    Test.make ~name:"read-i32-l1-hit" (cycle ~stride:0 1);
+    Test.make ~name:"read-i32-l2-hit" (cycle ~stride:l1_stride 3);
+    Test.make ~name:"read-i32-mem-miss" (cycle ~stride:cfg.l2_size 3);
+    Test.make ~name:"prefetch-node-8-lines" nodes;
+    Test.make ~name:"invalidate-4k-frame" frame;
+  ]
+
 (* OLS ns/run estimate of every test in [tests], printed and returned. *)
 let measure tests =
   let open Bechamel in
@@ -97,10 +150,10 @@ let run_bechamel () =
   (* Wall-clock cost of the real implementations (not simulated time):
      one Test.make per operation and index over a 100K-key tree, the
      timeline sequences of the memory pipeline and the shard latch, each
-     append-only and interleaved, and the durability kernels.  The
-     timeline and kernel groups run first, before the trees fill the
-     heap: GC work on that heap would otherwise swamp primitives this
-     cheap. *)
+     append-only and interleaved, the durability kernels and the cache
+     simulator's charged accesses.  The timeline, kernel and simmem
+     groups run first, before the trees fill the heap: GC work on that
+     heap would otherwise swamp primitives this cheap. *)
   let open Bechamel in
   let timeline =
     measure
@@ -113,6 +166,7 @@ let run_bechamel () =
          ])
   in
   let kernels = measure (Test.make_grouped ~name:"kernels" (kernel_tests ())) in
+  let simmem = measure (Test.make_grouped ~name:"simmem" (simmem_tests ())) in
   let make_setup kind =
     let sys = Setup.make ~page_size:16384 () in
     let rng = Fpb_workload.Prng.create 99 in
@@ -154,7 +208,7 @@ let run_bechamel () =
            Test.make_grouped ~name:"scan" (List.map scan_test Setup.all_kinds);
          ])
   in
-  fpbtree @ timeline @ kernels
+  fpbtree @ timeline @ kernels @ simmem
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

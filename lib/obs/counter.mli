@@ -6,10 +6,12 @@
     [_ns] simulated nanoseconds, everything else plain events — and every
     name is catalogued in [docs/OBSERVABILITY.md].
 
-    [add]/[incr] compile to a single field mutation, so counters are safe
-    to charge from simulator hot paths. *)
+    The record is concrete so that a hot path can bump [value] in place.
+    Under the dev profile's [-opaque], [add]/[incr] are real cross-module
+    calls (one field mutation each); the cache simulator's per-access
+    path updates the field directly instead. *)
 
-type t
+type t = { name : string; mutable value : int }
 
 (** [make name] is a fresh counter at zero. *)
 val make : string -> t

@@ -17,41 +17,86 @@
    (Table 1).  Stores are modeled like loads (write-allocate, no write-back
    cost).  Software prefetches occupy one of a bounded number of miss
    handlers; issuing a prefetch when all handlers are busy stalls until the
-   oldest one retires. *)
+   oldest one retires.
+
+   Every charged load and store of the simulated machine runs through
+   [access_line], so it allocates nothing, hashes nothing and calls into
+   no other module except [Clock.advance] and, on a memory miss, the
+   pipeline timeline.  Set and line counts are powers of two, so a
+   line's L1 set and L2 slot are masks.
+
+   In-flight prefetches are a ring of [miss_handlers] slots in issue
+   order: line, completion time and a live flag.  A prefetch stalls on
+   the oldest slot before it pushes when the ring is full, so the ring
+   never holds more.  A demand access or an invalidation kills the live
+   slot of its line but leaves the slot queued: it still counts against
+   the handlers until its completion time passes.  When a slot retires,
+   the line is installed if any slot of the same line is live, not only
+   the retiring one; that live slot is killed.  So a line that was
+   accessed, evicted and prefetched again arrives when its stale slot
+   retires.  [filter] counts the live slots per [line land 63], so the
+   common "not in flight" answer needs no scan. *)
+
+module Counter = Fpb_obs.Counter
 
 type t = {
-  cfg : Config.t;
   clock : Clock.t;
   stats : Stats.t;
   shift : int;
-  l1_sets : int;
+  l1_mask : int;  (* L1 sets - 1 *)
   l1_assoc : int;
   l1_tags : int array;  (* sets * assoc entries; -1 = invalid *)
   l1_stamp : int array;  (* LRU timestamps, parallel to l1_tags *)
-  l2_lines : int;
+  l2_mask : int;  (* L2 lines - 1 *)
   l2_tags : int array;  (* direct-mapped; -1 = invalid *)
-  inflight : (int, int) Hashtbl.t;  (* line -> completion time *)
-  order : (int * int) Queue.t;  (* (line, completion) in issue order *)
+  l2_latency : int;
+  mem_latency : int;
+  mem_gap : int;
+  ring_line : int array;  (* in-flight prefetches, [miss_handlers] slots *)
+  ring_done : int array;  (* completion time *)
+  ring_live : bool array;  (* false once accessed or invalidated *)
+  mutable head : int;  (* oldest queued slot *)
+  mutable count : int;  (* queued slots, dead ones included *)
+  filter : int array;  (* live slots per [line land 63] *)
   pipeline : Timeline.t;  (* busy memory slots [c - Tnext, c) *)
   mutable stamp : int;
 }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
 let create cfg clock stats =
   let l1_sets = cfg.Config.l1_size / (cfg.line_size * cfg.l1_assoc) in
   let l2_lines = cfg.l2_size / cfg.line_size in
+  if cfg.miss_handlers < 1 then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d miss handlers, need at least 1"
+         cfg.miss_handlers);
+  if not (is_pow2 l1_sets) then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d L1 sets is not a power of two" l1_sets);
+  if not (is_pow2 l2_lines) then
+    invalid_arg
+      (Printf.sprintf "Cache.create: %d L2 lines is not a power of two"
+         l2_lines);
   {
-    cfg;
     clock;
     stats;
     shift = Config.line_shift cfg;
-    l1_sets;
+    l1_mask = l1_sets - 1;
     l1_assoc = cfg.l1_assoc;
     l1_tags = Array.make (l1_sets * cfg.l1_assoc) (-1);
     l1_stamp = Array.make (l1_sets * cfg.l1_assoc) 0;
-    l2_lines;
+    l2_mask = l2_lines - 1;
     l2_tags = Array.make l2_lines (-1);
-    inflight = Hashtbl.create 64;
-    order = Queue.create ();
+    l2_latency = cfg.l2_latency;
+    mem_latency = cfg.mem_latency;
+    mem_gap = cfg.mem_gap;
+    ring_line = Array.make cfg.miss_handlers 0;
+    ring_done = Array.make cfg.miss_handlers 0;
+    ring_live = Array.make cfg.miss_handlers false;
+    head = 0;
+    count = 0;
+    filter = Array.make 64 0;
     (* no future slot is requested before [floor + T1 - Tnext] *)
     pipeline =
       Timeline.create ~floor:(fun () ->
@@ -62,145 +107,213 @@ let create cfg clock stats =
 let flush t =
   Array.fill t.l1_tags 0 (Array.length t.l1_tags) (-1);
   Array.fill t.l2_tags 0 (Array.length t.l2_tags) (-1);
-  Hashtbl.reset t.inflight;
-  Queue.clear t.order;
+  Array.fill t.ring_live 0 (Array.length t.ring_live) false;
+  Array.fill t.filter 0 (Array.length t.filter) 0;
+  t.head <- 0;
+  t.count <- 0;
   Timeline.clear t.pipeline
 
-let install_l2 t line = t.l2_tags.(line mod t.l2_lines) <- line
+let bump (c : Counter.t) = c.value <- c.value + 1
 
-let install_l1 t line =
-  let base = line mod t.l1_sets * t.l1_assoc in
-  let victim = ref base and best = ref max_int in
-  (try
-     for w = 0 to t.l1_assoc - 1 do
-       if t.l1_tags.(base + w) = -1 then begin
-         victim := base + w;
-         raise Exit
-       end;
-       if t.l1_stamp.(base + w) < !best then begin
-         best := t.l1_stamp.(base + w);
-         victim := base + w
-       end
-     done
-   with Exit -> ());
+let stall t cycles =
+  if cycles > 0 then begin
+    let c = t.stats.Stats.stall in
+    c.value <- c.value + cycles;
+    Clock.advance t.clock cycles
+  end
+
+(* {2 In-flight ring} *)
+
+(* The live slot of [line], or -1. *)
+let find_live t line =
+  if t.filter.(line land 63) = 0 then -1
+  else begin
+    let cap = Array.length t.ring_line in
+    let i = ref t.head and left = ref t.count and found = ref (-1) in
+    while !left > 0 do
+      if t.ring_live.(!i) && t.ring_line.(!i) = line then begin
+        found := !i;
+        left := 0
+      end
+      else begin
+        decr left;
+        incr i;
+        if !i = cap then i := 0
+      end
+    done;
+    !found
+  end
+
+let kill t i =
+  t.ring_live.(i) <- false;
+  let f = t.ring_line.(i) land 63 in
+  t.filter.(f) <- t.filter.(f) - 1
+
+let push t line c =
+  let cap = Array.length t.ring_line in
+  assert (t.count < cap);
+  let i = t.head + t.count in
+  let i = if i >= cap then i - cap else i in
+  t.ring_line.(i) <- line;
+  t.ring_done.(i) <- c;
+  t.ring_live.(i) <- true;
+  t.count <- t.count + 1;
+  let f = line land 63 in
+  t.filter.(f) <- t.filter.(f) + 1
+
+(* {2 Tag arrays} *)
+
+let set_base t line = (line land t.l1_mask) * t.l1_assoc
+
+(* Whether [line] is in the L1 set at [base]; a hit refreshes its LRU
+   stamp. *)
+let l1_hit t base line =
+  let assoc = t.l1_assoc in
+  let w = ref 0 in
+  while !w < assoc && t.l1_tags.(base + !w) <> line do
+    incr w
+  done;
+  if !w < assoc then begin
+    t.stamp <- t.stamp + 1;
+    t.l1_stamp.(base + !w) <- t.stamp;
+    true
+  end
+  else false
+
+(* Fill the first invalid way of the set at [base], else its LRU way. *)
+let install_l1 t base line =
+  let assoc = t.l1_assoc in
+  let victim = ref base and best = ref max_int and w = ref 0 in
+  while !w < assoc do
+    let i = base + !w in
+    if t.l1_tags.(i) = -1 then begin
+      victim := i;
+      w := assoc
+    end
+    else begin
+      if t.l1_stamp.(i) < !best then begin
+        best := t.l1_stamp.(i);
+        victim := i
+      end;
+      incr w
+    end
+  done;
   t.l1_tags.(!victim) <- line;
   t.stamp <- t.stamp + 1;
   t.l1_stamp.(!victim) <- t.stamp
 
-let l1_lookup t line =
-  let base = line mod t.l1_sets * t.l1_assoc in
-  let rec go w =
-    if w >= t.l1_assoc then false
-    else if t.l1_tags.(base + w) = line then begin
-      t.stamp <- t.stamp + 1;
-      t.l1_stamp.(base + w) <- t.stamp;
-      true
-    end
-    else go (w + 1)
-  in
-  go 0
+let install t line =
+  t.l2_tags.(line land t.l2_mask) <- line;
+  install_l1 t (set_base t line) line
 
-let l2_lookup t line = t.l2_tags.(line mod t.l2_lines) = line
-
-(* Retire completed prefetches (completion <= now) into the caches. *)
+(* Retire queued prefetches whose completion time has passed, oldest
+   first, installing the line of each one that has a live slot. *)
 let drain t =
-  let now = Clock.now t.clock in
-  let rec go () =
-    match Queue.peek_opt t.order with
-    | Some (line, c) when c <= now ->
-        ignore (Queue.pop t.order);
-        if Hashtbl.mem t.inflight line then begin
-          Hashtbl.remove t.inflight line;
-          install_l2 t line;
-          install_l1 t line
-        end;
-        go ()
-    | _ -> ()
-  in
-  go ()
-
-let stall t cycles =
-  if cycles > 0 then begin
-    Fpb_obs.Counter.add t.stats.Stats.stall cycles;
-    Clock.advance t.clock cycles
-  end
+  let now = t.clock.Clock.now in
+  let cap = Array.length t.ring_line in
+  while t.count > 0 && t.ring_done.(t.head) <= now do
+    let h = t.head in
+    let line = t.ring_line.(h) in
+    t.head <- (if h + 1 = cap then 0 else h + 1);
+    t.count <- t.count - 1;
+    let i = if t.ring_live.(h) then h else find_live t line in
+    if i >= 0 then begin
+      kill t i;
+      install t line
+    end
+  done
 
 (* Schedule one memory access starting no earlier than [now]; returns its
    completion time and occupies one slot of the shared memory pipeline. *)
 let schedule_mem t =
-  let gap = t.cfg.Config.mem_gap in
+  let gap = t.mem_gap in
   let s =
-    Timeline.fit t.pipeline
-      ~at:(Clock.now t.clock + t.cfg.Config.mem_latency - gap)
-      ~len:gap
+    Timeline.fit t.pipeline ~at:(t.clock.Clock.now + t.mem_latency - gap) ~len:gap
   in
   ignore (Timeline.add t.pipeline s (s + gap) : bool);
   s + gap
 
-(* Demand access (load or store) to a byte address. *)
-let access t addr =
-  let line = addr asr t.shift in
+(* {2 Accesses} *)
+
+let access_line t line =
   drain t;
-  match Hashtbl.find_opt t.inflight line with
-  | Some c ->
-      (* Prefetch in flight: wait only for the remaining latency. *)
-      Hashtbl.remove t.inflight line;
-      Fpb_obs.Counter.incr t.stats.Stats.prefetch_useful;
-      stall t (c - Clock.now t.clock);
-      install_l2 t line;
-      install_l1 t line
-  | None ->
-      if l1_lookup t line then Fpb_obs.Counter.incr t.stats.Stats.l1_hits
-      else if l2_lookup t line then begin
-        Fpb_obs.Counter.incr t.stats.Stats.l2_hits;
-        stall t t.cfg.Config.l2_latency;
-        install_l1 t line
-      end
-      else begin
-        Fpb_obs.Counter.incr t.stats.Stats.mem_misses;
-        let c = schedule_mem t in
-        stall t (c - Clock.now t.clock);
-        install_l2 t line;
-        install_l1 t line
-      end
+  let i = find_live t line in
+  if i >= 0 then begin
+    (* Prefetch in flight: wait only for the remaining latency. *)
+    kill t i;
+    bump t.stats.Stats.prefetch_useful;
+    stall t (t.ring_done.(i) - t.clock.Clock.now);
+    install t line
+  end
+  else begin
+    let base = set_base t line in
+    if l1_hit t base line then bump t.stats.Stats.l1_hits
+    else if t.l2_tags.(line land t.l2_mask) = line then begin
+      bump t.stats.Stats.l2_hits;
+      stall t t.l2_latency;
+      install_l1 t base line
+    end
+    else begin
+      bump t.stats.Stats.mem_misses;
+      let c = schedule_mem t in
+      stall t (c - t.clock.Clock.now);
+      t.l2_tags.(line land t.l2_mask) <- line;
+      install_l1 t base line
+    end
+  end
 
 (* Software prefetch of one line: non-blocking unless all miss handlers are
    busy.  Hits in cache or on an in-flight line are no-ops. *)
-let prefetch t addr =
-  let line = addr asr t.shift in
+let prefetch_line t line =
   drain t;
   if
-    (not (Hashtbl.mem t.inflight line))
-    && (not (l1_lookup t line))
-    && not (l2_lookup t line)
+    find_live t line < 0
+    && (not (l1_hit t (set_base t line) line))
+    && t.l2_tags.(line land t.l2_mask) <> line
   then begin
-    if Queue.length t.order >= t.cfg.Config.miss_handlers then begin
+    if t.count = Array.length t.ring_line then begin
       (* All handlers busy: stall until the oldest outstanding completes. *)
-      Fpb_obs.Counter.incr t.stats.Stats.prefetch_waits;
-      (match Queue.peek_opt t.order with
-      | Some (_, c) -> stall t (c - Clock.now t.clock)
-      | None -> ());
+      bump t.stats.Stats.prefetch_waits;
+      stall t (t.ring_done.(t.head) - t.clock.Clock.now);
       drain t
     end;
-    let c = schedule_mem t in
-    Hashtbl.replace t.inflight line c;
-    Queue.push (line, c) t.order;
-    Fpb_obs.Counter.incr t.stats.Stats.prefetch_issued
+    push t line (schedule_mem t);
+    bump t.stats.Stats.prefetch_issued
   end
+
+let access t addr = access_line t (addr asr t.shift)
+let prefetch t addr = prefetch_line t (addr asr t.shift)
 
 let access_range t addr len =
-  if len > 0 then begin
-    let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
-    for line = first to last do
-      access t (line lsl t.shift)
+  if len > 0 then
+    for line = addr asr t.shift to (addr + len - 1) asr t.shift do
+      access_line t line
     done
+
+let charge_busy t cycles =
+  if cycles > 0 then begin
+    let c = t.stats.Stats.busy in
+    c.value <- c.value + cycles;
+    Clock.advance t.clock cycles
   end
 
-let prefetch_range t addr len =
+let touch t ~busy addr len =
+  charge_busy t busy;
   if len > 0 then begin
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
+    if first = last then access_line t first
+    else
+      for line = first to last do
+        access_line t line
+      done
+  end
+
+let prefetch_range t ~busy_per_line addr len =
+  if len > 0 then begin
+    let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
+    charge_busy t ((last - first + 1) * busy_per_line);
     for line = first to last do
-      prefetch t (line lsl t.shift)
+      prefetch_line t line
     done
   end
 
@@ -209,18 +322,14 @@ let prefetch_range t addr len =
    arrive by DMA, so stale CPU-cache lines for those addresses must not
    produce false hits. *)
 let invalidate_range t addr len =
-  if len > 0 then begin
-    let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
-    for line = first to last do
-      let base = line mod t.l1_sets * t.l1_assoc in
+  if len > 0 then
+    for line = addr asr t.shift to (addr + len - 1) asr t.shift do
+      let base = set_base t line in
       for w = 0 to t.l1_assoc - 1 do
         if t.l1_tags.(base + w) = line then t.l1_tags.(base + w) <- -1
       done;
-      let idx = line mod t.l2_lines in
+      let idx = line land t.l2_mask in
       if t.l2_tags.(idx) = line then t.l2_tags.(idx) <- -1;
-      Hashtbl.remove t.inflight line
+      let i = find_live t line in
+      if i >= 0 then kill t i
     done
-  end
-
-let lines_in t addr len =
-  if len <= 0 then 0 else ((addr + len - 1) asr t.shift) - (addr asr t.shift) + 1

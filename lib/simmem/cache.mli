@@ -12,10 +12,25 @@
     L1 is set-associative with LRU replacement; L2 is direct-mapped.
     Stores are modeled like loads.  Software prefetches occupy one of a
     bounded number of miss handlers; issuing one when all handlers are
-    busy stalls until the oldest retires. *)
+    busy stalls until the oldest retires.
+
+    In-flight prefetches are a ring of [miss_handlers] slots in issue
+    order, and the ring never holds more.  A demand access or an
+    invalidation of an in-flight line ends its prefetch, but the slot
+    keeps its handler until its completion time.  When a slot retires,
+    its line is installed if the line has been prefetched again since
+    (retire by line, not by slot).
+
+    A charged access allocates nothing and hashes nothing.  The L1 set
+    count and the L2 line count must be powers of two, so a line's set
+    is a mask. *)
 
 type t
 
+(** [create cfg clock stats] is an empty cache.  Raises
+    [Invalid_argument] if [cfg.miss_handlers < 1] or if the L1 set count
+    ([l1_size / (line_size * l1_assoc)]) or the L2 line count
+    ([l2_size / line_size]) is not a power of two. *)
 val create : Config.t -> Clock.t -> Stats.t -> t
 
 (** Drop all cached lines and in-flight prefetches. *)
@@ -30,14 +45,19 @@ val access : t -> int -> unit
     lines. *)
 val prefetch : t -> int -> unit
 
-(** Access / prefetch every line overlapping [addr, addr+len). *)
+(** Access every line overlapping [addr, addr+len). *)
 val access_range : t -> int -> int -> unit
 
-val prefetch_range : t -> int -> int -> unit
+(** [touch t ~busy addr len] charges [busy] busy cycles, then accesses
+    every line overlapping [addr, addr+len): one charged load or store
+    of the simulated machine in a single call. *)
+val touch : t -> busy:int -> int -> int -> unit
+
+(** [prefetch_range t ~busy_per_line addr len] charges [busy_per_line]
+    busy cycles per line overlapping [addr, addr+len), all before the
+    first issue, then prefetches each of them. *)
+val prefetch_range : t -> busy_per_line:int -> int -> int -> unit
 
 (** Drop cached or in-flight copies of a byte range (used when a buffer
     frame is reassigned: DMA'd contents must not produce stale hits). *)
 val invalidate_range : t -> int -> int -> unit
-
-(** Number of cache lines overlapping [addr, addr+len). *)
-val lines_in : t -> int -> int -> int

@@ -1,7 +1,13 @@
 (** Global simulated clock shared by the CPU/cache model and the disk
     model.  Unit: nanoseconds (equivalently CPU cycles at 1 GHz). *)
 
-type t
+(** [now] reads as a field, without a call; every write goes through
+    the functions below, so {!set}'s replay invariant stays enforced. *)
+type t = private {
+  mutable now : int;
+  mutable replaying : bool;  (** between {!set} and {!join} *)
+  mutable floor_at : int;  (** the last {!set} value *)
+}
 
 val create : unit -> t
 val now : t -> int

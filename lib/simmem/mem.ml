@@ -17,8 +17,7 @@ let make ~bytes ~base = { bytes; base }
 let length r = Bytes.length r.bytes
 
 let touch (sim : Sim.t) r off len =
-  Sim.charge_busy sim sim.cost.Cost_model.c_access;
-  Cache.access_range sim.cache (r.base + off) len
+  Cache.touch sim.cache ~busy:sim.cost.Cost_model.c_access (r.base + off) len
 
 (* Charged reads *)
 
@@ -54,25 +53,24 @@ let write_i32 sim r off v =
    arrays shows up as the paper describes. *)
 let blit sim src src_off dst dst_off len =
   if len > 0 then begin
-    Sim.charge_busy sim (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle + 1);
-    Cache.access_range sim.cache (src.base + src_off) len;
-    Cache.access_range sim.cache (dst.base + dst_off) len;
+    let busy = (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle) + 1 in
+    Cache.touch sim.cache ~busy (src.base + src_off) len;
+    Cache.touch sim.cache ~busy:0 (dst.base + dst_off) len;
     Bytes.blit src.bytes src_off dst.bytes dst_off len
   end
 
 let fill_zero sim r off len =
   if len > 0 then begin
-    Sim.charge_busy sim (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle + 1);
-    Cache.access_range sim.cache (r.base + off) len;
+    let busy = (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle) + 1 in
+    Cache.touch sim.cache ~busy (r.base + off) len;
     Bytes.fill r.bytes off len '\000'
   end
 
 (* Software prefetch of [len] bytes starting at [off]; one busy cycle per
    prefetch instruction issued. *)
-let prefetch sim r ~off ~len =
-  let lines = Cache.lines_in sim.Sim.cache (r.base + off) len in
-  Sim.charge_busy sim (lines * sim.Sim.cost.Cost_model.c_prefetch);
-  Cache.prefetch_range sim.cache (r.base + off) len
+let prefetch (sim : Sim.t) r ~off ~len =
+  Cache.prefetch_range sim.cache ~busy_per_line:sim.cost.Cost_model.c_prefetch
+    (r.base + off) len
 
 (* Uncharged access, for checkers and oracles only. *)
 

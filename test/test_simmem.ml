@@ -154,6 +154,160 @@ let prop_prefetch_batch_cost =
       done;
       Clock.now clock1 <= Clock.now clock2)
 
+let test_create_rejects_no_miss_handlers () =
+  let cfg = { Config.default with Config.miss_handlers = 0 } in
+  Alcotest.check_raises "miss_handlers = 0"
+    (Invalid_argument "Cache.create: 0 miss handlers, need at least 1")
+    (fun () -> ignore (Cache.create cfg (Clock.create ()) (Stats.create ())))
+
+let test_create_rejects_l1_sets () =
+  (* 48 KB, 2-way, 64 B lines: 384 sets *)
+  let cfg = { Config.default with Config.l1_size = 48 * 1024 } in
+  Alcotest.check_raises "384 L1 sets"
+    (Invalid_argument "Cache.create: 384 L1 sets is not a power of two")
+    (fun () -> ignore (Cache.create cfg (Clock.create ()) (Stats.create ())))
+
+let test_create_rejects_l2_lines () =
+  (* 3 MB of 64 B lines: 49 152 lines *)
+  let cfg = { Config.default with Config.l2_size = 3 * 1024 * 1024 } in
+  Alcotest.check_raises "49152 L2 lines"
+    (Invalid_argument "Cache.create: 49152 L2 lines is not a power of two")
+    (fun () -> ignore (Cache.create cfg (Clock.create ()) (Stats.create ())))
+
+(* Differential test of [Cache] against [Ref_cache], the hash-table and
+   queue implementation it replaced.  Both run the same steps, each on
+   its own clock and statistics, and must agree on the clock and on all
+   eight counters after every step.  Lines are drawn from a small pool
+   built to collide: [a + 512 b + 32768 c] shares an L1 set across [b]
+   and [c] and an L2 line across [c]. *)
+type step =
+  | Access of int  (* byte address *)
+  | Prefetch of int
+  | Access_range of int * int  (* address, length *)
+  | Prefetch_range of int * int * int  (* busy per line, address, length *)
+  | Touch of int * int * int  (* busy, address, length *)
+  | Burst of int * int  (* first line, count: prefetches back to back *)
+  | Invalidate of int * int
+  | Flush
+  | Advance of int
+  | Until of int  (* advance to the replay floor plus this *)
+  | Set of int  (* rewind to the replay floor plus this *)
+  | Join of int  (* end the replay this far after now *)
+  | Stale of int * int * bool * int
+      (* lines [x] and [l], [conflict], delay [d]: prefetch [x] late in a
+         replay; rewound, prefetch and access [l], evict it (by two
+         accesses that collide in L1 and L2 if [conflict], else by
+         invalidation), then prefetch it again just before [x]
+         completes, while its dead slot is still queued behind [x];
+         access [l] [d] later *)
+
+let line_size = cfg.Config.line_size
+
+let pp_step = function
+  | Access a -> Printf.sprintf "Access %d" a
+  | Prefetch a -> Printf.sprintf "Prefetch %d" a
+  | Access_range (a, l) -> Printf.sprintf "Access_range (%d, %d)" a l
+  | Prefetch_range (b, a, l) -> Printf.sprintf "Prefetch_range (%d, %d, %d)" b a l
+  | Touch (b, a, l) -> Printf.sprintf "Touch (%d, %d, %d)" b a l
+  | Burst (l, n) -> Printf.sprintf "Burst (%d, %d)" l n
+  | Invalidate (a, l) -> Printf.sprintf "Invalidate (%d, %d)" a l
+  | Flush -> "Flush"
+  | Advance d -> Printf.sprintf "Advance %d" d
+  | Until d -> Printf.sprintf "Until %d" d
+  | Set d -> Printf.sprintf "Set %d" d
+  | Join d -> Printf.sprintf "Join %d" d
+  | Stale (x, l, c, d) -> Printf.sprintf "Stale (%d, %d, %b, %d)" x l c d
+
+let gen_steps =
+  let open QCheck2.Gen in
+  let line =
+    map3 (fun a b c -> a + (512 * b) + (32768 * c)) (0 -- 7) (0 -- 3) (0 -- 2)
+  in
+  let addr = map2 (fun l off -> (l * line_size) + off) line (0 -- (line_size - 1)) in
+  let len = oneof [ 1 -- 8; 1 -- (4 * line_size) ] in
+  let handlers = cfg.Config.miss_handlers in
+  let step =
+    frequency
+      [
+        (6, map (fun a -> Access a) addr);
+        (6, map (fun a -> Prefetch a) addr);
+        (2, map2 (fun a l -> Access_range (a, l)) addr len);
+        (2, map3 (fun b a l -> Prefetch_range (b, a, l)) (0 -- 2) addr len);
+        (3, map3 (fun b a l -> Touch (b, a, l)) (0 -- 3) addr len);
+        (1, map2 (fun l n -> Burst (l, n)) line ((handlers + 1) -- ((2 * handlers) + 8)));
+        (2, map2 (fun a l -> Invalidate (a, l)) addr len);
+        (1, pure Flush);
+        (4, map (fun d -> Advance d) (oneof [ 0 -- 40; 0 -- 400; 0 -- 4000 ]));
+        (1, map (fun d -> Until d) (0 -- 600));
+        (2, map (fun d -> Set d) (0 -- 600));
+        (1, map (fun d -> Join d) (0 -- 200));
+        (2, map4 (fun x l c d -> Stale (x, l, c, d)) line line bool (0 -- 300));
+      ]
+  in
+  list_size (1 -- 80) step
+
+let prop_cache_matches_reference =
+  Util.qtest ~count:400
+    ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
+    "cache == hash-table/queue reference model" gen_steps (fun steps ->
+      let clock = Clock.create () and stats = Stats.create () in
+      let cache = Cache.create cfg clock stats in
+      let rclock = Clock.create () and rstats = Stats.create () in
+      let rcache = Ref_cache.create cfg rclock rstats in
+      let ref_charge busy =
+        if busy > 0 then begin
+          Fpb_obs.Counter.add rstats.Stats.busy busy;
+          Clock.advance rclock busy
+        end
+      in
+      let both f g =
+        f cache;
+        g rcache;
+        Clock.now clock = Clock.now rclock && Stats.kv stats = Stats.kv rstats
+      in
+      let clocks f = both (fun _ -> f clock) (fun _ -> f rclock) in
+      let at l = l * line_size in
+      let rec run = function
+        | Access a -> both (fun c -> Cache.access c a) (fun c -> Ref_cache.access c a)
+        | Prefetch a -> both (fun c -> Cache.prefetch c a) (fun c -> Ref_cache.prefetch c a)
+        | Access_range (a, l) ->
+            both (fun c -> Cache.access_range c a l) (fun c -> Ref_cache.access_range c a l)
+        | Prefetch_range (b, a, l) ->
+            both
+              (fun c -> Cache.prefetch_range c ~busy_per_line:b a l)
+              (fun c ->
+                ref_charge (b * Ref_cache.lines_in c a l);
+                Ref_cache.prefetch_range c a l)
+        | Touch (b, a, l) ->
+            both
+              (fun c -> Cache.touch c ~busy:b a l)
+              (fun c ->
+                ref_charge b;
+                Ref_cache.access_range c a l)
+        | Burst (l, n) ->
+            List.for_all (fun k -> run (Prefetch (at (l + k)))) (List.init n Fun.id)
+        | Invalidate (a, l) ->
+            both
+              (fun c -> Cache.invalidate_range c a l)
+              (fun c -> Ref_cache.invalidate_range c a l)
+        | Flush -> both Cache.flush Ref_cache.flush
+        | Advance d -> clocks (fun k -> Clock.advance k d)
+        | Until d -> clocks (fun k -> Clock.advance_to k (Clock.floor k + d))
+        | Set d -> clocks (fun k -> Clock.set k (Clock.floor k + d))
+        | Join d -> clocks (fun k -> Clock.join k (Clock.now k + d))
+        | Stale (x, l, conflict, d) ->
+            let evict =
+              if conflict then [ Access (at (l + 32768)); Access (at (l + 65536)) ]
+              else [ Invalidate (at l, 1) ]
+            in
+            List.for_all run
+              ([ Set 0; Advance 3000; Prefetch (at x); Set 0 ]
+              @ [ Prefetch (at l); Access (at l) ]
+              @ evict
+              @ [ Until 3100; Prefetch (at l); Advance d; Access (at l) ])
+      in
+      List.for_all run steps)
+
 (* Naive model of a timeline: one flag per time unit, never pruned.
    Spans are the maximal busy runs, so touching spans are one span, as in
    [Timeline].  The floor only rises and every request starts at or
@@ -257,7 +411,14 @@ let suite =
     Alcotest.test_case "flush" `Quick test_flush;
     Alcotest.test_case "mem accessors" `Quick test_mem_accessors;
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
+    Alcotest.test_case "create rejects 0 miss handlers" `Quick
+      test_create_rejects_no_miss_handlers;
+    Alcotest.test_case "create rejects non-power-of-two L1 sets" `Quick
+      test_create_rejects_l1_sets;
+    Alcotest.test_case "create rejects non-power-of-two L2 lines" `Quick
+      test_create_rejects_l2_lines;
     prop_prefetch_batch_cost;
+    prop_cache_matches_reference;
     prop_timeline_model;
     prop_timeline_monotone_pipeline;
   ]

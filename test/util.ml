@@ -21,5 +21,5 @@ let make_pool ?page_size ?n_disks ?capacity ?n_shards () =
   let _, _, _, pool = make_system ?page_size ?n_disks ?capacity ?n_shards () in
   pool
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
