@@ -276,11 +276,5 @@ let () =
   match json_path with
   | None -> ()
   | Some path ->
-      let timestamp =
-        let t = Unix.gmtime (Unix.gettimeofday ()) in
-        Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-          (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-          t.Unix.tm_sec
-      in
-      Report.write path (Report.make ~scale ~timestamp ~bechamel outcomes);
+      Report.write path (Report.make ~scale ~bechamel outcomes);
       if path <> "-" then Format.printf "@.wrote %s@." path

@@ -2,7 +2,7 @@
 
    fpb tune [--t1 N] [--tnext N] [--line N] [--page N]  node-size tuner
    fpb list                                             experiments
-   fpb exp ID [--full]                                  run one experiment
+   fpb exp ID [--tiny|--full]                           run one experiment
    fpb check [--keys N] [--page N]                      build + verify all indexes
    fpb crashtest [--tiny] [--seed N]                    WAL fault-injection sweep
    fpb chaos [--tiny] [--seed N] [--log-mirrors K]
@@ -49,16 +49,17 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List reproducible tables/figures") Term.(const run $ const ())
 
-let iso_timestamp () =
-  let t = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
-    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
-    t.Unix.tm_sec
+(* --tiny / --full pick the experiment scale; Quick is the default. *)
+let scale_arg =
+  let tiny = Arg.(value & flag & info [ "tiny" ] ~doc:"Smoke-test size") in
+  let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper size") in
+  let scale tiny full =
+    Fpb_experiments.Scale.(if full then Full else if tiny then Tiny else Quick)
+  in
+  Term.(const scale $ tiny $ full)
 
 let exp_cmd =
   let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper-sized trees") in
-  let tiny = Arg.(value & flag & info [ "tiny" ] ~doc:"Smoke-test-sized trees") in
   let json =
     Arg.(
       value
@@ -66,24 +67,22 @@ let exp_cmd =
       & info [ "json" ] ~docv:"PATH"
           ~doc:"Also write the metrics report as JSON to $(docv) (\"-\" for stdout)")
   in
-  let run id full tiny json =
+  let run id scale json =
     let open Fpb_experiments in
-    let scale = if full then Scale.Full else if tiny then Scale.Tiny else Scale.Quick in
     match Registry.find id with
     | Some e ->
         let o = Registry.run_and_print Format.std_formatter scale e in
         (match json with
         | None -> ()
         | Some path ->
-            Report.write path
-              (Report.make ~scale ~timestamp:(iso_timestamp ()) [ o ]));
+            Report.write path (Report.make ~scale [ o ]));
         (match o.Registry.aborted with
         | Some why -> `Error (false, e.Registry.id ^ " aborted: " ^ why)
         | None -> `Ok ())
     | None -> `Error (false, "unknown experiment id: " ^ id)
   in
   Cmd.v (Cmd.info "exp" ~doc:"Run one experiment")
-    Term.(ret (const run $ id $ full $ tiny $ json))
+    Term.(ret (const run $ id $ scale_arg $ json))
 
 let check_cmd =
   let keys = Arg.(value & opt int 200_000 & info [ "keys" ] ~doc:"Number of keys") in
@@ -120,7 +119,7 @@ let write_harness_json ~path ~scale ~id ~describes ~tables ~metrics ~wall_s
     | fs -> Some (Printf.sprintf "%d checker failures" (List.length fs))
   in
   let o = { Registry.entry; tables; metrics; wall_s; aborted } in
-  Report.write path (Report.make ~scale ~timestamp:(iso_timestamp ()) [ o ])
+  Report.write path (Report.make ~scale [ o ])
 
 let json_arg =
   Arg.(
@@ -130,12 +129,9 @@ let json_arg =
         ~doc:"Also write the report as JSON to $(docv) (\"-\" for stdout)")
 
 let crashtest_cmd =
-  let tiny = Arg.(value & flag & info [ "tiny" ] ~doc:"Smoke-test-sized scenario") in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Large scenario") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed") in
-  let run tiny full seed json =
+  let run scale seed json =
     let open Fpb_experiments in
-    let scale = if full then Scale.Full else if tiny then Scale.Tiny else Scale.Quick in
     let t0 = Unix.gettimeofday () in
     let metrics, (results, table) =
       Telemetry.with_collector (fun () -> Crashtest.run_all ~seed scale)
@@ -168,11 +164,9 @@ let crashtest_cmd =
           every record boundary as a primary kill and verifies failover \
           loses no acked commit under semi-sync and exactly the unacked \
           suffix under async")
-    Term.(ret (const run $ tiny $ full $ seed $ json_arg))
+    Term.(ret (const run $ scale_arg $ seed $ json_arg))
 
 let chaos_cmd =
-  let tiny = Arg.(value & flag & info [ "tiny" ] ~doc:"Smoke-test-sized scenario") in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Large scenario") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload and fault-schedule seed") in
   let log_mirrors =
     Arg.(
@@ -194,66 +188,15 @@ let chaos_cmd =
       & info [ "scrub-bw" ]
           ~doc:"Scrub bandwidth in pages per tick; 0 pauses the scrubber")
   in
-  let run tiny full seed log_mirrors log_rate scrub_bw json =
+  let run scale seed log_mirrors log_rate scrub_bw json =
     let open Fpb_experiments in
-    let scale = if full then Scale.Full else if tiny then Scale.Tiny else Scale.Quick in
     let t0 = Unix.gettimeofday () in
-    let metrics, (cells, table, shadow_cells, shadow_table, replica_cells,
-                  replica_table, partition_cells, partition_table)
-        =
+    let metrics, legs =
       Telemetry.with_collector (fun () ->
-          let cells, table =
-            Chaos.run_all ~seed ~log_mirrors ?log_rate ?scrub_bw scale
-          in
-          let shadow_cells, shadow_table = Chaos.shadow_meta_leg ~seed scale in
-          let replica_cells, replica_table = Chaos.replica_leg ~seed scale in
-          let partition_cells, partition_table =
-            Chaos.partition_leg ~seed scale
-          in
-          (cells, table, shadow_cells, shadow_table, replica_cells,
-           replica_table, partition_cells, partition_table))
+          Chaos.legs ~seed ~log_mirrors ?log_rate ?scrub_bw scale)
     in
-    Table.print Format.std_formatter table;
-    Table.print Format.std_formatter shadow_table;
-    Table.print Format.std_formatter replica_table;
-    Table.print Format.std_formatter partition_table;
-    let failures =
-      List.concat_map
-        (fun c ->
-          List.map
-            (fun m ->
-              Printf.sprintf "%s/%s: %s" (Setup.kind_name c.Chaos.kind)
-                c.Chaos.label m)
-            c.Chaos.failures)
-        cells
-      @ List.concat_map
-          (fun c ->
-            List.map
-              (fun m ->
-                Printf.sprintf "%s/%s: %s"
-                  (Setup.kind_name c.Chaos.s_kind)
-                  c.Chaos.s_label m)
-              c.Chaos.s_failures)
-          shadow_cells
-      @ List.concat_map
-          (fun c ->
-            List.map
-              (fun m ->
-                Printf.sprintf "%s/%s: %s"
-                  (Setup.kind_name c.Chaos.r_kind)
-                  c.Chaos.r_label m)
-              c.Chaos.r_failures)
-          replica_cells
-      @ List.concat_map
-          (fun c ->
-            List.map
-              (fun m ->
-                Printf.sprintf "%s/%s: %s"
-                  (Setup.kind_name c.Chaos.p_kind)
-                  c.Chaos.p_label m)
-              c.Chaos.p_failures)
-          partition_cells
-    in
+    List.iter (Table.print Format.std_formatter) legs.Chaos.tables;
+    let failures = legs.Chaos.oracle_failures in
     List.iter (fun m -> Fmt.epr "FAIL %s@." m) failures;
     (match json with
     | None -> ()
@@ -264,15 +207,11 @@ let chaos_cmd =
              shadow checkpoint meta faults, replication failover under a \
              lossy reordering link, semi-sync commits through a partition \
              window"
-          ~tables:[ table; shadow_table; replica_table; partition_table ]
-          ~metrics ~wall_s:(Unix.gettimeofday () -. t0) ~failures);
+          ~tables:legs.Chaos.tables ~metrics
+          ~wall_s:(Unix.gettimeofday () -. t0) ~failures);
     if failures = [] then begin
-      let repaired = List.fold_left (fun a c -> a + c.Chaos.repaired) 0 cells in
-      let detected = List.fold_left (fun a c -> a + c.Chaos.detected) 0 cells in
       Fmt.pr "chaos OK: %d cells, %d pages repaired, %d errors detected, 0 oracle failures@."
-        (List.length cells + List.length shadow_cells
-        + List.length replica_cells + List.length partition_cells)
-        repaired detected;
+        legs.Chaos.n_cells legs.Chaos.pages_repaired legs.Chaos.errors_detected;
       `Ok ()
     end
     else `Error (false, Printf.sprintf "%d oracle failures" (List.length failures))
@@ -288,7 +227,7 @@ let chaos_cmd =
           failover over a lossy reordering link loses no acked commit")
     Term.(
       ret
-        (const run $ tiny $ full $ seed $ log_mirrors $ log_rate $ scrub_bw
+        (const run $ scale_arg $ seed $ log_mirrors $ log_rate $ scrub_bw
        $ json_arg))
 
 let ycsb_cmd =
@@ -447,49 +386,28 @@ let ycsb_cmd =
             match W.Driver.check cfg with
             | Error e -> `Error (true, e)
             | Ok () ->
-            let rng = W.Prng.create seed in
-            let pairs = W.Keygen.bulk_pairs rng keys in
-            let page_size = 4096 in
+            let pairs = Bed.pairs ~seed keys in
             let pool_pages =
               match pool with
               (* no floor beyond 1: undersized pools are exactly how you
                  demo the typed Overloaded refusal *)
               | Some p -> max 1 p
-              | None ->
-                  let sys = Setup.make ~n_disks:4 ~page_size () in
-                  let idx = Run.build sys Setup.Disk_first pairs ~fill:0.8 in
-                  max 24 (Index_sig.page_count idx / 2)
+              | None -> Bed.pool_pages ~share:2 pairs
             in
-            let sys =
-              Setup.make ~n_disks:4 ~pool_pages
-                ~n_shards:(min 4 pool_pages) ~page_size ()
-            in
-            let committed = ref 0 in
+            let sys = Bed.system ~pool_pages in
+            let workload = ref None in
             match
               (* build + warm + drive, all under the pool's typed
                  overload escape: a deliberately undersized pool can
                  refuse even the bulkload's pinned descent *)
-              let idx = Run.build sys Setup.Disk_first pairs ~fill:0.8 in
-              let wal =
-                Fpb_wal.Wal.attach ~group_commit_bytes:(1 lsl 16)
-                  ~meta:(Index_sig.meta idx) sys.Setup.pool
+              let b = Bed.make sys pairs in
+              let w =
+                Bed.workload ~seed:(seed + 1) ~warm_seed:(seed + 2) ~dist ~mix
+                  b (Bed.wal b)
               in
-              let gen = W.Mix.generator ~dist ~seed:(seed + 1) mix pairs in
-              let warm = W.Prng.create (seed + 2) in
-              for _ = 1 to 2 * pool_pages do
-                ignore
-                  (Index_sig.search idx
-                     (fst pairs.(W.Keygen.draw_pos dist warm ~n:keys)))
-              done;
-              Fpb_storage.Buffer_pool.reset_stats sys.Setup.pool;
-              let commit () =
-                incr committed;
-                Fpb_wal.Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-              in
+              workload := Some w;
               let exec =
-                if batch = 1 then
-                  W.Driver.each (fun ~client:_ ~seq:_ ->
-                      W.Mix.execute idx ~commit (W.Mix.next gen))
+                if batch = 1 then W.Driver.each w.Bed.op
                 else fun ~client:_ seqs ->
                   (* each dispatch draws the batch's actions from the mix,
                      serves all reads as ONE level-wise descent wave and
@@ -497,15 +415,15 @@ let ycsb_cmd =
                   let reads = ref [] in
                   Array.iter
                     (fun (_ : int) ->
-                      match W.Mix.next gen with
+                      match W.Mix.next w.gen with
                       | W.Mix.Read k -> reads := k :: !reads
-                      | act -> W.Mix.execute idx ~commit act)
+                      | act -> W.Mix.execute b.idx ~commit:w.commit act)
                     seqs;
                   if !reads <> [] then
-                    ignore (Index_sig.search_batch idx (Array.of_list !reads))
+                    ignore (Index_sig.search_batch b.idx (Array.of_list !reads))
               in
               Fmt.pr "mix %s, %s, %d keys, %d ops, %d clients, pool %d frames@."
-                mix.W.Mix.name (W.Keygen.dist_name dist) keys ops clients
+                mix.W.Mix.name (W.Keygen.dist_name dist) keys ops n_clients
                 pool_pages;
               let s = W.Driver.run ~sim:sys.Setup.sim cfg exec in
               (match rate with
@@ -551,18 +469,12 @@ let ycsb_cmd =
                   ("queue", s.W.Driver.queue_ns);
                   ("service", s.W.Driver.service_ns);
                 ];
-              Index_sig.check idx;
-              let p = Fpb_storage.Buffer_pool.stats sys.Setup.pool in
-              let v c = Fpb_obs.Counter.value c in
-              let hits = v p.Fpb_storage.Buffer_pool.hits
-              and misses = v p.Fpb_storage.Buffer_pool.misses in
-              let r, u, i, s, m = W.Mix.drawn_counts gen in
+              Index_sig.check b.idx;
+              let r, u, i, s, m = W.Mix.drawn_counts w.gen in
               Fmt.pr
                 "ops drawn: %d read, %d update, %d insert, %d scan, %d rmw; \
                  pool hit rate %.1f%%@."
-                r u i s m
-                (100. *. float_of_int hits
-                /. float_of_int (max 1 (hits + misses)))
+                r u i s m (Bed.hit_pct b)
             with
             | () -> `Ok ()
             | exception Fpb_storage.Buffer_pool.Overloaded { page; scans } ->
@@ -577,7 +489,9 @@ let ycsb_cmd =
                 Fmt.pr
                   "partial stats: %d committed ops; pool.overloaded %d, \
                    hits %d, misses %d@."
-                  !committed
+                  (match !workload with
+                  | Some w -> !(w.Bed.committed)
+                  | None -> 0)
                   (v p.Fpb_storage.Buffer_pool.overloaded)
                   (v p.Fpb_storage.Buffer_pool.hits)
                   (v p.Fpb_storage.Buffer_pool.misses);

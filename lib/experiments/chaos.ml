@@ -1057,26 +1057,58 @@ let partition_leg ?(seed = 42) scale =
   in
   (cells, table)
 
+(* ------------------------- the oracle legs -------------------------- *)
+
+(* The four oracle-checked legs — media faults, shadow metadata,
+   replica failover, partition — as `fpb chaos` runs them and [run]
+   reports them: their tables, every oracle failure labelled
+   "<index>/<leg>: <violation>", and the media legs' totals. *)
+type summary = {
+  tables : Table.t list;
+  oracle_failures : string list;
+  n_cells : int;
+  pages_repaired : int;
+  errors_detected : int;
+}
+
+let legs ?seed ?log_mirrors ?log_rate ?scrub_bw scale =
+  let cells, table = run_all ?seed ?log_mirrors ?log_rate ?scrub_bw scale in
+  let shadow_cells, shadow_table = shadow_meta_leg ?seed scale in
+  let replica_cells, replica_table = replica_leg ?seed scale in
+  let partition_cells, partition_table = partition_leg ?seed scale in
+  let labelled kind label =
+    List.map (Printf.sprintf "%s/%s: %s" (Setup.kind_name kind) label)
+  in
+  let sum f = List.fold_left (fun a c -> a + f c) 0 cells in
+  {
+    tables = [ table; shadow_table; replica_table; partition_table ];
+    oracle_failures =
+      List.concat_map (fun c -> labelled c.kind c.label c.failures) cells
+      @ List.concat_map
+          (fun c -> labelled c.s_kind c.s_label c.s_failures)
+          shadow_cells
+      @ List.concat_map
+          (fun c -> labelled c.r_kind c.r_label c.r_failures)
+          replica_cells
+      @ List.concat_map
+          (fun c -> labelled c.p_kind c.p_label c.p_failures)
+          partition_cells;
+    n_cells =
+      List.length cells + List.length shadow_cells + List.length replica_cells
+      + List.length partition_cells;
+    pages_repaired = sum (fun c -> c.repaired);
+    errors_detected = sum (fun c -> c.detected);
+  }
+
 (* Registry entry: the harness as an experiment, so `fpb exp faults`
    lands detection/repair counters in BENCH_results.json. *)
 let run scale =
-  let cells, table = run_all scale in
-  let shadow_cells, shadow_table = shadow_meta_leg scale in
-  let replica_cells, replica_table = replica_leg scale in
-  let partition_cells, partition_table = partition_leg scale in
+  let s = legs scale in
   let sweep_cells, sweep = scrub_sweep scale in
   let throttle = throttle_sweep scale in
   let fails =
-    List.fold_left (fun a c -> a + List.length c.failures) 0 (cells @ sweep_cells)
-    + List.fold_left
-        (fun a c -> a + List.length c.s_failures)
-        0 shadow_cells
-    + List.fold_left
-        (fun a c -> a + List.length c.r_failures)
-        0 replica_cells
-    + List.fold_left
-        (fun a c -> a + List.length c.p_failures)
-        0 partition_cells
+    List.length s.oracle_failures
+    + List.fold_left (fun a c -> a + List.length c.failures) 0 sweep_cells
   in
   if fails > 0 then Telemetry.add "chaos.oracle_failures" fails;
-  [ table; shadow_table; replica_table; partition_table; sweep; throttle ]
+  s.tables @ [ sweep; throttle ]

@@ -29,11 +29,6 @@ open Fpb_storage
 module W = Fpb_workload
 module Keygen = Fpb_workload.Keygen
 
-let page_size = 4096
-let n_disks = 4
-let n_shards = 4
-let fill = 0.8
-
 let bulk_entries = function
   | Scale.Tiny -> 20_000
   | Scale.Quick -> 60_000
@@ -53,39 +48,27 @@ let zipf = Keygen.Zipfian { theta = Keygen.default_theta; scrambled = true }
 
 (* Pool sized to a quarter of the tree (probe build per index kind), so
    leaf descents miss and the cross-probe disk pipeline has work to
-   hide; floored so descents and prefetchers always find free frames. *)
+   hide. *)
 let pool_pages_for scale kind =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~page_size () in
-  let idx = Run.build sys kind pairs ~fill in
-  max 24 (Index_sig.page_count idx / 4)
+  Bed.pool_pages ~kind ~share:4 (Bed.pairs (bulk_entries scale))
 
-(* A fresh system, bulkloaded index, probe key stream and warm pool per
-   cell, so cells never contaminate each other.  The probe keys are
-   drawn up front (one rng, fixed seed): every cell of a row answers the
-   exact same lookups in the exact same order, whatever the batch size. *)
+(* A fresh test bed, probe key stream and warm pool per cell, so cells
+   never contaminate each other.  The probe keys are drawn up front (one
+   rng, fixed seed): every cell of a row answers the exact same lookups
+   in the exact same order, whatever the batch size. *)
 let with_index scale kind ~pool_pages ~dist k =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~pool_pages ~n_shards ~page_size () in
-  let idx = Run.build sys kind pairs ~fill in
-  let n = Array.length pairs in
-  let np = total_probes scale in
+  let b =
+    Bed.make ~kind (Bed.system ~pool_pages) (Bed.pairs (bulk_entries scale))
+  in
+  let n = Array.length b.pairs in
   let krng = W.Prng.create 7777 in
-  let keys = Array.make np 0 in
-  for i = 0 to np - 1 do
-    keys.(i) <- fst pairs.(W.Keygen.draw_pos dist krng ~n)
-  done;
-  (* Warm pass under the cell's distribution so measurement starts from
-     that popularity profile's steady-state pool contents. *)
-  let wrng = W.Prng.create 555 in
-  for _ = 1 to 2 * pool_pages do
-    ignore (Index_sig.search idx (fst pairs.(W.Keygen.draw_pos dist wrng ~n)))
-  done;
-  Buffer_pool.reset_stats sys.Setup.pool;
-  let r = k sys idx keys in
-  Index_sig.check idx;
+  let keys =
+    Array.init (total_probes scale) (fun _ ->
+        fst b.pairs.(W.Keygen.draw_pos dist krng ~n))
+  in
+  Bed.warm b ~dist;
+  let r = k b keys in
+  Index_sig.check b.idx;
   r
 
 type cell = {
@@ -106,7 +89,8 @@ let batch_counters () =
 (* Back-to-back service rate: the probe stream cut into groups of [b]
    ([b = 1] runs the singleton discipline, the pre-batching baseline). *)
 let service_cell scale kind ~pool_pages ~dist b =
-  with_index scale kind ~pool_pages ~dist (fun sys idx keys ->
+  with_index scale kind ~pool_pages ~dist (fun bed keys ->
+      let sys = bed.Bed.sys and idx = bed.idx in
       let np = Array.length keys in
       Index_sig.reset_level_accesses idx;
       let sh0, dp0, st0 = batch_counters () in
@@ -129,9 +113,6 @@ let service_cell scale kind ~pool_pages ~dist b =
             done)
       in
       let sh1, dp1, st1 = batch_counters () in
-      let p = Buffer_pool.stats sys.Setup.pool in
-      let v = Fpb_obs.Counter.value in
-      let hits = v p.Buffer_pool.hits and misses = v p.Buffer_pool.misses in
       {
         ops_per_s =
           (if ns = 0 then 0. else float_of_int np *. 1e9 /. float_of_int ns);
@@ -140,8 +121,7 @@ let service_cell scale kind ~pool_pages ~dist b =
         shared = sh1 - sh0;
         dups = dp1 - dp0;
         stalls = st1 - st0;
-        hit_pct =
-          100. *. float_of_int hits /. float_of_int (max 1 (hits + misses));
+        hit_pct = Bed.hit_pct bed;
       })
 
 let record prefix c =
@@ -188,7 +168,7 @@ let size_sweep scale =
           4KB pages, pool = tree/4, %d disks; B=1 is the singleton descent \
           discipline).  Root accesses drop to probes/B and shared upper \
           levels are fetched once per wave"
-         (total_probes scale) n_disks)
+         (total_probes scale) Bed.n_disks)
     ~header:
       [
         "index"; "B"; "Kops/s"; "ns/op"; "root accesses"; "shared nodes";
@@ -275,13 +255,13 @@ let record_arr c =
   c
 
 let open_single scale ~pool_pages ~label ~rate =
-  with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun sys idx keys ->
+  with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun b keys ->
       let np = Array.length keys in
       let s =
-        W.Driver.run ~sim:sys.Setup.sim
+        W.Driver.run ~sim:b.Bed.sys.Setup.sim
           (W.Driver.config (W.Driver.open_loop ~n_ops:np rate))
           (W.Driver.each (fun ~client:_ ~seq ->
-               ignore (Index_sig.search idx keys.(seq))))
+               ignore (Index_sig.search b.idx keys.(seq))))
       in
       record_arr
         {
@@ -294,15 +274,15 @@ let open_single scale ~pool_pages ~label ~rate =
         })
 
 let open_batched scale ~pool_pages ~label ~rate ~batch ~batch_wait_ns =
-  with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun sys idx keys ->
+  with_index scale Setup.Disk_first ~pool_pages ~dist:zipf (fun b keys ->
       let np = Array.length keys in
       let s =
-        W.Driver.run ~sim:sys.Setup.sim
+        W.Driver.run ~sim:b.Bed.sys.Setup.sim
           (W.Driver.config ~batch ~batch_wait_ns
              (W.Driver.open_loop ~n_ops:np rate))
           (fun ~client:_ seqs ->
             ignore
-              (Index_sig.search_batch idx
+              (Index_sig.search_batch b.idx
                  (Array.map (fun seq -> keys.(seq)) seqs)))
       in
       record_arr

@@ -32,17 +32,12 @@ module W = Fpb_workload
 module Shadow = Fpb_snapshot.Shadow
 module Histogram = Fpb_obs.Histogram
 
-let page_size = 4096
-let n_disks = 4
-let n_shards = 4
-
 (* Strict durability (no group commit): every commit forces the log, so
    the fuzzy pass's per-page log-force precondition is already met and
    the cells differ only in their checkpoint policy.  With a large group
    window the comparison would mostly measure who happens to pay the
    batched log forces. *)
 let group_commit_bytes = 0
-let fill = 0.8
 
 let bulk_entries = function
   | Scale.Tiny -> 20_000
@@ -54,63 +49,32 @@ let total_ops = function
   | Scale.Quick -> 4_000
   | Scale.Full -> 16_000
 
-let base_clients = function Scale.Tiny -> 4 | Scale.Quick | Scale.Full -> 8
-
 (* Checkpoint cadence: ~4 checkpoints over the measured run, so the
    stalls are a recurring feature of the workload, not a one-off. *)
 let ckpt_interval scale = max 1 (total_ops scale / 4)
 
-(* Pool sized to half the tree (same probe as the YCSB experiment): the
-   checkpoint write-back has real work to do because the pool holds real
-   dirt. *)
-let tree_pool_pages scale =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  max 24 (Index_sig.page_count idx / 2)
-
 type system = {
-  sys : Setup.system;
-  idx : Index_sig.instance;
+  b : Bed.t;
+  w : Bed.workload;
   wal : Wal.t;
   shadow : Shadow.t option;
-  gen : W.Mix.gen;
-  commit : unit -> unit;
-  committed : int ref;
 }
 
-(* A fresh system + YCSB-A generator per cell (updates are what make
-   checkpoints matter), warmed to the steady-state pool contents. *)
+(* A fresh test bed + YCSB-A workload per cell (updates are what make
+   checkpoints matter), warmed to the steady-state pool contents.  The
+   pool holds half the tree, so the checkpoint write-back has real dirt
+   to write. *)
 let with_system scale ~pool_pages ~shadow k =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~pool_pages ~n_shards ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  let wal =
-    Wal.attach ~group_commit_bytes ~meta:(Index_sig.meta idx) sys.Setup.pool
-  in
+  let b = Bed.make (Bed.system ~pool_pages) (Bed.pairs (bulk_entries scale)) in
+  let wal = Bed.wal ~group_commit_bytes b in
   let shadow =
-    if shadow then Some (Shadow.attach ~meta:(Index_sig.meta idx) wal sys.Setup.pool)
+    if shadow then
+      Some (Shadow.attach ~meta:(Index_sig.meta b.idx) wal b.sys.Setup.pool)
     else None
   in
-  let mix = W.Mix.a in
-  let dist = W.Mix.default_dist mix in
-  let gen = W.Mix.generator ~dist ~seed:31337 mix pairs in
-  let warm_rng = W.Prng.create 555 in
-  let n = Array.length pairs in
-  for _ = 1 to 2 * pool_pages do
-    ignore
-      (Index_sig.search idx (fst pairs.(W.Keygen.draw_pos dist warm_rng ~n)))
-  done;
-  Buffer_pool.reset_stats sys.Setup.pool;
-  let committed = ref 0 in
-  let commit () =
-    incr committed;
-    Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-  in
-  let r = k { sys; idx; wal; shadow; gen; commit; committed } in
-  Index_sig.check idx;
+  let w = Bed.workload ~mix:W.Mix.a b wal in
+  let r = k { b; w; wal; shadow } in
+  Index_sig.check b.idx;
   r
 
 (* ------------------- checkpoint-a: writer stalls --------------------- *)
@@ -127,16 +91,8 @@ let policy_name = function
    between them is the checkpoint policy. *)
 let capacity scale ~pool_pages =
   with_system scale ~pool_pages ~shadow:false (fun s ->
-      let op ~client:(_ : int) ~seq:(_ : int) =
-        W.Mix.execute s.idx ~commit:s.commit (W.Mix.next s.gen)
-      in
-      let n_clients = base_clients scale in
-      let st =
-        W.Driver.run ~sim:s.sys.Setup.sim
-          (W.Driver.config ~n_clients
-             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
-          (W.Driver.each op)
-      in
+      let n_clients = Bed.clients scale in
+      let st = Bed.closed s.b ~n_clients ~n_ops:(total_ops scale) s.w.op in
       st.W.Driver.throughput_ops_per_s)
 
 type policy_cell = {
@@ -151,9 +107,9 @@ let run_policy scale ~pool_pages ~rate policy =
   with_system scale ~pool_pages ~shadow:(policy = Fuzzy) (fun s ->
       let interval = ckpt_interval scale in
       let ckpts = ref 0 in
-      let meta () = Index_sig.meta s.idx in
+      let meta () = Index_sig.meta s.b.idx in
       let op ~client:(_ : int) ~seq =
-        W.Mix.execute s.idx ~commit:s.commit (W.Mix.next s.gen);
+        W.Mix.execute s.b.idx ~commit:s.w.commit (W.Mix.next s.w.gen);
         match (policy, s.shadow) with
         | Sharp, _ ->
             if (seq + 1) mod interval = 0 then begin
@@ -172,8 +128,8 @@ let run_policy scale ~pool_pages ~rate policy =
         | _ -> ()
       in
       let st =
-        W.Driver.run ~sim:s.sys.Setup.sim
-          (W.Driver.config ~n_clients:(base_clients scale)
+        W.Driver.run ~sim:s.b.sys.Setup.sim
+          (W.Driver.config ~n_clients:(Bed.clients scale)
              (W.Driver.open_loop ~n_ops:(total_ops scale) rate))
           (W.Driver.each op)
       in
@@ -265,9 +221,9 @@ type replay_cell = {
 let run_replay scale ~pool_pages ~fuzzy =
   with_system scale ~pool_pages ~shadow:fuzzy (fun s ->
       let interval = ckpt_interval scale in
-      let meta () = Index_sig.meta s.idx in
+      let meta () = Index_sig.meta s.b.idx in
       for seq = 0 to total_ops scale - 1 do
-        W.Mix.execute s.idx ~commit:s.commit (W.Mix.next s.gen);
+        W.Mix.execute s.b.idx ~commit:s.w.commit (W.Mix.next s.w.gen);
         match s.shadow with
         | Some sh ->
             if Shadow.checkpoint_in_progress sh then
@@ -279,7 +235,7 @@ let run_replay scale ~pool_pages ~fuzzy =
          commit durable so both cells recover the same prefix *)
       Wal.flush s.wal;
       let log_bytes = Wal.log_bytes s.wal in
-      let expect = !(s.committed) in
+      let expect = !(s.w.committed) in
       Wal.crash_now s.wal;
       let r =
         match s.shadow with
@@ -290,7 +246,7 @@ let run_replay scale ~pool_pages ~fuzzy =
         failwith
           (Printf.sprintf "checkpoint-b: recovered %d ops, committed %d"
              r.Wal.committed_ops expect);
-      Index_sig.restore_meta s.idx r.Wal.meta;
+      Index_sig.restore_meta s.b.idx r.Wal.meta;
       let label = if fuzzy then "fuzzy ckpts" else "wal only" in
       Telemetry.add
         (Printf.sprintf "recovery.%s.scanned_records"
@@ -345,14 +301,14 @@ let snapshot_table scale ~pool_pages =
   with_system scale ~pool_pages ~shadow:true (fun s ->
       let sh = Option.get s.shadow in
       let interval = ckpt_interval scale in
-      let meta () = Index_sig.meta s.idx in
+      let meta () = Index_sig.meta s.b.idx in
       let n_ops = total_ops scale in
       (* settle, then publish the checkpoint the snapshot will pin *)
       for _ = 1 to n_ops / 4 do
-        W.Mix.execute s.idx ~commit:s.commit (W.Mix.next s.gen)
+        W.Mix.execute s.b.idx ~commit:s.w.commit (W.Mix.next s.w.gen)
       done;
       Shadow.checkpoint_sync sh ~meta:(meta ());
-      let store = Buffer_pool.store s.sys.Setup.pool in
+      let store = Buffer_pool.store s.b.sys.Setup.pool in
       let snap = Shadow.open_at_checkpoint sh in
       (* between operations the store's bytes ARE the committed state:
          this copy is the independent oracle the frozen reads must match *)
@@ -362,7 +318,7 @@ let snapshot_table scale ~pool_pages =
         List.map (fun id -> (id, Bytes.copy (Page_store.bytes store id))) !live
       in
       for seq = 1 to 3 * n_ops / 4 do
-        W.Mix.execute s.idx ~commit:s.commit (W.Mix.next s.gen);
+        W.Mix.execute s.b.idx ~commit:s.w.commit (W.Mix.next s.w.gen);
         if seq mod interval = 0 then Shadow.checkpoint_sync sh ~meta:(meta ())
       done;
       let mismatches = ref 0 in
@@ -409,7 +365,7 @@ let snapshot_table scale ~pool_pages =
         ])
 
 let run scale =
-  let pool_pages = tree_pool_pages scale in
+  let pool_pages = Bed.pool_pages ~share:2 (Bed.pairs (bulk_entries scale)) in
   [
     policy_table scale ~pool_pages;
     replay_table scale ~pool_pages;

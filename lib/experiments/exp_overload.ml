@@ -42,12 +42,6 @@ module W = Fpb_workload
 module Shadow = Fpb_snapshot.Shadow
 module Histogram = Fpb_obs.Histogram
 
-let page_size = 4096
-let n_disks = 4
-let n_shards = 4
-let group_commit_bytes = 1 lsl 16
-let fill = 0.8
-
 let bulk_entries = function
   | Scale.Tiny -> 10_000
   | Scale.Quick -> 30_000
@@ -57,8 +51,6 @@ let total_ops = function
   | Scale.Tiny -> 500
   | Scale.Quick -> 2_500
   | Scale.Full -> 10_000
-
-let base_clients = function Scale.Tiny -> 4 | Scale.Quick | Scale.Full -> 8
 
 (* Per-client queue bound for the Queue_cap sweep cells: roomy enough
    that the heavy-tailed service (disk misses) rarely fills it below
@@ -71,44 +63,13 @@ let queue_cap = 16
    metastable loop. *)
 let storm_queue_cap = 8
 
-(* Pool sized to half the tree, as in the YCSB experiment. *)
-let tree_pool_pages scale =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  max 24 (Index_sig.page_count idx / 2)
-
-(* A fresh system + YCSB-A generator per cell, warmed to steady state;
+(* A fresh test bed + YCSB-A workload per cell, warmed to steady state;
    [k] receives the system and the per-arrival operation. *)
 let with_system scale ~pool_pages k =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~pool_pages ~n_shards ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  let wal =
-    Wal.attach ~group_commit_bytes ~meta:(Index_sig.meta idx) sys.Setup.pool
-  in
-  let mix = W.Mix.a in
-  let dist = W.Mix.default_dist mix in
-  let gen = W.Mix.generator ~dist ~seed:31337 mix pairs in
-  let warm_rng = W.Prng.create 555 in
-  let n = Array.length pairs in
-  for _ = 1 to 2 * pool_pages do
-    ignore
-      (Index_sig.search idx (fst pairs.(W.Keygen.draw_pos dist warm_rng ~n)))
-  done;
-  Buffer_pool.reset_stats sys.Setup.pool;
-  let committed = ref 0 in
-  let commit () =
-    incr committed;
-    Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-  in
-  let op ~client:(_ : int) ~seq:(_ : int) =
-    W.Mix.execute idx ~commit (W.Mix.next gen)
-  in
-  let r = k sys op in
-  Index_sig.check idx;
+  let b = Bed.make (Bed.system ~pool_pages) (Bed.pairs (bulk_entries scale)) in
+  let w = Bed.workload ~mix:W.Mix.a b (Bed.wal b) in
+  let r = k b w in
+  Index_sig.check b.idx;
   r
 
 (* Closed-loop probe: capacity (best throughput) and its p99, which
@@ -116,14 +77,9 @@ let with_system scale ~pool_pages k =
    unloaded p99 is the conventional "generous but real" SLO: reachable
    under light queueing, hopeless once the queue grows unbounded. *)
 let probe scale ~pool_pages =
-  with_system scale ~pool_pages (fun sys op ->
-      let n_clients = base_clients scale in
-      let st =
-        W.Driver.run ~sim:sys.Setup.sim
-          (W.Driver.config ~n_clients
-             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
-          (W.Driver.each op)
-      in
+  with_system scale ~pool_pages (fun b w ->
+      let n_clients = Bed.clients scale in
+      let st = Bed.closed b ~n_clients ~n_ops:(total_ops scale) w.Bed.op in
       ( st.W.Driver.throughput_ops_per_s,
         Histogram.percentile st.W.Driver.latency 99. ))
 
@@ -137,12 +93,12 @@ let policy_slug = function
 let run_cell scale ~pool_pages ~deadline_ns ~admission ?retry ?rate_change
     ?n_ops ~rate_ops_per_s () =
   let n_ops = Option.value ~default:(total_ops scale) n_ops in
-  with_system scale ~pool_pages (fun sys op ->
-      W.Driver.run ~sim:sys.Setup.sim
-        (W.Driver.config ~n_clients:(base_clients scale) ~deadline_ns
+  with_system scale ~pool_pages (fun b w ->
+      W.Driver.run ~sim:b.Bed.sys.Setup.sim
+        (W.Driver.config ~n_clients:(Bed.clients scale) ~deadline_ns
            ~admission ?retry
            (W.Driver.open_loop ?rate_change ~n_ops rate_ops_per_s))
-        (W.Driver.each op))
+        (W.Driver.each w.Bed.op))
 
 let good_pct (st : W.Driver.stats) =
   100. *. float_of_int st.W.Driver.good /. float_of_int (max 1 st.W.Driver.ops)
@@ -295,7 +251,10 @@ let storm scale ~pool_pages ~capacity ~deadline_ns =
 (* ------------- overload-c: typed refusal at pool exhaustion ----------- *)
 
 let exhaustion_cell frames =
-  let sys = Setup.make ~n_disks:1 ~pool_pages:frames ~n_shards:1 ~page_size () in
+  let sys =
+    Setup.make ~n_disks:1 ~pool_pages:frames ~n_shards:1
+      ~page_size:Bed.page_size ()
+  in
   let pool = sys.Setup.pool in
   (* More live pages than frames, none pinned yet. *)
   let pages =
@@ -360,14 +319,15 @@ let exhaustion_table () =
 (* ------------- overload-d: background work yields to load ------------- *)
 
 let background_table scale =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (max 2_000 (bulk_entries scale / 5)) in
-  let sys = Setup.make ~n_disks ~pool_pages:64 ~n_shards:1 ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  (* Strict durability so checkpoint worklist pages are hardenable. *)
-  let wal =
-    Wal.attach ~group_commit_bytes:0 ~meta:(Index_sig.meta idx) sys.Setup.pool
+  let pairs = Bed.pairs (max 2_000 (bulk_entries scale / 5)) in
+  let sys =
+    Setup.make ~n_disks:Bed.n_disks ~pool_pages:64 ~n_shards:1
+      ~page_size:Bed.page_size ()
   in
+  let b = Bed.make sys pairs in
+  let idx = b.idx in
+  (* Strict durability so checkpoint worklist pages are hardenable. *)
+  let wal = Bed.wal ~group_commit_bytes:0 b in
   let sh = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.Setup.pool in
   let mix = W.Mix.a in
   let gen =
@@ -439,7 +399,7 @@ let background_table scale =
     ]
 
 let run scale =
-  let pool_pages = tree_pool_pages scale in
+  let pool_pages = Bed.pool_pages ~share:2 (Bed.pairs (bulk_entries scale)) in
   let capacity, p99_closed = probe scale ~pool_pages in
   let deadline_ns = max 1 (5 * p99_closed) in
   Telemetry.add "overload.capacity_ops_per_s" (int_of_float capacity);

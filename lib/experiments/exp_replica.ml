@@ -36,7 +36,6 @@
 
 open Fpb_btree_common
 open Fpb_simmem
-open Fpb_storage
 open Fpb_wal
 module W = Fpb_workload
 module Replica = Fpb_replica.Replica
@@ -44,11 +43,6 @@ module Net = Fpb_replica.Net
 module Shadow = Fpb_snapshot.Shadow
 module Histogram = Fpb_obs.Histogram
 
-let page_size = 4096
-let n_disks = 4
-let n_shards = 4
-let group_commit_bytes = 1 lsl 16
-let fill = 0.8
 let kind = Setup.Disk_first
 
 let bulk_entries = function
@@ -61,17 +55,6 @@ let total_ops = function
   | Scale.Quick -> 2_000
   | Scale.Full -> 8_000
 
-let base_clients = function Scale.Tiny -> 4 | Scale.Quick | Scale.Full -> 8
-
-(* Pool sized to half the tree, as in the YCSB and overload
-   experiments. *)
-let tree_pool_pages scale =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~page_size () in
-  let idx = Run.build sys kind pairs ~fill in
-  max 24 (Index_sig.page_count idx / 2)
-
 let mode_slug = function
   | Replica.Async -> "async"
   | Replica.Semi_sync k -> Printf.sprintf "semi-sync-%d" k
@@ -80,36 +63,23 @@ let mode_name = function
   | Replica.Async -> "async"
   | Replica.Semi_sync k -> Printf.sprintf "semi-sync k=%d" k
 
-(* Fresh system + YCSB-A generator + replication group (two replicas on
-   healthy links), warmed to steady state.  [k] gets everything and is
-   responsible for final index checks (the failover leg retires the
+(* Fresh test bed + replication group (two replicas on healthy links)
+   + YCSB-A workload, warmed to steady state.  [k] gets everything and
+   is responsible for final index checks (the failover leg retires the
    original handle). *)
 let with_system scale ~pool_pages ~mode k =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~pool_pages ~n_shards ~page_size () in
-  let idx = Run.build sys kind pairs ~fill in
-  let wal =
-    Wal.attach ~group_commit_bytes ~meta:(Index_sig.meta idx) sys.Setup.pool
-  in
+  let pairs = Bed.pairs (bulk_entries scale) in
+  let b = Bed.make ~kind (Bed.system ~pool_pages) pairs in
+  let wal = Bed.wal b in
   let group =
     Replica.create
       ~config:{ Replica.default_config with Replica.mode }
       ~prng:(W.Prng.create 0xfa11)
       ~profiles:[ Net.default_profile; Net.default_profile ]
-      (wal, sys.Setup.pool)
+      (wal, b.sys.Setup.pool)
   in
-  let mix = W.Mix.a in
-  let dist = W.Mix.default_dist mix in
-  let gen = W.Mix.generator ~dist ~seed:31337 mix pairs in
-  let warm_rng = W.Prng.create 555 in
-  let n = Array.length pairs in
-  for _ = 1 to 2 * pool_pages do
-    ignore
-      (Index_sig.search idx (fst pairs.(W.Keygen.draw_pos dist warm_rng ~n)))
-  done;
-  Buffer_pool.reset_stats sys.Setup.pool;
-  k sys idx wal group gen
+  let w = Bed.workload ~mix:W.Mix.a b wal in
+  k b wal group w
 
 (* Closed-loop capacity with the mode's replication attached.  Semi-sync
    forces a log flush + replica round trip per commit, so its capacity
@@ -117,45 +87,24 @@ let with_system scale ~pool_pages ~mode k =
    sweep is therefore rated against its own capacity — that is what
    makes the 0.5x/1x/2x cells comparable across modes. *)
 let probe scale ~pool_pages ~mode =
-  with_system scale ~pool_pages ~mode (fun sys idx wal group gen ->
-      let committed = ref 0 in
-      let commit () =
-        incr committed;
-        Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-      in
-      let op ~client:(_ : int) ~seq:(_ : int) =
-        W.Mix.execute idx ~commit (W.Mix.next gen)
-      in
-      let n_clients = base_clients scale in
-      let st =
-        W.Driver.run ~sim:sys.Setup.sim
-          (W.Driver.config ~n_clients
-             (W.Driver.Closed { ops_per_client = total_ops scale / n_clients }))
-          (W.Driver.each op)
-      in
-      Index_sig.check idx;
+  with_system scale ~pool_pages ~mode (fun b _ group w ->
+      let n_clients = Bed.clients scale in
+      let st = Bed.closed b ~n_clients ~n_ops:(total_ops scale) w.Bed.op in
+      Index_sig.check b.idx;
       Replica.detach group;
       st.W.Driver.throughput_ops_per_s)
 
 (* ------------------ replica-a: mode x offered rate ------------------- *)
 
 let mode_cell scale ~pool_pages ~mode ~rate =
-  with_system scale ~pool_pages ~mode (fun sys idx wal group gen ->
-      let committed = ref 0 in
-      let commit () =
-        incr committed;
-        Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-      in
-      let op ~client:(_ : int) ~seq:(_ : int) =
-        W.Mix.execute idx ~commit (W.Mix.next gen)
-      in
+  with_system scale ~pool_pages ~mode (fun b wal group w ->
       let st =
-        W.Driver.run ~sim:sys.Setup.sim
-          (W.Driver.config ~n_clients:(base_clients scale)
+        W.Driver.run ~sim:b.Bed.sys.Setup.sim
+          (W.Driver.config ~n_clients:(Bed.clients scale)
              (W.Driver.open_loop ~n_ops:(total_ops scale) rate))
-          (W.Driver.each op)
+          (W.Driver.each w.Bed.op)
       in
-      Index_sig.check idx;
+      Index_sig.check b.idx;
       Telemetry.add_kv (Replica.kv group);
       let r =
         (st, Wal.commit_latency wal, Replica.ack_wait group)
@@ -224,7 +173,8 @@ let failover scale ~pool_pages ~capacity =
   let n_ops = total_ops scale in
   let kill_at = n_ops / 2 in
   with_system scale ~pool_pages ~mode:(Replica.Semi_sync 1)
-    (fun sys idx wal group gen ->
+    (fun b wal group w ->
+      let sys = b.Bed.sys and idx = b.idx and gen = w.Bed.gen in
       let clock = sys.Setup.sim.Sim.clock in
       let idx_r = ref idx and wal_r = ref wal and group_r = ref group in
       let committed = ref 0 in
@@ -262,7 +212,7 @@ let failover scale ~pool_pages ~capacity =
       in
       let st =
         W.Driver.run ~sim:sys.Setup.sim
-          (W.Driver.config ~n_clients:(base_clients scale)
+          (W.Driver.config ~n_clients:(Bed.clients scale)
              (W.Driver.open_loop ~n_ops rate
                 ~rate_change:(kill_at, rate) (* same rate: phase 2 isolates
                                                 the post-failover recovery
@@ -326,10 +276,11 @@ let catchup scale =
   (* Deterministic committed insert stream; [trim] mirrors the WAL's
      retention into the shipping archive after every flip. *)
   let run_phase ~trim =
-    let rng = W.Prng.create 2024 in
-    let pairs = W.Keygen.bulk_pairs rng n_bulk in
-    let sys = Setup.make ~n_disks:2 ~pool_pages:96 ~n_shards:1 ~page_size () in
-    let idx = Run.build sys kind pairs ~fill in
+    let sys =
+      Setup.make ~n_disks:2 ~pool_pages:96 ~n_shards:1 ~page_size:Bed.page_size
+        ()
+    in
+    let idx = (Bed.make ~kind sys (Bed.pairs n_bulk)).idx in
     let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
     let group =
       Replica.create ~config:Replica.default_config
@@ -424,7 +375,9 @@ let catchup scale =
     ]
 
 let run scale =
-  let pool_pages = tree_pool_pages scale in
+  let pool_pages =
+    Bed.pool_pages ~kind ~share:2 (Bed.pairs (bulk_entries scale))
+  in
   let capacities =
     List.map
       (fun mode -> (mode, probe scale ~pool_pages ~mode))

@@ -22,16 +22,8 @@
              phenomenon, and only the open-loop driver can show it. *)
 
 open Fpb_btree_common
-open Fpb_storage
-open Fpb_wal
 module W = Fpb_workload
 module Keygen = Fpb_workload.Keygen
-
-let page_size = 4096
-let n_disks = 4
-let n_shards = 4
-let group_commit_bytes = 1 lsl 16
-let fill = 0.8
 
 let bulk_entries = function
   | Scale.Tiny -> 20_000
@@ -43,67 +35,24 @@ let total_ops = function
   | Scale.Quick -> 4_000
   | Scale.Full -> 16_000
 
-let base_clients = function Scale.Tiny -> 4 | Scale.Quick | Scale.Full -> 8
-
-(* The pool is deliberately sized to half the tree, so key popularity —
-   not tree size — decides the hit rate.  Measured on a probe build
-   (the key set is deterministic per scale), floored so descents and
-   prefetchers always find free frames. *)
-let tree_pool_pages scale =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  max 24 (Index_sig.page_count idx / 2)
-
 type cell = {
   label : string;
   offered_ops_per_s : float option; (* None: closed loop *)
   throughput_ops_per_s : float;
   latency : Fpb_obs.Histogram.t;
   max_backlog : int option;
-  hits : int;
-  misses : int;
+  hit_pct : float;
   drawn : int * int * int * int * int;
 }
 
-(* A fresh system + workload generator per cell, so cells never
-   contaminate each other. *)
+(* A fresh test bed and workload per cell, so cells never contaminate
+   each other; [k] drives it and returns the cell's result. *)
 let with_system scale ~pool_pages ?dist mix k =
-  let rng = W.Prng.create 2024 in
-  let pairs = W.Keygen.bulk_pairs rng (bulk_entries scale) in
-  let sys = Setup.make ~n_disks ~pool_pages ~n_shards ~page_size () in
-  let idx = Run.build sys Setup.Disk_first pairs ~fill in
-  let wal =
-    Wal.attach ~group_commit_bytes ~meta:(Index_sig.meta idx) sys.Setup.pool
-  in
-  let dist =
-    match dist with Some d -> d | None -> W.Mix.default_dist mix
-  in
-  let gen = W.Mix.generator ~dist ~seed:31337 mix pairs in
-  (* Warm pass under the cell's own distribution, so measurement starts
-     from the steady-state pool contents of that popularity profile
-     rather than a cold pool. *)
-  let warm_rng = W.Prng.create 555 in
-  let n = Array.length pairs in
-  for _ = 1 to 2 * pool_pages do
-    ignore
-      (Index_sig.search idx (fst pairs.(W.Keygen.draw_pos dist warm_rng ~n)))
-  done;
-  Buffer_pool.reset_stats sys.Setup.pool;
-  let committed = ref 0 in
-  let commit () =
-    incr committed;
-    Wal.commit wal ~op:!committed ~meta:(Index_sig.meta idx)
-  in
-  let op ~client:(_ : int) ~seq:(_ : int) =
-    W.Mix.execute idx ~commit (W.Mix.next gen)
-  in
-  let result = k sys gen op in
-  Index_sig.check idx;
-  let p = Buffer_pool.stats sys.Setup.pool in
-  let v c = Fpb_obs.Counter.value c in
-  (result, v p.Buffer_pool.hits, v p.Buffer_pool.misses)
+  let b = Bed.make (Bed.system ~pool_pages) (Bed.pairs (bulk_entries scale)) in
+  let w = Bed.workload ?dist ~mix b (Bed.wal b) in
+  let result = k b w in
+  Index_sig.check b.Bed.idx;
+  (result, Bed.hit_pct b)
 
 let record_cell c =
   let slug =
@@ -134,16 +83,10 @@ let record_cell c =
   c
 
 let run_closed scale ~pool_pages ?dist ?label ~n_clients mix =
-  let (stats, drawn), hits, misses =
-    with_system scale ~pool_pages ?dist mix (fun sys gen op ->
-        let s =
-          W.Driver.run ~sim:sys.Setup.sim
-            (W.Driver.config ~n_clients
-               (W.Driver.Closed
-                  { ops_per_client = total_ops scale / n_clients }))
-            (W.Driver.each op)
-        in
-        (s, W.Mix.drawn_counts gen))
+  let (stats, drawn), hit_pct =
+    with_system scale ~pool_pages ?dist mix (fun b w ->
+        let s = Bed.closed b ~n_clients ~n_ops:(total_ops scale) w.Bed.op in
+        (s, W.Mix.drawn_counts w.Bed.gen))
   in
   record_cell
     {
@@ -155,21 +98,20 @@ let run_closed scale ~pool_pages ?dist ?label ~n_clients mix =
       throughput_ops_per_s = stats.W.Driver.throughput_ops_per_s;
       latency = stats.W.Driver.latency;
       max_backlog = None;
-      hits;
-      misses;
+      hit_pct;
       drawn;
     }
 
 let run_open scale ~pool_pages ?dist ~label ~n_clients ~rate_ops_per_s mix =
-  let (stats, drawn), hits, misses =
-    with_system scale ~pool_pages ?dist mix (fun sys gen op ->
+  let (stats, drawn), hit_pct =
+    with_system scale ~pool_pages ?dist mix (fun b w ->
         let s =
-          W.Driver.run ~sim:sys.Setup.sim
+          W.Driver.run ~sim:b.Bed.sys.Setup.sim
             (W.Driver.config ~n_clients
                (W.Driver.open_loop ~n_ops:(total_ops scale) rate_ops_per_s))
-            (W.Driver.each op)
+            (W.Driver.each w.Bed.op)
         in
-        (s, W.Mix.drawn_counts gen))
+        (s, W.Mix.drawn_counts w.Bed.gen))
   in
   record_cell
     {
@@ -178,13 +120,9 @@ let run_open scale ~pool_pages ?dist ~label ~n_clients ~rate_ops_per_s mix =
       throughput_ops_per_s = stats.W.Driver.throughput_ops_per_s;
       latency = stats.W.Driver.latency;
       max_backlog = Some stats.W.Driver.max_backlog;
-      hits;
-      misses;
+      hit_pct;
       drawn;
     }
-
-let hit_pct c =
-  100. *. float_of_int c.hits /. float_of_int (max 1 (c.hits + c.misses))
 
 let latency_cells c =
   let pc p = Fpb_obs.Histogram.percentile c.latency p in
@@ -194,7 +132,7 @@ let latency_cells c =
 
 (* Table ycsb-a: the six core mixes, closed loop. *)
 let core_mixes scale ~pool_pages =
-  let n_clients = base_clients scale in
+  let n_clients = Bed.clients scale in
   let rows =
     List.map
       (fun mix ->
@@ -203,7 +141,7 @@ let core_mixes scale ~pool_pages =
            (Keygen.dist_name (W.Mix.default_dist mix))
         :: Table.cell_f (c.throughput_ops_per_s /. 1e3)
         :: latency_cells c)
-        @ [ Table.cell_f (hit_pct c) ])
+        @ [ Table.cell_f c.hit_pct ])
       W.Mix.all
   in
   Table.make ~id:"ycsb-a"
@@ -219,7 +157,7 @@ let core_mixes scale ~pool_pages =
 
 (* Table ycsb-b: one read-mostly mix across key distributions. *)
 let skew_sweep scale ~pool_pages =
-  let n_clients = base_clients scale in
+  let n_clients = Bed.clients scale in
   let theta = Keygen.default_theta in
   let dists =
     [
@@ -243,7 +181,7 @@ let skew_sweep scale ~pool_pages =
         (Keygen.dist_name dist
         :: Table.cell_f (c.throughput_ops_per_s /. 1e3)
         :: latency_cells c)
-        @ [ Table.cell_f (hit_pct c) ])
+        @ [ Table.cell_f c.hit_pct ])
       dists
   in
   Table.make ~id:"ycsb-b"
@@ -255,7 +193,7 @@ let skew_sweep scale ~pool_pages =
 
 (* Table ycsb-c: closed loop vs open loop around saturation. *)
 let arrival_sweep scale ~pool_pages =
-  let c0 = base_clients scale in
+  let c0 = Bed.clients scale in
   let closed =
     List.map
       (fun m ->
@@ -307,7 +245,7 @@ let arrival_sweep scale ~pool_pages =
     (List.map row (closed @ open_cells))
 
 let run scale =
-  let pool_pages = tree_pool_pages scale in
+  let pool_pages = Bed.pool_pages ~share:2 (Bed.pairs (bulk_entries scale)) in
   [
     core_mixes scale ~pool_pages;
     skew_sweep scale ~pool_pages;

@@ -35,7 +35,14 @@ let outcome_json (o : Registry.outcome) =
       | Some why -> [ ("aborted", J.Str why) ]
       | None -> [])
 
-let make ~scale ~timestamp ?(bechamel = []) outcomes =
+(* The current time as an ISO-8601 UTC timestamp. *)
+let now () =
+  let t = Unix.gmtime (Unix.gettimeofday ()) in
+  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (t.Unix.tm_year + 1900)
+    (t.Unix.tm_mon + 1) t.Unix.tm_mday t.Unix.tm_hour t.Unix.tm_min
+    t.Unix.tm_sec
+
+let make ~scale ?(timestamp = now ()) ?(bechamel = []) outcomes =
   J.Obj
     [
       ("schema_version", J.Int 1);

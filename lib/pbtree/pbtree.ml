@@ -401,10 +401,3 @@ let check t =
       done
   in
   check_node t.root ~lo:None ~hi:None ~depth:1
-
-(* amcheck-style entry point: the structural check as data.  Memory
-   resident, so the count is nodes rather than pages. *)
-let check_invariants t =
-  match check t with
-  | () -> Ok (node_count t)
-  | exception Failure msg -> Error msg

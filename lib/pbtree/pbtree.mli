@@ -35,8 +35,4 @@ val allocated_bytes : t -> int
 
 val check : t -> unit
 
-(** amcheck-style verification: [check] as data — [Ok node_count] or
-    [Error description]. *)
-val check_invariants : t -> (int, string) result
-
 val iter : t -> (int -> int -> unit) -> unit

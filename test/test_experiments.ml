@@ -201,6 +201,25 @@ let check_replica_claims o =
   claim "caught up" (get "replica.c.caught_up" = 1);
   tables [ "replica-a"; "replica-b"; "replica-c" ]
 
+(* `exp faults` (the chaos harness): no oracle failed; the replica leg's
+   lossy link dropped and reordered messages; the partition leg's
+   semi-sync commits waited out the window, and the commit caught in it
+   stalled longer than the post-heal median. *)
+let check_faults_claims o =
+  let c, get, claim, tables = claims "faults" o in
+  claim "no oracle failures" (not (List.mem_assoc "chaos.oracle_failures" c));
+  claim "lossy link drops" (get "net.drops" > 0);
+  claim "lossy link reorders" (get "net.reorders" > 0);
+  claim "partition waits" (get "net.partition_waits" > 0);
+  claim "partition stall > post-heal p50"
+    (get "chaos.partition.disk-first-fpb-tree.stall_ns"
+    > get "chaos.partition.disk-first-fpb-tree.post_p50_ns");
+  tables
+    [
+      "chaos"; "chaos-shadow-meta"; "chaos-replica"; "chaos-partition";
+      "chaos-scrub-bw"; "chaos-scrub-throttle";
+    ]
+
 (* The committed tiny report, [BENCH_results.json] at the repository
    root (a dependency of this test, so dune copies it next to the test
    directory).  Regenerate it with
@@ -271,6 +290,7 @@ let test_full_report_roundtrip () =
       ("concurrency", check_concurrency_claims);
       ("checkpoint", check_checkpoint_claims);
       ("replica", check_replica_claims);
+      ("faults", check_faults_claims);
     ];
   let json =
     Report.make ~scale:Scale.Tiny ~timestamp:"1970-01-01T00:00:00Z"
