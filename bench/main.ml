@@ -210,38 +210,38 @@ let run_bechamel () =
   in
   fpbtree @ timeline @ kernels @ simmem
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let full = List.mem "--full" args in
-  let tiny = List.mem "--tiny" args in
-  let scale = if full then Scale.Full else if tiny then Scale.Tiny else Scale.Quick in
-  let args = List.filter (fun a -> a <> "--full" && a <> "--tiny") args in
-  let take_opt flag args =
-    let rec go acc = function
-      | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
-      | x :: rest -> go (x :: acc) rest
-      | [] -> (None, List.rev acc)
-    in
-    go [] args
+(* What a positional argument names: every experiment and the bechamel
+   group ([all]), the bechamel group alone, or one experiment. *)
+let target =
+  let open Cmdliner in
+  let parse = function
+    | "all" -> Ok `All
+    | "bechamel" -> Ok `Bechamel
+    | id -> Result.map (fun e -> `Exp e) (Arg.conv_parser Fpb_cli.experiment id)
   in
-  let csv_dir, args = take_opt "--csv" args in
-  let json_path, args = take_opt "--json" args in
+  let print ppf = function
+    | `All -> Format.pp_print_string ppf "all"
+    | `Bechamel -> Format.pp_print_string ppf "bechamel"
+    | `Exp e -> Arg.conv_printer Fpb_cli.experiment ppf e
+  in
+  Arg.conv (parse, print)
+
+let run scale json_path csv_dir targets =
   (match csv_dir with
   | Some dir when not (Sys.file_exists dir) -> Sys.mkdir dir 0o755
   | _ -> ());
-  let wanted = match args with [] | [ "all" ] -> None | l -> Some l in
+  let named p = List.exists p targets in
+  let everything = targets = [] || named (function `All -> true | _ -> false) in
   let ppf = Format.std_formatter in
   Format.printf "fpB+-Tree benchmark harness (%s scale)@." (Scale.to_string scale);
-  let run_bechamel_wanted =
-    match wanted with None -> true | Some l -> List.mem "bechamel" l
-  in
-  let exp_wanted id =
-    match wanted with None -> true | Some l -> List.mem id l
+  let exp_wanted e =
+    everything
+    || named (function `Exp x -> x.Registry.id = e.Registry.id | _ -> false)
   in
   let outcomes =
     List.filter_map
       (fun e ->
-        if not (exp_wanted e.Registry.id) then None
+        if not (exp_wanted e) then None
         else begin
           let o = Registry.run_and_print ppf scale e in
           (match csv_dir with
@@ -257,16 +257,8 @@ let () =
         end)
       Registry.all
   in
-  (match wanted with
-  | Some l ->
-      List.iter
-        (fun id ->
-          if id <> "bechamel" && Registry.find id = None then
-            Format.printf "unknown experiment id: %s@." id)
-        l
-  | None -> ());
   let bechamel =
-    if run_bechamel_wanted then begin
+    if everything || named (function `Bechamel -> true | _ -> false) then begin
       Format.printf
         "@.== bechamel: wall-clock microbenchmarks (real time, not simulated) ==@.";
       run_bechamel ()
@@ -278,3 +270,27 @@ let () =
   | Some path ->
       Report.write path (Report.make ~scale ~bechamel outcomes);
       if path <> "-" then Format.printf "@.wrote %s@." path
+
+let () =
+  let open Cmdliner in
+  let csv =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into $(docv)")
+  in
+  let targets =
+    Arg.(
+      value & pos_all target []
+      & info [] ~docv:"ID"
+          ~doc:
+            "Experiments to run, by id or unique id prefix; $(b,bechamel) for \
+             the wall-clock microbenchmarks; $(b,all) (the default) for \
+             every experiment and the microbenchmarks")
+  in
+  let info =
+    Cmd.info "bench" ~doc:"Regenerate the paper's tables and figures"
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info Term.(const run $ Fpb_cli.scale $ Fpb_cli.json $ csv $ targets)))

@@ -49,40 +49,22 @@ let list_cmd =
   in
   Cmd.v (Cmd.info "list" ~doc:"List reproducible tables/figures") Term.(const run $ const ())
 
-(* --tiny / --full pick the experiment scale; Quick is the default. *)
-let scale_arg =
-  let tiny = Arg.(value & flag & info [ "tiny" ] ~doc:"Smoke-test size") in
-  let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper size") in
-  let scale tiny full =
-    Fpb_experiments.Scale.(if full then Full else if tiny then Tiny else Quick)
-  in
-  Term.(const scale $ tiny $ full)
-
 let exp_cmd =
-  let id = Arg.(required & pos 0 (some string) None & info [] ~docv:"ID") in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the metrics report as JSON to $(docv) (\"-\" for stdout)")
+  let e =
+    Arg.(required & pos 0 (some Fpb_cli.experiment) None & info [] ~docv:"ID")
   in
-  let run id scale json =
+  let run e scale json =
     let open Fpb_experiments in
-    match Registry.find id with
-    | Some e ->
-        let o = Registry.run_and_print Format.std_formatter scale e in
-        (match json with
-        | None -> ()
-        | Some path ->
-            Report.write path (Report.make ~scale [ o ]));
-        (match o.Registry.aborted with
-        | Some why -> `Error (false, e.Registry.id ^ " aborted: " ^ why)
-        | None -> `Ok ())
-    | None -> `Error (false, "unknown experiment id: " ^ id)
+    let o = Registry.run_and_print Format.std_formatter scale e in
+    (match json with
+    | None -> ()
+    | Some path -> Report.write path (Report.make ~scale [ o ]));
+    match o.Registry.aborted with
+    | Some why -> `Error (false, e.Registry.id ^ " aborted: " ^ why)
+    | None -> `Ok ()
   in
   Cmd.v (Cmd.info "exp" ~doc:"Run one experiment")
-    Term.(ret (const run $ id $ scale_arg $ json))
+    Term.(ret (const run $ e $ Fpb_cli.scale $ Fpb_cli.json))
 
 let check_cmd =
   let keys = Arg.(value & opt int 200_000 & info [ "keys" ] ~doc:"Number of keys") in
@@ -121,13 +103,6 @@ let write_harness_json ~path ~scale ~id ~describes ~tables ~metrics ~wall_s
   let o = { Registry.entry; tables; metrics; wall_s; aborted } in
   Report.write path (Report.make ~scale [ o ])
 
-let json_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "json" ] ~docv:"PATH"
-        ~doc:"Also write the report as JSON to $(docv) (\"-\" for stdout)")
-
 let crashtest_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed") in
   let run scale seed json =
@@ -164,7 +139,7 @@ let crashtest_cmd =
           every record boundary as a primary kill and verifies failover \
           loses no acked commit under semi-sync and exactly the unacked \
           suffix under async")
-    Term.(ret (const run $ scale_arg $ seed $ json_arg))
+    Term.(ret (const run $ Fpb_cli.scale $ seed $ Fpb_cli.json))
 
 let chaos_cmd =
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload and fault-schedule seed") in
@@ -227,8 +202,8 @@ let chaos_cmd =
           failover over a lossy reordering link loses no acked commit")
     Term.(
       ret
-        (const run $ scale_arg $ seed $ log_mirrors $ log_rate $ scrub_bw
-       $ json_arg))
+        (const run $ Fpb_cli.scale $ seed $ log_mirrors $ log_rate $ scrub_bw
+       $ Fpb_cli.json))
 
 let ycsb_cmd =
   let mix = Arg.(value & opt string "A" & info [ "mix" ] ~doc:"YCSB core mix (A..F)") in

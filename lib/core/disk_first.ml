@@ -293,15 +293,17 @@ let ip_leaf_slot t r line ~n ~key mode =
   | `Lower -> Array_search.lower_bound t.sim r ~off:(leaf_key_off c line 0) ~n ~key
   | `Upper -> Array_search.upper_bound t.sim r ~off:(leaf_key_off c line 0) ~n ~key
 
-(* Route at page granularity: pointer of the last entry <= [key] (or the
-   first entry if key precedes everything). *)
-let ip_route t r key =
-  let c = t.cfg in
+(* Route at page granularity: the in-page leaf node and slot of the last
+   entry <= [key] (or of the first entry if key precedes everything). *)
+let ip_route_slot t r key =
   let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
   let n = read_n t r line in
-  let i = ip_leaf_slot t r line ~n ~key `Upper in
-  let slot = max 0 (i - 1) in
-  Mem.read_i32 t.sim r (leaf_ptr_off c line slot)
+  (line, max 0 (ip_leaf_slot t r line ~n ~key `Upper - 1))
+
+(* The child page that [ip_route_slot] picks. *)
+let ip_route t r key =
+  let line, slot = ip_route_slot t r key in
+  Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line slot)
 
 (* --- Search --------------------------------------------------------------- *)
 
@@ -714,13 +716,39 @@ let bulkload t pairs ~fill =
 (* --- Range scan ------------------------------------------------------------- *)
 
 (* I/O jump-pointer cursor over the in-page leaf nodes of leaf-parent pages:
-   yields successive tree-leaf page IDs. *)
+   the page, in-page leaf node and slot of the next tree-leaf page ID.
+   [jp_line = 0] means the page's first (forward) or last (backward) node,
+   read from its header on arrival. *)
 type jp_cursor = {
   mutable jp_page : int;
   mutable jp_line : int;
   mutable jp_idx : int;
 }
 
+(* Descend to the leaf page for [key], leaving the cursor on the
+   leaf-parent entry that routed there ([nil] page when the root is a
+   leaf): a scan starts its I/O prefetch right beside it, as the paper's
+   start-key search does, instead of searching the leaf-parent again. *)
+let descend_to_leaf t key =
+  let cur = { jp_page = nil; jp_line = 0; jp_idx = 0 } in
+  let rec go page depth =
+    if depth = t.levels then page
+    else begin
+      let r = Buffer_pool.get t.pool page in
+      let line, slot = ip_route_slot t r key in
+      let child = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line slot) in
+      Level_acc.bump t.acc depth;
+      cur.jp_page <- page;
+      cur.jp_line <- line;
+      cur.jp_idx <- slot;
+      Buffer_pool.unpin t.pool page;
+      go child (depth + 1)
+    end
+  in
+  let leaf = go t.root 1 in
+  (leaf, cur)
+
+(* Successive tree-leaf page IDs, forward. *)
 let rec jp_next t cur =
   if cur.jp_page = nil then None
   else begin
@@ -746,10 +774,62 @@ let rec jp_next t cur =
         Buffer_pool.unpin t.pool cur.jp_page;
         cur.jp_page <- next_page;
         cur.jp_line <- 0;
-        if next_page = nil then None else jp_next t cur
+        jp_next t cur
       end
     end
   end
+
+(* Successive tree-leaf page IDs, backward, through the in-page prev
+   links and each page's last-leaf-node header field. *)
+let rec jp_prev t cur =
+  let page = cur.jp_page in
+  if page = nil then None
+  else begin
+    let r = Buffer_pool.get t.pool page in
+    if cur.jp_line = 0 then begin
+      cur.jp_line <- Mem.read_u16 t.sim r h_last_leaf;
+      cur.jp_idx <- read_n t r cur.jp_line - 1
+    end;
+    if cur.jp_idx >= 0 then begin
+      let pid = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg cur.jp_line cur.jp_idx) in
+      cur.jp_idx <- cur.jp_idx - 1;
+      Buffer_pool.unpin t.pool page;
+      Some pid
+    end
+    else begin
+      let prev_line = Mem.read_u16 t.sim r (node_off cur.jp_line + n_prev) in
+      if prev_line <> 0 then begin
+        cur.jp_line <- prev_line;
+        cur.jp_idx <- read_n t r prev_line - 1
+      end
+      else begin
+        cur.jp_page <- Mem.read_i32 t.sim r h_prev;
+        cur.jp_line <- 0
+      end;
+      Buffer_pool.unpin t.pool page;
+      jp_prev t cur
+    end
+  end
+
+(* Keep up to [io_prefetch_distance] leaf pages in flight ahead of a scan,
+   drawing their IDs from [next] and stopping after [last] (when [on]).
+   Returns the step a scan takes each time it moves to another page. *)
+let io_prefetcher t ~on ~next ~last =
+  let outstanding = ref 0 and finished = ref (not on) in
+  let pump () =
+    while (not !finished) && !outstanding < t.io_prefetch_distance do
+      match next () with
+      | None -> finished := true
+      | Some pid ->
+          Buffer_pool.prefetch t.pool pid;
+          incr outstanding;
+          if pid = last then finished := true
+    done
+  in
+  pump ();
+  fun () ->
+    if !outstanding > 0 then decr outstanding;
+    pump ()
 
 (* Cache-granularity prefetch of all in-page leaf nodes of a leaf page
    (walks the nonleaf structure, whose nodes the search just touched). *)
@@ -774,52 +854,19 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
   else begin
     let c = t.cfg in
     (* end page, to bound I/O prefetching (avoid overshooting) *)
-    let rec find_page key page depth ~visit =
-      if depth = t.levels then page
-      else begin
-        let r = Buffer_pool.get t.pool page in
-        let child = ip_route t r key in
-        Level_acc.bump t.acc depth;
-        visit page r;
-        Buffer_pool.unpin t.pool page;
-        find_page key child (depth + 1) ~visit
-      end
-    in
     let end_leaf =
-      if prefetch && t.bound_scan_end then
-        find_page end_key t.root 1 ~visit:(fun _ _ -> ())
+      if prefetch && t.bound_scan_end then fst (descend_to_leaf t end_key)
       else nil
     in
-    let parent = ref nil in
-    let start_leaf =
-      find_page start_key t.root 1 ~visit:(fun p _ -> parent := p)
-    in
-    (* position the jump-pointer cursor on the start leaf's entry *)
-    let cur = { jp_page = !parent; jp_line = 0; jp_idx = 0 } in
-    (if !parent <> nil then begin
-       (* advance the cursor past the start leaf *)
-       let rec skip () =
-         match jp_next t cur with
-         | Some pid when pid <> start_leaf -> skip ()
-         | _ -> ()
-       in
-       skip ()
-     end);
-    let outstanding = ref 0 in
+    let start_leaf, cur = descend_to_leaf t start_key in
+    cur.jp_idx <- cur.jp_idx + 1;
     (* nothing to prefetch when the scan starts on the end page *)
-    let done_prefetching = ref (!parent = nil || end_leaf = start_leaf) in
-    let pump () =
-      if prefetch then
-        while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
-          match jp_next t cur with
-          | None -> done_prefetching := true
-          | Some pid ->
-              Buffer_pool.prefetch t.pool pid;
-              incr outstanding;
-              if pid = end_leaf then done_prefetching := true
-        done
+    let advance =
+      io_prefetcher t
+        ~on:(prefetch && start_leaf <> end_leaf)
+        ~next:(fun () -> jp_next t cur)
+        ~last:end_leaf
     in
-    pump ();
     let count = ref 0 in
     let rec scan_page page =
       let r = Buffer_pool.get t.pool page in
@@ -850,8 +897,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
       let next = if !stop then nil else Mem.read_i32 t.sim r h_next in
       Buffer_pool.unpin t.pool page;
       if next <> nil then begin
-        if !outstanding > 0 then decr outstanding;
-        pump ();
+        advance ();
         scan_page next
       end
     in
@@ -861,101 +907,23 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
 
 (* Reverse (descending) range scan: walks in-page leaf chains and page
    sibling links backwards; backward I/O prefetching follows the
-   leaf-parent level in reverse via the prev links and each page's
-   last-leaf-node header field. *)
+   leaf-parent level in reverse from the end key's entry. *)
 let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
   Sim.busy_op t.sim;
   if end_key < start_key then 0
   else begin
     let c = t.cfg in
-    let rec find_page key page depth ~visit =
-      if depth = t.levels then page
-      else begin
-        let r = Buffer_pool.get t.pool page in
-        let child = ip_route t r key in
-        Level_acc.bump t.acc depth;
-        visit page;
-        Buffer_pool.unpin t.pool page;
-        find_page key child (depth + 1) ~visit
-      end
-    in
     let start_leaf =
-      if prefetch then find_page start_key t.root 1 ~visit:(fun _ -> ())
-      else nil
+      if prefetch then fst (descend_to_leaf t start_key) else nil
     in
-    let parent = ref nil in
-    let end_leaf = find_page end_key t.root 1 ~visit:(fun p -> parent := p) in
-    (* backward jump-pointer cursor over the leaf-parent pages: locate the
-       entry for [end_leaf], then yield preceding leaf page IDs *)
-    let jp_pg = ref !parent and jp_line = ref 0 and jp_idx = ref 0 in
-    (if !parent <> nil then begin
-       let pr = Buffer_pool.get t.pool !parent in
-       let line = ref (Mem.read_u16 t.sim pr h_first_leaf) in
-       (try
-          while !line <> 0 do
-            let n = read_n t pr !line in
-            for j = 0 to n - 1 do
-              if Mem.read_i32 t.sim pr (leaf_ptr_off c !line j) = end_leaf
-              then begin
-                jp_line := !line;
-                jp_idx := j - 1;
-                raise Exit
-              end
-            done;
-            line := Mem.read_u16 t.sim pr (node_off !line + n_next)
-          done;
-          jp_pg := nil (* not found: no prefetch *)
-        with Exit -> ());
-       Buffer_pool.unpin t.pool !parent
-     end);
-    let rec jp_prev () =
-      if !jp_pg = nil then None
-      else begin
-        let pr = Buffer_pool.get t.pool !jp_pg in
-        if !jp_idx >= 0 then begin
-          let pid = Mem.read_i32 t.sim pr (leaf_ptr_off c !jp_line !jp_idx) in
-          jp_idx := !jp_idx - 1;
-          Buffer_pool.unpin t.pool !jp_pg;
-          Some pid
-        end
-        else begin
-          let prev_line = Mem.read_u16 t.sim pr (node_off !jp_line + n_prev) in
-          if prev_line <> 0 then begin
-            jp_line := prev_line;
-            jp_idx := read_n t pr prev_line - 1;
-            Buffer_pool.unpin t.pool !jp_pg;
-            jp_prev ()
-          end
-          else begin
-            let prev_pg = Mem.read_i32 t.sim pr h_prev in
-            Buffer_pool.unpin t.pool !jp_pg;
-            jp_pg := prev_pg;
-            if prev_pg = nil then None
-            else begin
-              let pr2 = Buffer_pool.get t.pool prev_pg in
-              jp_line := Mem.read_u16 t.sim pr2 h_last_leaf;
-              jp_idx := read_n t pr2 !jp_line - 1;
-              Buffer_pool.unpin t.pool prev_pg;
-              jp_prev ()
-            end
-          end
-        end
-      end
+    let end_leaf, cur = descend_to_leaf t end_key in
+    cur.jp_idx <- cur.jp_idx - 1;
+    let advance =
+      io_prefetcher t
+        ~on:(prefetch && start_leaf <> end_leaf)
+        ~next:(fun () -> jp_prev t cur)
+        ~last:start_leaf
     in
-    let outstanding = ref 0 in
-    let done_prefetching = ref ((not prefetch) || start_leaf = end_leaf) in
-    let pump () =
-      if prefetch then
-        while (not !done_prefetching) && !outstanding < t.io_prefetch_distance do
-          match jp_prev () with
-          | None -> done_prefetching := true
-          | Some pid ->
-              Buffer_pool.prefetch t.pool pid;
-              incr outstanding;
-              if pid = start_leaf then done_prefetching := true
-        done
-    in
-    pump ();
     let count = ref 0 in
     let first_page = ref true in
     let rec scan_page page =
@@ -995,8 +963,7 @@ let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
       let prev = if !stop then nil else Mem.read_i32 t.sim r h_prev in
       Buffer_pool.unpin t.pool page;
       if prev <> nil then begin
-        if !outstanding > 0 then decr outstanding;
-        pump ();
+        advance ();
         scan_page prev
       end
     in

@@ -220,6 +220,61 @@ let check_faults_claims o =
       "chaos-scrub-bw"; "chaos-scrub-throttle";
     ]
 
+(* The paper's range-scan shapes at Tiny scale, read from the result
+   tables: fpB+-Trees scan memory-resident ranges well under the
+   disk-optimized tree's time (Figure 15); jump-pointer I/O prefetch
+   makes large disk-first scans several times faster (Figure 18a) and
+   scales with the disk count where the B+-Tree's scan does not
+   (Figure 18b,c); and each ablated mechanism pays for itself. *)
+let check_scan_claims (outcome : string -> Registry.outcome) =
+  let table name id =
+    let o = outcome name in
+    Alcotest.(check bool) (name ^ ": not aborted") true (o.aborted = None);
+    match List.find_opt (fun t -> t.Table.id = id) o.tables with
+    | Some t -> t
+    | None -> Alcotest.failf "%s: no table %s" name id
+  in
+  let cell (t : Table.t) row col =
+    let rec index i = function
+      | [] -> Alcotest.failf "%s: no column %S" t.id col
+      | h :: rest -> if h = col then i else index (i + 1) rest
+    in
+    let c = index 0 t.header in
+    match List.find_opt (fun r -> List.hd r = row) t.rows with
+    | Some r -> float_of_string (List.nth r c)
+    | None -> Alcotest.failf "%s: no row %S" t.id row
+  in
+  let claim (t : Table.t) what ok = Alcotest.(check bool) (t.id ^ ": " ^ what) true ok in
+  let fig15 = table "fig15" "fig15" in
+  List.iter
+    (fun row ->
+      claim fig15 (row ^ " <= 0.6x disk-optimized")
+        (cell fig15 row "total" <= 0.6 *. cell fig15 "disk-optimized B+tree" "total"))
+    [ "disk-first fpB+tree"; "cache-first fpB+tree" ];
+  let fig18a = table "fig18a" "fig18a" in
+  claim fig18a "disk-first prefetch >= 3x faster at 10000 entries"
+    (cell fig18a "10000" "disk-optimized B+tree"
+    >= 3. *. cell fig18a "10000" "disk-first fpB+tree (prefetch)");
+  let fig18bc = table "fig18bc" "fig18bc" in
+  claim fig18bc "fpB+tree speedup >= 4 at 10 disks"
+    (cell fig18bc "10" "fpB+tree speedup" >= 4.);
+  List.iter
+    (fun r ->
+      let disks = List.hd r in
+      claim fig18bc
+        ("B+tree speedup <= 1.3 at " ^ disks ^ " disks")
+        (cell fig18bc disks "B+tree speedup" <= 1.3))
+    fig18bc.rows;
+  let a1 = table "ablation" "ablation-a1" in
+  List.iter
+    (fun row -> claim a1 ("speedup >= 3: " ^ row) (cell a1 row "speedup" >= 3.))
+    [ "disk-optimized B+tree"; "disk-first fpB+tree" ];
+  let a2 = table "ablation" "ablation-a2" in
+  claim a2 "speedup >= 2" (cell a2 "on" "speedup" >= 2.);
+  let a4 = table "ablation" "ablation-a4" in
+  claim a4 "fewer reads with the end-page bound"
+    (cell a4 "on (paper)" "reads/scan" < cell a4 "off (overshoots)" "reads/scan")
+
 (* The committed tiny report, [BENCH_results.json] at the repository
    root (a dependency of this test, so dune copies it next to the test
    directory).  Regenerate it with
@@ -280,9 +335,10 @@ let check_matches_committed (fresh : Fpb_obs.Json.t) =
 let test_full_report_roundtrip () =
   let module J = Fpb_obs.Json in
   let outcomes = List.map (Registry.run_entry Scale.Tiny) Registry.all in
+  let outcome id = List.find (fun o -> o.Registry.entry.Registry.id = id) outcomes in
+  check_scan_claims outcome;
   List.iter
-    (fun (id, check) ->
-      check (List.find (fun o -> o.Registry.entry.Registry.id = id) outcomes))
+    (fun (id, check) -> check (outcome id))
     [
       ("batch", check_batch_claims);
       ("ycsb", check_ycsb_claims);

@@ -317,6 +317,188 @@ let prop_reverse_matches_forward =
       let n2 = Fpb_core.Disk_first.range_scan_rev t ~start_key:a ~end_key:b (fun k _ -> rev := k :: !rev) in
       n1 = n2 && !rev = List.rev !fwd)
 
+(* --- Disk-first I/O prefetch stream ----------------------------------------- *)
+
+(* A scan reads its keys through sibling links, so the output oracle
+   cannot see a jump-pointer cursor that starts one entry off.  These
+   tests check the prefetch stream itself: from a pool where no page is
+   resident, every leaf page after a scan's first page, up to its last
+   (end) page, is prefetched exactly once and read as a prefetch hit, and
+   nothing else is prefetched. *)
+
+module Df = Fpb_core.Disk_first
+module Bp = Fpb_storage.Buffer_pool
+
+type scan_bed = {
+  t : Df.t;
+  pool : Bp.t;
+  trace : Fpb_obs.Trace.t;
+  keys : int array;  (* every key, ascending *)
+  leaves : int array;  (* leaf pages in key order *)
+  first : int array;  (* [keys] index of each leaf page's first key *)
+  paths : int list array;  (* nonleaf pages above each leaf, root first *)
+  index_of : (int, int) Hashtbl.t;  (* leaf page -> position in [leaves] *)
+}
+
+(* The pages a search for [key] visits, root first: its trace's
+   node_access events. *)
+let path_of t trace key =
+  Fpb_obs.Trace.clear trace;
+  ignore (Df.search t key);
+  List.map
+    (fun e ->
+      match List.assoc "page" e.Fpb_obs.Trace.ev_attrs with
+      | Fpb_obs.Json.Int p -> p
+      | _ -> assert false)
+    (Fpb_obs.Trace.events trace)
+
+let split_last l =
+  match List.rev l with last :: rev_up -> (List.rev rev_up, last) | [] -> assert false
+
+(* A tree and its leaf pages.  Each leaf page holds a contiguous run of
+   keys, so the end of each run is found by binary search. *)
+let make_scan_bed ~n ~fill ~inserts =
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let t = Df.create pool in
+  Df.bulkload t (Array.init n (fun i -> (2 * i, i))) ~fill;
+  let rng = Fpb_workload.Prng.create 7 in
+  for _ = 1 to inserts do
+    let k = (2 * Fpb_workload.Prng.int rng n) + 1 in
+    ignore (Df.insert t k k)
+  done;
+  Df.check t;
+  let keys = ref [] in
+  Df.iter t (fun k _ -> keys := k :: !keys);
+  let keys = Array.of_list (List.rev !keys) in
+  let trace = Fpb_obs.Trace.create () in
+  Df.set_trace t (Some trace);
+  let leaf_of k = snd (split_last (path_of t trace k)) in
+  let runs = ref [] and i = ref 0 in
+  while !i < Array.length keys do
+    let up, leaf = split_last (path_of t trace keys.(!i)) in
+    let lo = ref !i and hi = ref (Array.length keys - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if leaf_of keys.(mid) = leaf then lo := mid else hi := mid - 1
+    done;
+    runs := (leaf, !i, up) :: !runs;
+    i := !lo + 1
+  done;
+  let runs = Array.of_list (List.rev !runs) in
+  let leaves = Array.map (fun (l, _, _) -> l) runs in
+  let index_of = Hashtbl.create 1024 in
+  Array.iteri (fun i l -> Hashtbl.replace index_of l i) leaves;
+  {
+    t; pool; trace; keys; leaves; index_of;
+    first = Array.map (fun (_, f, _) -> f) runs;
+    paths = Array.map (fun (_, _, p) -> p) runs;
+  }
+
+(* Bulkloaded at 30 % fill: 141 entries a page, so three leaf-parent
+   pages of three full in-page leaf nodes each. *)
+let bulk_bed = lazy (make_scan_bed ~n:40_000 ~fill:0.3 ~inserts:0)
+
+(* Mature: one full leaf-parent page over 300 full leaf pages, then
+   inserts that split most leaf pages, the leaf-parent's in-page leaf
+   nodes and the leaf-parent page itself. *)
+let mature_bed = lazy (make_scan_bed ~n:141_000 ~fill:1.0 ~inserts:700)
+
+let n_leaves bed = Array.length bed.leaves
+let first_key bed i = bed.keys.(bed.first.(i))
+
+let last_key bed i =
+  let next = if i + 1 < n_leaves bed then bed.first.(i + 1) else Array.length bed.keys in
+  bed.keys.(next - 1)
+
+(* Scan [a, b] from a pool with nothing resident and compare the pool's
+   counters with the stream the leaf pages dictate.  Cold, every nonleaf
+   page the scan touches (both descents, and each leaf-parent the cursor
+   walks) misses once; of the leaf pages, only the page the scan starts
+   on and a page it reads past the range's last page may miss. *)
+let stream_exact bed ~rev a b =
+  let ia = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace a))) in
+  let ib = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace b))) in
+  let nonleaf = Hashtbl.create 16 in
+  let add p = Hashtbl.replace nonleaf p () in
+  List.iter add bed.paths.(ia);
+  List.iter add bed.paths.(ib);
+  for i = ia to ib do
+    add (snd (split_last bed.paths.(i)))
+  done;
+  let read_past =
+    if rev then ia > 0 && first_key bed ia >= a
+    else ib + 1 < n_leaves bed && last_key bed ib <= b
+  in
+  let want_keys =
+    Array.fold_left (fun n k -> if k >= a && k <= b then n + 1 else n) 0 bed.keys
+  in
+  Bp.clear bed.pool;
+  let s = Bp.stats bed.pool in
+  let v = Fpb_obs.Counter.value in
+  let snap () = (v s.Bp.prefetch_issued, v s.prefetch_hits, v s.misses, v s.prefetch_dropped) in
+  let i0, h0, m0, d0 = snap () in
+  let scan = if rev then Df.range_scan_rev else Df.range_scan in
+  let got = scan bed.t ~start_key:a ~end_key:b (fun _ _ -> ()) in
+  let i1, h1, m1, d1 = snap () in
+  got = want_keys
+  && i1 - i0 = ib - ia
+  && h1 - h0 = ib - ia
+  && m1 - m0 = Hashtbl.length nonleaf + 1 + Bool.to_int read_past
+  && d1 = d0
+
+(* A range anchored on one key and spanning [span] leaf pages from it
+   (forward from its start, backward from its end).  The anchor is a
+   random key or the first or last key of a leaf page; the far end is
+   [off] keys into the far page, nudged by [nudge] so it may miss. *)
+let range_of bed ~rev ~anchor ~span ~off ~nudge =
+  let nk = Array.length bed.keys in
+  let key_at i = bed.keys.(max 0 (min (nk - 1) i)) in
+  let a =
+    match anchor with
+    | `Key x -> (x mod (bed.keys.(nk - 1) + 10)) - 5
+    | `First i -> first_key bed (i mod n_leaves bed)
+    | `Last i -> last_key bed (i mod n_leaves bed)
+  in
+  let ia = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace a))) in
+  let j = max 0 (min (n_leaves bed - 1) (if rev then ia - span else ia + span)) in
+  let far = key_at (bed.first.(j) + off) + nudge in
+  (min a far, max a far)
+
+let prop_prefetch_stream_exact =
+  Util.qtest ~count:150 "disk_first: scan prefetch stream is exact"
+    QCheck2.Gen.(
+      pair
+        (triple bool bool
+           (oneof
+              [
+                map (fun x -> `Key x) (0 -- 1_000_000);
+                map (fun i -> `First i) (0 -- 10_000);
+                map (fun i -> `Last i) (0 -- 10_000);
+              ]))
+        (triple (frequency [ (1, return 0); (3, 0 -- 40) ]) (0 -- 500) (-1 -- 1)))
+    (fun ((mature, rev, anchor), (span, off, nudge)) ->
+      let bed = Lazy.force (if mature then mature_bed else bulk_bed) in
+      let a, b = range_of bed ~rev ~anchor ~span ~off ~nudge in
+      stream_exact bed ~rev a b)
+
+(* Every leaf page as the first page of a forward scan and the last page
+   of a reverse one, so the jump-pointer cursor starts on every entry of
+   every in-page leaf-parent node and every leaf-parent page. *)
+let test_prefetch_stream_every_leaf () =
+  List.iter
+    (fun (name, bed) ->
+      let bed = Lazy.force bed in
+      for i = 0 to n_leaves bed - 1 do
+        List.iter
+          (fun (rev, anchor) ->
+            let a, b = range_of bed ~rev ~anchor ~span:2 ~off:1 ~nudge:0 in
+            if not (stream_exact bed ~rev a b) then
+              Alcotest.failf "%s: %s scan [%d, %d]" name
+                (if rev then "reverse" else "forward") a b)
+          [ (false, `First i); (false, `Last i); (true, `First i); (true, `Last i) ]
+      done)
+    [ ("bulkloaded", bulk_bed); ("mature", mature_bed) ]
+
 let suite =
   per_kind_cases
   @ [
@@ -324,4 +506,7 @@ let suite =
       Alcotest.test_case "disk_btree: reverse scan" `Quick test_reverse_scan_disk_btree;
       Alcotest.test_case "disk_first: reverse scan" `Quick test_reverse_scan_disk_first;
       prop_reverse_matches_forward;
+      prop_prefetch_stream_exact;
+      Alcotest.test_case "disk_first: prefetch stream from every leaf" `Quick
+        test_prefetch_stream_every_leaf;
     ]

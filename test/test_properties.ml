@@ -131,6 +131,40 @@ let test_batch_cost_pinned kind ~roomy ~tiny () =
   Alcotest.(check (list int)) "roomy pool" roomy (batch_cost kind ~capacity:16384);
   Alcotest.(check (list int)) "8-frame pool" tiny (batch_cost kind ~capacity:8)
 
+(* The exact simulated cost of one fixed disk-first scan each way, from a
+   pool with nothing resident, pinned so a change to what a scan charges
+   has to be deliberate.  The range crosses a leaf-parent page boundary.
+   Each result is [sim ns; busy cycles; pool hits; prefetches issued;
+   prefetch hits] followed by [level_accesses]. *)
+let scan_cost ~rev =
+  let module Df = Fpb_core.Disk_first in
+  let module Bp = Fpb_storage.Buffer_pool in
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let t = Df.create pool in
+  Df.bulkload t (Array.init 40_000 (fun i -> (2 * i, i))) ~fill:0.3;
+  Bp.clear pool;
+  Df.reset_level_accesses t;
+  let sim = Bp.sim pool and s = Bp.stats pool in
+  let counters () =
+    Fpb_simmem.Sim.now sim
+    :: List.map Fpb_obs.Counter.value
+         [ sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.busy; s.Bp.hits;
+           s.prefetch_issued; s.prefetch_hits ]
+  in
+  let c0 = counters () in
+  let scan = if rev then Df.range_scan_rev else Df.range_scan in
+  let n = scan t ~start_key:30_001 ~end_key:50_001 (fun _ _ -> ()) in
+  Alcotest.(check int) "keys scanned" 10_000 n;
+  List.map2 ( - ) (counters ()) c0 @ Array.to_list (Df.level_accesses t)
+
+let test_scan_cost_pinned () =
+  Alcotest.(check (list int)) "forward"
+    [ 65258587; 158264; 73; 71; 71; 2; 2; 72 ]
+    (scan_cost ~rev:false);
+  Alcotest.(check (list int)) "reverse"
+    [ 193351890; 158192; 73; 71; 71; 2; 2; 72 ]
+    (scan_cost ~rev:true)
+
 (* --- Correctness under a thrashing buffer pool ----------------------------- *)
 
 let test_tiny_pool kind () =
@@ -294,3 +328,7 @@ let suite =
           [ 24842; 1; 19; 129; 0; 1; 8; 54 ],
           [ 311434222; 13; 58; 437; 158; 13; 39; 55 ] );
       ]
+  @ [
+      Alcotest.test_case "disk_first: range scan cost pinned" `Quick
+        test_scan_cost_pinned;
+    ]
