@@ -52,34 +52,25 @@ open Fpb_btree_common
 open Fpb_storage
 open Fpb_wal
 
-type op = Search of int | Ins of int * int | Del of int
-
 (* bulk entries, operations, scrub bandwidth (pages/tick), fault rates *)
 let params = function
   | Scale.Tiny -> (50_000, 400, 2, [ 0.01; 0.05 ])
   | Scale.Quick -> (120_000, 1_200, 2, [ 0.005; 0.02; 0.05 ])
   | Scale.Full -> (400_000, 3_000, 4, [ 0.001; 0.01; 0.05; 0.1 ])
 
+(* 50 % searches, 20 % fresh inserts, 15 % updates, 15 % deletes. *)
+let workload ~seed scale =
+  let n_bulk, n_ops, _, _ = params scale in
+  Oracle.workload { Oracle.search = 50; insert = 20; update = 15 } ~seed n_bulk
+    n_ops
+
 (* Small pages and a pool far smaller than the tree, so the workload
    constantly re-reads pages from the faulty disks instead of running
    memory-resident. *)
-let page_size = 4096
 let pool_pages = 32
 
-let gen_ops rng pairs n =
-  let existing () = fst pairs.(Fpb_workload.Prng.int rng (Array.length pairs)) in
-  List.init n (fun _ ->
-      let r = Fpb_workload.Prng.int rng 100 in
-      if r < 50 then Search (existing ())
-      else if r < 70 then
-        Ins (1 + Fpb_workload.Prng.int rng 0x3FFFFFFE, Fpb_workload.Prng.int rng 0xFFFF)
-      else if r < 85 then Ins (existing (), Fpb_workload.Prng.int rng 0xFFFF)
-      else Del (existing ()))
-
-let key_set idx =
-  let got = ref [] in
-  Index_sig.iter idx (fun k v -> got := (k, v) :: !got);
-  List.sort compare !got
+let fresh ~pool_pages kind pairs =
+  Run.fresh ~n_disks:2 ~pool_pages ~page_size:4096 kind pairs ~fill:0.8
 
 (* What happens to the log at the end of the workload. *)
 type log_leg =
@@ -110,10 +101,9 @@ type cell = {
 
 (* One cell: build, arm, run (ticking the scrubber), heal, crash/recover
    if the leg says so, disarm, verify. *)
-let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
-    ~log_rate ~(log_leg : log_leg) =
-  let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+let run_cell kind w ~scrub_bw ~rate ~covered ~seed ~log_mirrors ~log_rate
+    ~(log_leg : log_leg) =
+  let sys, idx = fresh ~pool_pages kind w.Oracle.pairs in
   let wal =
     if covered then
       Some
@@ -134,85 +124,68 @@ let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
      schedule on mirror 0 only, so mirror 1 stays a sound fallback (a
      simultaneous double fault is beyond any K=2 scheme's contract). *)
   (match (wal, log_leg) with
-  | Some w, `Survive ->
-      Wal.set_log_faults w ~mirror:0
+  | Some wal, `Survive ->
+      Wal.set_log_faults wal ~mirror:0
         (Some (Fault.scaled ~seed:(seed + 7919) log_rate))
   | _ -> ());
   let st = Buffer_pool.stats sys.Setup.pool in
   let c field = Fpb_obs.Counter.value field in
   let detected = ref 0 in
   let sched = Scrub.scheduler ~pages_per_tick:scrub_bw sys.Setup.pool in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  (* Running model: what every search must answer.  A successful read
-     always went through checksum verification, so a successful operation
-     returning anything but the model's answer means corrupt bytes were
-     silently served — the one thing this harness exists to rule out. *)
-  let m = Hashtbl.create 1024 in
-  Array.iter (fun (k, v) -> Hashtbl.replace m k v) pairs;
-  let wrong = ref 0 in
+  let fs = ref [] in
+  let fail fmt = Oracle.fail fs fmt in
+  let m = Oracle.model w 0 in
   let t0 = Clock.now sys.Setup.sim.Sim.clock in
   List.iteri
     (fun i op ->
-      let opn = i + 1 in
       (try
-         (match op with
-         | Search k ->
-             if Index_sig.search idx k <> Hashtbl.find_opt m k then incr wrong
-         | Ins (k, v) ->
-             ignore (Index_sig.insert idx k v);
-             Hashtbl.replace m k v
-         | Del k ->
-             ignore (Index_sig.delete idx k);
-             Hashtbl.remove m k);
+         Oracle.apply m idx op;
          match wal with
-         | Some w -> Wal.commit w ~op:opn ~meta:(Index_sig.meta idx)
+         | Some wal -> Wal.commit wal ~op:(i + 1) ~meta:(Index_sig.meta idx)
          | None -> ()
        with Buffer_pool.Io_error _ -> incr detected);
       ignore (Scrub.tick sched : Scrub.report))
-    ops;
+    w.Oracle.ops;
   let elapsed_ns = Clock.now sys.Setup.sim.Sim.clock - t0 in
   (* Final synchronous pass: heal anything the paced laps had not
      reached before the end-state oracle reads. *)
-  let scrub = ref (Scrub.merge (Scrub.total sched) (Scrub.run sys.Setup.pool)) in
+  let scrub = Scrub.merge (Scrub.total sched) (Scrub.run sys.Setup.pool) in
   (* End-of-leg log exercise: power-cut and recover through the (faulty
      or damaged) log before the oracle looks at the recovered state. *)
-  let n_ops = List.length ops in
-  let recovery = ref None in
-  (match (wal, log_leg) with
-  | Some w, `Survive ->
-      Wal.crash_now w;
-      let r = Wal.recover w in
-      recovery := Some r;
-      Index_sig.restore_meta idx r.Wal.meta;
+  let n_ops = List.length w.Oracle.ops in
+  let recovery =
+    match (wal, log_leg) with
+    | Some wal, (`Survive | `Detect) ->
+        if log_leg = `Detect then begin
+          (* Zero an interior span near the committed tail: well past the
+             initial checkpoint, with readable records beyond it, so the
+             scan must classify it as damage rather than a torn tail. *)
+          let off = max 0 (Wal.durable_bytes wal - 256) in
+          Wal.inject_mirror_damage wal ~mirror:0 (Wal.Zero_span { off; len = 64 })
+        end;
+        Wal.crash_now wal;
+        Oracle.guard fs "recovery" (fun () -> Wal.recover wal)
+    | _ -> None
+  in
+  (match (log_leg, recovery) with
+  | `Survive, Some r ->
       if r.Wal.damaged_records > 0 then
         fail "mirrored log lost %d records despite a clean mirror"
-          r.Wal.damaged_records;
-      if r.Wal.committed_ops <> n_ops then
-        fail "recovery found %d committed ops, expected %d" r.Wal.committed_ops
-          n_ops
-  | Some w, `Detect ->
-      (* Zero an interior span near the committed tail: well past the
-         initial checkpoint, with readable records beyond it, so the
-         scan must classify it as damage rather than a torn tail. *)
-      let off = max 0 (Wal.durable_bytes w - 256) in
-      Wal.inject_mirror_damage w ~mirror:0 (Wal.Zero_span { off; len = 64 });
-      Wal.crash_now w;
-      let r = Wal.recover w in
-      recovery := Some r;
-      Index_sig.restore_meta idx r.Wal.meta;
+          r.Wal.damaged_records
+  | `Detect, Some r ->
       if r.Wal.damaged_records = 0 then
         fail "single-mirror log damage was silently absorbed (no loss report)";
       (* The surviving prefix must still be a structurally sound index. *)
-      (try Index_sig.check idx
-       with e -> fail "recovered prefix fails check: %s" (Printexc.to_string e))
+      ignore
+        (Oracle.guard fs "recovered prefix check" (fun () ->
+             Index_sig.restore_meta idx r.Wal.meta;
+             Index_sig.check idx))
   | _ -> ());
   (* Disarm (clears latent sectors and stops fresh draws) before the
      final oracle reads. *)
   Disk_model.set_faults sys.Setup.disks None;
-  (match wal with Some w -> Wal.set_log_faults w None | None -> ());
-  if !wrong > 0 then
-    fail "%d operations silently returned wrong answers" !wrong;
+  (match wal with Some wal -> Wal.set_log_faults wal None | None -> ());
+  Oracle.check_answers fs m;
   if covered then begin
     (* Full coverage: every fault must have been absorbed by retry or
        repair (the final scrub pass above heals any lingering media
@@ -221,22 +194,18 @@ let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
        match the model exactly. *)
     if !detected > 0 then
       fail "%d operations saw Io_error despite full WAL coverage" !detected;
-    if (!scrub).Scrub.unrecoverable <> [] then
+    if scrub.Scrub.unrecoverable <> [] then
       fail "scrub reported %d unrecoverable pages despite full WAL coverage (%s)"
-        (List.length (!scrub).Scrub.unrecoverable)
+        (List.length scrub.Scrub.unrecoverable)
         (String.concat "; "
            (List.map
               (fun (p, m) -> Printf.sprintf "page %d: %s" p m)
-              (!scrub).Scrub.unrecoverable));
-    if log_leg <> `Detect then begin
-      (match Index_sig.check_invariants idx with
-      | Ok _ -> ()
-      | Error m -> fail "invariant check: %s" m);
-      let want =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] |> List.sort compare
-      in
-      if key_set idx <> want then fail "key set differs from model"
-    end
+              scrub.Scrub.unrecoverable));
+    match (log_leg, recovery) with
+    | `Survive, Some r ->
+        Oracle.check_recovered fs idx r ~committed:n_ops (Oracle.sorted m)
+    | `None, _ -> Oracle.check_state fs ~stage:"final" idx (Oracle.sorted m)
+    | _ -> ()
   end
   else if rate > 0.0 && !detected = 0 && c st.Buffer_pool.err_checksum = 0
           && c st.Buffer_pool.err_latent = 0 then
@@ -244,12 +213,12 @@ let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
        so no end-state check — but the leg is vacuous unless the checksum
        layer actually caught something. *)
     fail "uncovered leg detected no faults (rate too low to exercise it)";
-  let wkv = match wal with Some w -> Wal.kv w | None -> [] in
+  let wkv = match wal with Some wal -> Wal.kv wal | None -> [] in
   let wc name = match List.assoc_opt name wkv with Some v -> v | None -> 0 in
   (match wal with
-  | Some w ->
+  | Some wal ->
       Telemetry.add_kv wkv;
-      Wal.detach w
+      Wal.detach wal
   | None -> ());
   let label =
     match log_leg with
@@ -261,7 +230,7 @@ let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
   in
   Telemetry.add_kv (Buffer_pool.kv sys.Setup.pool);
   Telemetry.add_kv (Disk_model.kv sys.Setup.disks);
-  Telemetry.add_kv (Scrub.kv !scrub);
+  Telemetry.add_kv (Scrub.kv scrub);
   {
     kind;
     label;
@@ -278,25 +247,26 @@ let run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors
     mirror_fallbacks = wc "wal.mirror.fallbacks";
     mirror_heals = wc "wal.mirror.repairs";
     damaged_records =
-      (match !recovery with Some r -> r.Wal.damaged_records | None -> 0);
-    scrub = !scrub;
+      (match recovery with Some r -> r.Wal.damaged_records | None -> 0);
+    scrub;
     elapsed_ns;
-    failures = List.rev !failures;
+    failures = List.rev !fs;
   }
 
 let run_kind ?(seed = 42) ?(log_mirrors = 2) ?log_rate ?scrub_bw scale kind =
-  let n_bulk, n_ops, default_bw, rates = params scale in
+  let _, _, default_bw, rates = params scale in
   let scrub_bw = match scrub_bw with Some b -> b | None -> default_bw in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
-  let searches = List.filter (function Search _ -> true | _ -> false) ops in
-  let plain rate covered ops =
-    run_cell kind pairs ops ~scrub_bw ~rate ~covered ~seed ~log_mirrors:1
+  let w = workload ~seed scale in
+  let searches =
+    { w with Oracle.ops =
+        List.filter (function Oracle.Search _ -> true | _ -> false) w.Oracle.ops }
+  in
+  let plain rate covered w =
+    run_cell kind w ~scrub_bw ~rate ~covered ~seed ~log_mirrors:1
       ~log_rate:0.0 ~log_leg:`None
   in
-  let golden = plain 0.0 true ops in
-  let covered = List.map (fun rate -> plain rate true ops) rates in
+  let golden = plain 0.0 true w in
+  let covered = List.map (fun rate -> plain rate true w) rates in
   (* Uncovered leg at the highest rate: detection is the whole defence. *)
   let top_rate = List.fold_left max 0.0 rates in
   let uncovered = plain top_rate false searches in
@@ -304,14 +274,14 @@ let run_kind ?(seed = 42) ?(log_mirrors = 2) ?log_rate ?scrub_bw scale kind =
   (* Log-fault leg: data faults at the top rate AND a faulty log mirror;
      K is clamped to >= 2 so the clean-mirror contract holds. *)
   let log_survive =
-    run_cell kind pairs ops ~scrub_bw ~rate:top_rate ~covered:true ~seed
+    run_cell kind w ~scrub_bw ~rate:top_rate ~covered:true ~seed
       ~log_mirrors:(max 2 log_mirrors) ~log_rate ~log_leg:`Survive
   in
   (* Single-mirror detection leg: no fault schedule, one deterministic
      hole — recovery must report the loss, never paper over it. *)
   let log_detect =
-    run_cell kind pairs ops ~scrub_bw ~rate:0.0 ~covered:true ~seed
-      ~log_mirrors:1 ~log_rate:0.0 ~log_leg:`Detect
+    run_cell kind w ~scrub_bw ~rate:0.0 ~covered:true ~seed ~log_mirrors:1
+      ~log_rate:0.0 ~log_leg:`Detect
   in
   (golden, covered @ [ uncovered; log_survive; log_detect ])
 
@@ -411,42 +381,18 @@ type shadow_cell = {
   s_failures : string list;
 }
 
-let run_shadow_cell kind pairs ops ~target =
-  let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+let run_shadow_cell kind w ~target =
+  let sys, idx = fresh ~pool_pages kind w.Oracle.pairs in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
   let shadow = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.Setup.pool in
-  let n_ops = List.length ops in
+  let n_ops = List.length w.Oracle.ops in
   let ckpt_every = max 1 (n_ops / 4) in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let m = Hashtbl.create 1024 in
-  Array.iter (fun (k, v) -> Hashtbl.replace m k v) pairs;
-  let wrong = ref 0 in
-  List.iteri
-    (fun i op ->
-      let opn = i + 1 in
-      (match op with
-      | Search k ->
-          if Index_sig.search idx k <> Hashtbl.find_opt m k then incr wrong
-      | Ins (k, v) ->
-          ignore (Index_sig.insert idx k v);
-          Hashtbl.replace m k v
-      | Del k ->
-          ignore (Index_sig.delete idx k);
-          Hashtbl.remove m k);
-      Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx);
-      if opn mod ckpt_every = 0 then begin
-        Shadow.checkpoint_begin shadow;
-        while
-          not (Shadow.checkpoint_tick ~pages:4 shadow
-                 ~meta:(Index_sig.meta idx))
-        do
-          ()
-        done
-      end)
-    ops;
-  if !wrong > 0 then fail "%d operations silently returned wrong answers" !wrong;
+  let fs = ref [] in
+  let fail fmt = Oracle.fail fs fmt in
+  let m = Oracle.model w 0 in
+  Oracle.drive m idx wal w ~from:0 ~upto:n_ops (fun opn ->
+      if opn mod ckpt_every = 0 then Oracle.fuzzy_checkpoint shadow idx);
+  Oracle.check_answers fs m;
   let map = Shadow.map shadow in
   let live = Shadow.current_generation shadow - 1 in
   let live_slot = live land 1 in
@@ -468,16 +414,10 @@ let run_shadow_cell kind pairs ops ~target =
         "both sbs gone"
   in
   Wal.crash_now wal;
-  let r = Shadow.recover shadow in
-  if r.Wal.committed_ops <> n_ops then
-    fail "recovery found %d committed ops, expected %d" r.Wal.committed_ops
-      n_ops;
-  Index_sig.restore_meta idx r.Wal.meta;
-  (try Index_sig.check idx with Failure msg -> fail "structural check: %s" msg);
-  let want =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] |> List.sort compare
-  in
-  if key_set idx <> want then fail "key set differs from model";
+  let r = Oracle.guard fs "recovery" (fun () -> Shadow.recover shadow) in
+  Option.iter
+    (fun r -> Oracle.check_recovered fs idx r ~committed:n_ops (Oracle.sorted m))
+    r;
   let kv = Shadow.kv shadow in
   let g name = Option.value ~default:0 (List.assoc_opt name kv) in
   let fallbacks = g "pagemap.superblock_fallbacks" in
@@ -502,20 +442,17 @@ let run_shadow_cell kind pairs ops ~target =
     s_fallbacks = fallbacks;
     s_plain = plain;
     s_remaps = g "pagemap.remaps";
-    s_committed = r.Wal.committed_ops;
-    s_failures = List.rev !failures;
+    s_committed = (match r with Some r -> r.Wal.committed_ops | None -> 0);
+    s_failures = List.rev !fs;
   }
 
 let shadow_meta_leg ?(seed = 42) scale =
-  let n_bulk, n_ops, _, _ = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let w = workload ~seed scale in
   let cells =
     List.concat_map
       (fun kind ->
         List.map
-          (fun target -> run_shadow_cell kind pairs ops ~target)
+          (fun target -> run_shadow_cell kind w ~target)
           [ `Superblock; `Table; `Both_superblocks ])
       Setup.all_kinds
   in
@@ -555,17 +492,15 @@ let shadow_meta_leg ?(seed = 42) scale =
    scrubber reaches per lap rise with it.  bw=0 is the no-scrub
    baseline. *)
 let scrub_sweep ?(seed = 42) scale =
-  let n_bulk, n_ops, _, rates = params scale in
+  let _, n_ops, _, rates = params scale in
   let rate = List.hd rates in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let w = workload ~seed scale in
   let bws = [ 0; 2; 8; 32 ] in
   let cells =
     List.map
       (fun bw ->
         ( bw,
-          run_cell Setup.Disk_first pairs ops ~scrub_bw:bw ~rate ~covered:true
+          run_cell Setup.Disk_first w ~scrub_bw:bw ~rate ~covered:true
             ~seed ~log_mirrors:1 ~log_rate:0.0 ~log_leg:`None ))
       bws
   in
@@ -604,15 +539,12 @@ let scrub_sweep ?(seed = 42) scale =
    idle.  The table shows the trade: the throttled leg should land its
    p99 near the target while still making scrub progress. *)
 let throttle_sweep ?(seed = 42) scale =
-  let n_bulk, n_ops, _, rates = params scale in
+  let _, n_ops, _, rates = params scale in
   let rate = List.hd rates in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let w = workload ~seed scale in
   let max_bw = 32 in
   let run_leg policy =
-    let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-    let idx = Run.build sys Setup.Disk_first pairs ~fill:0.8 in
+    let sys, idx = fresh ~pool_pages Setup.Disk_first w.Oracle.pairs in
     let wal =
       Wal.attach ~log_base_images:true ~meta:(Index_sig.meta idx)
         sys.Setup.pool
@@ -634,15 +566,12 @@ let throttle_sweep ?(seed = 42) scale =
       | _ -> None
     in
     let clock = sys.Setup.sim.Sim.clock in
-    let lats = Array.make (List.length ops) 0 in
+    let lats = Array.make n_ops 0 in
     List.iteri
       (fun i op ->
         let t0 = Clock.now clock in
         (try
-           (match op with
-           | Search k -> ignore (Index_sig.search idx k)
-           | Ins (k, v) -> ignore (Index_sig.insert idx k v)
-           | Del k -> ignore (Index_sig.delete idx k));
+           Oracle.exec idx op;
            Wal.commit wal ~op:(i + 1) ~meta:(Index_sig.meta idx)
          with Buffer_pool.Io_error _ -> ());
         ignore (Scrub.tick sched : Scrub.report);
@@ -653,7 +582,7 @@ let throttle_sweep ?(seed = 42) scale =
         let lat = Clock.now clock - t0 in
         lats.(i) <- lat;
         match th with Some th -> Scrub.observe th lat | None -> ())
-      ops;
+      w.Oracle.ops;
     Disk_model.set_faults sys.Setup.disks None;
     Wal.detach wal;
     Array.sort compare lats;
@@ -733,26 +662,8 @@ type replica_cell = {
   r_failures : string list;
 }
 
-(* The committed key set after the first [c] ops (searches are no-ops). *)
-let model_upto pairs ops c =
-  let m = Hashtbl.create 1024 in
-  Array.iter (fun (k, v) -> Hashtbl.replace m k v) pairs;
-  List.iteri
-    (fun i op ->
-      if i < c then
-        match op with
-        | Search _ -> ()
-        | Ins (k, v) -> Hashtbl.replace m k v
-        | Del k -> Hashtbl.remove m k)
-    ops;
-  m
-
-let sorted_model m =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] |> List.sort compare
-
-let run_replica_cell kind pairs ops ~mode =
-  let sys = Setup.make ~n_disks:2 ~pool_pages:96 ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+let run_replica_cell kind w ~mode =
+  let sys, idx = fresh ~pool_pages:96 kind w.Oracle.pairs in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
   let group =
     Replica.create
@@ -761,82 +672,31 @@ let run_replica_cell kind pairs ops ~mode =
       ~profiles:[ lossy_profile; lossy_profile ]
       (wal, sys.Setup.pool)
   in
-  let n_ops = List.length ops in
-  let kill_at = n_ops / 2 in
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
-  let m = ref (model_upto pairs ops 0) in
-  let wrong = ref 0 in
-  let apply_op idx wal opn op =
-    (match op with
-    | Search k ->
-        if Index_sig.search idx k <> Hashtbl.find_opt !m k then incr wrong
-    | Ins (k, v) ->
-        ignore (Index_sig.insert idx k v);
-        Hashtbl.replace !m k v
-    | Del k ->
-        ignore (Index_sig.delete idx k);
-        Hashtbl.remove !m k);
-    Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx)
-  in
-  List.iteri
-    (fun i op -> if i < kill_at then apply_op idx wal (i + 1) op)
-    ops;
+  let kill_at = List.length w.Oracle.ops / 2 in
+  let fs = ref [] in
+  let m = Oracle.model w 0 in
+  Oracle.drive m idx wal w ~from:0 ~upto:kill_at ignore;
+  Oracle.check_answers fs m;
   (* Power-cut between ops: every executed commit returned to its
      client. *)
   Wal.crash_now wal;
   Replica.kill group;
-  let horizon = Option.get (Replica.killed_at group) in
-  let acked = Replica.acked_op group ~horizon in
-  let best_durable =
-    let best = ref 0 in
-    for i = 0 to Replica.n_nodes group - 1 do
-      best :=
-        max !best (Replica.node_durable_op group (Replica.node group i) ~horizon)
-    done;
-    !best
+  let acked =
+    Replica.acked_op group ~horizon:(Option.get (Replica.killed_at group))
   in
-  let p = Replica.promote group in
-  (match mode with
-  | Replica.Semi_sync _ ->
-      if p.Replica.committed_op < acked then
-        fail "promotion lost %d acked commits over the lossy link"
-          (acked - p.Replica.committed_op)
-  | Replica.Async ->
-      if p.Replica.committed_op <> best_durable then
-        fail "async promotion op %d, most-advanced durable prefix %d"
-          p.Replica.committed_op best_durable);
-  if p.Replica.committed_op > kill_at then
-    fail "promotion op %d ahead of the %d commits that ever ran"
-      p.Replica.committed_op kill_at;
-  let idx2 = Run.adopt kind p.Replica.pool ~meta:p.Replica.meta in
-  (try Index_sig.check idx2
-   with Failure msg -> fail "promoted structural check: %s" msg);
-  m := model_upto pairs ops p.Replica.committed_op;
-  if key_set idx2 <> sorted_model !m then
-    fail "promoted key set differs from the model at op %d"
-      p.Replica.committed_op;
-  (* Continue on the new primary: re-apply everything past the promoted
-     prefix (the lost suffix first, then the rest of the workload). *)
-  let g2 = Replica.resume group p in
-  List.iteri
-    (fun i op ->
-      let opn = i + 1 in
-      if opn > p.Replica.committed_op then apply_op idx2 p.Replica.wal opn op)
-    ops;
-  if !wrong > 0 then fail "%d searches silently returned wrong answers" !wrong;
-  (try Index_sig.check idx2
-   with Failure msg -> fail "post-continuation structural check: %s" msg);
-  if key_set idx2 <> sorted_model !m then
-    fail "post-continuation key set differs from model";
-  let survivor = Replica.node g2 0 in
-  let synced = Replica.sync_node g2 ~horizon:max_int survivor in
-  if synced <> n_ops then
-    fail "surviving replica converged to op %d, expected %d" synced n_ops;
-  let gkv = Replica.kv g2 in
+  let promoted, truncated, gkv =
+    match
+      Oracle.guard fs "failover" (fun () ->
+          Oracle.failover fs kind w group ~mode ~acked ~returned:kill_at)
+    with
+    | Some (p, g2) ->
+        let gkv = Replica.kv g2 in
+        Telemetry.add_kv gkv;
+        Replica.detach g2;
+        (p.Replica.committed_op, p.Replica.truncated_records, gkv)
+    | None -> (0, 0, [])
+  in
   let g name = Option.value ~default:0 (List.assoc_opt name gkv) in
-  Telemetry.add_kv gkv;
-  Replica.detach g2;
   {
     r_kind = kind;
     r_label =
@@ -844,23 +704,21 @@ let run_replica_cell kind pairs ops ~mode =
       | Replica.Async -> "async"
       | Replica.Semi_sync k -> Printf.sprintf "semi-sync k=%d" k);
     r_acked = acked;
-    r_promoted = p.Replica.committed_op;
-    r_truncated = p.Replica.truncated_records;
+    r_promoted = promoted;
+    r_truncated = truncated;
     r_drops = g "net.drops";
     r_reorders = g "net.reorders";
-    r_failures = List.rev !failures;
+    r_failures = List.rev !fs;
   }
 
 let replica_leg ?(seed = 42) scale =
-  let n_bulk, n_ops, _, _ = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let _, n_ops, _, _ = params scale in
+  let w = workload ~seed scale in
   let cells =
     List.concat_map
       (fun kind ->
         List.map
-          (fun mode -> run_replica_cell kind pairs ops ~mode)
+          (fun mode -> run_replica_cell kind w ~mode)
           [ Replica.Async; Replica.Semi_sync 1 ])
       Setup.all_kinds
   in
@@ -922,8 +780,7 @@ type partition_cell = {
 }
 
 let run_partition_cell kind pairs ~window_ns ~ops_per_phase =
-  let sys = Setup.make ~n_disks:2 ~pool_pages:96 ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+  let sys, idx = fresh ~pool_pages:96 kind pairs in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
   let group =
     Replica.create
@@ -1001,9 +858,8 @@ let run_partition_cell kind pairs ~window_ns ~ops_per_phase =
   }
 
 let partition_leg ?(seed = 42) scale =
-  let n_bulk, n_ops, _, _ = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
+  let _, n_ops, _, _ = params scale in
+  let { Oracle.pairs; _ } = workload ~seed scale in
   let ops_per_phase = max 8 (n_ops / 40) in
   let window_ns = 50_000_000 in
   let cells =

@@ -21,69 +21,52 @@
 open Fpb_btree_common
 open Fpb_wal
 
-type op = Ins of int * int | Del of int
-
 (* bulk entries, operations, checkpoint interval, crash points per kind *)
 let params = function
   | Scale.Tiny -> (800, 60, 20, 40)
   | Scale.Quick -> (4_000, 200, 50, 150)
   | Scale.Full -> (16_000, 500, 100, 400)
 
+(* 45 % fresh inserts, 25 % updates, 30 % deletes. *)
+let mix = { Oracle.search = 0; insert = 45; update = 25 }
+
 (* Small pages and a small pool so the scenario exercises evictions,
    deferred write-backs and multi-page log flushes, not just the happy
    path. *)
-let page_size = 4096
-let pool_pages = 96
+let fresh kind w =
+  Run.fresh ~n_disks:2 ~pool_pages:96 ~page_size:4096 kind w.Oracle.pairs
+    ~fill:0.8
 
-let gen_ops rng pairs n =
-  let existing () = fst pairs.(Fpb_workload.Prng.int rng (Array.length pairs)) in
-  List.init n (fun _ ->
-      let r = Fpb_workload.Prng.int rng 100 in
-      if r < 45 then
-        Ins (1 + Fpb_workload.Prng.int rng 0x3FFFFFFE, Fpb_workload.Prng.int rng 0xFFFF)
-      else if r < 70 then Ins (existing (), Fpb_workload.Prng.int rng 0xFFFF)
-      else Del (existing ()))
-
-let apply idx = function
-  | Ins (k, v) -> ignore (Index_sig.insert idx k v)
-  | Del k -> ignore (Index_sig.delete idx k)
-
-(* The committed key set after the first [c] operations. *)
-let model_after pairs ops c =
-  let m = Hashtbl.create 1024 in
-  Array.iter (fun (k, v) -> Hashtbl.replace m k v) pairs;
-  List.iteri
-    (fun i op ->
-      if i < c then
-        match op with
-        | Ins (k, v) -> Hashtbl.replace m k v
-        | Del k -> Hashtbl.remove m k)
-    ops;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) m [] |> List.sort compare
-
-(* Run the scenario on a fresh system.  [crash_at] is armed only after
-   [Wal.attach], so the attach-time checkpoint always completes; a crash
-   byte inside it degenerates to a clean cut after it, which recovery
-   handles identically.  Returns the system with the WAL still in
-   whatever state the run ended in (completed or crashed). *)
-let run_scenario kind pairs ops ~ckpt_every ~crash_at =
-  let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+(* Run the scenario on a fresh system.  [attach wal pool] runs right after
+   [Wal.attach] (the replica sweep creates its group there).  [crash_at]
+   is armed after that, so the attach-time checkpoint always completes; a
+   crash byte inside it degenerates to a clean cut after it, which
+   recovery handles identically.  Returns the index, the WAL in whatever
+   state the run ended in (completed or crashed), what [attach] returned,
+   the golden-prefix function [expect] and the last op whose commit
+   returned.  [expect b] = #{i | commit_end(i) <= b}: on a run to
+   completion, the ops a crash at byte [b] must preserve. *)
+let run_scenario kind w ~ckpt_every ~crash_at ~attach =
+  let sys, idx = fresh kind w in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
+  let attached = attach wal sys.Setup.pool in
   Wal.set_crash_at_byte wal crash_at;
-  let commit_ends = Array.make (List.length ops + 1) max_int in
+  let commit_ends = Array.make (List.length w.Oracle.ops + 1) max_int in
+  let returned = ref 0 in
   (try
-     List.iteri
-       (fun i op ->
-         let opn = i + 1 in
-         apply idx op;
-         Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx);
+     Oracle.drive (Oracle.model w 0) idx wal w ~from:0 ~upto:max_int
+       (fun opn ->
+         returned := opn;
          commit_ends.(opn) <- Wal.log_bytes wal;
          if ckpt_every > 0 && opn mod ckpt_every = 0 then
            Wal.checkpoint wal ~meta:(Index_sig.meta idx))
-       ops
    with Wal.Crashed -> ());
-  (sys, idx, wal, commit_ends)
+  let expect b =
+    let c = ref 0 in
+    Array.iteri (fun i e -> if i > 0 && e <= b then incr c) commit_ends;
+    !c
+  in
+  (idx, wal, attached, expect, !returned)
 
 type result = {
   kind : Setup.kind;
@@ -93,84 +76,52 @@ type result = {
   failures : (string * string) list;  (* (point label, what broke) *)
 }
 
-let check_point kind pairs ops ~ckpt_every ~expect point =
-  let sys, idx, wal, _ =
-    run_scenario kind pairs ops ~ckpt_every
-      ~crash_at:(Some point.Crash.at_byte)
-  in
-  ignore sys;
-  if not (Wal.is_crashed wal) then Wal.crash_now wal;
-  let torn = point.Crash.tear && Wal.tear_last_writeback wal in
-  let r = Wal.recover wal in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if r.Wal.committed_ops <> expect point.Crash.at_byte then
-    err "recovered %d committed ops, expected %d" r.Wal.committed_ops
-      (expect point.Crash.at_byte);
+let labelled label (fs : Oracle.failures) =
+  List.rev_map (fun m -> (label, m)) !fs
+
+(* Both recovery sweeps: every page byte-equals its durable image, the
+   recovered state is the model at the committed prefix, and the system
+   keeps running — the lost suffix re-applied, then [sync], must reach
+   the full model. *)
+let check_recovery fs w idx wal r ~committed sync =
   (match Wal.verify_images wal with
   | Ok () -> ()
-  | Error m -> err "durable image check: %s" m);
-  Index_sig.restore_meta idx r.Wal.meta;
-  (try Index_sig.check idx
-   with Failure m -> err "structural check: %s" m);
-  let got = ref [] in
-  Index_sig.iter idx (fun k v -> got := (k, v) :: !got);
-  let got = List.sort compare !got in
-  let committed = expect point.Crash.at_byte in
-  let want = model_after pairs ops committed in
-  if got <> want then
-    err "key set mismatch: %d entries recovered, %d expected"
-      (List.length got) (List.length want);
-  (* Continue the workload past the crash: the committed Alloc/Free
-     records restored the allocation map, so the recovered system must be
-     able to keep running — re-apply the lost suffix of operations and
-     require the final state to match the full model.  This is what makes
-     recovery an availability property, not just a consistency one. *)
-  (try
-     List.iteri
-       (fun i op ->
-         let opn = i + 1 in
-         if opn > committed then begin
-           apply idx op;
-           Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx)
-         end)
-       ops;
-     (try Index_sig.check idx
-      with Failure m -> err "post-continuation structural check: %s" m);
-     let got = ref [] in
-     Index_sig.iter idx (fun k v -> got := (k, v) :: !got);
-     let got = List.sort compare !got in
-     let want = model_after pairs ops (List.length ops) in
-     if got <> want then
-       err "post-continuation key set mismatch: %d entries, %d expected"
-         (List.length got) (List.length want)
-   with e -> err "workload continuation raised: %s" (Printexc.to_string e));
-  (torn, List.rev_map (fun m -> (point.Crash.label, m)) !errors)
+  | Error m -> Oracle.fail fs "durable image check: %s" m);
+  let m = Oracle.model w committed in
+  Oracle.check_recovered fs idx r ~committed (Oracle.sorted m);
+  Oracle.check_continuation fs m idx wal w ~from:committed sync
+
+let check_point kind w ~ckpt_every ~expect point =
+  let fs = ref [] in
+  let torn =
+    Oracle.guard fs "recovery" (fun () ->
+        let idx, wal, (), _, _ =
+          run_scenario kind w ~ckpt_every ~crash_at:(Some point.Crash.at_byte)
+            ~attach:(fun _ _ -> ())
+        in
+        if not (Wal.is_crashed wal) then Wal.crash_now wal;
+        let torn = point.Crash.tear && Wal.tear_last_writeback wal in
+        check_recovery fs w idx wal (Wal.recover wal)
+          ~committed:(expect point.Crash.at_byte) ignore;
+        torn)
+  in
+  (torn = Some true, labelled point.Crash.label fs)
 
 let run_kind ?(seed = 42) scale kind =
   let n_bulk, n_ops, ckpt_every, max_points = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let w = Oracle.workload mix ~seed n_bulk n_ops in
   (* Golden run: layout + per-op commit offsets, and a sanity check that
      the scenario itself is sound. *)
-  let _sys, idx, wal, commit_ends =
-    run_scenario kind pairs ops ~ckpt_every ~crash_at:None
+  let idx, wal, (), expect, _ =
+    run_scenario kind w ~ckpt_every ~crash_at:None ~attach:(fun _ _ -> ())
   in
   Index_sig.check idx;
-  let layout = Wal.layout wal in
-  let log_bytes = Wal.log_bytes wal in
-  let expect b =
-    let c = ref 0 in
-    Array.iteri (fun i e -> if i > 0 && e <= b then incr c) commit_ends;
-    !c
-  in
-  let points = Crash.points ~max_points layout in
+  let points = Crash.points ~max_points (Wal.layout wal) in
   let torn = ref 0 in
   let failures = ref [] in
   List.iter
     (fun p ->
-      let tore, errs = check_point kind pairs ops ~ckpt_every ~expect p in
+      let tore, errs = check_point kind w ~ckpt_every ~expect p in
       if tore then incr torn;
       failures := !failures @ errs)
     points;
@@ -178,7 +129,7 @@ let run_kind ?(seed = 42) scale kind =
     kind;
     points = List.length points;
     torn = !torn;
-    log_bytes;
+    log_bytes = Wal.log_bytes wal;
     failures = !failures;
   }
 
@@ -218,109 +169,56 @@ let shadow_crash_points =
   ]
 
 (* Run the scenario with the shadow layer attached and fuzzy checkpoints
-   (begin + bounded ticks) at the usual cadence; arm [crash_point] on
-   the [crash_ckpt]-th one ([0] never arms).  Returns the system crashed
-   (at the armed point, or via a power cut at the end if it never fired)
-   plus the committed-op count the crash must preserve. *)
-let run_shadow_scenario kind pairs ops ~ckpt_every ~crash_ckpt ~crash_point =
-  let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
+   at the usual cadence; arm [crash_point] on the [crash_ckpt]-th one
+   ([0] never arms).  Returns the system crashed (at the armed point, or
+   via a power cut at the end if it never fired) plus the committed-op
+   count the crash must preserve. *)
+let run_shadow_scenario kind w ~ckpt_every ~crash_ckpt ~crash_point =
+  let sys, idx = fresh kind w in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
   let shadow = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.Setup.pool in
   let committed = ref 0 in
-  let ckpt_no = ref 0 in
   (try
-     List.iteri
-       (fun i op ->
-         let opn = i + 1 in
-         apply idx op;
-         Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx);
+     Oracle.drive (Oracle.model w 0) idx wal w ~from:0 ~upto:max_int
+       (fun opn ->
          committed := opn;
          if ckpt_every > 0 && opn mod ckpt_every = 0 then begin
-           incr ckpt_no;
-           if !ckpt_no = crash_ckpt then
+           if opn / ckpt_every = crash_ckpt then
              Shadow.set_crash_point shadow (Some crash_point);
-           Shadow.checkpoint_begin shadow;
-           while
-             not (Shadow.checkpoint_tick ~pages:4 shadow
-                    ~meta:(Index_sig.meta idx))
-           do
-             ()
-           done
+           Oracle.fuzzy_checkpoint shadow idx
          end)
-       ops
    with Wal.Crashed -> ());
   if not (Wal.is_crashed wal) then Wal.crash_now wal;
-  (sys, idx, shadow, !committed)
+  (idx, shadow, !committed)
 
-let check_shadow_point kind pairs ops ~ckpt_every ~crash_ckpt ~crash_point
-    ~label =
-  let _sys, idx, shadow, committed =
-    run_shadow_scenario kind pairs ops ~ckpt_every ~crash_ckpt ~crash_point
-  in
-  let wal = Shadow.wal shadow in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  (try
-     let r = Shadow.recover shadow in
-     if r.Wal.committed_ops <> committed then
-       err "recovered %d committed ops, expected %d" r.Wal.committed_ops
-         committed;
-     (match Wal.verify_images wal with
-     | Ok () -> ()
-     | Error m -> err "durable image check: %s" m);
-     Index_sig.restore_meta idx r.Wal.meta;
-     (try Index_sig.check idx
-      with Failure m -> err "structural check: %s" m);
-     let got = ref [] in
-     Index_sig.iter idx (fun k v -> got := (k, v) :: !got);
-     let got = List.sort compare !got in
-     let want = model_after pairs ops committed in
-     if got <> want then
-       err "key set mismatch: %d entries recovered, %d expected"
-         (List.length got) (List.length want);
-     (* Availability: re-apply the lost suffix and take one more fuzzy
-        checkpoint — the recovered mapping, free-block lists and
-        generation chain must all still work. *)
-     try
-       List.iteri
-         (fun i op ->
-           let opn = i + 1 in
-           if opn > committed then begin
-             apply idx op;
-             Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx)
-           end)
-         ops;
-       Shadow.checkpoint_sync shadow ~meta:(Index_sig.meta idx);
-       (try Index_sig.check idx
-        with Failure m -> err "post-continuation structural check: %s" m);
-       let got = ref [] in
-       Index_sig.iter idx (fun k v -> got := (k, v) :: !got);
-       let got = List.sort compare !got in
-       let want = model_after pairs ops (List.length ops) in
-       if got <> want then
-         err "post-continuation key set mismatch: %d entries, %d expected"
-           (List.length got) (List.length want)
-     with e -> err "workload continuation raised: %s" (Printexc.to_string e)
-   with e -> err "recovery raised: %s" (Printexc.to_string e));
-  List.rev_map (fun m -> (label, m)) !errors
+(* The continuation ends with one more fuzzy checkpoint: the recovered
+   mapping, free-block lists and generation chain must all still work. *)
+let check_shadow_point kind w ~ckpt_every ~crash_ckpt ~crash_point ~label =
+  let fs = ref [] in
+  ignore
+    (Oracle.guard fs "recovery" (fun () ->
+         let idx, shadow, committed =
+           run_shadow_scenario kind w ~ckpt_every ~crash_ckpt ~crash_point
+         in
+         check_recovery fs w idx (Shadow.wal shadow) (Shadow.recover shadow)
+           ~committed (fun () ->
+             Shadow.checkpoint_sync shadow ~meta:(Index_sig.meta idx))));
+  labelled label fs
 
 let run_shadow_kind ?(seed = 42) scale kind =
   let n_bulk, n_ops, ckpt_every, _ = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
+  let w = Oracle.workload mix ~seed n_bulk n_ops in
   (* Golden run (no armed point): sanity-check the fuzzy scenario itself
      and learn how many checkpoints it takes. *)
-  let _sys, idx, shadow, golden_committed =
-    run_shadow_scenario kind pairs ops ~ckpt_every ~crash_ckpt:0
+  let idx, shadow, golden_committed =
+    run_shadow_scenario kind w ~ckpt_every ~crash_ckpt:0
       ~crash_point:Shadow.After_flip
   in
-  if golden_committed <> List.length ops then
+  if golden_committed <> n_ops then
     failwith "shadow golden run did not commit every operation";
   Index_sig.check idx;
   let log_bytes = Wal.log_bytes (Shadow.wal shadow) in
-  let n_ckpts = if ckpt_every > 0 then List.length ops / ckpt_every else 0 in
+  let n_ckpts = if ckpt_every > 0 then n_ops / ckpt_every else 0 in
   let failures = ref [] in
   let points = ref 0 in
   for c = 1 to n_ckpts do
@@ -330,8 +228,8 @@ let run_shadow_kind ?(seed = 42) scale kind =
         let label = Printf.sprintf "ckpt%d/%s" c name in
         failures :=
           !failures
-          @ check_shadow_point kind pairs ops ~ckpt_every ~crash_ckpt:c
-              ~crash_point ~label)
+          @ check_shadow_point kind w ~ckpt_every ~crash_ckpt:c ~crash_point
+              ~label)
       shadow_crash_points
   done;
   { kind; points = !points; torn = 0; log_bytes; failures = !failures }
@@ -354,137 +252,54 @@ let run_shadow_kind ?(seed = 42) scale kind =
 module Replica = Fpb_replica.Replica
 module Net = Fpb_replica.Net
 
-let run_replica_scenario kind pairs ops ~ckpt_every ~mode ~crash_at =
-  let sys = Setup.make ~n_disks:2 ~pool_pages ~page_size () in
-  let idx = Run.build sys kind pairs ~fill:0.8 in
-  let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.Setup.pool in
-  let group =
-    Replica.create
-      ~config:{ Replica.default_config with Replica.mode }
-      ~prng:(Fpb_workload.Prng.create 0xfa11)
-      ~profiles:[ Net.default_profile; Net.default_profile ]
-      (wal, sys.Setup.pool)
-  in
-  Wal.set_crash_at_byte wal crash_at;
-  let commit_ends = Array.make (List.length ops + 1) max_int in
-  let acked = ref 0 in
-  (try
-     List.iteri
-       (fun i op ->
-         let opn = i + 1 in
-         apply idx op;
-         Wal.commit wal ~op:opn ~meta:(Index_sig.meta idx);
-         acked := opn;
-         commit_ends.(opn) <- Wal.log_bytes wal;
-         if ckpt_every > 0 && opn mod ckpt_every = 0 then
-           Wal.checkpoint wal ~meta:(Index_sig.meta idx))
-       ops
-   with Wal.Crashed -> ());
-  (sys, idx, wal, group, commit_ends, !acked)
+let replicate mode wal pool =
+  Replica.create
+    ~config:{ Replica.default_config with Replica.mode }
+    ~prng:(Fpb_workload.Prng.create 0xfa11)
+    ~profiles:[ Net.default_profile; Net.default_profile ]
+    (wal, pool)
 
-let check_replica_point kind pairs ops ~ckpt_every ~mode ~expect point =
-  let _sys, _idx, wal, group, _ends, acked =
-    run_replica_scenario kind pairs ops ~ckpt_every ~mode
-      ~crash_at:(Some point.Crash.at_byte)
-  in
-  if not (Wal.is_crashed wal) then Wal.crash_now wal;
-  Replica.kill group;
-  let horizon = Option.get (Replica.killed_at group) in
-  let best_durable =
-    let best = ref 0 in
-    for i = 0 to Replica.n_nodes group - 1 do
-      best :=
-        max !best (Replica.node_durable_op group (Replica.node group i) ~horizon)
-    done;
-    !best
-  in
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  if acked <> expect point.Crash.at_byte then
-    err "scenario acked %d ops, golden layout expected %d" acked
-      (expect point.Crash.at_byte);
-  let p = Replica.promote group in
-  (match mode with
-  | Replica.Semi_sync _ ->
-      if p.Replica.committed_op < acked then
-        err "promotion lost %d acked commits (acked %d, promoted %d)"
-          (acked - p.Replica.committed_op) acked p.Replica.committed_op
-  | Replica.Async ->
-      if p.Replica.committed_op <> best_durable then
-        err "promotion op %d, most-advanced durable prefix is %d"
-          p.Replica.committed_op best_durable;
-      if p.Replica.committed_op > acked then
-        err "promotion op %d ahead of the %d commits that ever returned"
-          p.Replica.committed_op acked);
-  let idx2 = Run.adopt kind p.Replica.pool ~meta:p.Replica.meta in
-  (try Index_sig.check idx2
-   with Failure m -> err "promoted structural check: %s" m);
-  let got = ref [] in
-  Index_sig.iter idx2 (fun k v -> got := (k, v) :: !got);
-  let got = List.sort compare !got in
-  let want = model_after pairs ops p.Replica.committed_op in
-  if got <> want then
-    err "promoted key set mismatch: %d entries, %d expected"
-      (List.length got) (List.length want);
-  (* Availability: the promoted primary re-applies the lost suffix and
-     the surviving replica, re-baselined by [resume], must converge. *)
-  (try
-     let g2 = Replica.resume group p in
-     List.iteri
-       (fun i op ->
-         let opn = i + 1 in
-         if opn > p.Replica.committed_op then begin
-           apply idx2 op;
-           Wal.commit p.Replica.wal ~op:opn ~meta:(Index_sig.meta idx2)
-         end)
-       ops;
-     (try Index_sig.check idx2
-      with Failure m -> err "post-continuation structural check: %s" m);
-     let got = ref [] in
-     Index_sig.iter idx2 (fun k v -> got := (k, v) :: !got);
-     let got = List.sort compare !got in
-     let want = model_after pairs ops (List.length ops) in
-     if got <> want then
-       err "post-continuation key set mismatch: %d entries, %d expected"
-         (List.length got) (List.length want);
-     let survivor = Replica.node g2 0 in
-     let synced = Replica.sync_node g2 ~horizon:max_int survivor in
-     if synced <> List.length ops then
-       err "surviving replica converged to op %d, expected %d" synced
-         (List.length ops);
-     Replica.detach g2
-   with e -> err "continuation raised: %s" (Printexc.to_string e));
-  List.rev_map (fun m -> (point.Crash.label, m)) !errors
+let check_replica_point kind w ~ckpt_every ~mode ~expect point =
+  let fs = ref [] in
+  ignore
+    (Oracle.guard fs "failover" (fun () ->
+         let _, wal, group, _, acked =
+           run_scenario kind w ~ckpt_every ~crash_at:(Some point.Crash.at_byte)
+             ~attach:(replicate mode)
+         in
+         if not (Wal.is_crashed wal) then Wal.crash_now wal;
+         Replica.kill group;
+         if acked <> expect point.Crash.at_byte then
+           Oracle.fail fs "scenario acked %d ops, golden layout expected %d"
+             acked (expect point.Crash.at_byte);
+         let _, g2 =
+           Oracle.failover fs kind w group ~mode ~acked ~returned:acked
+         in
+         Replica.detach g2));
+  labelled point.Crash.label fs
 
 let run_replica_kind ?(seed = 42) scale kind mode =
   let n_bulk, n_ops, ckpt_every, max_points = params scale in
-  let rng = Fpb_workload.Prng.create seed in
-  let pairs = Fpb_workload.Keygen.bulk_pairs rng n_bulk in
-  let ops = gen_ops rng pairs n_ops in
-  let _sys, idx, wal, group, commit_ends, golden_acked =
-    run_replica_scenario kind pairs ops ~ckpt_every ~mode ~crash_at:None
+  let w = Oracle.workload mix ~seed n_bulk n_ops in
+  let idx, wal, group, expect, golden_acked =
+    run_scenario kind w ~ckpt_every ~crash_at:None ~attach:(replicate mode)
   in
-  if golden_acked <> List.length ops then
+  if golden_acked <> n_ops then
     failwith "replica golden run did not commit every operation";
   Index_sig.check idx;
   Replica.detach group;
-  let layout = Wal.layout wal in
-  let log_bytes = Wal.log_bytes wal in
-  let expect b =
-    let c = ref 0 in
-    Array.iteri (fun i e -> if i > 0 && e <= b then incr c) commit_ends;
-    !c
-  in
   (* Every record boundary (mid-record cuts degenerate to the boundary
      below — the torn tail never shipped — so they add nothing here). *)
-  let points = Crash.points ~mid_record:false ~tear_every:0 ~max_points layout in
+  let points =
+    Crash.points ~mid_record:false ~tear_every:0 ~max_points (Wal.layout wal)
+  in
   let failures = ref [] in
   List.iter
     (fun p ->
       failures :=
-        !failures @ check_replica_point kind pairs ops ~ckpt_every ~mode ~expect p)
+        !failures @ check_replica_point kind w ~ckpt_every ~mode ~expect p)
     points;
-  { kind; points = List.length points; torn = 0; log_bytes;
+  { kind; points = List.length points; torn = 0; log_bytes = Wal.log_bytes wal;
     failures = !failures }
 
 (* Run every index structure; returns results and a summary table.  Each

@@ -372,6 +372,76 @@ let test_full_report_roundtrip () =
     exps;
   check_matches_committed parsed
 
+(* `fpb crashtest` at its CI seed: no checker failure, and every sweep
+   exercises exactly its known crash points, torn pages and golden log
+   volume — a moved number means the scenario or the crash controller
+   changed what the sweep covers. *)
+let test_crashtest_claims () =
+  let results, table = Crashtest.run_all ~seed:42 Scale.Tiny in
+  List.iter
+    (fun r ->
+      List.iter (fun (l, m) -> Alcotest.failf "%s: %s" l m) r.Crashtest.failures)
+    results;
+  let sweep suffix points torn log_bytes =
+    List.map2
+      (fun (kind, torn) bytes ->
+        (Setup.kind_name kind ^ suffix)
+        :: List.map string_of_int [ points; torn; bytes; 0 ])
+      (List.combine Setup.all_kinds torn)
+      log_bytes
+  in
+  let golden = [ 179583; 180247; 120018; 57052 ] in
+  Alcotest.(check (list (list string)))
+    "crashtest table"
+    (sweep "" 40 [ 3; 3; 1; 1 ] golden
+    @ sweep " (shadow)" 21 [ 0; 0; 0; 0 ] [ 179616; 180280; 120051; 57105 ]
+    @ sweep " (replica async)" 40 [ 0; 0; 0; 0 ] golden
+    @ sweep " (replica semi-sync)" 40 [ 0; 0; 0; 0 ] golden)
+    table.Table.rows
+
+(* --- the shared recovery oracle is not vacuous --- *)
+
+(* A disk-first index after ten committed fresh inserts, power-cut and
+   recovered: the state the oracle must accept, and its inputs. *)
+let recovered () =
+  let { Oracle.pairs; _ } = Oracle.workload Crashtest.mix ~seed:1 150 0 in
+  let top = fst pairs.(Array.length pairs - 1) in
+  let ops = List.init 10 (fun i -> Oracle.Ins (top + 1 + i, i)) in
+  let w = { Oracle.pairs; ops } in
+  let idx, wal, (), _, _ =
+    Crashtest.run_scenario Setup.Disk_first w ~ckpt_every:0 ~crash_at:None
+      ~attach:(fun _ _ -> ())
+  in
+  Fpb_wal.Wal.crash_now wal;
+  (w, idx, Fpb_wal.Wal.recover wal)
+
+let test_oracle_not_vacuous () =
+  let w, idx, r = recovered () in
+  let want c = Oracle.sorted (Oracle.model w c) in
+  let failures what expected check =
+    let fs = ref [] in
+    check fs;
+    Alcotest.(check (list string)) what expected (List.rev !fs)
+  in
+  failures "the true model passes" [] (fun fs ->
+      Oracle.check_recovered fs idx r ~committed:10 (want 10));
+  failures "model one committed op short"
+    [ "recovered key set mismatch: 160 entries, 159 expected" ] (fun fs ->
+      Oracle.check_recovered fs idx r ~committed:10 (want 9));
+  failures "model missing a key"
+    [ "recovered key set mismatch: 160 entries, 159 expected" ] (fun fs ->
+      Oracle.check_recovered fs idx r ~committed:10 (List.tl (want 10)));
+  failures "semi-sync promotion below the acked count"
+    [ "promotion lost 1 acked commits (acked 10, promoted 9)" ] (fun fs ->
+      Oracle.check_promotion fs ~mode:(Fpb_replica.Replica.Semi_sync 1)
+        ~acked:10 ~best:9 ~returned:10 9);
+  failures "bogus metadata"
+    [ "restore_meta raised: Invalid_argument(\"disk-first fpB+tree.restore_meta: \
+       bad shape\")" ]
+    (fun fs ->
+      Oracle.check_recovered fs idx { r with meta = [ 1 ] } ~committed:10
+        (want 10))
+
 let suite =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
@@ -380,4 +450,7 @@ let suite =
     Alcotest.test_case "csv" `Quick test_csv_roundtrip;
     Alcotest.test_case "measurement isolation" `Quick test_measure_cycles_isolated;
     Alcotest.test_case "full tiny report round-trips" `Slow test_full_report_roundtrip;
+    Alcotest.test_case "crashtest claims" `Slow test_crashtest_claims;
+    Alcotest.test_case "recovery oracle is not vacuous" `Quick
+      test_oracle_not_vacuous;
   ]

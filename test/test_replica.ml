@@ -173,15 +173,7 @@ let async_kill_prop frac =
   if not (Wal.is_crashed wal) then Wal.crash_now wal;
   Replica.kill group;
   let horizon = Option.get (Replica.killed_at group) in
-  let best =
-    let b = ref 0 in
-    for i = 0 to Replica.n_nodes group - 1 do
-      b :=
-        max !b
-          (Replica.node_durable_op group (Replica.node group i) ~horizon)
-    done;
-    !b
-  in
+  let best = X.Oracle.best_durable group ~horizon in
   let acked = Replica.acked_op group ~horizon in
   let p = Replica.promote group in
   (* most-advanced durable prefix wins; async acks can outrun replicas

@@ -124,11 +124,6 @@ let build_small kind n =
   let idx = X.Run.build sys kind pairs ~fill:0.8 in
   (sys, pairs, idx)
 
-let key_set idx =
-  let acc = ref [] in
-  Index_sig.iter idx (fun k v -> acc := (k, v) :: !acc);
-  List.sort compare !acc
-
 let attach_shadow sys idx =
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.X.Setup.pool in
   let shadow = Shadow.attach ~meta:(Index_sig.meta idx) wal sys.X.Setup.pool in
@@ -234,7 +229,7 @@ let test_recover_falls_back_past_damage () =
   let want =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [] |> List.sort compare
   in
-  check_bool "key set matches the model" true (key_set idx = want)
+  check_bool "key set matches the model" true (X.Oracle.key_set idx = want)
 
 (* --- bounded replay --- *)
 
@@ -282,15 +277,13 @@ let prop_flip_boundary_recovery =
     (fun seed ->
       List.for_all
         (fun kind ->
-          let rng = Fpb_workload.Prng.create seed in
-          let pairs = Fpb_workload.Keygen.bulk_pairs rng 150 in
-          let ops = X.Crashtest.gen_ops rng pairs 12 in
+          let w = X.Oracle.workload X.Crashtest.mix ~seed 150 12 in
           List.for_all
             (fun crash_ckpt ->
               List.for_all
                 (fun (crash_point, name) ->
                   let errs =
-                    X.Crashtest.check_shadow_point kind pairs ops
+                    X.Crashtest.check_shadow_point kind w
                       ~ckpt_every:4 ~crash_ckpt ~crash_point
                       ~label:(Printf.sprintf "ckpt%d/%s" crash_ckpt name)
                   in

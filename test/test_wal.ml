@@ -170,11 +170,6 @@ let build_small kind n =
   let idx = X.Run.build sys kind pairs ~fill:0.8 in
   (sys, pairs, idx)
 
-let key_set idx =
-  let acc = ref [] in
-  Index_sig.iter idx (fun k v -> acc := (k, v) :: !acc);
-  List.sort compare !acc
-
 let test_commit_recover () =
   let sys, _, idx = build_small X.Setup.Disk_first 300 in
   let wal = Wal.attach ~meta:(Index_sig.meta idx) sys.X.Setup.pool in
@@ -201,7 +196,7 @@ let test_group_commit_loss () =
      a power cut loses them all, and recovery rolls back to the
      attach-time checkpoint. *)
   let sys, pairs, idx = build_small X.Setup.Disk_opt 300 in
-  let before = key_set idx in
+  let before = X.Oracle.key_set idx in
   let wal =
     Wal.attach ~group_commit_bytes:8_000_000 ~meta:(Index_sig.meta idx)
       sys.X.Setup.pool
@@ -215,7 +210,7 @@ let test_group_commit_loss () =
   check_int "buffered commits lost" 0 r.Wal.committed_ops;
   Index_sig.restore_meta idx r.Wal.meta;
   Index_sig.check idx;
-  Alcotest.(check bool) "key set back to bulkload" true (key_set idx = before);
+  Alcotest.(check bool) "key set back to bulkload" true (X.Oracle.key_set idx = before);
   check_int "bulkload size sanity" (Array.length pairs) (List.length before)
 
 let test_explicit_flush_durable () =
@@ -280,7 +275,7 @@ let prop_mirror_survives_single_fault =
         ignore (Index_sig.insert idx (1_000_000 + i) (seed + i));
         Wal.commit wal ~op:i ~meta:(Index_sig.meta idx)
       done;
-      let expected = key_set idx in
+      let expected = X.Oracle.key_set idx in
       let dlen = Wal.durable_bytes wal in
       (match dkind with
       | 0 ->
@@ -312,7 +307,7 @@ let prop_mirror_survives_single_fault =
       let survived =
         r.Wal.committed_ops = 8
         && r.Wal.damaged_records = 0
-        && key_set idx = expected
+        && X.Oracle.key_set idx = expected
       in
       (* and the healed log is still a usable repair source *)
       Buffer_pool.clear sys.X.Setup.pool;
@@ -383,7 +378,7 @@ let prop_striping_invariant =
         let r = Wal.recover wal in
         Index_sig.restore_meta idx r.Wal.meta;
         Index_sig.check idx;
-        (r.Wal.committed_ops, r.Wal.damaged_records, key_set idx)
+        (r.Wal.committed_ops, r.Wal.damaged_records, X.Oracle.key_set idx)
       in
       let a = outcome 1 in
       a = outcome 2 && a = outcome 4)
@@ -466,23 +461,17 @@ let prop_recovery_prefix =
     (fun seed ->
       List.for_all
         (fun kind ->
-          let rng = Fpb_workload.Prng.create seed in
-          let pairs = Fpb_workload.Keygen.bulk_pairs rng 150 in
-          let ops = X.Crashtest.gen_ops rng pairs 12 in
-          let _sys, idx, wal, commit_ends =
-            X.Crashtest.run_scenario kind pairs ops ~ckpt_every:5 ~crash_at:None
+          let w = X.Oracle.workload X.Crashtest.mix ~seed 150 12 in
+          let idx, wal, (), expect, _ =
+            X.Crashtest.run_scenario kind w ~ckpt_every:5 ~crash_at:None
+              ~attach:(fun _ _ -> ())
           in
           Index_sig.check idx;
-          let expect b =
-            let c = ref 0 in
-            Array.iteri (fun i e -> if i > 0 && e <= b then incr c) commit_ends;
-            !c
-          in
           let points = Crash.points ~mid_record:false (Wal.layout wal) in
           List.for_all
             (fun p ->
               let _, errs =
-                X.Crashtest.check_point kind pairs ops ~ckpt_every:5 ~expect p
+                X.Crashtest.check_point kind w ~ckpt_every:5 ~expect p
               in
               errs = [])
             points)
