@@ -35,6 +35,8 @@ let total_ops = function
   | Scale.Quick -> 4_000
   | Scale.Full -> 16_000
 
+let full_diffs = "wal.delta.full_diffs"
+
 type cell = {
   label : string;
   offered_ops_per_s : float option; (* None: closed loop *)
@@ -46,11 +48,15 @@ type cell = {
 }
 
 (* A fresh test bed and workload per cell, so cells never contaminate
-   each other; [k] drives it and returns the cell's result. *)
+   each other; [k] drives it and returns the cell's result.  Each cell
+   also adds its WAL's whole-page delta diffs (none expected: every page
+   change goes through [Mem]). *)
 let with_system scale ~pool_pages ?dist mix k =
   let b = Bed.make (Bed.system ~pool_pages) (Bed.pairs (bulk_entries scale)) in
-  let w = Bed.workload ?dist ~mix b (Bed.wal b) in
+  let wal = Bed.wal b in
+  let w = Bed.workload ?dist ~mix b wal in
   let result = k b w in
+  Telemetry.add full_diffs (List.assoc full_diffs (Fpb_wal.Wal.kv wal));
   Index_sig.check b.Bed.idx;
   (result, Bed.hit_pct b)
 

@@ -509,6 +509,7 @@ let promote ?node t =
     match get_page best id with
     | Some b ->
         Bytes.blit b 0 (Page_store.bytes store id) 0 t.page_size;
+        Page_store.rewritten store id;
         Page_store.stamp ~lsn:best.committed_lsn store id
     | None -> ()
   done;

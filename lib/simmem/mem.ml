@@ -3,21 +3,51 @@
    A region is a byte buffer (normally one buffer-pool frame) plus the base
    address it occupies in the simulated physical address space.  The charged
    accessors drive the cache simulator and the busy-cycle cost model; the
-   [peek_*]/[poke_*] variants bypass both and exist for invariant checkers,
-   test oracles and debug printers, which must not perturb the measured
+   [peek_*] variants bypass both and exist for invariant checkers, test
+   oracles and debug printers, which must not perturb the measured
    execution.
+
+   Every charged write widens the region's span: the bytes written since
+   the span was last cleared.  The WAL clears a page's span when it logs
+   the page, and diffs the page against its last-logged copy only inside
+   it.  A change that bypasses [Mem] marks the span whole ([lo < 0]),
+   which absorbs every later widening until the next clear.
 
    All multi-byte values are little-endian.  Layouts keep values naturally
    aligned, so a single value never straddles a cache line, but the charged
    accessors handle straddling correctly anyway. *)
 
-type region = { bytes : Bytes.t; base : int }
+module Span = struct
+  type t = { mutable lo : int; mutable hi : int }
 
-let make ~bytes ~base = { bytes; base }
+  let create () = { lo = max_int; hi = 0 }
+
+  let clear s =
+    s.lo <- max_int;
+    s.hi <- 0
+
+  let mark_all s =
+    s.lo <- -1;
+    s.hi <- max_int
+
+  let is_all s = s.lo < 0
+end
+
+type region = { bytes : Bytes.t; base : int; span : Span.t }
+
+let make ~bytes ~base = { bytes; base; span = Span.create () }
+let make_tracked ~span ~bytes ~base = { bytes; base; span }
 let length r = Bytes.length r.bytes
 
 let touch (sim : Sim.t) r off len =
   Cache.touch sim.cache ~busy:sim.cost.Cost_model.c_access (r.base + off) len
+
+(* Widen [r]'s span to cover [off, stop); called after the write, so a
+   write that raised never widens it. *)
+let written r off stop =
+  let s = r.span in
+  if off < s.Span.lo then s.lo <- off;
+  if stop > s.hi then s.hi <- stop
 
 (* Charged reads *)
 
@@ -37,15 +67,22 @@ let read_i32 sim r off =
 
 let write_u8 sim r off v =
   touch sim r off 1;
-  Bytes.set r.bytes off (Char.chr (v land 0xff))
+  Bytes.set r.bytes off (Char.chr (v land 0xff));
+  written r off (off + 1)
 
 let write_u16 sim r off v =
   touch sim r off 2;
-  Bytes.set_uint16_le r.bytes off v
+  Bytes.set_uint16_le r.bytes off v;
+  written r off (off + 2)
 
 let write_i32 sim r off v =
   touch sim r off 4;
-  Bytes.set_int32_le r.bytes off (Int32.of_int v)
+  Bytes.set_int32_le r.bytes off (Int32.of_int v);
+  written r off (off + 4)
+
+(* Busy cycles of moving [len] bytes. *)
+let move_busy (sim : Sim.t) len =
+  (len / sim.cost.Cost_model.move_bytes_per_cycle) + 1
 
 (* Bulk copy between (possibly identical) regions.  Charges one busy cycle
    per [move_bytes_per_cycle] bytes and touches every source and destination
@@ -53,18 +90,26 @@ let write_i32 sim r off v =
    arrays shows up as the paper describes. *)
 let blit sim src src_off dst dst_off len =
   if len > 0 then begin
-    let busy = (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle) + 1 in
-    Cache.touch sim.cache ~busy (src.base + src_off) len;
+    Cache.touch sim.Sim.cache ~busy:(move_busy sim len) (src.base + src_off) len;
     Cache.touch sim.cache ~busy:0 (dst.base + dst_off) len;
-    Bytes.blit src.bytes src_off dst.bytes dst_off len
+    Bytes.blit src.bytes src_off dst.bytes dst_off len;
+    written dst dst_off (dst_off + len)
   end
 
 let fill_zero sim r off len =
   if len > 0 then begin
-    let busy = (len / sim.Sim.cost.Cost_model.move_bytes_per_cycle) + 1 in
-    Cache.touch sim.cache ~busy (r.base + off) len;
-    Bytes.fill r.bytes off len '\000'
+    Cache.touch sim.Sim.cache ~busy:(move_busy sim len) (r.base + off) len;
+    Bytes.fill r.bytes off len '\000';
+    written r off (off + len)
   end
+
+(* One move of a [len]-byte record at [off], of which host string [s]
+   lands at [at]. *)
+let move_in sim r ~off ~len s ~at =
+  Cache.touch sim.Sim.cache ~busy:(move_busy sim len) (r.base + off) len;
+  let n = String.length s in
+  Bytes.blit_string s 0 r.bytes at n;
+  written r at (at + n)
 
 (* Software prefetch of [len] bytes starting at [off]; one busy cycle per
    prefetch instruction issued. *)
@@ -72,11 +117,8 @@ let prefetch (sim : Sim.t) r ~off ~len =
   Cache.prefetch_range sim.cache ~busy_per_line:sim.cost.Cost_model.c_prefetch
     (r.base + off) len
 
-(* Uncharged access, for checkers and oracles only. *)
+(* Uncharged reads, for checkers and oracles only. *)
 
 let peek_u8 r off = Char.code (Bytes.get r.bytes off)
 let peek_u16 r off = Bytes.get_uint16_le r.bytes off
 let peek_i32 r off = Int32.to_int (Bytes.get_int32_le r.bytes off)
-let poke_u8 r off v = Bytes.set r.bytes off (Char.chr (v land 0xff))
-let poke_u16 r off v = Bytes.set_uint16_le r.bytes off v
-let poke_i32 r off v = Bytes.set_int32_le r.bytes off (Int32.of_int v)

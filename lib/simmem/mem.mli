@@ -3,14 +3,42 @@
     A region is a byte buffer (normally one buffer-pool frame) plus the
     base address it occupies in the simulated physical address space.
     The charged accessors drive the cache simulator and the busy-cycle
-    cost model; the [peek_*]/[poke_*] variants bypass both and exist for
-    invariant checkers, test oracles and debug printers.
+    cost model; the [peek_*] variants bypass both and exist for invariant
+    checkers, test oracles and debug printers.
+
+    Every charged write also widens the region's written {!Span}, so a
+    write-ahead log can diff only the bytes an operation wrote.
 
     All multi-byte values are little-endian. *)
 
-type region = { bytes : Bytes.t; base : int }
+(** The bytes of a page written since its owner last cleared the span:
+    [[lo, hi)], empty when [lo >= hi].  [lo < 0] means the bytes also
+    changed outside [Mem] (zero-fill, corruption, repair, redo), so the
+    whole page must be treated as written until the next {!Span.clear}.
+    Widening is O(1) and allocates nothing. *)
+module Span : sig
+  type t = private { mutable lo : int; mutable hi : int }
 
+  (** An empty span. *)
+  val create : unit -> t
+
+  val clear : t -> unit
+
+  (** Mark the whole page written (a change that bypassed [Mem]). *)
+  val mark_all : t -> unit
+
+  val is_all : t -> bool
+end
+
+type region = { bytes : Bytes.t; base : int; span : Span.t }
+
+(** A region with a span of its own, which nothing reads. *)
 val make : bytes:Bytes.t -> base:int -> region
+
+(** A region whose charged writes widen [span]: the buffer pool passes
+    the page's span, which outlives the frame. *)
+val make_tracked : span:Span.t -> bytes:Bytes.t -> base:int -> region
+
 val length : region -> int
 
 (** {1 Charged access} *)
@@ -29,15 +57,19 @@ val blit : Sim.t -> region -> int -> region -> int -> int -> unit
 
 val fill_zero : Sim.t -> region -> int -> int -> unit
 
+(** [move_in sim r ~off ~len s ~at] stores a [len]-byte record at [off]
+    in one move: one busy cycle per [move_bytes_per_cycle] bytes plus
+    one, and every line of [[off, off + len)].  Of the record, it lays
+    down host string [s] at [at]; the caller writes the rest with
+    charged writes of its own. *)
+val move_in : Sim.t -> region -> off:int -> len:int -> string -> at:int -> unit
+
 (** Software prefetch of [len] bytes at [off]: one busy cycle per prefetch
     instruction issued, lines enter the miss pipeline. *)
 val prefetch : Sim.t -> region -> off:int -> len:int -> unit
 
-(** {1 Uncharged access (checkers and oracles only)} *)
+(** {1 Uncharged reads (checkers and oracles only)} *)
 
 val peek_u8 : region -> int -> int
 val peek_u16 : region -> int -> int
 val peek_i32 : region -> int -> int
-val poke_u8 : region -> int -> int -> unit
-val poke_u16 : region -> int -> int -> unit
-val poke_i32 : region -> int -> int -> unit

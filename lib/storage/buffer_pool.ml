@@ -179,16 +179,12 @@ type shard = {
 }
 
 (* How a demand request behaves when every frame is pinned: rescan the
-   victim sweep a bounded number of times, each preceded by a wait
-   charged to simulated time (in-flight reads may land, pins may expire
-   in simulated time), then give up with a typed [Overloaded] so the
-   caller can shed the request instead of crashing. *)
-type overload_policy = {
-  victim_rescans : int;  (* rescans after the first failed sweep *)
-  rescan_wait_ns : int;  (* simulated wait before each rescan *)
-}
-
-let default_overload_policy = { victim_rescans = 2; rescan_wait_ns = 200_000 }
+   victim sweep [victim_rescans] more times, each preceded by a
+   [rescan_wait_ns] wait charged to simulated time (in-flight reads may
+   land, pins may expire in simulated time), then give up with a typed
+   [Overloaded] so the caller can shed the request instead of crashing. *)
+let victim_rescans = 2
+let rescan_wait_ns = 200_000
 
 type t = {
   sim : Sim.t;
@@ -205,7 +201,6 @@ type t = {
   prefetcher_free : int array;  (* per prefetcher: time it becomes idle *)
   prefetch_request_busy : int;  (* cycles to enqueue a prefetch request *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
-  mutable overload : overload_policy;
   mutable wal : wal_hooks option;
   mutable retry : retry_policy;
   mutable repair :
@@ -329,7 +324,6 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
       prefetch_request_busy;
       readahead = 0;
-      overload = default_overload_policy;
       wal = None;
       retry = default_retry_policy;
       repair = None;
@@ -349,21 +343,11 @@ let set_retry_policy t policy =
 
 let retry_policy t = t.retry
 
-let set_overload_policy t policy =
-  if policy.victim_rescans < 0 || policy.rescan_wait_ns < 0 then
-    invalid_arg "Buffer_pool.set_overload_policy";
-  t.overload <- policy
-
-let overload_policy t = t.overload
-
 let stats t = t.stats
 let sim t = t.sim
 let store t = t.store
 let disks t = t.disks
 let capacity t = t.capacity
-
-let shard_tallies t =
-  Array.map (fun sh -> (sh.conflicts, sh.waits_ns)) t.shards
 
 let reset_stats t =
   List.iter Counter.reset (stats_counters t.stats);
@@ -376,7 +360,8 @@ let reset_stats t =
 let kv t = stats_kv t.stats
 
 let region_of_frame t frame page =
-  Mem.make ~bytes:(Page_store.bytes t.store page)
+  Mem.make_tracked ~span:(Page_store.span t.store page)
+    ~bytes:(Page_store.bytes t.store page)
     ~base:(frame * Page_store.page_size t.store)
 
 (* A frame whose read is still in flight at the caller's time cannot be
@@ -414,6 +399,7 @@ let write_back t p =
 let apply_corruption t page spec =
   let b = Page_store.bytes t.store page in
   let ps = Bytes.length b in
+  Page_store.rewritten t.store page;
   match spec with
   | Disk_model.Bit_flips flips ->
       List.iter
@@ -550,13 +536,13 @@ let victim_frame_demand t sh page =
   let rec go scans =
     try victim_frame_waiting t sh
     with Pool_exhausted ->
-      if scans > t.overload.victim_rescans then begin
+      if scans > victim_rescans then begin
         Counter.incr t.stats.overloaded;
         raise (Overloaded { page; scans })
       end
       else begin
-        Counter.add t.stats.overload_wait_ns t.overload.rescan_wait_ns;
-        wait_until t (Clock.now t.sim.Sim.clock + t.overload.rescan_wait_ns);
+        Counter.add t.stats.overload_wait_ns rescan_wait_ns;
+        wait_until t (Clock.now t.sim.Sim.clock + rescan_wait_ns);
         go (scans + 1)
       end
   in

@@ -131,8 +131,8 @@ type t
 (** Raised internally when a victim sweep finds every frame pinned.  A
     [get] or [create_page] that finds only in-flight prefetches first
     waits for the earliest completion and retries; demand requests that
-    hit genuine exhaustion surface the typed {!Overloaded} (after the
-    bounded rescans of the {!overload_policy}) — [Pool_exhausted] itself
+    hit genuine exhaustion surface the typed {!Overloaded} (after two
+    rescans, 0.2 ms apart) — [Pool_exhausted] itself
     escapes only from maintenance entry points such as {!clear}. *)
 exception Pool_exhausted
 
@@ -142,18 +142,6 @@ exception Pool_exhausted
     callers are expected to shed or retry the {e operation}, not crash;
     counted under [pool.overloaded]. *)
 exception Overloaded of { page : int; scans : int }
-
-(** How a demand request degrades on a pinned-full pool: up to
-    [victim_rescans] additional sweeps, each preceded by a
-    [rescan_wait_ns] wait charged to the simulated clock (and to
-    [pool.overload_wait_ns]), before {!Overloaded} is raised. *)
-type overload_policy = { victim_rescans : int; rescan_wait_ns : int }
-
-(** 2 rescans, 0.2 ms apart. *)
-val default_overload_policy : overload_policy
-
-val set_overload_policy : t -> overload_policy -> unit
-val overload_policy : t -> overload_policy
 
 (** [n_shards] (default 1) splits the page table, CLOCK replacement and
     frame arena into that many independent shards; must lie in
@@ -183,10 +171,6 @@ val n_shards : t -> int
     [n_shards]); exposed so tests and experiments can partition traces
     the same way the pool does. *)
 val shard_of_page : t -> int -> int
-
-(** Per-shard [(conflicts, waits_ns)] tallies since the last
-    [reset_stats], indexed by shard. *)
-val shard_tallies : t -> (int * int) array
 
 (** Pin a page, reading (and verifying) it from disk if not resident;
     returns the region to access its contents through.  Balance with
@@ -225,7 +209,6 @@ val with_page : t -> int -> (Fpb_simmem.Mem.region -> 'a) -> 'a
 val prefetch : t -> int -> unit
 
 val is_resident : t -> int -> bool
-val frame_of_page : t -> int -> int option
 
 (** Media check for the scrubber: read a non-resident page through the
     full retry/verify/repair path without installing it in a frame.

@@ -21,7 +21,14 @@
    a torn sector by replaying only its span.  The header is held out of
    band so in-page layouts need no reserved bytes.
 
+   Each page also owns the span of its bytes written through [Mem] since
+   the WAL last logged it (see [Mem.Span]).  It lives here, not in a
+   buffer frame, so it survives unpin, eviction and re-read.  A change
+   made here, outside [Mem] (zero-fill on allocation), marks it whole.
+
    Page ID 0 is reserved as nil. *)
+
+module Mem = Fpb_simmem.Mem
 
 let sector_size = 512
 
@@ -36,6 +43,7 @@ type t = {
   n_disks : int;
   pages : Bytes.t Vec.t;  (* index = page id; slot 0 unused *)
   headers : header Vec.t;  (* index = page id; out-of-band sector header *)
+  spans : Mem.Span.t Vec.t;  (* index = page id; bytes written since logged *)
   location : (int * int) Vec.t;  (* page id -> (disk, phys) *)
   mutable free : int list;
   mutable allocated : int;  (* live pages *)
@@ -50,11 +58,14 @@ let nil = 0
 let create ~page_size ~n_disks =
   let pages = Vec.create ~dummy:Bytes.empty in
   let headers = Vec.create ~dummy:{ crcs = [||]; lsn = 0 } in
+  let spans = Vec.create ~dummy:(Mem.Span.create ()) in
   let location = Vec.create ~dummy:(-1, -1) in
   Vec.push pages Bytes.empty;
   Vec.push headers { crcs = [||]; lsn = 0 };
+  Vec.push spans (Mem.Span.create ());
   Vec.push location (-1, -1);
-  { page_size; n_disks; pages; headers; location; free = []; allocated = 0;
+  { page_size; n_disks; pages; headers; spans; location; free = [];
+    allocated = 0;
     next_phys = Array.make n_disks 0; free_phys = Array.make n_disks [];
     on_free = []; remapper = None }
 
@@ -107,6 +118,7 @@ let alloc t =
   | id :: rest ->
       t.free <- rest;
       Bytes.fill (Vec.get t.pages id) 0 t.page_size '\000';
+      Mem.Span.mark_all (Vec.get t.spans id);
       stamp t id;
       id
   | [] ->
@@ -116,6 +128,9 @@ let alloc t =
       t.next_phys.(disk) <- phys + 1;
       Vec.push t.pages (Bytes.create t.page_size |> fun b -> Bytes.fill b 0 t.page_size '\000'; b);
       Vec.push t.headers { crcs = [||]; lsn = 0 };
+      let span = Mem.Span.create () in
+      Mem.Span.mark_all span;
+      Vec.push t.spans span;
       Vec.push t.location (disk, phys);
       stamp t id;
       id
@@ -149,6 +164,7 @@ let set_free_list t ids =
   List.iter
     (fun id ->
       Bytes.fill (Vec.get t.pages id) 0 t.page_size '\000';
+      Mem.Span.mark_all (Vec.get t.spans id);
       stamp t id;
       List.iter (fun f -> f id) t.on_free)
     ids
@@ -170,6 +186,8 @@ let bytes t id =
   if id = nil then invalid_arg "Page_store.bytes: nil";
   Vec.get t.pages id
 
+let span t id = Vec.get t.spans id
+let rewritten t id = Mem.Span.mark_all (Vec.get t.spans id)
 let location t id = Vec.get t.location id
 
 (* --- Physical-block management for shadow paging. ---------------------

@@ -73,8 +73,18 @@ val iter_live : t -> (int -> unit) -> unit
     liveness probe). *)
 val is_live : t -> int -> bool
 
-(** Backing bytes of a page (shared, not copied). *)
+(** Backing bytes of a page (shared, not copied).  A caller that changes
+    them must then call {!rewritten}. *)
 val bytes : t -> int -> Bytes.t
+
+(** The page's span of bytes written through [Mem] since the WAL last
+    logged it; the buffer pool hands it to every region of the page. *)
+val span : t -> int -> Fpb_simmem.Mem.Span.t
+
+(** Mark the whole page written: its bytes changed outside [Mem]
+    (corruption, repair, redo, a restored image), so the WAL's next
+    delta must diff all of it. *)
+val rewritten : t -> int -> unit
 
 (** (disk, physical page number) of a page. *)
 val location : t -> int -> int * int

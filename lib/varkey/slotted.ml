@@ -101,9 +101,7 @@ let insert_at sim nd ~i key ptr =
     setv sim nd o_heap heap;
     (* write the entry *)
     Mem.write_u8 sim nd.r (nd.off + heap) (String.length key);
-    Sim.charge_busy sim (1 + (need / sim.Sim.cost.Fpb_simmem.Cost_model.move_bytes_per_cycle));
-    Cache.access_range sim.Sim.cache (nd.r.Mem.base + nd.off + heap) need;
-    Bytes.blit_string key 0 nd.r.Mem.bytes (nd.off + heap + 1) (String.length key);
+    Mem.move_in sim nd.r ~off:(nd.off + heap) ~len:need key ~at:(nd.off + heap + 1);
     Mem.write_i32 sim nd.r (nd.off + heap + 1 + String.length key) ptr;
     (* open the slot *)
     Mem.blit sim nd.r (slot_off nd i) nd.r (slot_off nd (i + 1)) ((n - i) * 2);

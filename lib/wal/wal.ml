@@ -43,6 +43,11 @@ open Fpb_storage
 module Counter = Fpb_obs.Counter
 module Histogram = Fpb_obs.Histogram
 
+(* Page-id sets and maps.  [Int.hash] is the generic [Hashtbl.hash], so
+   iteration order is the generic table's; equality skips the
+   polymorphic compare. *)
+module Pages = Hashtbl.Make (Int)
+
 exception Crashed
 
 type record =
@@ -71,42 +76,63 @@ module Codec = struct
     set_i32 b pos (List.length meta);
     List.iteri (fun i v -> set_i32 b (pos + 4 + (4 * i)) v) meta
 
-  (* Every body starts [kind | lsn | one more i32]. *)
-  let set_head b kind lsn x =
-    Bytes.set_uint8 b 4 kind;
-    set_i32 b 5 lsn;
-    set_i32 b 9 x
+  (* Every body starts [kind | lsn | one more i32]; [at] is where the
+     frame starts. *)
+  let set_head b at kind lsn x =
+    Bytes.set_uint8 b (at + 4) kind;
+    set_i32 b (at + 5) lsn;
+    set_i32 b (at + 9) x
 
-  (* One allocation per record: size the frame from the record kind,
-     write the fields in place, then checksum the body slice. *)
-  let encode r =
-    let body_len =
-      match r with
-      | Image { img; _ } -> 9 + Bytes.length img
-      | Delta { bytes; _ } -> 13 + Bytes.length bytes
-      | Commit { meta; _ } | Checkpoint { meta; _ } ->
-          13 + (4 * List.length meta)
-      | Alloc _ | Free _ -> 9
-    in
-    let b = Bytes.create (body_len + 8) in
-    set_i32 b 0 body_len;
-    (match r with
+  (* Frame length and checksum around a body the writer filled in. *)
+  let seal b at body_len =
+    set_i32 b at body_len;
+    set_i32 b (at + 4 + body_len) (Checksum.update 0 b (at + 4) body_len)
+
+  let body_len = function
+    | Image { img; _ } -> 9 + Bytes.length img
+    | Delta { bytes; _ } -> 13 + Bytes.length bytes
+    | Commit { meta; _ } | Checkpoint { meta; _ } -> 13 + (4 * List.length meta)
+    | Alloc _ | Free _ -> 9
+
+  let size r = body_len r + 8
+  let delta_size len = 21 + len
+
+  (* The frame of [Delta { lsn; page; off; bytes }], [bytes] being the
+     [len] bytes of [src] at [src_off], written at [at]: the WAL frames a
+     delta straight from the page, without copying the slice out. *)
+  let write_delta b at ~lsn ~page ~off src ~src_off ~len =
+    set_head b at kind_delta lsn page;
+    set_i32 b (at + 13) off;
+    Bytes.blit src src_off b (at + 17) len;
+    seal b at (13 + len)
+
+  let write_meta b at kind lsn op meta =
+    set_head b at kind lsn op;
+    set_meta b (at + 13) meta;
+    seal b at (13 + (4 * List.length meta))
+
+  let write_page b at kind lsn page =
+    set_head b at kind lsn page;
+    seal b at 9
+
+  (* Write [r]'s frame at [at]; [b] has room for [size r] bytes there. *)
+  let write b at = function
     | Image { lsn; page; img } ->
-        set_head b kind_image lsn page;
-        Bytes.blit img 0 b 13 (Bytes.length img)
+        let n = Bytes.length img in
+        set_head b at kind_image lsn page;
+        Bytes.blit img 0 b (at + 13) n;
+        seal b at (9 + n)
     | Delta { lsn; page; off; bytes } ->
-        set_head b kind_delta lsn page;
-        set_i32 b 13 off;
-        Bytes.blit bytes 0 b 17 (Bytes.length bytes)
-    | Commit { lsn; op; meta } ->
-        set_head b kind_commit lsn op;
-        set_meta b 13 meta
-    | Checkpoint { lsn; op; meta } ->
-        set_head b kind_checkpoint lsn op;
-        set_meta b 13 meta
-    | Alloc { lsn; page } -> set_head b kind_alloc lsn page
-    | Free { lsn; page } -> set_head b kind_free lsn page);
-    set_i32 b (4 + body_len) (Checksum.update 0 b 4 body_len);
+        write_delta b at ~lsn ~page ~off bytes ~src_off:0
+          ~len:(Bytes.length bytes)
+    | Commit { lsn; op; meta } -> write_meta b at kind_commit lsn op meta
+    | Checkpoint { lsn; op; meta } -> write_meta b at kind_checkpoint lsn op meta
+    | Alloc { lsn; page } -> write_page b at kind_alloc lsn page
+    | Free { lsn; page } -> write_page b at kind_free lsn page
+
+  let encode r =
+    let b = Bytes.create (size r) in
+    write b 0 r;
     Bytes.unsafe_to_string b
 
   let get_i32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
@@ -215,6 +241,7 @@ type stats = {
   repair_sectors : Counter.t;
   repair_full : Counter.t;
   c_truncated : Counter.t;
+  full_diffs : Counter.t;
 }
 
 let make_stats () =
@@ -242,6 +269,7 @@ let make_stats () =
     repair_sectors = Counter.make "wal.repair.sectors";
     repair_full = Counter.make "wal.repair.full";
     c_truncated = Counter.make "wal.log.truncated_bytes";
+    full_diffs = Counter.make "wal.delta.full_diffs";
   }
 
 let stats_counters s =
@@ -251,25 +279,86 @@ let stats_counters s =
     s.flushes; s.flush_wait_ns; s.deferred_writebacks; s.crashes;
     s.torn_pages; s.recoveries; s.c_redo_records; s.c_redo_pages;
     s.c_recovery_ns; s.mirror_fallbacks; s.mirror_repairs; s.c_damaged;
-    s.repair_sectors; s.repair_full; s.c_truncated;
+    s.repair_sectors; s.repair_full; s.c_truncated; s.full_diffs;
   ]
 
-(* One mirror of one stripe of the durable log: a growable byte array.
-   All mirrors of a stripe hold position-identical streams of the same
-   length; faults make their *contents* diverge, never their length (a
-   crash cuts all of them at the same byte). *)
-type mirror = { mutable data : Bytes.t; mutable len : int }
+(* The boundary of every record ever sealed, oldest first, for [layout]:
+   two native words per record, [end_off] and [size * 8 + kind code],
+   packed in bytes, so a log of millions of records is neither promoted
+   nor scanned by the GC. *)
+type layout_log = { mutable packed : Bytes.t; mutable records : int }
 
-let m_append m s off len =
-  let need = m.len + len in
-  if Bytes.length m.data < need then begin
-    let cap = max need (max 65536 (2 * Bytes.length m.data)) in
-    let nd = Bytes.create cap in
-    Bytes.blit m.data 0 nd 0 m.len;
-    m.data <- nd
+let kinds = [| `Image; `Delta; `Commit; `Checkpoint; `Alloc; `Free |]
+
+let kind_code = function
+  | `Image -> 0
+  | `Delta -> 1
+  | `Commit -> 2
+  | `Checkpoint -> 3
+  | `Alloc -> 4
+  | `Free -> 5
+
+let note_boundary l ~end_off ~size kind =
+  let pos = 16 * l.records in
+  if pos + 16 > Bytes.length l.packed then begin
+    let b = Bytes.create (2 * Bytes.length l.packed) in
+    Bytes.blit l.packed 0 b 0 pos;
+    l.packed <- b
   end;
-  Bytes.blit_string s off m.data m.len len;
-  m.len <- need
+  Bytes.set_int64_ne l.packed pos (Int64.of_int end_off);
+  Bytes.set_int64_ne l.packed (pos + 8)
+    (Int64.of_int ((size lsl 3) lor kind_code kind));
+  l.records <- l.records + 1
+
+let boundaries l =
+  List.init l.records (fun i ->
+      let end_off = Int64.to_int (Bytes.get_int64_ne l.packed (16 * i)) in
+      let w = Int64.to_int (Bytes.get_int64_ne l.packed ((16 * i) + 8)) in
+      { end_off; size = w lsr 3; kind = kinds.(w land 7) })
+
+(* One mirror of one stripe of the durable log: the stripe's byte
+   stream from logical offset [base] on, held in [data].  All mirrors of
+   a stripe hold position-identical streams of the same length [len];
+   faults make their *contents* diverge, never their length (a crash
+   cuts all of them at the same byte).  Mirror 0 also holds the
+   stripe's sealed records that are not durable yet, past [len]: a
+   record is framed there once, at seal time, and a flush only copies
+   it to the other mirrors.  [truncate_to] drops a released prefix once
+   it outgrows what follows it, so the buffer stops growing with the
+   log.  Every offset below is logical. *)
+type mirror = { mutable data : Bytes.t; mutable base : int; mutable len : int }
+
+(* Room in [m] for logical offsets below [upto]. *)
+let m_reserve m upto =
+  let need = upto - m.base in
+  if Bytes.length m.data < need then begin
+    let nd = Bytes.create (max need (2 * Bytes.length m.data)) in
+    Bytes.blit m.data 0 nd 0 (Bytes.length m.data);
+    m.data <- nd
+  end
+
+let m_i32 m pos = Int32.to_int (Bytes.get_int32_le m.data (pos - m.base))
+let m_byte m pos = Char.code (Bytes.get m.data (pos - m.base))
+
+(* Damage to released bytes (below [base]) has nothing left to hit. *)
+let m_flip m pos bit =
+  if pos >= m.base then
+    Bytes.set m.data (pos - m.base)
+      (Char.chr (m_byte m pos lxor (1 lsl (bit land 7))))
+
+let m_zero m pos n =
+  let lo = max pos m.base in
+  if pos + n > lo then Bytes.fill m.data (lo - m.base) (pos + n - lo) '\000'
+
+let m_decode m ~len pos =
+  match Codec.decode ~len:(len - m.base) m.data (pos - m.base) with
+  | Some (r, next) -> Some (r, next + m.base)
+  | None -> None
+
+(* Drop the bytes below [floor]; [upto] bounds the bytes still in use. *)
+let m_drop_below m floor ~upto =
+  Bytes.blit m.data (floor - m.base) m.data 0 (upto - floor);
+  m.base <- floor
 
 type t = {
   pool : Buffer_pool.t;
@@ -287,8 +376,9 @@ type t = {
      Physical placement is round-robin by seal order ([seal_seq]);
      [stripe_sealed] tracks each stripe's sealed (including pending)
      extent so scan start marks can be captured per stripe. *)
-  mutable pending : (int * int * string) list;
-      (* (stripe, lsn, framed), newest first *)
+  mutable pending : (int * int * int) list;
+      (* (stripe, lsn, size), newest first; the frames sit in mirror 0
+         of their stripe, past its durable length *)
   mutable pending_bytes : int;  (* sealed, not yet durable *)
   mutable seal_seq : int;  (* records ever sealed; placement = seq mod S *)
   stripe_sealed : int array;  (* per-stripe sealed extent *)
@@ -301,9 +391,9 @@ type t = {
          point: recovery scans each stripe from here *)
   mutable trunc_marks : int array;
       (* per-stripe retention floor: bytes below it have been released
-         by [truncate_to] (zeroed on every mirror) and may no longer be
-         read; always <= ckpt_marks *)
-  mutable boundaries : boundary list;  (* newest first *)
+         by [truncate_to] (zeroed or dropped on every mirror) and may no
+         longer be read; always <= ckpt_marks *)
+  boundaries : layout_log;
   mutable batched_redo : bool;  (* sort redo write-backs by (disk, phys) *)
   mutable coalesce_redo : bool;  (* merge adjacent write-backs into runs *)
   (* per-page durability state; index = page id *)
@@ -318,8 +408,12 @@ type t = {
   mutable alloc_snapshot : int * int list;
       (* (total pages, free list) at the last durable checkpoint: the
          base state Alloc/Free record replay advances during recovery *)
-  logged_since_ckpt : (int, unit) Hashtbl.t;
-  touched : (int, unit) Hashtbl.t;  (* dirtied by the in-flight operation *)
+  logged_since_ckpt : unit Pages.t;
+  (* pages dirtied by the in-flight operation: the first [n_touched]
+     entries of [touched_pages], and [touched_flag] by page id *)
+  mutable touched_pages : int array;
+  mutable n_touched : int;
+  touched_flag : bool Vec.t;
   mutable last_writeback : int;  (* page of the newest image update *)
   (* crash injection *)
   mutable crash_at : int option;
@@ -367,8 +461,38 @@ let ensure t page =
     Vec.push t.mem_lsn 0;
     Vec.push t.disk_img None;
     Vec.push t.disk_lsn 0;
-    Vec.push t.image_marks None
+    Vec.push t.image_marks None;
+    Vec.push t.touched_flag false
   done
+
+let touched t page =
+  page < Vec.length t.touched_flag && Vec.get t.touched_flag page
+
+let touch t page =
+  if not (Vec.get t.touched_flag page) then begin
+    Vec.set t.touched_flag page true;
+    if t.n_touched = Array.length t.touched_pages then
+      t.touched_pages <- Array.append t.touched_pages t.touched_pages;
+    t.touched_pages.(t.n_touched) <- page;
+    t.n_touched <- t.n_touched + 1
+  end
+
+let untouch t page =
+  if touched t page then begin
+    Vec.set t.touched_flag page false;
+    let i = ref 0 in
+    while t.touched_pages.(!i) <> page do
+      incr i
+    done;
+    t.n_touched <- t.n_touched - 1;
+    t.touched_pages.(!i) <- t.touched_pages.(t.n_touched)
+  end
+
+let clear_touched t =
+  for i = 0 to t.n_touched - 1 do
+    Vec.set t.touched_flag t.touched_pages.(i) false
+  done;
+  t.n_touched <- 0
 
 let n_stripes t = Array.length t.streams
 
@@ -405,31 +529,39 @@ let lsn_of = function
   | Free { lsn; _ } ->
       lsn
 
-(* Seal a record into the pending list, placing it round-robin on the
-   next stripe in seal order. *)
-let append t r =
-  let framed = Codec.encode r in
-  let size = String.length framed in
+(* Seal a record of [size] framed bytes into the pending list, placing
+   it round-robin on the next stripe in seal order: [write b at] frames
+   it at [at] in that stripe's mirror 0. *)
+let seal t ~lsn kind ~size write =
   let stripe = t.seal_seq mod n_stripes t in
+  let m = t.streams.(stripe).(0) in
+  let pos = t.stripe_sealed.(stripe) in
+  m_reserve m (pos + size);
+  write m.data (pos - m.base);
   t.seal_seq <- t.seal_seq + 1;
-  t.pending <- (stripe, lsn_of r, framed) :: t.pending;
+  t.pending <- (stripe, lsn, size) :: t.pending;
   t.pending_bytes <- t.pending_bytes + size;
   t.stripe_sealed.(stripe) <- t.stripe_sealed.(stripe) + size;
   t.sealed_bytes <- t.sealed_bytes + size;
-  t.boundaries <-
-    { end_off = t.sealed_bytes; size; kind = kind_of r } :: t.boundaries;
+  note_boundary t.boundaries ~end_off:t.sealed_bytes ~size kind;
   Counter.incr t.stats.records;
   Counter.add t.stats.c_log_bytes size;
-  match r with
-  | Image _ -> Counter.incr t.stats.images
-  | Delta _ -> Counter.incr t.stats.deltas
-  | Commit _ -> Counter.incr t.stats.commits
-  | Checkpoint _ -> Counter.incr t.stats.checkpoints
-  | Alloc _ -> Counter.incr t.stats.allocs
-  | Free _ -> Counter.incr t.stats.frees
+  Counter.incr
+    (match kind with
+    | `Image -> t.stats.images
+    | `Delta -> t.stats.deltas
+    | `Commit -> t.stats.commits
+    | `Checkpoint -> t.stats.checkpoints
+    | `Alloc -> t.stats.allocs
+    | `Free -> t.stats.frees)
+
+let append t r =
+  seal t ~lsn:(lsn_of r) (kind_of r) ~size:(Codec.size r) (fun b at ->
+      Codec.write b at r)
 
 (* Make the sealed stream durable: walk the pending records in seal
-   order, appending each to every mirror of its stripe.  An armed crash
+   order, extending each one's stripe over it on every mirror (mirror 0
+   already holds the frame; the others get a copy).  An armed crash
    boundary inside the flushed extent cuts the stream exactly there, at
    its *logical* offset: records wholly before the cut reach their
    stripes, the record straddling it keeps only the prefix that reached
@@ -445,24 +577,36 @@ let flush t =
     t.pending <- [];
     t.pending_bytes <- 0;
     let io_start = Array.map (fun ms -> ms.(0).len) t.streams in
+    let durable = Array.copy io_start in
     let cut = ref false in
     (try
        List.iter
-         (fun (s, _lsn, framed) ->
-           let size = String.length framed in
+         (fun (s, _lsn, size) ->
            let logical_end = t.durable_len + size in
            (match t.crash_at with
            | Some b when logical_end > b ->
                let keep = max 0 (b - t.durable_len) in
-               Array.iter (fun m -> m_append m framed 0 keep) t.streams.(s);
+               durable.(s) <- durable.(s) + keep;
                t.durable_len <- t.durable_len + keep;
                cut := true;
                raise Exit
            | _ -> ());
-           Array.iter (fun m -> m_append m framed 0 size) t.streams.(s);
+           durable.(s) <- durable.(s) + size;
            t.durable_len <- logical_end)
          records
      with Exit -> ());
+    Array.iteri
+      (fun s ms ->
+        let m0 = ms.(0) and a = io_start.(s) and b = durable.(s) in
+        Array.iteri
+          (fun k m ->
+            if k > 0 && b > a then begin
+              m_reserve m b;
+              Bytes.blit m0.data (a - m0.base) m.data (a - m.base) (b - a)
+            end;
+            m.len <- b)
+          ms)
+      t.streams;
     if !cut then begin
       t.crashed <- true;
       Counter.incr t.stats.crashes;
@@ -494,7 +638,14 @@ let flush t =
        seal order (the clock stands at the flush completion, so shipping
        send times start from durability, never before it). *)
     match t.durable_obs with
-    | Some f -> List.iter (fun (_s, lsn, framed) -> f lsn framed) records
+    | Some f ->
+        let at = Array.copy io_start in
+        List.iter
+          (fun (s, lsn, size) ->
+            let m0 = t.streams.(s).(0) in
+            f lsn (Bytes.sub_string m0.data (at.(s) - m0.base) size);
+            at.(s) <- at.(s) + size)
+          records
     | None -> ()
   end
 
@@ -503,7 +654,7 @@ let flush t =
 let on_page_dirty t page =
   if not t.crashed then begin
     ensure t page;
-    Hashtbl.replace t.touched page ()
+    touch t page
   end
 
 (* A page id reincarnated by alloc starts a fresh logging history; its
@@ -517,14 +668,14 @@ let on_page_alloc t page =
     ensure t page;
     Vec.set t.shadow page None;
     Vec.set t.image_marks page None;
-    Hashtbl.remove t.logged_since_ckpt page;
-    Hashtbl.remove t.touched page;
+    Pages.remove t.logged_since_ckpt page;
+    untouch t page;
     append t (Alloc { lsn = fresh_lsn t; page })
   end
 
 let on_page_free t page =
   if not t.crashed then begin
-    Hashtbl.remove t.touched page;
+    untouch t page;
     append t (Free { lsn = fresh_lsn t; page })
   end
 
@@ -543,7 +694,7 @@ let before_page_write t _page = if not t.crashed then flush t
 let on_page_write t page =
   if not t.crashed then begin
     ensure t page;
-    if Hashtbl.mem t.touched page then
+    if touched t page then
       Counter.incr t.stats.deferred_writebacks
     else begin
       set_disk_img t page (Page_store.bytes t.store page);
@@ -554,18 +705,18 @@ let on_page_write t page =
 
 (* ----------------------------- logging ------------------------------ *)
 
-(* Smallest byte span on which two page-sized buffers differ: 8-byte
-   words from both ends, then bytes inside the first unequal word. *)
-let diff_span a b =
-  let n = Bytes.length a in
-  let lo = ref 0 in
+(* Smallest byte span inside [[lo0, hi0)] on which two page-sized
+   buffers differ: 8-byte words from both ends, then bytes inside the
+   first unequal word. *)
+let diff_within a b ~lo:lo0 ~hi:n =
+  let lo = ref lo0 in
   while !lo + 8 <= n && Bytes.get_int64_ne a !lo = Bytes.get_int64_ne b !lo do
     lo := !lo + 8
   done;
   while !lo < n && Bytes.get a !lo = Bytes.get b !lo do
     incr lo
   done;
-  if !lo = n then None
+  if !lo >= n then None
   else begin
     (* [hi] is exclusive; byte [lo] differs, so both loops stop above it *)
     let hi = ref n in
@@ -581,10 +732,24 @@ let diff_span a b =
     Some (!lo, !hi - !lo)
   end
 
+let diff_span a b = diff_within a b ~lo:0 ~hi:(Bytes.length a)
+
+(* The delta search of [log_page]: only inside the page's written span,
+   unless its bytes changed outside [Mem]; then the whole page, counted
+   in [wal.delta.full_diffs]. *)
+let diff_written t sh cur (span : Mem.Span.t) =
+  if Mem.Span.is_all span then begin
+    Counter.incr t.stats.full_diffs;
+    diff_span sh cur
+  end
+  else if span.lo >= span.hi then None
+  else diff_within sh cur ~lo:span.lo ~hi:span.hi
+
 (* Log one dirtied page: a full image on first touch since the last
    checkpoint (torn-page repair depends on this), a shadow diff after. *)
 let log_page t page =
   let cur = Page_store.bytes t.store page in
+  let span = Page_store.span t.store page in
   (match t.pre_log with
   | Some f ->
       let pre =
@@ -597,7 +762,7 @@ let log_page t page =
       in
       f page pre
   | None -> ());
-  let first = not (Hashtbl.mem t.logged_since_ckpt page) in
+  let first = not (Pages.mem t.logged_since_ckpt page) in
   (match (if first then None else Vec.get t.shadow page) with
   | None ->
       let lsn = fresh_lsn t in
@@ -611,21 +776,28 @@ let log_page t page =
       | None -> Vec.set t.shadow page (Some (Bytes.copy cur)));
       Vec.set t.mem_lsn page lsn
   | Some sh -> (
-      match diff_span sh cur with
+      match diff_written t sh cur span with
       | None -> () (* dirtied but byte-identical: nothing to log *)
       | Some (off, len) ->
           let lsn = fresh_lsn t in
-          append t (Delta { lsn; page; off; bytes = Bytes.sub cur off len });
+          seal t ~lsn `Delta ~size:(Codec.delta_size len) (fun b at ->
+              Codec.write_delta b at ~lsn ~page ~off cur ~src_off:off ~len);
           Bytes.blit cur off sh off len;
           Vec.set t.mem_lsn page lsn));
-  Hashtbl.replace t.logged_since_ckpt page ()
+  Mem.Span.clear span;
+  if first then Pages.replace t.logged_since_ckpt page ()
 
 let commit t ~op ~meta =
   if t.crashed then raise Crashed;
   let t0 = Clock.now t.clock in
-  let pages = Hashtbl.fold (fun p () acc -> p :: acc) t.touched [] in
-  List.iter (log_page t) (List.sort compare pages);
-  Hashtbl.reset t.touched;
+  (match t.n_touched with
+  | 0 -> ()
+  | 1 -> log_page t t.touched_pages.(0)
+  | n ->
+      let pages = Array.sub t.touched_pages 0 n in
+      Array.sort compare pages;
+      Array.iter (log_page t) pages);
+  clear_touched t;
   let clsn = fresh_lsn t in
   append t (Commit { lsn = clsn; op; meta });
   t.last_op <- op;
@@ -640,14 +812,14 @@ let commit t ~op ~meta =
 
 let checkpoint t ~meta =
   if t.crashed then raise Crashed;
-  if Hashtbl.length t.touched > 0 then
+  if t.n_touched > 0 then
     invalid_arg "Wal.checkpoint: called mid-operation";
   let t0 = Clock.now t.clock in
   (* Commits must be durable before any durable image moves forward. *)
   flush t;
   Buffer_pool.flush_dirty t.pool;
   (* Re-write pages whose image a deferred write-back left stale. *)
-  Hashtbl.iter
+  Pages.iter
     (fun page () ->
       if Vec.get t.disk_lsn page < Vec.get t.mem_lsn page then begin
         set_disk_img t page (Page_store.bytes t.store page);
@@ -671,7 +843,7 @@ let checkpoint t ~meta =
   t.ckpt_marks <- marks;
   t.alloc_snapshot <-
     (Page_store.total_pages t.store, Page_store.free_list t.store);
-  Hashtbl.reset t.logged_since_ckpt;
+  Pages.reset t.logged_since_ckpt;
   Histogram.record t.checkpoint_stall (Clock.now t.clock - t0)
 
 (* ---------------- shadow-paging (fuzzy checkpoint) support ----------- *)
@@ -713,7 +885,7 @@ let committed_image t page =
 
 (* Whether an operation is in flight (pages touched since the last
    commit): checkpoint cuts must not be taken mid-operation. *)
-let in_operation t = Hashtbl.length t.touched > 0
+let in_operation t = t.n_touched > 0
 
 (* Bring one page's durable image up to its newest committed state: the
    unit of work of a fuzzy checkpoint's paced write-back.  Returns false
@@ -721,7 +893,7 @@ let in_operation t = Hashtbl.length t.touched > 0
    changes; a redo-only image may never run ahead of the sealed log. *)
 let harden_page t page =
   if t.crashed then raise Crashed;
-  if Hashtbl.mem t.touched page then false
+  if touched t page then false
   else begin
     ensure t page;
     if Buffer_pool.is_dirty t.pool page then
@@ -764,13 +936,13 @@ let stale_pages t =
    (total_pages, free_list). *)
 let external_checkpoint t ~marks ~alloc ~meta =
   if t.crashed then raise Crashed;
-  if Hashtbl.length t.touched > 0 then
+  if t.n_touched > 0 then
     invalid_arg "Wal.external_checkpoint: called mid-operation";
   append t (Checkpoint { lsn = fresh_lsn t; op = t.last_op; meta });
   flush t;
   t.ckpt_marks <- marks;
   t.alloc_snapshot <- alloc;
-  Hashtbl.reset t.logged_since_ckpt
+  Pages.reset t.logged_since_ckpt
 
 let set_recovery_base t b = t.recovery_base <- b
 let set_pre_log_observer t f = t.pre_log <- f
@@ -780,9 +952,11 @@ let checkpoint_stall t = t.checkpoint_stall
 
 (* Release log space below a durable checkpoint's cut: zero every
    mirror's bytes in [floor, marks) per stripe and advance the retention
-   floor.  Clamped to the recovery start point ([ckpt_marks]) — recovery
-   and repair scans never start below it, so nothing readable is ever
-   released.  Returns the bytes released this call. *)
+   floor; a released prefix that outgrows the rest of the stripe is
+   dropped from memory instead.  Clamped to the recovery start point
+   ([ckpt_marks]) — recovery and repair scans never start below it, so
+   nothing readable is ever released.  Returns the bytes released this
+   call. *)
 let truncate_to t ~marks =
   if Array.length marks <> n_stripes t then
     invalid_arg "Wal.truncate_to: stripe count mismatch";
@@ -791,16 +965,19 @@ let truncate_to t ~marks =
     let a = t.trunc_marks.(s) in
     let b = min marks.(s) (min t.ckpt_marks.(s) (stripe_dlen t s)) in
     if b > a then begin
-      Array.iter (fun m -> Bytes.fill m.data a (b - a) '\000') t.streams.(s);
+      let sealed = t.stripe_sealed.(s) in
+      Array.iteri
+        (fun k m ->
+          if b - m.base >= sealed - b then
+            m_drop_below m b ~upto:(if k = 0 then sealed else m.len)
+          else m_zero m a (b - a))
+        t.streams.(s);
       t.trunc_marks.(s) <- b;
       released := !released + ((b - a) * Array.length t.streams.(s))
     end
   done;
   Counter.add t.stats.c_truncated !released;
   !released
-
-(* Per-stripe retention floor: offsets below it have been released. *)
-let retention_floor t = Array.copy t.trunc_marks
 
 (* ------------------------- fault injection -------------------------- *)
 
@@ -842,15 +1019,11 @@ let inject_mirror_damage t ~mirror d =
   match d with
   | Torn_tail n ->
       let n = min n dlen in
-      if n > 0 then Bytes.fill m.data (dlen - n) n '\000'
+      if n > 0 then m_zero m (dlen - n) n
   | Zero_span { off; len } ->
       if off >= 0 && off < dlen && len > 0 then
-        Bytes.fill m.data off (min len (dlen - off)) '\000'
-  | Flip { off; bit } ->
-      if off >= 0 && off < dlen then
-        Bytes.set m.data off
-          (Char.chr
-             (Char.code (Bytes.get m.data off) lxor (1 lsl (bit land 7))))
+        m_zero m off (min len (dlen - off))
+  | Flip { off; bit } -> if off >= 0 && off < dlen then m_flip m off bit
 
 (* --------------------------- log reading ----------------------------- *)
 
@@ -884,15 +1057,12 @@ let apply_corruption t m ~lp spec =
         List.iter
           (fun (off, bit) ->
             let pos = base + pos_mod off t.page_size in
-            if pos < limit then
-              Bytes.set m.data pos
-                (Char.chr
-                   (Char.code (Bytes.get m.data pos) lxor (1 lsl (bit land 7)))))
+            if pos < limit then m_flip m pos bit)
           flips
     | Disk_model.Torn_sector off ->
         let pos = base + pos_mod off t.page_size in
         let n = min 512 (limit - pos) in
-        if n > 0 then Bytes.fill m.data pos n '\000'
+        if n > 0 then m_zero m pos n
 
 (* Flattened log-disk index of stripe [s], mirror [k]. *)
 let disk_of t s k = (s * Array.length t.streams.(0)) + k
@@ -936,8 +1106,6 @@ let read_span ctx ~s k a b =
   done;
   !ok
 
-let b_i32 b pos = Int32.to_int (Bytes.get_int32_le b pos)
-
 (* Attempt to decode the record at stripe-local [pos] from one mirror of
    stripe [s].  [`Overrun]: the frame runs past the end of the stripe's
    stream — the signature of a genuine crash cut.  [`Bad]: the frame
@@ -950,12 +1118,12 @@ let try_mirror ctx ~s k pos =
   if pos + 4 > dlen then `Overrun
   else if not (read_span ctx ~s k pos (pos + 4)) then `Bad
   else
-    let len = b_i32 m.data pos in
+    let len = m_i32 m pos in
     if len < 9 || len > Codec.max_body then `Bad
     else if pos + 8 + len > dlen then `Overrun
     else if not (read_span ctx ~s k pos (pos + 8 + len)) then `Bad
     else
-      match Codec.decode ~len:dlen m.data pos with
+      match m_decode m ~len:dlen pos with
       | Some (r, next) -> `Rec (r, next)
       | None -> `Bad
 
@@ -964,8 +1132,8 @@ let try_mirror ctx ~s k pos =
    log pages (the write remaps any latent sector). *)
 let heal ctx ~s ~src ~dst pos next =
   let t = ctx.wal in
-  Bytes.blit t.streams.(s).(src).data pos t.streams.(s).(dst).data pos
-    (next - pos);
+  let a = t.streams.(s).(src) and b = t.streams.(s).(dst) in
+  Bytes.blit a.data (pos - a.base) b.data (pos - b.base) (next - pos);
   for lp = pos / t.page_size to (next - 1) / t.page_size do
     Disk_model.write t.log_disks ~disk:(disk_of t s dst) ~phys:lp;
     Hashtbl.replace ctx.charged_pages (disk_of t s dst, lp) `Ok
@@ -1014,11 +1182,11 @@ let has_valid_beyond t ~s pos =
     Array.iter
       (fun m ->
         if not !found then begin
-          let len = b_i32 m.data !q in
+          let len = m_i32 m !q in
           if len >= 9 && len <= Codec.max_body && !q + 8 + len <= dlen then
-            let kind = Char.code (Bytes.get m.data (!q + 4)) in
+            let kind = m_byte m (!q + 4) in
             if kind >= Codec.kind_image && kind <= Codec.kind_free then
-              match Codec.decode ~len:dlen m.data !q with
+              match m_decode m ~len:dlen !q with
               | Some _ -> found := true
               | None -> ()
         end)
@@ -1124,7 +1292,7 @@ let durable_records t =
    holes in it could silently resurrect stale state. *)
 let repair_page t ?(bad_sectors = []) page =
   if t.crashed then `Unrecoverable "machine crashed"
-  else if Hashtbl.mem t.touched page then
+  else if touched t page then
     `Unrecoverable "page has uncommitted changes"
   else begin
     ensure t page;
@@ -1169,6 +1337,7 @@ let repair_page t ?(bad_sectors = []) page =
       | None -> `Unrecoverable "no durable coverage"
       | Some b ->
           let dst = Page_store.bytes t.store page in
+          Page_store.rewritten t.store page;
           if
             bad_sectors <> []
             && Page_store.header_lsn t.store page = !lsn
@@ -1244,6 +1413,7 @@ let recover t =
   | None ->
       for id = 1 to total do
         let b = Page_store.bytes t.store id in
+        Page_store.rewritten t.store id;
         (match Vec.get t.disk_img id with
         | Some img -> Bytes.blit img 0 b 0 t.page_size
         | None -> Bytes.fill b 0 t.page_size '\000');
@@ -1252,6 +1422,7 @@ let recover t =
   | Some base ->
       for id = 1 to total do
         let b = Page_store.bytes t.store id in
+        Page_store.rewritten t.store id;
         match base.load_page id with
         | Some (img, lsn) ->
             Bytes.blit img 0 b 0 t.page_size;
@@ -1406,8 +1577,8 @@ let recover t =
     Vec.set t.shadow id None;
     Vec.set t.image_marks id None
   done;
-  Hashtbl.reset t.touched;
-  Hashtbl.reset t.logged_since_ckpt;
+  clear_touched t;
+  Pages.reset t.logged_since_ckpt;
   t.pending <- [];
   t.pending_bytes <- 0;
   t.sealed_bytes <- t.durable_len;
@@ -1462,7 +1633,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       streams =
         Array.init log_stripes (fun _ ->
             Array.init log_mirrors (fun _ ->
-                { data = Bytes.create 65536; len = 0 }));
+                { data = Bytes.create 65536; base = 0; len = 0 }));
       page_size;
       group_commit_bytes;
       pending = [];
@@ -1475,7 +1646,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       last_op = 0;
       ckpt_marks = Array.make log_stripes 0;
       trunc_marks = Array.make log_stripes 0;
-      boundaries = [];
+      boundaries = { packed = Bytes.create 1024; records = 0 };
       batched_redo = true;
       coalesce_redo = true;
       shadow = Vec.create ~dummy:None;
@@ -1484,8 +1655,10 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       disk_lsn = Vec.create ~dummy:0;
       image_marks = Vec.create ~dummy:None;
       alloc_snapshot = (0, []);
-      logged_since_ckpt = Hashtbl.create 256;
-      touched = Hashtbl.create 64;
+      logged_since_ckpt = Pages.create 256;
+      touched_pages = Array.make 8 0;
+      n_touched = 0;
+      touched_flag = Vec.create ~dummy:false;
       last_writeback = Page_store.nil;
       crash_at = None;
       crashed = false;
@@ -1539,7 +1712,7 @@ let detach t =
 
 let log_bytes t = t.sealed_bytes
 let durable_bytes t = t.durable_len
-let layout t = List.rev t.boundaries
+let layout t = boundaries t.boundaries
 let last_lsn t = t.next_lsn - 1
 let record_lsn = lsn_of
 let set_durable_observer t f = t.durable_obs <- f

@@ -341,15 +341,13 @@ val record_lsn : record -> int
 (** [truncate_to t ~marks] releases log space below the per-stripe
     offsets [marks] (a durable checkpoint's cut, e.g. the oldest shadow
     generation still retained): every mirror's bytes between the current
-    retention floor and the mark are zeroed and the floor advances.
-    Clamped to the recovery start point, so a scan from the last
+    retention floor and the mark are zeroed, or dropped from memory once
+    the released prefix outgrows the rest of the stripe, and the floor
+    advances.  Clamped to the recovery start point, so a scan from the last
     checkpoint is never affected.  Counts physical bytes released
     (across mirrors) into [wal.log.truncated_bytes] and returns the
     bytes released by this call. *)
 val truncate_to : t -> marks:int array -> int
-
-(** Per-stripe retention floor (offsets below it are released). *)
-val retention_floor : t -> int array
 
 (** Every readable durable record above the retention floor, including
     the uncommitted tail; charge-free.  A rejoining old primary compares

@@ -105,9 +105,12 @@ let check_batch_claims o =
   tables [ "batch-a"; "batch-b"; "batch-c" ]
 
 (* `exp ycsb` reports the open-loop arrival sweep: offered rate, backlog
-   and the p999 tail are all recorded. *)
+   and the p999 tail are all recorded.  Every page change on its WAL
+   goes through [Mem], so no delta falls back to a whole-page diff. *)
 let check_ycsb_claims o =
-  let c, _, claim, tables = claims "ycsb" o in
+  let c, get, claim, tables = claims "ycsb" o in
+  Alcotest.(check int) "ycsb: no whole-page delta diff" 0
+    (get "wal.delta.full_diffs");
   let any suffix =
     List.exists
       (fun (k, _) ->
@@ -328,6 +331,49 @@ let check_matches_committed (fresh : Fpb_obs.Json.t) =
         [ "metrics"; "tables" ])
     fresh committed
 
+(* The report of the CI bench smoke step, `bench/main.exe --tiny --json
+   F table1 fig3b fig17 recovery`, built from the same outcomes: schema
+   version 1, the requested ids in the requested order, and the WAL's
+   counters in the recovery experiment's metrics. *)
+let check_bench_smoke outcomes =
+  let module J = Fpb_obs.Json in
+  let requested = [ "table1"; "fig3b"; "fig17"; "recovery" ] in
+  let wanted =
+    List.map
+      (fun id ->
+        match Registry.find id with
+        | Some e -> e.Registry.id
+        | None -> Alcotest.failf "bench smoke: unknown id %s" id)
+      requested
+  in
+  let selected =
+    List.filter (fun o -> List.mem o.Registry.entry.Registry.id wanted) outcomes
+  in
+  let parsed =
+    J.parse (J.to_string (Report.make ~scale:Scale.Tiny ~bechamel:[] selected))
+  in
+  Alcotest.(check (option int))
+    "bench smoke: schema version" (Some 1)
+    (Option.bind (J.member "schema_version" parsed) J.to_int);
+  let exps =
+    Option.value ~default:[] (Option.bind (J.member "experiments" parsed) J.to_list)
+  in
+  Alcotest.(check (list string))
+    "bench smoke: ids in the order requested" requested
+    (List.filter_map (fun e -> Option.bind (J.member "id" e) J.to_str) exps);
+  let counters e =
+    match Option.bind (J.member "metrics" e) (J.member "counters") with
+    | Some (J.Obj kvs) -> List.map fst kvs
+    | _ -> []
+  in
+  Alcotest.(check bool)
+    "bench smoke: wal.* counters in recovery" true
+    (List.exists
+       (fun e ->
+         Option.bind (J.member "id" e) J.to_str = Some "recovery"
+         && List.exists (String.starts_with ~prefix:"wal.") (counters e))
+       exps)
+
 (* Every registered experiment runs at Tiny scale, the resulting report
    serialises to JSON that parses back with all ids present and a
    metrics record per experiment, and its simulated results equal the
@@ -370,7 +416,8 @@ let test_full_report_roundtrip () =
           Alcotest.failf "%s: missing counters object"
             (Option.value ~default:"?" (Option.bind (J.member "id" e) J.to_str)))
     exps;
-  check_matches_committed parsed
+  check_matches_committed parsed;
+  check_bench_smoke outcomes
 
 (* `fpb crashtest` at its CI seed: no checker failure, and every sweep
    exercises exactly its known crash points, torn pages and golden log

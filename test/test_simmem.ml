@@ -127,6 +127,39 @@ let test_mem_accessors () =
   Alcotest.(check int) "fill zero" 0 (Mem.read_i32 sim r 500);
   Alcotest.(check int) "peek matches" 77 (Mem.peek_i32 r 0)
 
+(* Charged writes widen the region's written span; reads do not, a
+   zero-length move does not, and a span marked whole absorbs every
+   later write until it is cleared. *)
+let test_mem_span () =
+  let sim = Sim.create () in
+  let r = Mem.make ~bytes:(Bytes.create 4096) ~base:0 in
+  let span = Alcotest.(pair int int) in
+  let check label want =
+    Alcotest.check span label want (r.Mem.span.Mem.Span.lo, r.Mem.span.hi)
+  in
+  Alcotest.(check bool) "fresh span is empty" true
+    (r.Mem.span.Mem.Span.lo >= r.Mem.span.hi);
+  Mem.write_u16 sim r 100 1;
+  check "u16" (100, 102);
+  Mem.write_i32 sim r 40 1;
+  Mem.write_u8 sim r 101 1;
+  check "i32 below, u8 inside" (40, 102);
+  Mem.blit sim r 0 r 500 8;
+  check "blit destination" (40, 508);
+  Mem.fill_zero sim r 600 0;
+  ignore (Mem.read_i32 sim r 1000 : int);
+  check "empty fill and reads" (40, 508);
+  Mem.fill_zero sim r 504 16;
+  check "fill_zero" (40, 520);
+  Mem.move_in sim r ~off:700 ~len:10 "abc" ~at:701;
+  check "move_in: the string's bytes" (40, 704);
+  Mem.Span.clear r.Mem.span;
+  Mem.write_i32 sim r 9 1;
+  check "cleared, then i32" (9, 13);
+  Mem.Span.mark_all r.Mem.span;
+  Mem.write_i32 sim r 4000 1;
+  Alcotest.(check bool) "whole absorbs writes" true (Mem.Span.is_all r.Mem.span)
+
 let test_busy_accounting () =
   let sim = Sim.create () in
   Sim.charge_busy sim 42;
@@ -421,4 +454,5 @@ let suite =
     prop_cache_matches_reference;
     prop_timeline_model;
     prop_timeline_monotone_pipeline;
+    Alcotest.test_case "mem written span" `Quick test_mem_span;
   ]

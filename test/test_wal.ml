@@ -161,6 +161,194 @@ let prop_diff_span_matches_reference =
       let b = flips a positions in
       Wal.diff_span a b = diff_reference a b)
 
+(* --- written spans: every logged delta is the whole-page diff --- *)
+
+(* A WAL-attached pool of [pages] 4 KB pages with room for only
+   [frames] of them, so a write's page may be evicted before its commit.
+   Every page is created, dirtied and committed once: its first log
+   record is the full image, and every later one is a delta. *)
+let span_system ~pages ~frames =
+  let _, store, disks, pool = Util.make_system ~n_disks:2 ~capacity:frames () in
+  let wal = Wal.attach ~meta:[] pool in
+  let ids =
+    Array.init pages (fun _ ->
+        let id, _ = Buffer_pool.create_page pool in
+        Buffer_pool.mark_dirty pool id;
+        Buffer_pool.unpin pool id;
+        id)
+  in
+  Wal.commit wal ~op:1 ~meta:[];
+  (store, disks, pool, wal, ids)
+
+type span_op =
+  | W8 of int * int * int  (** page, offset, value *)
+  | W16 of int * int * int
+  | W32 of int * int * int
+  | Blit of int * int * int * int * int  (** src page, off, dst page, off, len *)
+  | Fill of int * int * int  (** page, offset, length *)
+  | Evict  (** write back and drop every frame, mid-operation *)
+  | Corrupt_read of int
+      (** commit, drop every frame, then read the page through a disk
+          that corrupts every read: the pool repairs it from the log *)
+  | Commit
+
+let show_span_op = function
+  | W8 (p, o, v) -> Printf.sprintf "W8(%d,%d,%d)" p o v
+  | W16 (p, o, v) -> Printf.sprintf "W16(%d,%d,%d)" p o v
+  | W32 (p, o, v) -> Printf.sprintf "W32(%d,%d,%d)" p o v
+  | Blit (p, o, q, o', n) -> Printf.sprintf "Blit(%d,%d,%d,%d,%d)" p o q o' n
+  | Fill (p, o, n) -> Printf.sprintf "Fill(%d,%d,%d)" p o n
+  | Evict -> "Evict"
+  | Corrupt_read p -> Printf.sprintf "Corrupt_read(%d)" p
+  | Commit -> "Commit"
+
+let span_pages = 4
+
+let gen_span_op =
+  let open QCheck2.Gen in
+  let page = 0 -- (span_pages - 1) in
+  let len = frequency [ (3, 0 -- 16); (1, 0 -- 512) ] in
+  frequency
+    [
+      (2, map3 (fun p o v -> W8 (p, o, v)) page (0 -- 4095) (0 -- 255));
+      (2, map3 (fun p o v -> W16 (p, o, v)) page (0 -- 4094) (0 -- 0xffff));
+      (4, map3 (fun p o v -> W32 (p, o, v)) page (0 -- 4092) int);
+      ( 2,
+        let* n = len in
+        let* src = page and* dst = page in
+        let* o = 0 -- (4096 - n) and* o' = 0 -- (4096 - n) in
+        return (Blit (src, o, dst, o', n)) );
+      ( 1,
+        let* n = len in
+        let* p = page in
+        let* o = 0 -- (4096 - n) in
+        return (Fill (p, o, n)) );
+      (1, return Evict);
+      (1, map (fun p -> Corrupt_read p) page);
+      (3, return Commit);
+    ]
+
+(* The new image and delta records sealed since LSN [after], as
+   (page, offset, bytes); an image is a delta at offset 0 of the whole
+   page. *)
+let logged_since wal ~after =
+  List.filter_map
+    (function
+      | Wal.Image { lsn; page; img } when lsn > after -> Some (page, 0, img)
+      | Wal.Delta { lsn; page; off; bytes } when lsn > after ->
+          Some (page, off, bytes)
+      | _ -> None)
+    (Wal.durable_records wal)
+
+(* Property: random charged writes ([write_*], [blit], [fill_zero])
+   across four pages, with evictions between a write and its commit and
+   reads that come back corrupted and are repaired.  At every commit
+   the records logged for each dirtied page equal what the whole-page
+   [Wal.diff_span] against the page's last-logged bytes gives: the
+   bounded search inside the written span never misses a changed byte
+   and never logs a wider span. *)
+let prop_logged_delta_is_full_diff =
+  let open QCheck2 in
+  let prefix = [ W32 (0, 100, 7); Evict; Commit; Corrupt_read 1; W8 (1, 9, 1); Commit ] in
+  Util.qtest ~count:100
+    ~print:(fun ops -> String.concat "; " (List.map show_span_op ops))
+    "logged delta = whole-page diff" (Gen.list_size (Gen.int_range 1 60) gen_span_op)
+    (fun ops ->
+      let store, disks, pool, wal, ids = span_system ~pages:span_pages ~frames:3 in
+      let sim = Buffer_pool.sim pool in
+      (* each page's bytes as last logged, and the pages dirtied since *)
+      let logged = Array.map (fun id -> Bytes.copy (Page_store.bytes store id)) ids in
+      let dirty = Array.make span_pages false in
+      let op_no = ref 1 in
+      let write p f =
+        let id = ids.(p) in
+        f (Buffer_pool.get pool id);
+        Buffer_pool.mark_dirty pool id;
+        Buffer_pool.unpin pool id;
+        dirty.(p) <- true
+      in
+      let commit () =
+        let expected = ref [] in
+        for p = span_pages - 1 downto 0 do
+          if dirty.(p) then begin
+            let cur = Page_store.bytes store ids.(p) in
+            (match Wal.diff_span logged.(p) cur with
+            | Some (off, len) ->
+                expected := (ids.(p), off, Bytes.sub cur off len) :: !expected
+            | None -> ());
+            logged.(p) <- Bytes.copy cur;
+            dirty.(p) <- false
+          end
+        done;
+        let after = Wal.last_lsn wal in
+        incr op_no;
+        Wal.commit wal ~op:!op_no ~meta:[];
+        if logged_since wal ~after <> !expected then
+          Test.fail_reportf "commit %d: logged records differ from the full diff"
+            !op_no
+      in
+      List.iter
+        (function
+          | W8 (p, o, v) -> write p (fun r -> Fpb_simmem.Mem.write_u8 sim r o v)
+          | W16 (p, o, v) -> write p (fun r -> Fpb_simmem.Mem.write_u16 sim r o v)
+          | W32 (p, o, v) -> write p (fun r -> Fpb_simmem.Mem.write_i32 sim r o v)
+          | Blit (p, o, q, o', n) ->
+              let src = Buffer_pool.get pool ids.(p) in
+              write q (fun dst -> Fpb_simmem.Mem.blit sim src o dst o' n);
+              Buffer_pool.unpin pool ids.(p)
+          | Fill (p, o, n) -> write p (fun r -> Fpb_simmem.Mem.fill_zero sim r o n)
+          | Evict -> Buffer_pool.clear pool
+          | Corrupt_read p ->
+              commit ();
+              Buffer_pool.clear pool;
+              Disk_model.set_faults disks
+                (Some { Fault.none with Fault.seed = p; corrupt = 1.0; torn_frac = 0.0 });
+              ignore (Buffer_pool.get pool ids.(p));
+              Buffer_pool.unpin pool ids.(p);
+              Disk_model.set_faults disks None;
+              if Page_store.bytes store ids.(p) <> logged.(p) then
+                Test.fail_reportf "page %d: repair did not restore its committed bytes" p
+          | Commit -> commit ())
+        (prefix @ ops);
+      commit ();
+      true)
+
+(* A read that comes back corrupted and is repaired rewrites the page
+   outside [Mem]: the page's next delta falls back to one whole-page
+   diff, counted, and still logs only the bytes that changed. *)
+let test_repair_forces_one_full_diff () =
+  let _, disks, pool, wal, ids = span_system ~pages:2 ~frames:2 in
+  let sim = Buffer_pool.sim pool in
+  let full_diffs () = List.assoc "wal.delta.full_diffs" (Wal.kv wal) in
+  let put op v =
+    let r = Buffer_pool.get pool ids.(0) in
+    Fpb_simmem.Mem.write_i32 sim r 2048 v;
+    Buffer_pool.mark_dirty pool ids.(0);
+    Buffer_pool.unpin pool ids.(0);
+    let after = Wal.last_lsn wal in
+    Wal.commit wal ~op ~meta:[];
+    logged_since wal ~after
+  in
+  let one_word v =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_le b 0 (Int32.of_int v);
+    [ (ids.(0), 2048, b) ]
+  in
+  Alcotest.(check bool) "tracked delta" true (put 2 0x01020304 = one_word 0x01020304);
+  check_int "no full diff while every write is tracked" 0 (full_diffs ());
+  Buffer_pool.clear pool;
+  Disk_model.set_faults disks
+    (Some { Fault.none with Fault.seed = 3; corrupt = 1.0; torn_frac = 0.0 });
+  ignore (Buffer_pool.get pool ids.(0));
+  Buffer_pool.unpin pool ids.(0);
+  Disk_model.set_faults disks None;
+  check_int "the read was repaired" 1
+    (List.assoc "repair.repaired" (Buffer_pool.kv pool));
+  Alcotest.(check bool) "delta after repair" true (put 3 0x05060708 = one_word 0x05060708);
+  check_int "one counted full diff" 1 (full_diffs ());
+  Alcotest.(check bool) "tracked again" true (put 4 0x0a0b0c0d = one_word 0x0a0b0c0d);
+  check_int "span reset by the log" 1 (full_diffs ())
+
 (* --- commit / crash / recover on a real system --- *)
 
 let build_small kind n =
@@ -501,4 +689,7 @@ let suite =
     prop_striping_invariant;
     prop_mirror_survives_single_fault;
     prop_recovery_prefix;
+    prop_logged_delta_is_full_diff;
+    Alcotest.test_case "repair forces one counted full diff" `Quick
+      test_repair_forces_one_full_diff;
   ]
