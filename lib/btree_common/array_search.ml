@@ -26,12 +26,3 @@ let upper_bound sim region ~off ~n ~key =
     if k <= key then lo := mid + 1 else hi := mid
   done;
   !lo
-
-let peek_lower_bound region ~off ~n ~key =
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if Mem.peek_i32 region (off + (Key.size * mid)) < key then lo := mid + 1
-    else hi := mid
-  done;
-  !lo

@@ -9,6 +9,3 @@ val lower_bound : Sim.t -> Mem.region -> off:int -> n:int -> key:int -> int
 
 (** First index i in [0, n) with a(i) > key; n if none. *)
 val upper_bound : Sim.t -> Mem.region -> off:int -> n:int -> key:int -> int
-
-(** Uncharged [lower_bound] for checkers. *)
-val peek_lower_bound : Mem.region -> off:int -> n:int -> key:int -> int

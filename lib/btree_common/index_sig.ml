@@ -55,14 +55,9 @@ module type S = sig
   (* Pages owned by the index, including any auxiliary structures. *)
   val page_count : t -> int
 
-  (* Page accesses per tree level since the last reset, slot 0 = root
-     level.  Uncharged host-side bookkeeping for the telemetry layer. *)
-  val level_accesses : t -> int array
-  val reset_level_accesses : t -> unit
-
-  (* Attach (or with [None] detach) a trace sink; node visits during
-     descents emit [node_access] events into it.  Uncharged. *)
-  val set_trace : t -> Fpb_obs.Trace.t option -> unit
+  (* The index's per-level node-access accounting and trace sink:
+     uncharged host-side bookkeeping for the telemetry layer. *)
+  val level_acc : t -> Level_acc.t
 
   (* Durable handle metadata: the mutable OCaml-side state (root page,
      height, page counts, auxiliary-structure heads) that page contents
@@ -91,9 +86,18 @@ let bulkload (Instance ((module M), t)) pairs ~fill = M.bulkload t pairs ~fill
 let range_scan (Instance ((module M), t)) ?prefetch ~start_key ~end_key f =
   M.range_scan t ?prefetch ~start_key ~end_key f
 
-let level_accesses (Instance ((module M), t)) = M.level_accesses t
-let reset_level_accesses (Instance ((module M), t)) = M.reset_level_accesses t
-let set_trace (Instance ((module M), t)) tr = M.set_trace t tr
+(* Page accesses per tree level since the last reset, slot 0 = root. *)
+let level_accesses (Instance ((module M), t)) =
+  Level_acc.counts (M.level_acc t) ~levels:(M.height t)
+
+let reset_level_accesses (Instance ((module M), t)) =
+  Level_acc.reset (M.level_acc t)
+
+(* Attach (or with [None] detach) a trace sink; node visits during
+   descents emit [node_access] events into it. *)
+let set_trace (Instance ((module M), t)) tr =
+  Level_acc.set_trace (M.level_acc t) tr
+
 let height (Instance ((module M), t)) = M.height t
 let page_count (Instance ((module M), t)) = M.page_count t
 let meta (Instance ((module M), t)) = M.meta t

@@ -52,7 +52,6 @@ module Make (F : PAGE_FORMAT) = struct
     mutable root : int;
     mutable levels : int;  (* 1 = root is a leaf *)
     mutable n_pages : int;
-    mutable io_prefetch_distance : int;
     acc : Level_acc.t;
   }
 
@@ -63,6 +62,8 @@ module Make (F : PAGE_FORMAT) = struct
   let off_n = 2
   let off_prev = 4
   let off_next = 8
+  (* Leaf pages a range scan keeps in flight ahead of itself. *)
+  let io_prefetch_distance = 16
   let key_off t i = F.key_base t.cfg + (Key.size * i)
   let ptr_off t i = F.ptr_base t.cfg + (Layout.pid_size * i)
   let nil = Page_store.nil
@@ -89,7 +90,6 @@ module Make (F : PAGE_FORMAT) = struct
         root = nil;
         levels = 1;
         n_pages = 0;
-        io_prefetch_distance = 16;
         acc = Level_acc.create sim;
       }
     in
@@ -98,13 +98,9 @@ module Make (F : PAGE_FORMAT) = struct
     t.root <- root;
     t
 
-  let set_io_prefetch_distance t d = t.io_prefetch_distance <- max 1 d
-
   (* --- Uncharged instrumentation ------------------------------------------ *)
 
-  let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
-  let reset_level_accesses t = Level_acc.reset t.acc
-  let set_trace t tr = Level_acc.set_trace t.acc tr
+  let level_acc t = t.acc
 
   (* --- Search ------------------------------------------------------------ *)
 
@@ -355,6 +351,8 @@ module Make (F : PAGE_FORMAT) = struct
 
   (* --- Range scan ---------------------------------------------------------- *)
 
+  (* Jump-pointer cursor over the leaf-parent level: the page and slot of
+     the next tree-leaf page ID. *)
   type jp_cursor = { mutable jp_page : int; mutable jp_idx : int }
 
   let rec jp_next t cur =
@@ -377,174 +375,72 @@ module Make (F : PAGE_FORMAT) = struct
       end
     end
 
-  let descend_with_parent t key =
-    let parent = ref nil and parent_idx = ref 0 in
-    let page, r =
-      descend t key ~visit:(fun p _ n i ->
-          ignore n;
-          parent := p;
-          parent_idx := i)
-    in
-    (page, r, !parent, !parent_idx)
+  let rec jp_prev t cur =
+    if cur.jp_page = nil then None
+    else begin
+      let r = Buffer_pool.get t.pool cur.jp_page in
+      if cur.jp_idx >= 0 then begin
+        let pid = Mem.read_i32 t.sim r (ptr_off t cur.jp_idx) in
+        cur.jp_idx <- cur.jp_idx - 1;
+        Buffer_pool.unpin t.pool cur.jp_page;
+        Some pid
+      end
+      else begin
+        let prev = Mem.read_i32 t.sim r off_prev in
+        Buffer_pool.unpin t.pool cur.jp_page;
+        cur.jp_page <- prev;
+        if prev = nil then None
+        else begin
+          let pr = Buffer_pool.get t.pool prev in
+          cur.jp_idx <- Mem.read_u16 t.sim pr off_n - 1;
+          Buffer_pool.unpin t.pool prev;
+          jp_prev t cur
+        end
+      end
+    end
+
+  (* One node per page, so the node is always 0; the descent leaves the
+     leaf pinned and the cursor [dir] entries from its leaf-parent slot. *)
+  let scan_hooks t ~dir ~step ~sibling =
+    {
+      Scan.descend =
+        (fun key ~cursor:_ ->
+          let cur = { jp_page = nil; jp_idx = 0 } in
+          let page, r =
+            descend t key ~visit:(fun p _ _ i ->
+                cur.jp_page <- p;
+                cur.jp_idx <- i + dir)
+          in
+          (page, Some (r, 0), cur));
+      step = step t;
+      first = (fun _ ~seek:_ _ -> 0);
+      next = (fun _ ~page:_ _ -> 0);
+      sibling = (fun r -> Mem.read_i32 t.sim r sibling);
+      node =
+        {
+          Scan.count = (fun r _ -> Mem.read_u16 t.sim r off_n);
+          slot = (fun r _ ~n key mode -> F.find_slot t.sim t.cfg r ~n ~key mode);
+          keys = (fun _ -> key_off t 0);
+          values = (fun _ -> ptr_off t 0);
+        };
+      prefetch_page = ignore;
+      bump_nodes = false;
+    }
 
   let range_scan t ?(prefetch = false) ~start_key ~end_key f =
-    Sim.busy_op t.sim;
-    if end_key < start_key then 0
-    else begin
-      (* Locate the end leaf first so prefetching never overshoots. *)
-      let end_leaf =
-        if prefetch then begin
-          let page, _r = descend t end_key ~visit:(fun _ _ _ _ -> ()) in
-          Buffer_pool.unpin t.pool page;
-          page
-        end
-        else nil
-      in
-      let page, r, parent, parent_idx = descend_with_parent t start_key in
-      let cur = { jp_page = parent; jp_idx = parent_idx + 1 } in
-      let outstanding = ref 0 in
-      (* nothing to prefetch when the scan starts on the end page *)
-      let done_prefetching = ref (parent = nil || end_leaf = page) in
-      let pump () =
-        if prefetch then
-          while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
-          do
-            match jp_next t cur with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = end_leaf then done_prefetching := true
-          done
-      in
-      pump ();
-      let count = ref 0 in
-      let rec scan_page page r =
-        let n = Mem.read_u16 t.sim r off_n in
-        let i0 =
-          if !count = 0 then
-            F.find_slot t.sim t.cfg r ~n ~key:start_key `Lower
-          else 0
-        in
-        let stop = ref false in
-        let i = ref i0 in
-        while (not !stop) && !i < n do
-          let k = Mem.read_i32 t.sim r (key_off t !i) in
-          if k > end_key then stop := true
-          else begin
-            f k (Mem.read_i32 t.sim r (ptr_off t !i));
-            incr count;
-            incr i
-          end
-        done;
-        let next = if !stop then nil else Mem.read_i32 t.sim r off_next in
-        Buffer_pool.unpin t.pool page;
-        if next <> nil then begin
-          if !outstanding > 0 then decr outstanding;
-          pump ();
-          let nr = Buffer_pool.get t.pool next in
-          Level_acc.bump t.acc t.levels;
-          scan_page next nr
-        end
-      in
-      scan_page page r;
-      !count
-    end
+    Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
+      ~rev:false ~prefetch ~start_key ~end_key
+      (scan_hooks t ~dir:1 ~step:jp_next ~sibling:off_next)
+      f
 
-  (* Reverse (descending) range scan: visits keys in [start_key, end_key]
-     from high to low, walking the prev sibling links the paper's DB2
-     implementation added for reverse scans.  Backward I/O prefetching
-     walks the leaf-parent level in reverse. *)
+  (* Reverse (descending) range scan: walks the prev sibling links the
+     paper's DB2 implementation added for reverse scans, prefetching
+     backward along the leaf-parent level. *)
   let range_scan_rev t ?(prefetch = false) ~start_key ~end_key f =
-    Sim.busy_op t.sim;
-    if end_key < start_key then 0
-    else begin
-      let start_leaf =
-        if prefetch then begin
-          let page, _r = descend t start_key ~visit:(fun _ _ _ _ -> ()) in
-          Buffer_pool.unpin t.pool page;
-          page
-        end
-        else nil
-      in
-      let page, r, parent, parent_idx = descend_with_parent t end_key in
-      (* backward cursor over the leaf-parent level *)
-      let cur = { jp_page = parent; jp_idx = parent_idx - 1 } in
-      let rec jp_prev () =
-        if cur.jp_page = nil then None
-        else if cur.jp_idx >= 0 then begin
-          let pr = Buffer_pool.get t.pool cur.jp_page in
-          let pid = Mem.read_i32 t.sim pr (ptr_off t cur.jp_idx) in
-          cur.jp_idx <- cur.jp_idx - 1;
-          Buffer_pool.unpin t.pool cur.jp_page;
-          Some pid
-        end
-        else begin
-          let pr = Buffer_pool.get t.pool cur.jp_page in
-          let prev = Mem.read_i32 t.sim pr off_prev in
-          Buffer_pool.unpin t.pool cur.jp_page;
-          cur.jp_page <- prev;
-          if prev = nil then None
-          else begin
-            let pr2 = Buffer_pool.get t.pool prev in
-            cur.jp_idx <- Mem.read_u16 t.sim pr2 off_n - 1;
-            Buffer_pool.unpin t.pool prev;
-            jp_prev ()
-          end
-        end
-      in
-      let outstanding = ref 0 in
-      let done_prefetching = ref (parent = nil || start_leaf = page) in
-      let pump () =
-        if prefetch then
-          while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
-          do
-            match jp_prev () with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = start_leaf then done_prefetching := true
-          done
-      in
-      pump ();
-      let count = ref 0 in
-      let first_page = ref true in
-      let rec scan_page page r =
-        let n = Mem.read_u16 t.sim r off_n in
-        let i0 =
-          if !first_page then begin
-            first_page := false;
-            F.find_slot t.sim t.cfg r ~n ~key:end_key `Upper - 1
-          end
-          else n - 1
-        in
-        let stop = ref false in
-        let i = ref i0 in
-        while (not !stop) && !i >= 0 do
-          let k = Mem.read_i32 t.sim r (key_off t !i) in
-          if k < start_key then stop := true
-          else begin
-            if k <= end_key then begin
-              f k (Mem.read_i32 t.sim r (ptr_off t !i));
-              incr count
-            end;
-            decr i
-          end
-        done;
-        let prev = if !stop then nil else Mem.read_i32 t.sim r off_prev in
-        Buffer_pool.unpin t.pool page;
-        if prev <> nil then begin
-          if !outstanding > 0 then decr outstanding;
-          pump ();
-          let pr = Buffer_pool.get t.pool prev in
-          Level_acc.bump t.acc t.levels;
-          scan_page prev pr
-        end
-      in
-      scan_page page r;
-      !count
-    end
+    Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
+      ~rev:true ~prefetch ~start_key ~end_key
+      (scan_hooks t ~dir:(-1) ~step:jp_prev ~sibling:off_prev)
+      f
 
   (* --- Introspection (uncharged; tests only) ------------------------------- *)
 

@@ -52,8 +52,4 @@ module Make (F : PAGE_FORMAT) : sig
     end_key:int ->
     (int -> int -> unit) ->
     int
-
-  (** Pages of leaves prefetched ahead during jump-pointer range scans
-      (default 16). *)
-  val set_io_prefetch_distance : t -> int -> unit
 end

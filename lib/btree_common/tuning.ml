@@ -220,27 +220,3 @@ let micro_index ?(t1 = 150) ?(tnext = 10) ?(line_size = 64) ~page_size () =
         mi_cost = cost;
         mi_ratio = metric /. min_metric;
       }
-
-(* --- Table 2 ------------------------------------------------------------- *)
-
-let pp_table2 ppf () =
-  let sizes = [ 4096; 8192; 16384; 32768 ] in
-  Fmt.pf ppf
-    "Optimal width selections (4 byte keys, T1 = 150, Tnext = 10)@.";
-  Fmt.pf ppf
-    "%-9s | %-28s | %-24s | %-20s@." "" "Disk-first fpB+-Tree"
-    "Cache-first fpB+-Tree" "Micro-indexing";
-  Fmt.pf ppf "%-9s | %8s %6s %7s %5s | %6s %7s %9s | %5s %7s %6s@." "page"
-    "nonleaf" "leaf" "fanout" "cost" "node" "fanout" "cost" "sub" "fanout"
-    "cost";
-  List.iter
-    (fun page_size ->
-      let df = disk_first ~page_size () in
-      let cf = cache_first ~page_size () in
-      let mi = micro_index ~page_size () in
-      Fmt.pf ppf "%-9s | %7dB %5dB %7d %5.2f | %5dB %7d %9.2f | %4dB %7d %6.2f@."
-        (Printf.sprintf "%dKB" (page_size / 1024))
-        (df.df_w * 64) (df.df_x * 64) df.df_fanout df.df_ratio (cf.cf_w * 64)
-        cf.cf_fanout cf.cf_ratio (mi.mi_sub_lines * 64) mi.mi_fanout
-        mi.mi_ratio)
-    sizes

@@ -47,6 +47,3 @@ val cache_first :
 
 val micro_index :
   ?t1:int -> ?tnext:int -> ?line_size:int -> page_size:int -> unit -> micro_index
-
-(** Render the full Table 2 for the standard page sizes. *)
-val pp_table2 : Format.formatter -> unit -> unit

@@ -66,7 +66,6 @@ type t = {
   jp : Jump_array.t;
   mutable overflow_page : int;  (* current overflow allocation page *)
   level_pool : (int, int) Hashtbl.t;  (* tree depth -> allocation page *)
-  mutable io_prefetch_distance : int;
   acc : Level_acc.t;
 }
 
@@ -201,7 +200,6 @@ let create_with_cfg pool cfg =
       jp = Jump_array.create pool;
       overflow_page = nil;
       level_pool = Hashtbl.create 8;
-      io_prefetch_distance = 16;
       acc = Level_acc.create sim;
     }
   in
@@ -228,13 +226,9 @@ let create_custom pool ~w =
   let page_size = Page_store.page_size (Buffer_pool.store pool) in
   create_with_cfg pool (cfg_of_width ~page_size ~w)
 
-let set_io_prefetch_distance t d = t.io_prefetch_distance <- max 1 d
-
 (* --- Uncharged instrumentation --------------------------------------------- *)
 
-let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
-let reset_level_accesses t = Level_acc.reset t.acc
-let set_trace t tr = Level_acc.set_trace t.acc tr
+let level_acc t = t.acc
 
 (* --- Search ---------------------------------------------------------------- *)
 
@@ -797,103 +791,62 @@ let bulkload t pairs ~fill =
 
 (* --- Range scan -------------------------------------------------------------------- *)
 
+(* Leaf pages a range scan keeps in flight ahead of itself. *)
+let io_prefetch_distance = 16
+
+(* A node is a leaf node, and each node step is a leaf access.  The
+   cursor walks the external jump-pointer array from the start page; the
+   link out of the last node read names the sibling page and its first
+   node. *)
 let range_scan t ?(prefetch = true) ~start_key ~end_key f =
-  Sim.busy_op t.sim;
-  if end_key < start_key then 0
-  else begin
-    let c = t.cfg in
-    let end_page =
-      if prefetch then begin
-        let page, _, _ = descend t end_key ~visit:(fun _ _ -> ()) in
-        Buffer_pool.unpin t.pool page;
-        page
-      end
-      else nil
-    in
-    let start_page, r0, line0 = descend t start_key ~visit:(fun _ _ -> ()) in
-    (* I/O prefetch via the external jump-pointer array *)
-    let cursor =
-      if prefetch then begin
-        let chunk =
-          Buffer_pool.with_page t.pool start_page (fun r ->
-              Mem.read_i32 t.sim r h_jp_chunk)
-        in
-        let cur = Jump_array.cursor_at t.jp ~chunk ~page:start_page in
-        ignore (Jump_array.next cur);  (* skip the page we're on *)
-        Some cur
-      end
-      else None
-    in
-    let outstanding = ref 0 in
-    (* nothing to prefetch when the scan starts on the end page *)
-    let done_prefetching = ref (cursor = None || end_page = start_page) in
-    let pump () =
-      match cursor with
-      | None -> ()
-      | Some cur ->
-          while (not !done_prefetching) && !outstanding < t.io_prefetch_distance
-          do
-            match Jump_array.next cur with
-            | None -> done_prefetching := true
-            | Some pid ->
-                Buffer_pool.prefetch t.pool pid;
-                incr outstanding;
-                if pid = end_page then done_prefetching := true
-          done
-    in
-    pump ();
-    let count = ref 0 in
-    (* cache prefetch: all node slots of a leaf page at once *)
-    let prefetch_page_nodes r =
-      if prefetch then begin
-        let bump = Mem.read_u16 t.sim r h_bump in
-        Mem.prefetch t.sim r ~off:line_bytes ~len:(bump * c.w * line_bytes)
-      end
-    in
-    prefetch_page_nodes r0;
-    let rec scan page r line =
-      let n = Mem.read_u16 t.sim r (node_off line + n_count) in
-      let i0 =
-        if !count = 0 then
-          Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n
-            ~key:start_key
-        else 0
-      in
-      let stop = ref false in
-      let i = ref i0 in
-      while (not !stop) && !i < n do
-        let k = Mem.read_i32 t.sim r (key_off line !i) in
-        if k > end_key then stop := true
-        else begin
-          f k (Mem.read_i32 t.sim r (tid_off c line !i));
-          incr count;
-          incr i
-        end
-      done;
-      if !stop then Buffer_pool.unpin t.pool page
-      else begin
-        let next_pg = Mem.read_i32 t.sim r (node_off line + n_next_pg) in
-        let next_ln = Mem.read_u16 t.sim r (node_off line + n_next_ln) in
-        if next_pg = page then begin
-          Level_acc.bump t.acc t.levels;
-          scan page r next_ln
-        end
-        else begin
-          Buffer_pool.unpin t.pool page;
-          if next_pg <> nil then begin
-            if !outstanding > 0 then decr outstanding;
-            pump ();
-            let nr = Buffer_pool.get t.pool next_pg in
-            prefetch_page_nodes nr;
-            Level_acc.bump t.acc t.levels;
-            scan next_pg nr next_ln
-          end
-        end
-      end
-    in
-    scan start_page r0 line0;
-    !count
-  end
+  let c = t.cfg in
+  let link_pg = ref nil and link_ln = ref 0 in
+  Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
+    ~rev:false ~prefetch ~start_key ~end_key
+    {
+      Scan.descend =
+        (fun key ~cursor ->
+          let page, r, line = descend t key ~visit:(fun _ _ -> ()) in
+          let cur =
+            if cursor then begin
+              let chunk =
+                Buffer_pool.with_page t.pool page (fun r ->
+                    Mem.read_i32 t.sim r h_jp_chunk)
+              in
+              let cur = Jump_array.cursor_at t.jp ~chunk ~page in
+              ignore (Jump_array.next cur);  (* skip the page we're on *)
+              Some cur
+            end
+            else None
+          in
+          (page, Some (r, line), cur));
+      step = (fun cur -> Option.bind cur Jump_array.next);
+      first = (fun _ ~seek:_ _ -> !link_ln);
+      next =
+        (fun r ~page line ->
+          link_pg := Mem.read_i32 t.sim r (node_off line + n_next_pg);
+          link_ln := Mem.read_u16 t.sim r (node_off line + n_next_ln);
+          if !link_pg = page then !link_ln else 0);
+      sibling = (fun _ -> !link_pg);
+      node =
+        {
+          Scan.count =
+            (fun r line -> Mem.read_u16 t.sim r (node_off line + n_count));
+          (* forward scans only: [`Lower] *)
+          slot =
+            (fun r line ~n key _ ->
+              Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key);
+          keys = (fun line -> key_off line 0);
+          values = (fun line -> tid_off c line 0);
+        };
+      (* all node slots of a leaf page at once *)
+      prefetch_page =
+        (fun r ->
+          let bump = Mem.read_u16 t.sim r h_bump in
+          Mem.prefetch t.sim r ~off:line_bytes ~len:(bump * c.w * line_bytes));
+      bump_nodes = true;
+    }
+    f
 
 (* --- Introspection (uncharged; tests only) -------------------------------------- *)
 

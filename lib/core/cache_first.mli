@@ -28,7 +28,6 @@ val create : Fpb_storage.Buffer_pool.t -> t
 val create_custom : Fpb_storage.Buffer_pool.t -> w:int -> t
 
 val cfg : t -> cfg
-val set_io_prefetch_distance : t -> int -> unit
 
 (** {1 Operations (see {!Fpb_btree_common.Index_sig.S})} *)
 
@@ -64,14 +63,7 @@ val restore_meta : t -> int list -> unit
 
 (** {1 Telemetry (uncharged host-side bookkeeping)} *)
 
-(** Node accesses per tree level since the last reset, slot 0 = root. *)
-val level_accesses : t -> int array
-
-val reset_level_accesses : t -> unit
-
-(** Attach (or with [None] detach) a trace sink; node visits during
-    search descents emit [node_access] events into it. *)
-val set_trace : t -> Fpb_obs.Trace.t option -> unit
+val level_acc : t -> Fpb_btree_common.Level_acc.t
 
 (** {1 Uncharged introspection (tests)} *)
 

@@ -259,9 +259,7 @@ let set_bound_scan_end t b = t.bound_scan_end <- b
 
 (* --- Uncharged instrumentation --------------------------------------------- *)
 
-let level_accesses t = Level_acc.counts t.acc ~levels:t.levels
-let reset_level_accesses t = Level_acc.reset t.acc
-let set_trace t tr = Level_acc.set_trace t.acc tr
+let level_acc t = t.acc
 
 (* --- In-page search ------------------------------------------------------- *)
 
@@ -811,26 +809,6 @@ let rec jp_prev t cur =
     end
   end
 
-(* Keep up to [io_prefetch_distance] leaf pages in flight ahead of a scan,
-   drawing their IDs from [next] and stopping after [last] (when [on]).
-   Returns the step a scan takes each time it moves to another page. *)
-let io_prefetcher t ~on ~next ~last =
-  let outstanding = ref 0 and finished = ref (not on) in
-  let pump () =
-    while (not !finished) && !outstanding < t.io_prefetch_distance do
-      match next () with
-      | None -> finished := true
-      | Some pid ->
-          Buffer_pool.prefetch t.pool pid;
-          incr outstanding;
-          if pid = last then finished := true
-    done
-  in
-  pump ();
-  fun () ->
-    if !outstanding > 0 then decr outstanding;
-    pump ()
-
 (* Cache-granularity prefetch of all in-page leaf nodes of a leaf page
    (walks the nonleaf structure, whose nodes the search just touched). *)
 let prefetch_page_leaves t r =
@@ -848,128 +826,56 @@ let prefetch_page_leaves t r =
   let levels = Mem.read_u8 t.sim r h_ip_levels in
   go (Mem.read_u16 t.sim r h_root) 1 levels
 
+(* The walker pins each leaf page itself, the first included; a node is
+   an in-page leaf node.  [first] and [next] read the forward or backward
+   in-page chain; a forward page entry reads its first node even when it
+   then seeks. *)
+let scan_hooks t ~dir ~step ~first ~next ~sibling =
+  let c = t.cfg in
+  {
+    Scan.descend =
+      (fun key ~cursor:_ ->
+        let page, cur = descend_to_leaf t key in
+        cur.jp_idx <- cur.jp_idx + dir;
+        (page, None, cur));
+    step = step t;
+    first;
+    next = (fun r ~page:_ line -> Mem.read_u16 t.sim r (node_off line + next));
+    sibling = (fun r -> Mem.read_i32 t.sim r sibling);
+    node =
+      {
+        Scan.count = (fun r line -> read_n t r line);
+        slot = (fun r line ~n key mode -> ip_leaf_slot t r line ~n ~key mode);
+        keys = (fun line -> leaf_key_off c line 0);
+        values = (fun line -> leaf_ptr_off c line 0);
+      };
+    prefetch_page =
+      (fun r -> if t.cache_prefetch_leaves then prefetch_page_leaves t r);
+    bump_nodes = false;
+  }
+
+let seek_leaf t r key = ip_find_leaf t r key ~visit:(fun _ _ _ -> ())
+
 let range_scan t ?(prefetch = true) ~start_key ~end_key f =
-  Sim.busy_op t.sim;
-  if end_key < start_key then 0
-  else begin
-    let c = t.cfg in
-    (* end page, to bound I/O prefetching (avoid overshooting) *)
-    let end_leaf =
-      if prefetch && t.bound_scan_end then fst (descend_to_leaf t end_key)
-      else nil
-    in
-    let start_leaf, cur = descend_to_leaf t start_key in
-    cur.jp_idx <- cur.jp_idx + 1;
-    (* nothing to prefetch when the scan starts on the end page *)
-    let advance =
-      io_prefetcher t
-        ~on:(prefetch && start_leaf <> end_leaf)
-        ~next:(fun () -> jp_next t cur)
-        ~last:end_leaf
-    in
-    let count = ref 0 in
-    let rec scan_page page =
-      let r = Buffer_pool.get t.pool page in
-      Level_acc.bump t.acc t.levels;
-      if prefetch && t.cache_prefetch_leaves then prefetch_page_leaves t r;
-      let line = ref (Mem.read_u16 t.sim r h_first_leaf) in
-      let stop = ref false in
-      (* fast-forward within the page on the first page *)
-      (if !count = 0 then line := ip_find_leaf t r start_key ~visit:(fun _ _ _ -> ()));
-      while (not !stop) && !line <> 0 do
-        let n = read_n t r !line in
-        let i0 =
-          if !count = 0 then ip_leaf_slot t r !line ~n ~key:start_key `Lower
-          else 0
-        in
-        let i = ref i0 in
-        while (not !stop) && !i < n do
-          let k = Mem.read_i32 t.sim r (leaf_key_off c !line !i) in
-          if k > end_key then stop := true
-          else begin
-            f k (Mem.read_i32 t.sim r (leaf_ptr_off c !line !i));
-            incr count;
-            incr i
-          end
-        done;
-        if not !stop then line := Mem.read_u16 t.sim r (node_off !line + n_next)
-      done;
-      let next = if !stop then nil else Mem.read_i32 t.sim r h_next in
-      Buffer_pool.unpin t.pool page;
-      if next <> nil then begin
-        advance ();
-        scan_page next
-      end
-    in
-    scan_page start_leaf;
-    !count
-  end
+  Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:t.io_prefetch_distance
+    ~rev:false ~bound:t.bound_scan_end ~prefetch ~start_key ~end_key
+    (scan_hooks t ~dir:1 ~step:jp_next ~next:n_next ~sibling:h_next
+       ~first:(fun r ~seek key ->
+         let line = Mem.read_u16 t.sim r h_first_leaf in
+         if seek then seek_leaf t r key else line))
+    f
 
 (* Reverse (descending) range scan: walks in-page leaf chains and page
    sibling links backwards; backward I/O prefetching follows the
-   leaf-parent level in reverse from the end key's entry. *)
+   leaf-parent level in reverse from the end key's entry.  The start page
+   always bounds it: [set_bound_scan_end] ablates forward scans only. *)
 let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
-  Sim.busy_op t.sim;
-  if end_key < start_key then 0
-  else begin
-    let c = t.cfg in
-    let start_leaf =
-      if prefetch then fst (descend_to_leaf t start_key) else nil
-    in
-    let end_leaf, cur = descend_to_leaf t end_key in
-    cur.jp_idx <- cur.jp_idx - 1;
-    let advance =
-      io_prefetcher t
-        ~on:(prefetch && start_leaf <> end_leaf)
-        ~next:(fun () -> jp_prev t cur)
-        ~last:start_leaf
-    in
-    let count = ref 0 in
-    let first_page = ref true in
-    let rec scan_page page =
-      let r = Buffer_pool.get t.pool page in
-      Level_acc.bump t.acc t.levels;
-      if prefetch && t.cache_prefetch_leaves then prefetch_page_leaves t r;
-      let stop = ref false in
-      let line = ref 0 in
-      let i = ref (-1) in
-      (if !first_page then begin
-         first_page := false;
-         line := ip_find_leaf t r end_key ~visit:(fun _ _ _ -> ());
-         let n = read_n t r !line in
-         i := ip_leaf_slot t r !line ~n ~key:end_key `Upper - 1
-       end
-       else begin
-         line := Mem.read_u16 t.sim r h_last_leaf;
-         i := read_n t r !line - 1
-       end);
-      while (not !stop) && !line <> 0 do
-        while (not !stop) && !i >= 0 do
-          let k = Mem.read_i32 t.sim r (leaf_key_off c !line !i) in
-          if k < start_key then stop := true
-          else begin
-            if k <= end_key then begin
-              f k (Mem.read_i32 t.sim r (leaf_ptr_off c !line !i));
-              incr count
-            end;
-            decr i
-          end
-        done;
-        if not !stop then begin
-          line := Mem.read_u16 t.sim r (node_off !line + n_prev);
-          if !line <> 0 then i := read_n t r !line - 1
-        end
-      done;
-      let prev = if !stop then nil else Mem.read_i32 t.sim r h_prev in
-      Buffer_pool.unpin t.pool page;
-      if prev <> nil then begin
-        advance ();
-        scan_page prev
-      end
-    in
-    scan_page end_leaf;
-    !count
-  end
+  Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:t.io_prefetch_distance
+    ~rev:true ~prefetch ~start_key ~end_key
+    (scan_hooks t ~dir:(-1) ~step:jp_prev ~next:n_prev ~sibling:h_prev
+       ~first:(fun r ~seek key ->
+         if seek then seek_leaf t r key else Mem.read_u16 t.sim r h_last_leaf))
+    f
 
 (* --- Introspection (uncharged; tests only) ---------------------------------- *)
 

@@ -42,8 +42,8 @@ val cfg : t -> cfg
 val set_io_prefetch_distance : t -> int -> unit
 
 (** Ablation knobs: cache-granularity leaf-node prefetch within scanned
-    pages (default on); bounding I/O prefetch at the end page (default
-    on — off reproduces overshooting). *)
+    pages (default on); bounding a forward scan's I/O prefetch at the end
+    page (default on — off reproduces overshooting). *)
 val set_cache_prefetch_leaves : t -> bool -> unit
 
 val set_bound_scan_end : t -> bool -> unit
@@ -80,14 +80,7 @@ val restore_meta : t -> int list -> unit
 
 (** {1 Telemetry (uncharged host-side bookkeeping)} *)
 
-(** Page accesses per tree level since the last reset, slot 0 = root. *)
-val level_accesses : t -> int array
-
-val reset_level_accesses : t -> unit
-
-(** Attach (or with [None] detach) a trace sink; node visits during
-    search descents emit [node_access] events into it. *)
-val set_trace : t -> Fpb_obs.Trace.t option -> unit
+val level_acc : t -> Fpb_btree_common.Level_acc.t
 
 (** {1 Uncharged introspection (tests)} *)
 

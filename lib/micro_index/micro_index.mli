@@ -19,7 +19,3 @@ include Fpb_btree_common.Index_sig.S
     the backward leaf chain; returns the number of entries visited. *)
 val range_scan_rev :
   t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int
-
-(** Pages of leaves prefetched ahead during jump-pointer range scans
-    (default 16). *)
-val set_io_prefetch_distance : t -> int -> unit

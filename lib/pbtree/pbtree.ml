@@ -29,10 +29,13 @@ type t = {
   mutable root : int;  (* arena address *)
   mutable levels : int;
   mutable n_nodes : int;
-  mutable scan_prefetch_nodes : int;  (* jump-pointer prefetch distance *)
 }
 
 let name = "pB+tree"
+
+(* Leaf nodes a range scan keeps in flight ahead of itself. *)
+let scan_prefetch_nodes = 8
+
 let key_off i = header + (Key.size * i)
 let ptr_off t i = header + (Key.size * t.capacity) + (4 * i)
 
@@ -66,7 +69,6 @@ let create ?(node_lines = 8) sim =
       root = nil;
       levels = 1;
       n_nodes = 0;
-      scan_prefetch_nodes = 8;
     }
   in
   t.root <- new_node t ~leaf:true;
@@ -295,45 +297,37 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
           parent_idx := i)
     in
     let cur = { jp_node = !parent; jp_idx = !parent_idx + 1 } in
-    let outstanding = ref 0 in
-    let done_prefetching = ref (!parent = nil) in
-    let pump () =
-      if prefetch then
-        while (not !done_prefetching) && !outstanding < t.scan_prefetch_nodes do
-          match jp_next t cur with
-          | None -> done_prefetching := true
-          | Some node ->
-              let r, off = Arena.deref t.arena node in
-              Mem.prefetch t.sim r ~off ~len:t.node_bytes;
-              incr outstanding
-        done
+    (* no node lives at [nil], so the pump runs to the last leaf *)
+    let step =
+      Scan.prefetcher ~distance:scan_prefetch_nodes ~on:prefetch
+        ~next:(fun () -> jp_next t cur)
+        ~issue:(fun node ->
+          let r, off = Arena.deref t.arena node in
+          Mem.prefetch t.sim r ~off ~len:t.node_bytes)
+        ~last:nil
     in
-    pump ();
+    (* a node is its byte offset in the arena region *)
+    let e =
+      {
+        Scan.count = (fun r off -> Mem.read_u16 t.sim r (off + off_n));
+        (* forward scans only: [`Lower] *)
+        slot =
+          (fun r off ~n key _ ->
+            Array_search.lower_bound t.sim r ~off:(off + key_off 0) ~n ~key);
+        keys = (fun off -> off + key_off 0);
+        values = (fun off -> off + ptr_off t 0);
+      }
+    in
     let count = ref 0 in
     let rec scan_node r off =
-      let n = Mem.read_u16 t.sim r (off + off_n) in
-      let i0 =
-        if !count = 0 then
-          Array_search.lower_bound t.sim r ~off:(off + key_off 0) ~n
-            ~key:start_key
-        else 0
+      let ended =
+        Scan.entries t.sim e ~rev:false ~seek:(!count = 0) ~start_key ~end_key
+          ~count f r off
       in
-      let stop = ref false in
-      let i = ref i0 in
-      while (not !stop) && !i < n do
-        let k = Mem.read_i32 t.sim r (off + key_off !i) in
-        if k > end_key then stop := true
-        else begin
-          f k (Mem.read_i32 t.sim r (off + ptr_off t !i));
-          incr count;
-          incr i
-        end
-      done;
-      if not !stop then begin
+      if not ended then begin
         let next = Mem.read_i32 t.sim r (off + off_next) in
         if next <> nil then begin
-          if !outstanding > 0 then decr outstanding;
-          pump ();
+          step ();
           let nr, noff = Arena.deref t.arena next in
           scan_node nr noff
         end
@@ -346,7 +340,6 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
 (* --- Introspection (uncharged; tests only) -------------------------------- *)
 
 let height t = t.levels
-let node_count t = t.n_nodes
 let allocated_bytes t = Arena.allocated_bytes t.arena
 let capacity t = t.capacity
 

@@ -25,7 +25,6 @@ val range_scan :
 (** Node levels. *)
 val height : t -> int
 
-val node_count : t -> int
 val capacity : t -> int
 
 (** Bytes of simulated memory held by the tree's arena. *)

@@ -163,11 +163,8 @@ type t = {
 let config t = t.cfg
 let n_nodes t = Array.length t.nodes
 let node t i = t.nodes.(i)
-let node_id n = n.id
-let node_alive n = n.alive
 let node_link n = n.link
 let node_committed_op n = n.committed_op
-let node_committed_lsn n = n.committed_lsn
 let ack_wait t = t.stats.ack_wait
 
 let seq_of_lsn t lsn =

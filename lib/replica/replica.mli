@@ -102,8 +102,6 @@ val detach : t -> unit
 val config : t -> config
 val n_nodes : t -> int
 val node : t -> int -> node
-val node_id : node -> int
-val node_alive : node -> bool
 
 (** Forward link of a node, e.g. to tighten or cut its profile. *)
 val node_link : node -> Net.t
@@ -114,7 +112,6 @@ val node_link : node -> Net.t
 val sync_node : t -> ?horizon:int -> node -> int
 
 val node_committed_op : node -> int
-val node_committed_lsn : node -> int
 
 (** Highest operation number whose commit record (and whole batch) is
     durable on the node by [horizon] — pure inspection, applies

@@ -367,8 +367,6 @@ let inject_damage t target d =
               (Char.chr
                  (Char.code (Bytes.get b off) lxor (1 lsl (bit land 7)))))
 
-let meta_disks t = t.disks
-
 let counters t =
   [
     t.stats.table_writes; t.stats.table_bytes; t.stats.sb_writes;

@@ -76,9 +76,6 @@ val load : t -> (table * int) option
     written. *)
 val inject_damage : t -> target -> damage -> unit
 
-(** The metadata disk, for inspecting its [disk.*] counters. *)
-val meta_disks : t -> Fpb_storage.Disk_model.t
-
 (** The [pagemap.*] counters. *)
 val counters : t -> Fpb_obs.Counter.t list
 

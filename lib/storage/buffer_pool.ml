@@ -130,6 +130,7 @@ type retry_policy = {
   backoff_mult : int;  (* multiplier per subsequent retry *)
 }
 
+(* 4 retries, 0.5 ms initial backoff, doubling. *)
 let default_retry_policy =
   { max_retries = 4; backoff_ns = 500_000; backoff_mult = 2 }
 

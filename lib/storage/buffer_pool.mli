@@ -108,12 +108,7 @@ type retry_policy = {
   backoff_mult : int;  (** multiplier per subsequent retry *)
 }
 
-(** 4 retries, 0.5 ms initial backoff, doubling. *)
-val default_retry_policy : retry_policy
-
 type io_cause = [ `Transient | `Latent | `Checksum ]
-
-val io_cause_name : io_cause -> string
 
 (** A page could not be produced intact: retries exhausted (transient), a
     latent sector with no repair source, or a checksum mismatch the WAL

@@ -109,16 +109,6 @@ let set_faults t ?disk profile =
         set d
       done
 
-let faults_armed t = Array.exists Option.is_some t.faults
-
-(* Latent sector errors outstanding across the farm (scrub telemetry). *)
-let latent_sectors t =
-  Array.fold_left
-    (fun acc -> function
-      | None -> acc
-      | Some fs -> acc + Hashtbl.length fs.latent)
-    0 t.faults
-
 let corruption_spec ~profile h =
   if Fault.uniform (Fault.mix32 (h lxor 0x5bf03635)) < profile.Fault.torn_frac
   then Torn_sector (Fault.mix32 (h lxor 0x2545f491) land 0xffffff)

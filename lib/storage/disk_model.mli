@@ -54,11 +54,6 @@ val n_disks : t -> int
     (access counts, pending transients, latent sectors). *)
 val set_faults : t -> ?disk:int -> Fault.profile option -> unit
 
-val faults_armed : t -> bool
-
-(** Latent sector errors currently outstanding across the farm. *)
-val latent_sectors : t -> int
-
 (** Submit a read starting no earlier than [earliest] (default: now);
     returns its completion time (absolute ns).  The caller decides whether
     to wait.  Never draws faults — the WAL's log disk uses this; demand

@@ -137,11 +137,6 @@ let rebuild sim nd items =
   setv sim nd o_flags flags;
   setv sim nd o_leftmost leftmost
 
-(* Space used by entries (heap bytes + slots). *)
-let used_bytes sim nd =
-  let n = v sim nd o_n in
-  nd.size - v sim nd o_heap + (2 * n)
-
 (* --- Uncharged (checkers) -------------------------------------------------- *)
 
 let peek_key nd i =

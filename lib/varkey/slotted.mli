@@ -25,13 +25,9 @@ val max_key_len : int
 
 val o_n : int  (** u16 entry count *)
 
-val o_heap : int  (** u16 heap top (node-relative offset of lowest used byte) *)
-
 val o_next : int  (** u16 forward chain link, user-defined units *)
 
 val o_prev : int  (** u16 backward chain link, user-defined units *)
-
-val o_flags : int  (** u16 flags; bit 0 = leaf *)
 
 val o_leftmost : int
 (** u16 extra "child 0" pointer of nonleaf nodes (the classic
@@ -54,9 +50,6 @@ val init : Sim.t -> node -> leaf:bool -> unit
 
 val count : Sim.t -> node -> int
 val is_leaf : Sim.t -> node -> bool
-
-(** Bytes still available for one more entry (slot + heap). *)
-val free_space : Sim.t -> node -> int
 
 (** On-node footprint of an entry holding [key]: length byte + key +
     pointer. *)
@@ -87,9 +80,6 @@ val entries : Sim.t -> node -> (string * int) list
     heap).  Preserves links/flags/leftmost.
     @raise Failure if the entries do not fit. *)
 val rebuild : Sim.t -> node -> (string * int) list -> unit
-
-(** Space used by entries (heap bytes + slots). *)
-val used_bytes : Sim.t -> node -> int
 
 (** {1 Uncharged entry access (checkers)} *)
 

@@ -42,14 +42,15 @@
     position-identical byte streams.  Log disks are {e not} exempt from
     media faults: arm a {!Fpb_storage.Fault.profile} on them with
     {!set_log_faults} (or damage one disk's bytes deterministically with
-    {!inject_mirror_damage}).  A scan — recovery replay or
-    {!repair_page} — reads log pages through the fault schedule; a
-    record that is torn, rotted, or on a lost sector of one mirror falls
-    back to the next mirror of its stripe ([wal.mirror.fallbacks]) and
+    {!inject_mirror_damage}).  A scan — recovery replay or the page
+    repair that {!attach} installs on the pool — reads log pages through
+    the fault schedule; a record that is torn, rotted, or on a lost
+    sector of one mirror falls back to the next mirror of its stripe
+    ([wal.mirror.fallbacks]) and
     heals the damaged span on the failed mirror in passing
     ([wal.mirror.repairs]).  A record unreadable on {e every} mirror is
     {e detected}, never silently served: the scan stops there, the
-    recovery reports it in [damaged_records], and {!repair_page} refuses
+    recovery reports it in [damaged_records], and page repair refuses
     to serve from a log with holes in it.
 
     Striping adds one more detection layer: LSNs are allocated in seal
@@ -198,21 +199,6 @@ val set_log_faults : t -> ?mirror:int -> Fpb_storage.Fault.profile option -> uni
     chaos harness's detection legs); [mirror] is the flattened disk
     index stripe * K + mirror. *)
 val inject_mirror_damage : t -> mirror:int -> damage -> unit
-
-(** Rebuild one page's committed bytes after media damage: replay the
-    page's last full image record plus following deltas from the
-    committed durable stream, falling back to its durable image when it
-    was never logged.  With [bad_sectors] naming the damaged 512-byte
-    sectors (from {!Fpb_storage.Page_store.verify}) and the page's
-    stamped header LSN matching the replayed state, only those sector
-    spans are patched; otherwise the whole page is rebuilt.  The result
-    is written back to the data disk (remapping any latent sector) and
-    freshly stamped.  Refuses pages with uncommitted changes, pages with
-    no durable coverage, and any repair whose log scan hit records
-    unreadable on every mirror.  Installed on the pool as its repair
-    hook by {!attach}. *)
-val repair_page :
-  t -> ?bad_sectors:int list -> int -> [ `Repaired | `Unrecoverable of string ]
 
 (** Seal the current operation: log the pages dirtied since the last
     commit and a commit record numbered [op] carrying [meta]. *)

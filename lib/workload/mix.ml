@@ -109,7 +109,6 @@ let generator ?(max_scan_span = 100) ?dist ~seed mix pairs =
   }
 
 let live_keys g = g.frontier
-let newest_key g = g.keys.(g.frontier - 1)
 
 let drawn_counts g =
   ( g.drawn.(kind_index `Read),

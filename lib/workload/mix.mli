@@ -82,10 +82,6 @@ val next : gen -> action
 (** Number of live keys (bulk-loaded + inserted so far). *)
 val live_keys : gen -> int
 
-(** The most recently inserted key (initially the largest bulk key) —
-    the [Latest] distribution's anchor. *)
-val newest_key : gen -> int
-
 (** Actions drawn so far as [(read, update, insert, scan, rmw)] counts. *)
 val drawn_counts : gen -> int * int * int * int * int
 

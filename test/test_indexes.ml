@@ -371,7 +371,7 @@ let make_scan_bed ~n ~fill ~inserts =
   Df.iter t (fun k _ -> keys := k :: !keys);
   let keys = Array.of_list (List.rev !keys) in
   let trace = Fpb_obs.Trace.create () in
-  Df.set_trace t (Some trace);
+  Level_acc.set_trace (Df.level_acc t) (Some trace);
   let leaf_of k = snd (split_last (path_of t trace k)) in
   let runs = ref [] and i = ref 0 in
   while !i < Array.length keys do
