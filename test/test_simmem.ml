@@ -233,6 +233,14 @@ type step =
          invalidation), then prefetch it again just before [x]
          completes, while its dead slot is still queued behind [x];
          access [l] [d] later *)
+  | Scan of int * int * int * int * int * int
+      (* [x], [k], [a], [b], [n], [d]: prefetch lines [x .. x + k - 1]
+         back to back, then replay [n] entries of a leaf scan whose keys
+         sit in line [a] and values in line [b]: per entry a busy-1
+         4-byte [Touch] of each, then [Advance d].  The touches run
+         while the burst's slots complete, on lines that may be in
+         flight, share an L1 set with each other or be evicted by a
+         retiring slot *)
 
 let line_size = cfg.Config.line_size
 
@@ -250,6 +258,8 @@ let pp_step = function
   | Set d -> Printf.sprintf "Set %d" d
   | Join d -> Printf.sprintf "Join %d" d
   | Stale (x, l, c, d) -> Printf.sprintf "Stale (%d, %d, %b, %d)" x l c d
+  | Scan (x, k, a, b, n, d) ->
+      Printf.sprintf "Scan (%d, %d, %d, %d, %d, %d)" x k a b n d
 
 let gen_steps =
   let open QCheck2.Gen in
@@ -275,12 +285,18 @@ let gen_steps =
         (2, map (fun d -> Set d) (0 -- 600));
         (1, map (fun d -> Join d) (0 -- 200));
         (2, map4 (fun x l c d -> Stale (x, l, c, d)) line line bool (0 -- 300));
+        ( 2,
+          map3
+            (fun (x, k) (a, b) (n, d) -> Scan (x, k, a, b, n, d))
+            (pair line (1 -- handlers))
+            (pair line line)
+            (pair (1 -- 48) (0 -- 30)) );
       ]
   in
   list_size (1 -- 80) step
 
 let prop_cache_matches_reference =
-  Util.qtest ~count:400
+  Util.qtest ~count:2000
     ~print:(fun steps -> String.concat "; " (List.map pp_step steps))
     "cache == hash-table/queue reference model" gen_steps (fun steps ->
       let clock = Clock.create () and stats = Stats.create () in
@@ -338,6 +354,13 @@ let prop_cache_matches_reference =
               @ [ Prefetch (at l); Access (at l) ]
               @ evict
               @ [ Until 3100; Prefetch (at l); Advance d; Access (at l) ])
+        | Scan (x, k, a, b, n, d) ->
+            run (Burst (x, k))
+            && List.for_all run
+                 (List.concat
+                    (List.init n (fun i ->
+                         let off = 4 * i mod line_size in
+                         [ Touch (1, at a + off, 4); Touch (1, at b + off, 4); Advance d ])))
       in
       List.for_all run steps)
 
