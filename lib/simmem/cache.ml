@@ -20,10 +20,11 @@
    oldest one retires.
 
    Every charged load and store of the simulated machine runs through
-   [access_line], so it allocates nothing, hashes nothing and calls into
-   no other module except [Clock.advance] and, on a memory miss, the
-   pipeline timeline.  Set and line counts are powers of two, so a
-   line's L1 set and L2 slot are masks.
+   [access_fast] and, past its fast path, [access_line], so it allocates
+   nothing, hashes nothing and calls into no other module except
+   [Clock.advance] and, on a memory miss, the pipeline timeline.  Set
+   and line counts are powers of two, so a line's L1 set and L2 slot are
+   masks.
 
    In-flight prefetches are a ring of [miss_handlers] slots in issue
    order: line, completion time and a live flag.  A prefetch stalls on
@@ -35,7 +36,25 @@
    the retiring one; that live slot is killed.  So a line that was
    accessed, evicted and prefetched again arrives when its stale slot
    retires.  [filter] counts the live slots per [line land 63], so the
-   common "not in flight" answer needs no scan. *)
+   common "not in flight" answer needs no scan.
+
+   Invariant: a line with a live slot is in neither L1 nor L2.  A
+   prefetch pushes a slot only for a line in neither level, and every
+   install first kills the line's live slot: [drain]'s retire, and
+   [access_line]'s in-flight branch (its L2-hit and miss branches run
+   only when the line has none).  At most one slot per line is live.
+
+   Fast path.  Most charged accesses hit L1 while no prefetch is due, and
+   then [access_line] only refreshes an LRU stamp.  [access_fast] and
+   [prefetch_fast] take that exit inline, with no call, when both
+     - no queued slot is due ([count = 0] or the oldest completes after
+       [now]), so [drain] would retire nothing, and
+     - the line's tag is in its L1 set, or for a prefetch in L2.
+   By the invariant the line then has no live slot, so the full path
+   would only bump the stamp into the hit way and count an L1 hit (a
+   prefetch: stamp only, or nothing for an L2 copy), which is all the
+   fast path does.  Otherwise they call [access_line] or [prefetch_line]
+   unchanged. *)
 
 module Counter = Fpb_obs.Counter
 
@@ -167,7 +186,7 @@ let set_base t line = (line land t.l1_mask) * t.l1_assoc
 
 (* Whether [line] is in the L1 set at [base]; a hit refreshes its LRU
    stamp. *)
-let l1_hit t base line =
+let[@inline] l1_hit t base line =
   let assoc = t.l1_assoc in
   let w = ref 0 in
   while !w < assoc && t.l1_tags.(base + !w) <> line do
@@ -281,16 +300,33 @@ let prefetch_line t line =
     bump t.stats.Stats.prefetch_issued
   end
 
-let access t addr = access_line t (addr asr t.shift)
-let prefetch t addr = prefetch_line t (addr asr t.shift)
+(* {2 Fast path (see the header)} *)
+
+(* Whether [drain] would retire nothing now. *)
+let[@inline] quiet t = t.count = 0 || t.ring_done.(t.head) > t.clock.Clock.now
+
+let[@inline] access_fast t line =
+  if quiet t && l1_hit t (set_base t line) line then bump t.stats.Stats.l1_hits
+  else access_line t line
+
+let[@inline] prefetch_fast t line =
+  if
+    not
+      (quiet t
+      && (l1_hit t (set_base t line) line
+         || t.l2_tags.(line land t.l2_mask) = line))
+  then prefetch_line t line
+
+let access t addr = access_fast t (addr asr t.shift)
+let prefetch t addr = prefetch_fast t (addr asr t.shift)
 
 let access_range t addr len =
   if len > 0 then
     for line = addr asr t.shift to (addr + len - 1) asr t.shift do
-      access_line t line
+      access_fast t line
     done
 
-let charge_busy t cycles =
+let[@inline] charge_busy t cycles =
   if cycles > 0 then begin
     let c = t.stats.Stats.busy in
     c.value <- c.value + cycles;
@@ -301,10 +337,10 @@ let touch t ~busy addr len =
   charge_busy t busy;
   if len > 0 then begin
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
-    if first = last then access_line t first
+    if first = last then access_fast t first
     else
       for line = first to last do
-        access_line t line
+        access_fast t line
       done
   end
 
@@ -313,7 +349,7 @@ let prefetch_range t ~busy_per_line addr len =
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
     charge_busy t ((last - first + 1) * busy_per_line);
     for line = first to last do
-      prefetch_line t line
+      prefetch_fast t line
     done
   end
 

@@ -21,9 +21,11 @@
     its line is installed if the line has been prefetched again since
     (retire by line, not by slot).
 
-    A charged access allocates nothing and hashes nothing.  The L1 set
-    count and the L2 line count must be powers of two, so a line's set
-    is a mask. *)
+    A charged access allocates nothing and hashes nothing.  One that
+    hits L1 while no prefetch is due to retire, or a prefetch of a line
+    already cached, changes only an LRU stamp and the hit count, and
+    takes an inline fast path.  The L1 set count and the L2 line count
+    must be powers of two, so a line's set is a mask. *)
 
 type t
 

@@ -8,27 +8,28 @@
    its checksums through [Cost_model.crc_bytes_per_cycle] instead. *)
 
 (* The eight tables, flat: table k is [k * 256, (k + 1) * 256).  Table 0
-   is the classic byte table. *)
+   is the classic byte table.  Built at module initialisation, so [update]
+   reads them without a [Lazy.force] and they are complete before any
+   domain could share them. *)
 let tables =
-  lazy
-    (let t = Array.make (8 * 256) 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     for i = 256 to (8 * 256) - 1 do
-       let p = t.(i - 256) in
-       t.(i) <- (p lsr 8) lxor t.(p land 0xff)
-     done;
-     t)
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for i = 256 to (8 * 256) - 1 do
+    let p = t.(i - 256) in
+    t.(i) <- (p lsr 8) lxor t.(p land 0xff)
+  done;
+  t
 
 let update crc b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Checksum.update";
-  let t = Lazy.force tables in
+  let t = tables in
   (* 32 bits only: [lo lsr 24] below indexes a table unchecked *)
   let c = ref ((crc lxor 0xffffffff) land 0xffffffff) in
   let i = ref off in
