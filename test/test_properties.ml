@@ -135,8 +135,8 @@ let test_batch_cost_pinned kind ~roomy ~tiny () =
    resident, pinned so a change to what a scan charges has to be
    deliberate.  [scan] runs one scan of index [M] with prefetching on; the
    range crosses a leaf-parent page boundary.  Each result is [sim ns;
-   busy cycles; pool hits; prefetches issued; prefetch hits] followed by
-   [level_accesses]. *)
+   busy cycles; stall cycles; L1 hits; pool hits; prefetches issued;
+   prefetch hits] followed by [level_accesses]. *)
 let scan_cost (type a) (module M : Index_sig.S with type t = a)
     ~(scan : a -> start_key:int -> end_key:int -> (int -> int -> unit) -> int) =
   let module Bp = Fpb_storage.Buffer_pool in
@@ -146,10 +146,11 @@ let scan_cost (type a) (module M : Index_sig.S with type t = a)
   Bp.clear pool;
   Level_acc.reset (M.level_acc t);
   let sim = Bp.sim pool and s = Bp.stats pool in
+  let st = sim.Fpb_simmem.Sim.stats in
   let counters () =
     Fpb_simmem.Sim.now sim
     :: List.map Fpb_obs.Counter.value
-         [ sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.busy; s.Bp.hits;
+         [ st.Fpb_simmem.Stats.busy; st.stall; st.l1_hits; s.Bp.hits;
            s.prefetch_issued; s.prefetch_hits ]
   in
   let c0 = counters () in
@@ -173,39 +174,39 @@ let scan_pins =
     ( "disk_opt",
       [
         ( "forward",
-          [ 64857764; 142592; 69; 65; 65; 2; 2; 68 ],
+          [ 64857764; 142592; 200595; 18966; 69; 65; 65; 2; 2; 68 ],
           fun () -> scan_cost (module Db) ~scan:(Db.range_scan ~prefetch:true) );
         ( "reverse",
-          [ 192857411; 142736; 70; 65; 65; 2; 2; 68 ],
+          [ 192857411; 142736; 200280; 18903; 70; 65; 65; 2; 2; 68 ],
           fun () ->
             scan_cost (module Db) ~scan:(Db.range_scan_rev ~prefetch:true) );
       ] );
     ( "micro",
       [
         ( "forward",
-          [ 65060171; 144395; 70; 66; 66; 2; 2; 69 ],
+          [ 65060171; 144395; 215005; 18878; 70; 66; 66; 2; 2; 69 ],
           fun () -> scan_cost (module Mi) ~scan:(Mi.range_scan ~prefetch:true) );
       ] );
     ( "disk_first",
       [
         ( "forward",
-          [ 65258587; 158264; 73; 71; 71; 2; 2; 72 ],
+          [ 65258587; 158264; 50261; 22463; 73; 71; 71; 2; 2; 72 ],
           fun () -> scan_cost (module Df) ~scan:(Df.range_scan ~prefetch:true) );
         ( "reverse",
-          [ 193351890; 158192; 73; 71; 71; 2; 2; 72 ],
+          [ 193351890; 158192; 69563; 22321; 73; 71; 71; 2; 2; 72 ],
           fun () ->
             scan_cost (module Df) ~scan:(Df.range_scan_rev ~prefetch:true) );
       ] );
     ( "cache_first",
       [
         ( "forward",
-          [ 73549064; 153576; 72; 67; 67; 2; 2; 2; 478 ],
+          [ 73549064; 153576; 44274; 21622; 72; 67; 67; 2; 2; 2; 478 ],
           fun () -> scan_cost (module Cf) ~scan:(Cf.range_scan ~prefetch:true) );
       ] );
   ]
 
 (* The pB+-Tree's cache-granularity scan, from a flushed cache: [sim ns;
-   busy cycles; stall cycles]. *)
+   busy cycles; stall cycles; L1 hits]. *)
 let test_pbtree_scan_cost_pinned () =
   let module Pb = Fpb_pbtree.Pbtree in
   let sim = Fpb_simmem.Sim.create () in
@@ -216,13 +217,13 @@ let test_pbtree_scan_cost_pinned () =
   let counters () =
     Fpb_simmem.Sim.now sim
     :: List.map Fpb_obs.Counter.value
-         [ st.Fpb_simmem.Stats.busy; st.Fpb_simmem.Stats.stall ]
+         [ st.Fpb_simmem.Stats.busy; st.stall; st.l1_hits ]
   in
   let c0 = counters () in
   let n = Pb.range_scan t ~start_key:30_001 ~end_key:50_001 (fun _ _ -> ()) in
   Alcotest.(check int) "keys scanned" 10_000 n;
   Alcotest.(check (list int)) "pbtree forward"
-    [ 26988; 23159; 3829 ]
+    [ 26988; 23159; 3829; 20957 ]
     (List.map2 ( - ) (counters ()) c0)
 
 (* --- Correctness under a thrashing buffer pool ----------------------------- *)
