@@ -45,7 +45,10 @@ module type S = sig
 
   (* In-order scan of keys in [start_key, end_key]; returns the number of
      entries visited.  [prefetch] enables jump-pointer-array prefetching
-     where the structure supports it (default true). *)
+     where the structure supports it (default true).  The callback must
+     do no charged work: the scan charges a cache line's worth of entry
+     loads at once, after their callbacks, and raises
+     [Invalid_argument] if simulated time moved across them. *)
   val range_scan :
     t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int
 

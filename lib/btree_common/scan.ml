@@ -11,6 +11,10 @@
    both directions and the count; an index supplies only the [hooks] that
    read its layout.
 
+   The callback [f] gets each entry before its window's loads are
+   charged, so it must do no charged work; [Mem.walk_pairs] raises
+   [Invalid_argument] if the clock moved across a window's callbacks.
+
    A leaf page holds a chain of nodes, each named by an int: an in-page
    line, never 0, for the fpB+-Trees, and always 0 for the page-granular
    trees, whose page is one node.  The charged accesses come in this
@@ -23,9 +27,14 @@
    - a leaf page the descent left unpinned, and each sibling:
      [Buffer_pool.get], then [prefetch_page] (prefetching only), then
      [first]; a page the descent left pinned gets [prefetch_page] only;
-   - per node: [count], [slot] while seeking, then a key read and a
-     value read per entry; then, unless the range ended, [next], and
-     [sibling] when [next] leaves the page;
+   - per node: [count], [slot] while seeking, then the entries in range
+     one window at a time, a window being a run whose keys share one
+     cache line and whose values share one ([Mem.walk_pairs]): per
+     entry a key read and a value read, in entry order; then one key
+     read of the entry that ended the run, unless the node ran out
+     (backward, a key above [end_key] is skipped and the walk resumes
+     past it); then, unless the range ended, [next], and [sibling] when
+     [next] leaves the page;
    - leaving a page: unpin it, one page step of the pump (one fewer
      prefetch in flight, then refill), and pin the sibling. *)
 
@@ -84,38 +93,33 @@ let prefetcher ~distance ~on ~next ~issue ~last =
 
 (* Visit node [nd]'s entries in [start_key, end_key] in scan order,
    counting them in [count]; [seek] starts at the near key's slot instead
-   of the node's end.  Returns whether the range ended in this node. *)
+   of the node's end.  Returns whether the range ended in this node.
+   [Mem.walk_pairs] consumes the entries in range; the entry it stops at
+   costs one charged key read.  A key past the far end ends the range;
+   going backward, a key above [end_key] is skipped.  A forward walk
+   takes every key up to [end_key]: seeking placed it at or past
+   [start_key]. *)
 let entries sim e ~rev ~seek ~start_key ~end_key ~count f r nd =
   let n = e.count r nd in
   let keys = e.keys nd and values = e.values nd in
-  let stop = ref false in
-  if rev then begin
-    let i = ref (if seek then e.slot r nd ~n end_key `Upper - 1 else n - 1) in
-    while (not !stop) && !i >= 0 do
-      let k = Mem.read_i32 sim r (keys + (Key.size * !i)) in
-      if k < start_key then stop := true
-      else begin
-        if k <= end_key then begin
-          f k (Mem.read_i32 sim r (values + (4 * !i)));
-          incr count
-        end;
-        decr i
-      end
-    done
-  end
+  if rev then
+    let rec go i =
+      let j =
+        Mem.walk_pairs sim r ~keys ~values ~n ~rev ~lo:start_key ~hi:end_key i f
+      in
+      count := !count + (i - j);
+      j >= 0
+      && (Mem.read_i32 sim r (keys + (Key.size * j)) < start_key || go (j - 1))
+    in
+    go (if seek then e.slot r nd ~n end_key `Upper - 1 else n - 1)
   else begin
-    let i = ref (if seek then e.slot r nd ~n start_key `Lower else 0) in
-    while (not !stop) && !i < n do
-      let k = Mem.read_i32 sim r (keys + (Key.size * !i)) in
-      if k > end_key then stop := true
-      else begin
-        f k (Mem.read_i32 sim r (values + (4 * !i)));
-        incr count;
-        incr i
-      end
-    done
-  end;
-  !stop
+    let i = if seek then e.slot r nd ~n start_key `Lower else 0 in
+    let j =
+      Mem.walk_pairs sim r ~keys ~values ~n ~rev ~lo:min_int ~hi:end_key i f
+    in
+    count := !count + (j - i);
+    j < n && (ignore (Mem.read_i32 sim r (keys + (Key.size * j)) : int); true)
+  end
 
 (* The keys in [start_key, end_key], in ascending order or with [rev] in
    descending order through the backward sibling links and a backward

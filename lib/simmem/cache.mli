@@ -55,6 +55,14 @@ val access_range : t -> int -> int -> unit
     of the simulated machine in a single call. *)
 val touch : t -> busy:int -> int -> int -> unit
 
+(** [touch_pairs t ~busy a b n] is [n] repetitions of
+    [touch t ~busy a 1; touch t ~busy b 1], with the same effect on the
+    clock, the statistics and the cache: the charged key and value loads
+    of [n] consecutive entries of a node whose keys stay in [a]'s line
+    and values in [b]'s.  A run of pairs that all hit L1 while no
+    prefetch falls due costs O(1). *)
+val touch_pairs : t -> busy:int -> int -> int -> int -> unit
+
 (** [prefetch_range t ~busy_per_line addr len] charges [busy_per_line]
     busy cycles per line overlapping [addr, addr+len), all before the
     first issue, then prefetches each of them. *)

@@ -117,6 +117,58 @@ let prefetch (sim : Sim.t) r ~off ~len =
   Cache.prefetch_range sim.cache ~busy_per_line:sim.cost.Cost_model.c_prefetch
     (r.base + off) len
 
+(* {2 Entry windows} *)
+
+(* How many 4-byte values from the one at address [a] on, forward or
+   with [rev] backward, lie whole in [a]'s line: 0 when that one
+   straddles the line's end. *)
+let[@inline] in_line ~line ~rev a =
+  let o = a land (line - 1) in
+  if o + 4 > line then 0 else if rev then (o / 4) + 1 else (line - o) / 4
+
+(* A window is a run of entries whose keys all lie in one line and whose
+   values all lie in one line, so its charged loads are one
+   [Cache.touch_pairs]; an entry whose key or value straddles a line is
+   a window of its own, charged by two [touch]es.  The window's in-range
+   entries are charged after their callbacks, which must not move the
+   clock: their loads would otherwise have run at other times. *)
+let walk_pairs (sim : Sim.t) r ~keys ~values ~n ~rev ~lo ~hi i f =
+  let line = sim.cfg.Config.line_size and busy = sim.cost.Cost_model.c_access in
+  let b = r.bytes and clock = sim.clock in
+  let step = if rev then -1 else 1 in
+  let i = ref i and more = ref true in
+  while !more && !i >= 0 && !i < n do
+    let i0 = !i in
+    let ka = r.base + keys + (4 * i0) and va = r.base + values + (4 * i0) in
+    let wk = in_line ~line ~rev ka and wv = in_line ~line ~rev va in
+    let w = if wv < wk then wv else wk in
+    let left = if rev then i0 + 1 else n - i0 in
+    let span = if w = 0 then 1 else if left < w then left else w in
+    let t0 = clock.Clock.now and m = ref 0 and inside = ref true in
+    while !inside && !m < span do
+      let e = i0 + (step * !m) in
+      let k = Int32.to_int (Bytes.get_int32_le b (keys + (4 * e))) in
+      if k < lo || k > hi then inside := false
+      else begin
+        f k (Int32.to_int (Bytes.get_int32_le b (values + (4 * e))));
+        incr m
+      end
+    done;
+    let m = !m in
+    if m > 0 then begin
+      if clock.Clock.now <> t0 then
+        invalid_arg "Mem.walk_pairs: the callback charged simulated time";
+      if w = 0 then begin
+        touch sim r (keys + (4 * i0)) 4;
+        touch sim r (values + (4 * i0)) 4
+      end
+      else Cache.touch_pairs sim.cache ~busy ka va m
+    end;
+    i := i0 + (step * m);
+    more := m = span
+  done;
+  !i
+
 (* Uncharged reads, for checkers and oracles only. *)
 
 let peek_u8 r off = Char.code (Bytes.get r.bytes off)

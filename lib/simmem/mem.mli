@@ -68,6 +68,35 @@ val move_in : Sim.t -> region -> off:int -> len:int -> string -> at:int -> unit
     instruction issued, lines enter the miss pipeline. *)
 val prefetch : Sim.t -> region -> off:int -> len:int -> unit
 
+(** {1 Charged entry walk} *)
+
+(** [walk_pairs sim r ~keys ~values ~n ~rev ~lo ~hi i f] walks a node's
+    [n] entries: parallel arrays of 4-byte keys at byte offset [keys] and
+    4-byte values at [values].  From entry [i], stepping forward or with
+    [rev] backward, it calls [f k v] on each entry while its key [k] lies
+    in [[lo, hi]], and returns the first index it did not consume: the
+    entry whose key lies outside, or [n] ([-1] backward).  Each consumed
+    entry costs what [read_i32] of its key and then of its value costs,
+    in the same order; the out-of-range key is not read.
+
+    Entries are charged one cache-line window at a time, all of a
+    window's loads after its callbacks, so [f] must do no charged work
+    (and a window whose callback raises is not charged).  Raises
+    [Invalid_argument] if the simulated clock moved across a window's
+    callbacks. *)
+val walk_pairs :
+  Sim.t ->
+  region ->
+  keys:int ->
+  values:int ->
+  n:int ->
+  rev:bool ->
+  lo:int ->
+  hi:int ->
+  int ->
+  (int -> int -> unit) ->
+  int
+
 (** {1 Uncharged reads (checkers and oracles only)} *)
 
 val peek_u8 : region -> int -> int
