@@ -255,7 +255,7 @@ let descend t key ~visit =
     else begin
       let n = Mem.read_u16 t.sim r (node_off line + n_count) in
       let i = Array_search.upper_bound t.sim r ~off:(key_off line 0) ~n ~key in
-      let slot = max 0 (i - 1) in
+      let slot = if i > 0 then i - 1 else 0 in
       Level_acc.note t.acc ~page ~depth ~stall0;
       visit { pg = page; ln = line } slot;
       let child_pg, child_ln = child_at t r line slot in
@@ -306,7 +306,7 @@ let search_batch t keys =
       route =
         (fun r line ~n key ->
           let i = Array_search.upper_bound t.sim r ~off:(key_off line 0) ~n ~key in
-          child_at t r line (max 0 (i - 1)));
+          child_at t r line (if i > 0 then i - 1 else 0));
       lookup = (fun r line ~n key -> leaf_lookup t r line ~n key);
       search = search t;
     }

@@ -276,7 +276,7 @@ let ip_find_leaf t r key ~visit =
     let i =
       Array_search.upper_bound t.sim r ~off:(nonleaf_key_off c !line 0) ~n ~key
     in
-    let slot = max 0 (i - 1) in
+    let slot = if i > 0 then i - 1 else 0 in
     visit !line n slot;
     line := Mem.read_u16 t.sim r (nonleaf_child_off c !line slot)
   done;
@@ -296,7 +296,8 @@ let ip_leaf_slot t r line ~n ~key mode =
 let ip_route_slot t r key =
   let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
   let n = read_n t r line in
-  (line, max 0 (ip_leaf_slot t r line ~n ~key `Upper - 1))
+  let i = ip_leaf_slot t r line ~n ~key `Upper in
+  (line, if i > 0 then i - 1 else 0)
 
 (* The child page that [ip_route_slot] picks. *)
 let ip_route t r key =

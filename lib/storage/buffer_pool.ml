@@ -161,6 +161,19 @@ let () =
              | `Failed msg -> ", repair failed: " ^ msg))
     | _ -> None)
 
+(* A shard's page table, page id -> frame.  Keyed by int equality and an
+   identity hash rather than the polymorphic [Hashtbl]'s [caml_hash] and
+   [compare]: every [get], [unpin] and [prefetch] looks a page up here.
+   Shards pick pages by [mix_page], so a shard's ids still spread over
+   its buckets.  The table is never iterated, so its hash reaches no
+   simulated number. *)
+module Page_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash p = p land max_int
+end)
+
 (* One shard: a disjoint frame slice [lo, hi), its own page table and
    CLOCK hand, plus the simulated latch state.  The latch is a cost
    model, not a mutex: operations execute atomically in host order, but
@@ -169,7 +182,7 @@ let () =
    inside another client's hold, not behind the latest release (an
    approximation: see [latch_acquire]). *)
 type shard = {
-  table : (int, int) Hashtbl.t;  (* page id -> frame *)
+  table : int Page_table.t;  (* page id -> frame *)
   lo : int;  (* first frame owned (inclusive) *)
   hi : int;  (* last frame owned (exclusive) *)
   mutable hand : int;
@@ -276,12 +289,12 @@ let latch_release t sh =
    which layer initiated the free. *)
 let invalidate_page t page =
   let sh = shard_of t page in
-  match Hashtbl.find_opt sh.table page with
+  match Page_table.find_opt sh.table page with
   | None -> ()
   | Some frame ->
       if t.pin.(frame) > 0 then
         invalid_arg "Buffer_pool: freeing a pinned page";
-      Hashtbl.remove sh.table page;
+      Page_table.remove sh.table page;
       t.prefetched.(frame) <- false;
       t.frames.(frame) <- Page_store.nil;
       t.ref_bit.(frame) <- false;
@@ -299,7 +312,7 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
         let lo = i * capacity / n_shards in
         let hi = (i + 1) * capacity / n_shards in
         {
-          table = Hashtbl.create (2 * (hi - lo));
+          table = Page_table.create (2 * (hi - lo));
           lo;
           hi;
           hand = lo;
@@ -494,7 +507,7 @@ let victim_frame t sh =
   (match t.frames.(f) with
   | p when p = Page_store.nil -> ()
   | p ->
-      Hashtbl.remove sh.table p;
+      Page_table.remove sh.table p;
       t.prefetched.(f) <- false;
       Counter.incr t.stats.evictions;
       if t.dirty.(f) then begin
@@ -552,7 +565,7 @@ let victim_frame_demand t sh page =
 (* Drop an unpinned frame whose page turned out unusable (failed
    verification on arrival): forget the mapping without write-back. *)
 let drop_frame t sh frame page =
-  Hashtbl.remove sh.table page;
+  Page_table.remove sh.table page;
   t.prefetched.(frame) <- false;
   t.frames.(frame) <- Page_store.nil;
   t.ref_bit.(frame) <- false;
@@ -566,7 +579,7 @@ let drop_frame t sh frame page =
    (counted) and lets the eventual demand read do the fighting. *)
 let prefetch t page =
   let sh = shard_of t page in
-  if not (Hashtbl.mem sh.table page) then begin
+  if not (Page_table.mem sh.table page) then begin
     Sim.charge_busy t.sim t.prefetch_request_busy;
     latch_acquire t sh;
     (try
@@ -575,14 +588,14 @@ let prefetch t page =
        for i = 1 to Array.length t.prefetcher_free - 1 do
          if t.prefetcher_free.(i) < t.prefetcher_free.(!worker) then worker := i
        done;
-       let earliest =
-         max (Clock.now t.sim.Sim.clock) t.prefetcher_free.(!worker)
-       in
+       let now = Clock.now t.sim.Sim.clock in
+       let free = t.prefetcher_free.(!worker) in
+       let earliest = if free > now then free else now in
        let disk, phys = Page_store.location t.store page in
        let install completion =
          t.prefetcher_free.(!worker) <- completion;
          t.frames.(frame) <- page;
-         Hashtbl.replace sh.table page frame;
+         Page_table.replace sh.table page frame;
          t.ready_at.(frame) <- completion;
          t.prefetched.(frame) <- true;
          Counter.incr t.stats.prefetch_issued
@@ -653,7 +666,7 @@ let get t page =
   let sh = shard_of t page in
   latch_acquire t sh;
   Sim.busy_bufcall t.sim;
-  match Hashtbl.find_opt sh.table page with
+  match Page_table.find_opt sh.table page with
   | Some frame ->
       if t.prefetched.(frame) then begin
         t.prefetched.(frame) <- false;
@@ -689,7 +702,7 @@ let get t page =
       t.ready_at.(frame) <- Clock.now t.sim.Sim.clock;
       latch_acquire t sh;
       t.frames.(frame) <- page;
-      Hashtbl.replace sh.table page frame;
+      Page_table.replace sh.table page frame;
       t.ref_bit.(frame) <- true;
       t.pin.(frame) <- 1;
       latch_release t sh;
@@ -697,7 +710,7 @@ let get t page =
       if t.readahead > 0 then issue_readahead t ~disk ~phys;
       region
 
-let frame_of_page t page = Hashtbl.find_opt (shard_of t page).table page
+let frame_of_page t page = Page_table.find_opt (shard_of t page).table page
 
 let unpin t page =
   match frame_of_page t page with
@@ -725,7 +738,7 @@ let get_batch t pages =
        read below. *)
     Array.iter
       (fun p ->
-        if not (Hashtbl.mem (shard_of t p).table p) then prefetch t p)
+        if not (Page_table.mem (shard_of t p).table p) then prefetch t p)
       pages;
     let acc = ref [] in
     let pinned = ref 0 in
@@ -753,7 +766,7 @@ let with_page t page f =
   let region = get t page in
   Fun.protect ~finally:(fun () -> unpin t page) (fun () -> f region)
 
-let is_resident t page = Hashtbl.mem (shard_of t page).table page
+let is_resident t page = Page_table.mem (shard_of t page).table page
 
 (* Media check for the scrubber: read a non-resident page through the full
    retry/verify/repair path without installing it in a frame.  Resident
@@ -803,7 +816,7 @@ let create_page t =
       raise e
   in
   t.frames.(frame) <- page;
-  Hashtbl.replace sh.table page frame;
+  Page_table.replace sh.table page frame;
   t.ready_at.(frame) <- Clock.now t.sim.Sim.clock;
   t.ref_bit.(frame) <- true;
   t.pin.(frame) <- 1;
@@ -838,7 +851,7 @@ let clear t =
     | p when p = Page_store.nil -> ()
     | p ->
         if t.pin.(f) > 0 then invalid_arg "Buffer_pool.clear: pinned page";
-        Hashtbl.remove (shard_of t p).table p;
+        Page_table.remove (shard_of t p).table p;
         t.prefetched.(f) <- false;
         if t.dirty.(f) then begin
           t.dirty.(f) <- false;
@@ -896,7 +909,7 @@ let drop_all t =
     (match t.frames.(f) with
     | p when p = Page_store.nil -> ()
     | p ->
-        Hashtbl.remove (shard_of t p).table p;
+        Page_table.remove (shard_of t p).table p;
         Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size);
     t.frames.(f) <- Page_store.nil;
     t.ref_bit.(f) <- false;
@@ -907,4 +920,4 @@ let drop_all t =
   Array.fill t.prefetcher_free 0 (Array.length t.prefetcher_free) 0
 
 let resident_pages t =
-  Array.fold_left (fun a sh -> a + Hashtbl.length sh.table) 0 t.shards
+  Array.fold_left (fun a sh -> a + Page_table.length sh.table) 0 t.shards

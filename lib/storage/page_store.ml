@@ -77,7 +77,8 @@ let sectors_per_page t = max 1 ((t.page_size + sector_size - 1) / sector_size)
 (* CRC-32 of one sector's span of the page bytes. *)
 let sector_crc t b s =
   let off = s * sector_size in
-  Checksum.update 0 b off (min sector_size (t.page_size - off))
+  let rest = t.page_size - off in
+  Checksum.update 0 b off (if rest < sector_size then rest else sector_size)
 
 (* Stamp the header with per-sector checksums of the page's current
    bytes: called on allocation (a zeroed page is born consistent) and on
