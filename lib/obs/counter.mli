@@ -8,8 +8,9 @@
 
     The record is concrete so that a hot path can bump [value] in place.
     Under the dev profile's [-opaque], [add]/[incr] are real cross-module
-    calls (one field mutation each); the cache simulator's per-access
-    path updates the field directly instead. *)
+    calls (one field mutation each); the default release build inlines
+    them.  The cache simulator's per-access path updates the field
+    directly. *)
 
 type t = { name : string; mutable value : int }
 
