@@ -161,19 +161,6 @@ let () =
              | `Failed msg -> ", repair failed: " ^ msg))
     | _ -> None)
 
-(* A shard's page table, page id -> frame.  Keyed by int equality and an
-   identity hash rather than the polymorphic [Hashtbl]'s [caml_hash] and
-   [compare]: every [get], [unpin] and [prefetch] looks a page up here.
-   Shards pick pages by [mix_page], so a shard's ids still spread over
-   its buckets.  The table is never iterated, so its hash reaches no
-   simulated number. *)
-module Page_table = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash p = p land max_int
-end)
-
 (* One shard: a disjoint frame slice [lo, hi), its own page table and
    CLOCK hand, plus the simulated latch state.  The latch is a cost
    model, not a mutex: operations execute atomically in host order, but
@@ -182,7 +169,7 @@ end)
    inside another client's hold, not behind the latest release (an
    approximation: see [latch_acquire]). *)
 type shard = {
-  table : int Page_table.t;  (* page id -> frame *)
+  table : Page_table.t;  (* page id -> frame *)
   lo : int;  (* first frame owned (inclusive) *)
   hi : int;  (* last frame owned (exclusive) *)
   mutable hand : int;
@@ -289,9 +276,9 @@ let latch_release t sh =
    which layer initiated the free. *)
 let invalidate_page t page =
   let sh = shard_of t page in
-  match Page_table.find_opt sh.table page with
-  | None -> ()
-  | Some frame ->
+  match Page_table.find sh.table page with
+  | -1 -> ()
+  | frame ->
       if t.pin.(frame) > 0 then
         invalid_arg "Buffer_pool: freeing a pinned page";
       Page_table.remove sh.table page;
@@ -666,8 +653,8 @@ let get t page =
   let sh = shard_of t page in
   latch_acquire t sh;
   Sim.busy_bufcall t.sim;
-  match Page_table.find_opt sh.table page with
-  | Some frame ->
+  match Page_table.find sh.table page with
+  | frame when frame >= 0 ->
       if t.prefetched.(frame) then begin
         t.prefetched.(frame) <- false;
         Counter.incr t.stats.prefetch_hits;
@@ -688,7 +675,7 @@ let get t page =
       t.pin.(frame) <- t.pin.(frame) + 1;
       latch_release t sh;
       region_of_frame t frame page
-  | None ->
+  | _ ->
       let frame =
         try victim_frame_demand t sh page
         with Overloaded _ as e ->
@@ -710,12 +697,13 @@ let get t page =
       if t.readahead > 0 then issue_readahead t ~disk ~phys;
       region
 
-let frame_of_page t page = Page_table.find_opt (shard_of t page).table page
+(* The frame of [page], or -1 if it is not resident. *)
+let frame_of_page t page = Page_table.find (shard_of t page).table page
 
 let unpin t page =
-  match frame_of_page t page with
-  | Some frame when t.pin.(frame) > 0 -> t.pin.(frame) <- t.pin.(frame) - 1
-  | _ -> invalid_arg "Buffer_pool.unpin: page not pinned"
+  let frame = frame_of_page t page in
+  if frame >= 0 && t.pin.(frame) > 0 then t.pin.(frame) <- t.pin.(frame) - 1
+  else invalid_arg "Buffer_pool.unpin: page not pinned"
 
 (* Pin a batch of pages together.  The whole batch's missing pages are
    first issued as asynchronous prefetches, so their disk reads overlap
@@ -756,11 +744,10 @@ let get_batch t pages =
   end
 
 let mark_dirty t page =
-  match frame_of_page t page with
-  | Some frame ->
-      t.dirty.(frame) <- true;
-      (match t.wal with Some h -> h.on_page_dirty page | None -> ())
-  | None -> invalid_arg "Buffer_pool.mark_dirty: page not resident"
+  let frame = frame_of_page t page in
+  if frame < 0 then invalid_arg "Buffer_pool.mark_dirty: page not resident";
+  t.dirty.(frame) <- true;
+  match t.wal with Some h -> h.on_page_dirty page | None -> ()
 
 let with_page t page f =
   let region = get t page in
@@ -834,10 +821,9 @@ let create_page t =
    stale state (frame, dirty bit, in-flight entry) is invalidated by the
    [Page_store] free observer registered at [create]. *)
 let free_page t page =
-  (match frame_of_page t page with
-  | Some frame when t.pin.(frame) > 0 ->
-      invalid_arg "Buffer_pool.free_page: pinned"
-  | _ -> ());
+  let frame = frame_of_page t page in
+  if frame >= 0 && t.pin.(frame) > 0 then
+    invalid_arg "Buffer_pool.free_page: pinned";
   (match t.wal with Some h -> h.on_page_free page | None -> ());
   Page_store.free t.store page
 
@@ -881,15 +867,17 @@ let flush_dirty t =
    which hardens pages a few at a time between client operations instead
    of draining the whole pool in one stall. *)
 let write_back_page t page =
-  match frame_of_page t page with
-  | Some f when t.dirty.(f) ->
-      t.dirty.(f) <- false;
-      write_back t page;
-      true
-  | _ -> false
+  let f = frame_of_page t page in
+  if f >= 0 && t.dirty.(f) then begin
+    t.dirty.(f) <- false;
+    write_back t page;
+    true
+  end
+  else false
 
 let is_dirty t page =
-  match frame_of_page t page with Some f -> t.dirty.(f) | None -> false
+  let f = frame_of_page t page in
+  f >= 0 && t.dirty.(f)
 
 (* Currently dirty resident pages: a fuzzy checkpoint's initial worklist. *)
 let dirty_pages t =

@@ -466,6 +466,68 @@ let prop_clock_never_past_capacity =
         accesses;
       true)
 
+(* Eight keys for a 16-slot [Page_table] whose probes collide: three
+   homed at the last slot and three at the one before it, so their
+   chains wrap round to slot 0, where two more keys are homed. *)
+let page_table_keys =
+  let t = Page_table.create 16 in
+  assert (Page_table.capacity t = 16);
+  let take home n =
+    let rec go k acc n =
+      if n = 0 then List.rev acc
+      else if Page_table.home t k = home then go (k + 1) (k :: acc) (n - 1)
+      else go (k + 1) acc n
+    in
+    go 1 [] n
+  in
+  Array.of_list (take 15 3 @ take 14 3 @ take 0 2)
+
+type page_table_op = Replace of int * int | Remove of int
+
+(* [Page_table] against a [Hashtbl] model: after every replace or
+   remove (often of a key in the middle of a wrapped chain), [find],
+   [mem] and [length] agree with the model on every key, and a ninth
+   mapping is refused. *)
+let prop_page_table_matches_hashtbl =
+  let open QCheck2.Gen in
+  let keys = page_table_keys in
+  let gen =
+    let key = map (Array.get keys) (0 -- (Array.length keys - 1)) in
+    let op =
+      frequency
+        [
+          (3, map2 (fun k v -> Replace (k, v)) key (0 -- 1000));
+          (2, map (fun k -> Remove k) key);
+        ]
+    in
+    list_size (1 -- 200) op
+  in
+  Util.qtest ~count:500 "page table == Hashtbl model" gen (fun ops ->
+      let t = Page_table.create 16 and model = Hashtbl.create 16 in
+      let agrees op =
+        (match op with
+        | Replace (k, v) ->
+            Page_table.replace t k v;
+            Hashtbl.replace model k v
+        | Remove k ->
+            Page_table.remove t k;
+            Hashtbl.remove model k);
+        Page_table.length t = Hashtbl.length model
+        && Array.for_all
+             (fun k ->
+               let want = Option.value ~default:(-1) (Hashtbl.find_opt model k) in
+               Page_table.find t k = want && Page_table.mem t k = Hashtbl.mem model k)
+             keys
+      in
+      (* all eight keys fill half the slots; key 0 is not one of them *)
+      let refuses_ninth () =
+        Array.iter (fun k -> Page_table.replace t k 0) keys;
+        match Page_table.replace t 0 0 with
+        | () -> false
+        | exception Invalid_argument _ -> Page_table.length t = 8
+      in
+      List.for_all agrees ops && refuses_ninth ())
+
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
@@ -496,4 +558,5 @@ let suite =
       test_multi_client_pin_evict;
     prop_sharded_pool_equivalent;
     prop_clock_never_past_capacity;
+    prop_page_table_matches_hashtbl;
   ]
