@@ -30,10 +30,17 @@ let make name =
 
 let name t = t.name
 
-(* Position of the most significant set bit of [v > 0]. *)
+(* Position of the most significant set bit of [v > 0] (0 for [v <= 1]):
+   a binary search in six halving steps, enough for 63-bit ints. *)
 let msb v =
-  let rec go v m = if v <= 1 then m else go (v lsr 1) (m + 1) in
-  go v 0
+  let v = ref v and m = ref 0 in
+  if !v lsr 32 <> 0 then begin v := !v lsr 32; m := 32 end;
+  if !v lsr 16 <> 0 then begin v := !v lsr 16; m := !m + 16 end;
+  if !v lsr 8 <> 0 then begin v := !v lsr 8; m := !m + 8 end;
+  if !v lsr 4 <> 0 then begin v := !v lsr 4; m := !m + 4 end;
+  if !v lsr 2 <> 0 then begin v := !v lsr 2; m := !m + 2 end;
+  if !v lsr 1 <> 0 then m := !m + 1;
+  !m
 
 let bucket_of v =
   if v < sub_count then v

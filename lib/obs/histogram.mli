@@ -41,6 +41,10 @@ val percentile : t -> float -> int
 
 val reset : t -> unit
 
+(** [bucket_of v] is the index of the bucket [v >= 0] is counted in:
+    [v] itself below 16, then 16 per power of two. *)
+val bucket_of : int -> int
+
 (** [{"count", "sum", "min", "max", "mean", "p50", "p90", "p95", "p99",
     "p999"}] — the per-histogram record embedded in metrics snapshots.
     [p999] is the 99.9th percentile, the tail the open-loop workload

@@ -124,6 +124,32 @@ let test_histogram_empty_and_reset () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "p101 accepted"
 
+(* The bucket of [v >= 0] as the histogram first computed it, finding
+   the top bit one shift at a time: the reference for [bucket_of]. *)
+let reference_bucket v =
+  if v < 16 then v
+  else
+    let rec msb v m = if v <= 1 then m else msb (v lsr 1) (m + 1) in
+    let e = msb v 0 in
+    16 + ((e - 4) * 16) + ((v lsr (e - 4)) - 16)
+
+let check_bucket v =
+  let got = Histogram.bucket_of v and want = reference_bucket v in
+  if got <> want then Alcotest.failf "bucket_of %d = %d, reference %d" v got want
+
+let test_histogram_bucket_powers () =
+  for i = 0 to 61 do
+    let p = 1 lsl i in
+    List.iter check_bucket [ p - 1; p; p + 1 ]
+  done;
+  List.iter check_bucket [ max_int - 1; max_int ]
+
+(* Every magnitude: a random 62-bit value shifted right by 0-62 bits. *)
+let prop_histogram_bucket_matches_reference =
+  Util.qtest ~count:2000 "histogram: bucket_of matches the bit-at-a-time loop"
+    QCheck2.Gen.(map2 (fun x s -> (x land max_int) lsr s) int (0 -- 62))
+    (fun v -> Histogram.bucket_of v = reference_bucket v)
+
 (* --- Registry --------------------------------------------------------- *)
 
 let test_registry_semantics () =
@@ -265,6 +291,9 @@ let suite =
       test_histogram_oracle;
     Alcotest.test_case "histogram: empty/reset/clamp" `Quick
       test_histogram_empty_and_reset;
+    Alcotest.test_case "histogram: bucket_of at powers of two" `Quick
+      test_histogram_bucket_powers;
+    prop_histogram_bucket_matches_reference;
     Alcotest.test_case "registry: find-or-create/reset" `Quick
       test_registry_semantics;
     Alcotest.test_case "registry: json shape" `Quick test_registry_json;
