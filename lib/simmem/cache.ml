@@ -21,8 +21,8 @@
 
    Every charged load and store of the simulated machine runs through
    [access_fast] and, past its fast path, [access_line], so it allocates
-   nothing, hashes nothing and calls into no other module except
-   [Clock.advance] and, on a memory miss, the pipeline timeline.  Set
+   nothing, hashes nothing and calls into no other module except, on a
+   memory miss, the pipeline timeline ([Clock.advance] is inlined).  Set
    and line counts are powers of two, so a line's L1 set and L2 slot are
    masks.
 
@@ -353,16 +353,30 @@ let[@inline] charge_busy t cycles =
     Clock.advance t.clock cycles
   end
 
-let touch t ~busy addr len =
-  charge_busy t busy;
+(* The accesses of [touch] once its inline check has failed: a
+   single-line access then takes [access_line], as [access_fast] would. *)
+let touch_lines t addr len =
   if len > 0 then begin
     let first = addr asr t.shift and last = (addr + len - 1) asr t.shift in
-    if first = last then access_fast t first
+    if first = last then access_line t first
     else
       for line = first to last do
         access_fast t line
       done
   end
+
+(* Inlined into every caller (e.g. [Mem]'s charged accessors): the busy
+   charge, then [access_fast]'s exit for a single line. *)
+let[@inline] touch t ~busy addr len =
+  charge_busy t busy;
+  let line = addr asr t.shift in
+  if
+    len > 0
+    && line = (addr + len - 1) asr t.shift
+    && quiet t
+    && l1_hit t (set_base t line) line
+  then bump t.stats.Stats.l1_hits
+  else touch_lines t addr len
 
 (* [n] times: [busy] cycles and an access to [a]'s line, then [busy]
    cycles and an access to [b]'s line, by runs (see the header). *)

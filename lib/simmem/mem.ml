@@ -39,7 +39,7 @@ let make ~bytes ~base = { bytes; base; span = Span.create () }
 let make_tracked ~span ~bytes ~base = { bytes; base; span }
 let length r = Bytes.length r.bytes
 
-let touch (sim : Sim.t) r off len =
+let[@inline] touch (sim : Sim.t) r off len =
   Cache.touch sim.cache ~busy:sim.cost.Cost_model.c_access (r.base + off) len
 
 (* Widen [r]'s span to cover [off, stop); called after the write, so a
