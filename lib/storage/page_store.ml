@@ -71,8 +71,12 @@ let create ~page_size ~n_disks =
 
 let page_size t = t.page_size
 
-(* Sectors per page (pages smaller than one sector are one sector). *)
-let sectors_per_page t = max 1 ((t.page_size + sector_size - 1) / sector_size)
+(* Sectors per page (pages smaller than one sector are one sector).  An
+   int compare, not [Stdlib.max]: that is an out-of-line polymorphic
+   call, made on every [stamp] and [verify]. *)
+let sectors_per_page t =
+  let n = (t.page_size + sector_size - 1) / sector_size in
+  if n > 1 then n else 1
 
 (* CRC-32 of one sector's span of the page bytes. *)
 let sector_crc t b s =
