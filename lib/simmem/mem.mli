@@ -97,6 +97,18 @@ val walk_pairs :
   (int -> int -> unit) ->
   int
 
+(** [write_pairs sim r ~keys ~values src pos n] stores the [n] pairs
+    [src.(pos)] .. [src.(pos + n - 1)] as entries [0 .. n - 1] of a
+    node: each key at byte offset [keys + 4 i], each value at
+    [values + 4 i].  It leaves the bytes, the span, the clock, the cache
+    and the statistics as [write_i32] of each key and then its value
+    would, charging one cache-line window at a time as {!walk_pairs}
+    does.
+    @raise Invalid_argument, storing and charging nothing, if a pair
+    lies outside [src] or an entry outside [r]. *)
+val write_pairs :
+  Sim.t -> region -> keys:int -> values:int -> (int * int) array -> int -> int -> unit
+
 (** {1 Uncharged reads (checkers and oracles only)} *)
 
 val peek_u8 : region -> int -> int

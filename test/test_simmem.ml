@@ -541,6 +541,71 @@ let prop_walk_pairs_matches_reads =
       walk (fun sim r f -> Mem.walk_pairs sim r ~keys ~values ~n ~rev ~lo ~hi i f)
       = walk by_entry)
 
+(* [Mem.write_pairs] against the per-entry loop it replaced: [write_i32]
+   of each key, then of its value.  Two sims are prepared alike: warm
+   lines in the written region and in two regions that share its L1 sets,
+   prefetches issued between busy gaps so they fall due at varied times
+   during the writes.  Arrays start at any byte, so entries straddle
+   lines.  Both runs must leave the same bytes, span, clock and counters,
+   and a follow-up run of reads over the three regions, which evicts by
+   LRU order, must cost the same and read the same. *)
+let prop_write_pairs_matches_writes =
+  let open QCheck2.Gen in
+  let region_off = pair (0 -- 2) (0 -- 4092) in
+  let prep_op =
+    oneof
+      [
+        map (fun ro -> `Warm ro) region_off;
+        map2 (fun off len -> `Prefetch (off, len)) (0 -- 4000) (1 -- 96);
+        map (fun c -> `Busy c) (0 -- 400);
+      ]
+  in
+  let gen =
+    let* n = 0 -- 200 in
+    let* keys = 0 -- 1200 and* values = 0 -- 1200
+    and* pos = 0 -- 5
+    and* prep = list_size (0 -- 60) prep_op
+    and* after = list_size (0 -- 80) region_off
+    and* seed = int in
+    pure (n, keys, values, pos, prep, after, seed)
+  in
+  Util.qtest ~count:500 "write_pairs == per-entry key and value writes" gen
+    (fun (n, keys, values, pos, prep, after, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let src =
+        Array.init (pos + n) (fun _ -> (Random.State.bits rng, Random.State.bits rng - (1 lsl 29)))
+      in
+      let init = Bytes.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let run write =
+        let sim = Sim.create () in
+        let set = sim.Sim.cfg.Config.l1_size / sim.cfg.l1_assoc in
+        let regions =
+          Array.init 3 (fun i ->
+              Mem.make ~bytes:(Bytes.copy init) ~base:(8192 + (i * set)))
+        in
+        let r = regions.(0) in
+        List.iter
+          (function
+            | `Warm (i, off) -> ignore (Mem.read_u8 sim regions.(i) off)
+            | `Prefetch (off, len) -> Mem.prefetch sim r ~off ~len
+            | `Busy c -> Sim.charge_busy sim c)
+          prep;
+        write sim r;
+        let state =
+          (Bytes.to_string r.bytes, r.span.lo, r.span.hi, Sim.now sim, Stats.kv sim.stats)
+        in
+        let reads = List.map (fun (i, off) -> Mem.read_i32 sim regions.(i) off) after in
+        (state, reads, Sim.now sim, Stats.kv sim.stats)
+      in
+      let by_entry sim r =
+        for j = 0 to n - 1 do
+          let k, v = src.(pos + j) in
+          Mem.write_i32 sim r (keys + (4 * j)) k;
+          Mem.write_i32 sim r (values + (4 * j)) v
+        done
+      in
+      run (fun sim r -> Mem.write_pairs sim r ~keys ~values src pos n) = run by_entry)
+
 let suite =
   [
     Alcotest.test_case "clock" `Quick test_clock;
@@ -562,6 +627,7 @@ let suite =
     prop_prefetch_batch_cost;
     prop_cache_matches_reference;
     prop_walk_pairs_matches_reads;
+    prop_write_pairs_matches_writes;
     prop_timeline_model;
     prop_timeline_monotone_pipeline;
     Alcotest.test_case "mem written span" `Quick test_mem_span;
