@@ -317,11 +317,8 @@ module Make (F : PAGE_FORMAT) = struct
           let lo = p * per_page in
           let cnt = min per_page (n - lo) in
           let page, r = new_page t ~leaf in
-          for j = 0 to cnt - 1 do
-            let k, ptr = entries.(lo + j) in
-            Mem.write_i32 t.sim r (key_off t j) k;
-            Mem.write_i32 t.sim r (ptr_off t j) ptr
-          done;
+          Mem.write_pairs t.sim r ~keys:(key_off t 0) ~values:(ptr_off t 0) entries
+            lo cnt;
           Mem.write_u16 t.sim r off_n cnt;
           F.entries_updated t.sim t.cfg r ~n:cnt ~from:0;
           Mem.write_i32 t.sim r off_prev !prev;

@@ -725,11 +725,8 @@ let bulkload t pairs ~fill =
       let p = place.(0).(i) in
       Buffer_pool.with_page t.pool p.pg (fun r ->
           Mem.write_u16 t.sim r (node_off p.ln + n_count) cnt;
-          for j = 0 to cnt - 1 do
-            let k, v = pairs.(!pos + j) in
-            Mem.write_i32 t.sim r (key_off p.ln j) k;
-            Mem.write_i32 t.sim r (tid_off c p.ln j) v
-          done;
+          Mem.write_pairs t.sim r ~keys:(key_off p.ln 0) ~values:(tid_off c p.ln 0)
+            pairs !pos cnt;
           let next =
             if i + 1 < n_leaves then place.(0).(i + 1) else null_ptr
           in

@@ -166,11 +166,8 @@ let build_in_page t r entries ~n_leaves =
     Mem.write_u16 t.sim r (node_off line + n_next) 0;
     Mem.write_u16 t.sim r (node_off line + n_prev) !prev;
     if !prev <> 0 then Mem.write_u16 t.sim r (node_off !prev + n_next) line;
-    for j = 0 to cnt - 1 do
-      let k, p = entries.(!pos + j) in
-      Mem.write_i32 t.sim r (leaf_key_off c line j) k;
-      Mem.write_i32 t.sim r (leaf_ptr_off c line j) p
-    done;
+    Mem.write_pairs t.sim r ~keys:(leaf_key_off c line 0)
+      ~values:(leaf_ptr_off c line 0) entries !pos cnt;
     let min_key = if cnt > 0 then fst entries.(!pos) else Key.sentinel in
     leaves.(li) <- (min_key, line);
     pos := !pos + cnt;

@@ -234,11 +234,8 @@ let bulkload t pairs ~fill =
         let cnt = min per_node (n - lo) in
         let node = new_node t ~leaf in
         let r, off = Arena.deref t.arena node in
-        for j = 0 to cnt - 1 do
-          let k, ptr = entries.(lo + j) in
-          Mem.write_i32 t.sim r (off + key_off j) k;
-          Mem.write_i32 t.sim r (off + ptr_off t j) ptr
-        done;
+        Mem.write_pairs t.sim r ~keys:(off + key_off 0) ~values:(off + ptr_off t 0)
+          entries lo cnt;
         Mem.write_u16 t.sim r (off + off_n) cnt;
         Mem.write_i32 t.sim r (off + off_prev) !prev;
         if !prev <> nil then begin
