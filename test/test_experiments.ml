@@ -232,16 +232,19 @@ let result_table (outcome : string -> Registry.outcome) name id =
   | Some t -> t
   | None -> Alcotest.failf "%s: no table %s" name id
 
-(* The number in [t]'s row whose first cell is [row], column [col]. *)
-let cell (t : Table.t) row col =
+(* The text in [t]'s row whose first cell is [row], column [col]. *)
+let text_cell (t : Table.t) row col =
   let rec index i = function
     | [] -> Alcotest.failf "%s: no column %S" t.id col
     | h :: rest -> if h = col then i else index (i + 1) rest
   in
   let c = index 0 t.header in
   match List.find_opt (fun r -> List.hd r = row) t.rows with
-  | Some r -> float_of_string (List.nth r c)
+  | Some r -> List.nth r c
   | None -> Alcotest.failf "%s: no row %S" t.id row
+
+(* The same cell as a number. *)
+let cell t row col = float_of_string (text_cell t row col)
 
 let claim (t : Table.t) what ok = Alcotest.(check bool) (t.id ^ ": " ^ what) true ok
 
@@ -328,6 +331,38 @@ let check_search_update_claims (outcome : string -> Registry.outcome) =
   fpb_within 0.75 (table "fig12" "fig12");
   fpb_within 0.4 (table "fig14" "fig14a");
   fpb_within 0.4 (table "fig14" "fig14b")
+
+(* Table 2's width selections equal the paper's in every cell that
+   EXPERIMENTS.md marks exact: disk-first at 4, 8 and 32KB, cache-first
+   and micro-indexing at every page size.  Disk-first at 16KB keeps the
+   documented deviation: the paper's 192B nonleaf node, but a 576B leaf
+   whose fan-out (1988 against the paper's 1953) also meets the cost
+   bound, so only a fan-out of at least 1953 is claimed there.  Costs
+   are left out: they are estimates the paper rounds differently (32KB
+   disk-first reads 1.09 against 1.07). *)
+let check_table2_claims (outcome : string -> Registry.outcome) =
+  let t = result_table outcome "table2" "table2" in
+  let exact page cells =
+    List.iter
+      (fun (col, paper) ->
+        Alcotest.(check string) (Printf.sprintf "table2: %s %s" page col) paper
+          (text_cell t page col))
+      cells
+  in
+  List.iter
+    (fun (page, nonleaf, leaf, fanout) ->
+      exact page [ ("df nonleaf", nonleaf); ("df leaf", leaf); ("df fanout", fanout) ])
+    [ ("4KB", "64B", "384B", "470"); ("8KB", "192B", "256B", "961");
+      ("32KB", "256B", "832B", "4017") ];
+  List.iter
+    (fun (page, cf_node, cf_fanout, mi_sub, mi_fanout) ->
+      exact page
+        [ ("cf node", cf_node); ("cf fanout", cf_fanout); ("mi sub", mi_sub);
+          ("mi fanout", mi_fanout) ])
+    [ ("4KB", "576B", "497", "128B", "496"); ("8KB", "576B", "994", "192B", "1008");
+      ("16KB", "704B", "2001", "320B", "2032"); ("32KB", "640B", "4029", "320B", "4064") ];
+  exact "16KB" [ ("df nonleaf", "192B") ];
+  claim t "disk-first fan-out >= 1953 at 16KB" (cell t "16KB" "df fanout" >= 1953.)
 
 (* The committed tiny report, [BENCH_results.json] at the repository
    root (a dependency of this test, so dune copies it next to the test
@@ -435,6 +470,7 @@ let test_full_report_roundtrip () =
   let outcome id = List.find (fun o -> o.Registry.entry.Registry.id = id) outcomes in
   check_scan_claims outcome;
   check_search_update_claims outcome;
+  check_table2_claims outcome;
   List.iter
     (fun (id, check) -> check (outcome id))
     [
@@ -541,6 +577,39 @@ let test_oracle_not_vacuous () =
       Oracle.check_recovered fs idx { r with meta = [ 1 ] } ~committed:10
         (want 10))
 
+(* The committed fpbench trajectory, [BENCH_fpbench.json] at the
+   repository root: one point per change, oldest first.  Every point
+   but the newest names its commit (the newest is filled in by the
+   change after it), and every run it records finished correct with no
+   failed operation. *)
+let test_fpbench_trajectory () =
+  let module J = Fpb_obs.Json in
+  let json = J.parse (In_channel.with_open_bin "../BENCH_fpbench.json" In_channel.input_all) in
+  let points = Option.value ~default:[] (Option.bind (J.member "points" json) J.to_list) in
+  if points = [] then Alcotest.fail "BENCH_fpbench.json: no points";
+  let last = List.length points - 1 in
+  List.iteri
+    (fun i p ->
+      let commit = Option.bind (J.member "commit" p) J.to_str in
+      if i < last && commit = None then
+        Alcotest.failf "BENCH_fpbench.json: point %d names no commit" i;
+      let name = Option.value ~default:(Printf.sprintf "point %d" i) commit in
+      match J.member "runs" p with
+      | Some (J.Obj (_ :: _ as runs)) ->
+          List.iter
+            (fun (w, run) ->
+              Alcotest.(check (option bool))
+                (Printf.sprintf "%s %s: correct" name w) (Some true)
+                (match J.member "correct" run with
+                | Some (J.Bool b) -> Some b
+                | _ -> None);
+              Alcotest.(check (option int))
+                (Printf.sprintf "%s %s: failed" name w) (Some 0)
+                (Option.bind (J.member "failed" run) J.to_int))
+            runs
+      | _ -> Alcotest.failf "BENCH_fpbench.json: %s has no runs" name)
+    points
+
 let suite =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
@@ -552,4 +621,5 @@ let suite =
     Alcotest.test_case "crashtest claims" `Slow test_crashtest_claims;
     Alcotest.test_case "recovery oracle is not vacuous" `Quick
       test_oracle_not_vacuous;
+    Alcotest.test_case "fpbench trajectory" `Quick test_fpbench_trajectory;
   ]
