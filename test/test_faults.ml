@@ -57,7 +57,9 @@ let crc_reference crc b off len =
    cases check a whole family of lengths on one buffer instead of one
    length: every length from 56 to 72 B (just below, at and above 64),
    or 16 k + t B for every tail t in 0-15, each at an offset drawn from
-   0-31 so that the span is usually not 16-byte aligned. *)
+   0-31 so that the span is usually not 16-byte aligned.  Others check
+   every span of 16 to 63 B (one folded lane plus a tail) at every
+   offset from 0 to 15 of one buffer. *)
 let prop_crc_matches_reference =
   let open QCheck2.Gen in
   let short_or_long hi = frequency [ (1, 0 -- min hi 16); (2, 0 -- hi) ] in
@@ -65,34 +67,40 @@ let prop_crc_matches_reference =
     let* n = short_or_long 5000 in
     let* off = short_or_long n in
     let* len = short_or_long (n - off) in
-    return (n, off, [ len ])
+    return (n, [ (off, len) ])
   in
+  let at off lens = List.map (fun len -> (off, len)) lens in
   let around_64 =
     let* off = 0 -- 31 in
-    return (off + 72, off, List.init 17 (fun i -> 56 + i))
+    return (off + 72, at off (List.init 17 (fun i -> 56 + i)))
   in
   let every_tail =
     let* blocks = 0 -- 40 in
     let* off = 0 -- 31 in
     let lens = List.init 16 (fun t -> (16 * blocks) + t) in
-    return (off + (16 * blocks) + 15, off, lens)
+    return (off + (16 * blocks) + 15, at off lens)
+  in
+  let every_short =
+    let lens = List.init 48 (fun i -> 16 + i) in
+    return (15 + 63, List.concat (List.init 16 (fun off -> at off lens)))
   in
   let gen =
-    let* n, off, lens =
-      frequency [ (2, arbitrary); (1, around_64); (1, every_tail) ]
+    let* n, spans =
+      frequency
+        [ (2, arbitrary); (1, around_64); (1, every_tail); (1, every_short) ]
     in
     let* pad = 0 -- 16 in
     let* s = string_size (return (n + pad)) in
     let* cut = int_bound 5000 in
     let* hi = int_bound 0xffff in
     let* lo = int_bound 0xffff in
-    return (s, off, lens, cut, (hi lsl 16) lor lo)
+    return (s, spans, cut, (hi lsl 16) lor lo)
   in
   Util.qtest ~count:500 "crc32 equals bytewise reference" gen
-    (fun (s, off, lens, cut, seed) ->
+    (fun (s, spans, cut, seed) ->
       let b = Bytes.of_string s in
       List.for_all
-        (fun len ->
+        (fun (off, len) ->
           let want = crc_reference seed b off len in
           let cut = cut mod (len + 1) in
           Checksum.update seed b off len = want
@@ -100,7 +108,7 @@ let prop_crc_matches_reference =
           && Checksum.update (Checksum.update seed b off cut) b (off + cut)
                (len - cut)
              = want)
-        lens)
+        spans)
 
 let test_crc_bounds () =
   let b = Bytes.make 16 'x' in
