@@ -2,8 +2,9 @@
    evaluation (Section 4) on the simulated substrates, plus Bechamel
    wall-clock microbenchmarks of the core index operations, of the
    simulator's busy-interval timeline, of the durability kernels
-   (CRC-32, page diff, log-record framing), of the cache simulator's
-   charged accesses and of the workload generator's draws.
+   (CRC-32, page diff, log-record framing), of a WAL commit, of the
+   cache simulator's charged accesses and of the workload generator's
+   draws.
 
    Usage:
      dune exec bench/main.exe                 # every experiment, quick scale
@@ -49,9 +50,11 @@ let timeline_test ~name ~fronts ~latch =
          now.(i) <- s + 37))
 
 (* Host cost of the durability kernels every logged update and every
-   page read or write-back runs: the CRC-32 of a 4 KB page, the diff of
-   a 4 KB page against its shadow copy when one word mid-page changed,
-   and the framing of a delta record and of a 4 KB image record. *)
+   page read or write-back runs: the CRC-32 of a 4 KB page and of the
+   20 B and 40 B spans short log records checksum (one folded lane plus
+   a table-loop tail), the diff of a 4 KB page against its shadow copy
+   when one word mid-page changed, and the framing of a delta record and
+   of a 4 KB image record. *)
 let kernel_tests () =
   let open Bechamel in
   let module Wal = Fpb_wal.Wal in
@@ -65,6 +68,12 @@ let kernel_tests () =
   [
     Test.make ~name:"crc32-4k"
       (Staged.stage (fun () -> ignore (Fpb_storage.Checksum.bytes page : int)));
+    Test.make ~name:"crc32-20b"
+      (Staged.stage (fun () ->
+           ignore (Fpb_storage.Checksum.update 0 page 5 20 : int)));
+    Test.make ~name:"crc32-40b"
+      (Staged.stage (fun () ->
+           ignore (Fpb_storage.Checksum.update 0 page 5 40 : int)));
     Test.make ~name:"diff-span-4k"
       (Staged.stage (fun () ->
            ignore (Wal.diff_span page dirty : (int * int) option)));
@@ -72,6 +81,42 @@ let kernel_tests () =
       (Staged.stage (fun () -> ignore (Wal.Codec.encode delta : string)));
     Test.make ~name:"encode-image-4k"
       (Staged.stage (fun () -> ignore (Wal.Codec.encode image : string)));
+  ]
+
+(* Host cost of one commit on the write path of a disk-first tree: a
+   word of one resident 4 KB page updated through [Mem], then committed
+   with a 3-int meta through a 64 KB group-commit WAL with a shadow
+   checkpoint attached (the pre-log observer, a delta record, a commit
+   record, and a share of the group flushes).  A flip every 50 000
+   commits bounds the log, as the fuzzy checkpoints of a run would. *)
+let wal_tests () =
+  let open Bechamel in
+  let module S = Fpb_storage in
+  let sim = Fpb_simmem.Sim.create () in
+  let store = S.Page_store.create ~page_size:4096 ~n_disks:2 in
+  let disks =
+    S.Disk_model.create
+      ~transfer_ns:(S.Disk_model.transfer_ns_of_page_size 4096)
+      ~n_disks:2 sim.Fpb_simmem.Sim.clock
+  in
+  let pool = S.Buffer_pool.create ~capacity:8 sim store disks in
+  let page, _ = S.Buffer_pool.create_page pool in
+  S.Buffer_pool.unpin pool page;
+  let meta = [ 1; 2; 3 ] in
+  let wal = Fpb_wal.Wal.attach ~group_commit_bytes:65536 ~meta pool in
+  let shadow = Fpb_snapshot.Shadow.attach ~meta wal pool in
+  let op = ref 0 in
+  [
+    Test.make ~name:"commit-delta"
+      (Staged.stage (fun () ->
+           incr op;
+           let r = S.Buffer_pool.get pool page in
+           Fpb_simmem.Mem.write_i32 sim r (4 * (!op land 511)) !op;
+           S.Buffer_pool.mark_dirty pool page;
+           S.Buffer_pool.unpin pool page;
+           Fpb_wal.Wal.commit wal ~op:!op ~meta;
+           if !op mod 50_000 = 0 then
+             Fpb_snapshot.Shadow.checkpoint_sync shadow ~meta));
   ]
 
 (* Host cost of the cache simulator's per-access path, through the
@@ -199,10 +244,10 @@ let run_bechamel () =
   (* Wall-clock cost of the real implementations (not simulated time):
      one Test.make per operation and index over a 100K-key tree, the
      timeline sequences of the memory pipeline and the shard latch, each
-     append-only and interleaved, the durability kernels and the cache
-     simulator's charged accesses and the workload draws.  The
-     timeline, kernel, simmem and workload groups run first, before the
-     trees fill the heap: GC work on that heap would otherwise swamp
+     append-only and interleaved, the durability kernels, a WAL commit,
+     the cache simulator's charged accesses and the workload draws.  The
+     timeline, kernel, wal, simmem and workload groups run first, before
+     the trees fill the heap: GC work on that heap would otherwise swamp
      primitives this cheap. *)
   let open Bechamel in
   let timeline =
@@ -216,6 +261,7 @@ let run_bechamel () =
          ])
   in
   let kernels = measure (Test.make_grouped ~name:"kernels" (kernel_tests ())) in
+  let wal = measure (Test.make_grouped ~name:"wal" (wal_tests ())) in
   let simmem = measure (Test.make_grouped ~name:"simmem" (simmem_tests ())) in
   let workload =
     let per_draw, per_key = workload_tests () in
@@ -263,7 +309,7 @@ let run_bechamel () =
            Test.make_grouped ~name:"scan" (List.map scan_test Setup.all_kinds);
          ])
   in
-  fpbtree @ timeline @ kernels @ simmem @ workload
+  fpbtree @ timeline @ kernels @ wal @ simmem @ workload
 
 (* What a positional argument names: every experiment and the bechamel
    group ([all]), the bechamel group alone, or one experiment. *)

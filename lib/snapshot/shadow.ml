@@ -52,14 +52,15 @@ module Counter = Fpb_obs.Counter
 module Histogram = Fpb_obs.Histogram
 
 (* A retained checkpoint generation: its persisted table entries plus
-   the lazily frozen committed-at-flip page images.  [images] stands in
-   for reading the generation's frozen physical blocks (the store keeps
-   only logical bytes); copy-on-write guarantees those blocks still hold
-   these bytes on disk. *)
+   the lazily frozen committed-at-flip page images, indexed like
+   [entries] by page id.  [images] stands in for reading the
+   generation's frozen physical blocks (the store keeps only logical
+   bytes); copy-on-write guarantees those blocks still hold these bytes
+   on disk. *)
 type gen_state = {
   gen : int;
   entries : Page_map.entry array;
-  images : (int, Bytes.t * int) Hashtbl.t;
+  images : (Bytes.t * int) option array;
   marks : int array;
   cut_lsn : int;  (* newest LSN below the cut: replay starts after it *)
   alloc : int * int list;
@@ -112,10 +113,14 @@ type t = {
   clock : Clock.t;
   map : Page_map.t;
   mutable current_gen : int;
-  page_gen : (int, int) Hashtbl.t;  (* page -> last generation remapped *)
-  table_refs : (int * int, int) Hashtbl.t;
-      (* (disk, phys) -> number of retained tables referencing it *)
+  mutable page_gen : int array;
+      (* page -> last generation remapped (0 beyond the array) *)
+  table_refs : int array array;
+      (* disk -> phys -> number of retained tables referencing the block
+         (0 beyond the array) *)
   mutable retained : gen_state list;  (* newest first *)
+  mutable spare : Bytes.t list;
+      (* page-sized image buffers of retired generations, for reuse *)
   mutable progress : progress option;
   mutable crash_point : crash_point option;
   mutable backpressure : (unit -> bool) option;
@@ -130,17 +135,36 @@ let keep_gens = 2
 
 (* ----------------------- copy-on-write remapping --------------------- *)
 
+(* [a] widened with zeros so that it holds index [i]. *)
+let widen a i =
+  if i < Array.length a then a
+  else begin
+    let n = 2 * Array.length a in
+    let b = Array.make (if n > i then n else i + 1) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let refs t ~disk ~phys =
+  let a = t.table_refs.(disk) in
+  if phys < Array.length a then Array.unsafe_get a phys else 0
+
+let set_refs t ~disk ~phys n =
+  let a = widen t.table_refs.(disk) phys in
+  t.table_refs.(disk) <- a;
+  a.(phys) <- n
+
 (* First write to a page after a flip: if its current block is
    referenced by a retained table, relocate the page to a fresh block on
    the same disk so the checkpointed image survives; otherwise nothing
    frozen lives there and the write may proceed in place.  Runs from
    [Page_store.write_location] on every disk-write path. *)
 let remap t id =
-  let g = try Hashtbl.find t.page_gen id with Not_found -> 0 in
-  if g < t.current_gen then begin
-    Hashtbl.replace t.page_gen id t.current_gen;
+  if id >= Array.length t.page_gen then t.page_gen <- widen t.page_gen id;
+  if t.page_gen.(id) < t.current_gen then begin
+    t.page_gen.(id) <- t.current_gen;
     let disk, phys = Page_store.location t.store id in
-    if Hashtbl.mem t.table_refs (disk, phys) then begin
+    if refs t ~disk ~phys > 0 then begin
       let phys' = Page_store.alloc_block t.store ~disk in
       Page_store.relocate t.store id ~disk ~phys:phys';
       Counter.incr t.stats.remaps;
@@ -148,73 +172,95 @@ let remap t id =
     end
   end
 
-(* WAL pre-log observer: the page's pre-update committed content, fired
-   on its first logging of each commit.  Freeze it into every retained
+(* The page's committed image, copied into a spare buffer when there
+   is one. *)
+let take_image t page =
+  match t.spare with
+  | [] -> Wal.committed_image t.wal page
+  | b :: rest -> (
+      match Wal.committed_image ~into:b t.wal page with
+      | Some _ as img ->
+          t.spare <- rest;
+          img
+      | None -> None)
+
+(* WAL pre-log observer, fired on a page's first logging since the last
+   flip (or since its allocation) while [Wal.committed_image] is still
+   its pre-update committed content.  Freeze that into every retained
    generation that does not have the page yet — flips happen between
-   operations, so this is exactly the page's committed-at-flip state.
-   One copy is shared across generations (images are never mutated). *)
-let capture t page pre =
-  match t.retained with
+   operations, so this is exactly the page's committed-at-flip state,
+   and after it no retained generation lacks the page until the next
+   flip.  The image is copied at most once ([fetched]) and shared
+   across generations: a retained generation's images are never
+   mutated, and a buffer is reused only after the last generation
+   holding it retires. *)
+let rec capture_into t page fetched = function
   | [] -> ()
-  | retained ->
-      let copied = ref None in
-      List.iter
-        (fun st ->
-          if
-            page < Array.length st.entries
-            && not (Hashtbl.mem st.images page)
-          then begin
-            (match !copied with
-            | Some _ -> ()
-            | None ->
-                copied :=
-                  Some
-                    (match pre with
-                    | Some (b, lsn) -> Some (Bytes.copy b, lsn)
-                    | None -> None));
-            match !copied with
-            | Some (Some img) ->
-                Hashtbl.replace st.images page img;
-                Counter.incr t.stats.captures
-            | _ -> ()
-          end)
-        retained
+  | st :: rest ->
+      if page < Array.length st.images && Option.is_none st.images.(page)
+      then begin
+        let img =
+          match fetched with Some img -> img | None -> take_image t page
+        in
+        if Option.is_some img then begin
+          st.images.(page) <- img;
+          Counter.incr t.stats.captures
+        end;
+        capture_into t page (Some img) rest
+      end
+      else capture_into t page fetched rest
+
+let capture t page = capture_into t page None t.retained
 
 (* --------------------------- gen retirement -------------------------- *)
 
-(* Drop one retained generation's block references; a block whose last
+(* Drop one retired generation's block references; a block whose last
    reference goes away is reusable unless it is still some page's
-   current location (the page was never rewritten after that flip). *)
-let release_gen t st =
+   current location (the page was never rewritten after that flip).  Its
+   image buffers become spares, except those another generation in
+   [others] shares (a capture shares one copy across generations); the
+   last generation holding a buffer gives it up. *)
+let release_gen t ~others st =
   Array.iteri
-    (fun id e ->
-      if id > 0 then begin
-        let key = (e.Page_map.disk, e.Page_map.phys) in
-        match Hashtbl.find_opt t.table_refs key with
-        | None -> ()
-        | Some 1 ->
-            Hashtbl.remove t.table_refs key;
-            if Page_store.location t.store id <> key then begin
-              Page_store.free_block t.store ~disk:e.Page_map.disk
-                ~phys:e.Page_map.phys;
+    (fun id img ->
+      match img with
+      | None -> ()
+      | Some (b, _) ->
+          st.images.(id) <- None;
+          let shared o =
+            id < Array.length o.images
+            &&
+            match o.images.(id) with Some (b', _) -> b' == b | None -> false
+          in
+          if not (List.exists shared others) then t.spare <- b :: t.spare)
+    st.images;
+  Array.iteri
+    (fun id { Page_map.disk; phys; _ } ->
+      if id > 0 then
+        match refs t ~disk ~phys with
+        | 0 -> ()
+        | 1 ->
+            set_refs t ~disk ~phys 0;
+            let disk', phys' = Page_store.location t.store id in
+            if disk' <> disk || phys' <> phys then begin
+              Page_store.free_block t.store ~disk ~phys;
               Counter.incr t.stats.blocks_freed
             end
-        | Some n -> Hashtbl.replace t.table_refs key (n - 1)
-      end)
+        | n -> set_refs t ~disk ~phys (n - 1))
     st.entries
 
 let retire_unpinned t =
-  let rec go i = function
-    | [] -> []
+  let keeps i st = i < keep_gens || st.pins > 0 in
+  let retired = List.filteri (fun i st -> not (keeps i st)) t.retained in
+  t.retained <- List.filteri keeps t.retained;
+  let rec go = function
+    | [] -> ()
     | st :: rest ->
-        if i < keep_gens || st.pins > 0 then st :: go (i + 1) rest
-        else begin
-          release_gen t st;
-          Counter.incr t.stats.retired;
-          go (i + 1) rest
-        end
+        release_gen t ~others:(t.retained @ rest) st;
+        Counter.incr t.stats.retired;
+        go rest
   in
-  t.retained <- go 0 t.retained
+  go retired
 
 (* --------------------------- the checkpoint -------------------------- *)
 
@@ -256,20 +302,20 @@ let flip t ~meta =
     | None -> invalid_arg "Shadow.flip: no checkpoint in progress"
   in
   let t0 = Clock.now t.clock in
-  let images = Hashtbl.create 32 in
+  let total = Page_store.total_pages t.store in
+  let images = Array.make (total + 1) None in
   let lagging =
     List.sort_uniq compare
       (Buffer_pool.dirty_pages t.pool @ Wal.stale_pages t.wal)
   in
   List.iter
     (fun pg ->
-      match Wal.committed_image t.wal pg with
-      | Some img ->
-          Hashtbl.replace images pg img;
+      match take_image t pg with
+      | Some _ as img ->
+          images.(pg) <- img;
           Counter.incr t.stats.captures
       | None -> ())
     lagging;
-  let total = Page_store.total_pages t.store in
   let entries =
     Array.init (total + 1) (fun id ->
         if id = 0 then { Page_map.disk = -1; phys = -1; lsn = 0 }
@@ -317,12 +363,8 @@ let flip t ~meta =
       alloc = p.cut_alloc; op; meta; pins = 0 }
   in
   Array.iteri
-    (fun id e ->
-      if id > 0 then begin
-        let key = (e.Page_map.disk, e.Page_map.phys) in
-        Hashtbl.replace t.table_refs key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt t.table_refs key))
-      end)
+    (fun id { Page_map.disk; phys; _ } ->
+      if id > 0 then set_refs t ~disk ~phys (1 + refs t ~disk ~phys))
     entries;
   t.retained <- st :: t.retained;
   retire_unpinned t;
@@ -427,7 +469,7 @@ let read s page =
         ~phys:e.Page_map.phys ()
     in
     Clock.advance_to t.clock done_at;
-    match Hashtbl.find_opt s.st.images page with
+    match s.st.images.(page) with
     | Some (b, _) -> Some (Bytes.copy b)
     | None -> (
         (* never logged since the flip: the current durable image still
@@ -472,7 +514,7 @@ let recover t =
             List.find_opt (fun st -> st.gen = tb.Page_map.gen) t.retained
           with
           | Some st -> st.images
-          | None -> Hashtbl.create 0
+          | None -> [||]
         in
         let total = Page_store.total_pages t.store in
         Array.iteri
@@ -484,8 +526,8 @@ let recover t =
         let load_page id =
           if id >= Array.length tb.Page_map.entries then None
           else
-            match Hashtbl.find_opt images id with
-            | Some (b, lsn) -> Some (b, lsn)
+            match if id < Array.length images then images.(id) else None with
+            | Some _ as img -> img
             | None -> Wal.durable_image t.wal id
         in
         Wal.set_recovery_base t.wal
@@ -514,8 +556,8 @@ let recover t =
   (* block refcounts and generation images died with the machine; the
      free-block lists rebuild from the restored mapping *)
   Page_store.rebuild_free_blocks t.store;
-  Hashtbl.reset t.table_refs;
-  Hashtbl.reset t.page_gen;
+  Array.fill t.table_refs 0 (Array.length t.table_refs) [||];
+  Array.fill t.page_gen 0 (Array.length t.page_gen) 0;
   t.retained <- [];
   Page_store.set_remapper t.store (Some (fun id -> remap t id));
   checkpoint_sync t ~meta:result.Wal.meta;
@@ -535,9 +577,10 @@ let attach ~meta wal pool =
       clock;
       map = Page_map.create ~page_size:(Page_store.page_size store) clock;
       current_gen = 1;
-      page_gen = Hashtbl.create 256;
-      table_refs = Hashtbl.create 256;
+      page_gen = [||];
+      table_refs = Array.make (Disk_model.n_disks (Buffer_pool.disks pool)) [||];
       retained = [];
+      spare = [];
       progress = None;
       crash_point = None;
       backpressure = None;
@@ -562,7 +605,7 @@ let attach ~meta wal pool =
     }
   in
   Page_store.set_remapper store (Some (fun id -> remap t id));
-  Wal.set_pre_log_observer wal (Some (fun page pre -> capture t page pre));
+  Wal.set_pre_log_observer wal (Some (capture t));
   checkpoint_sync t ~meta;
   t
 

@@ -193,6 +193,8 @@ type t = {
   disks : Disk_model.t;
   capacity : int;
   frames : int array;  (* frame -> page id (Page_store.nil if empty) *)
+  regions : Mem.region array;
+      (* frame -> the region the last hit on it returned *)
   ref_bit : bool array;
   pin : int array;
   dirty : bool array;
@@ -316,6 +318,7 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
       disks;
       capacity;
       frames = Array.make capacity Page_store.nil;
+      regions = Array.make capacity (Mem.make ~bytes:Bytes.empty ~base:0);
       ref_bit = Array.make capacity false;
       pin = Array.make capacity 0;
       dirty = Array.make capacity false;
@@ -364,6 +367,21 @@ let region_of_frame t frame page =
   Mem.make_tracked ~span:(Page_store.span t.store page)
     ~bytes:(Page_store.bytes t.store page)
     ~base:(frame * Page_store.page_size t.store)
+
+(* The region of [page] for a hit on its [frame].  The store creates a
+   page's bytes and span once per id, so a frame keeps one region while
+   it holds the same page, built by the first hit after the frame took
+   the page.  A read or a prefetch arrival returns a fresh region
+   instead: caching it would promote a region per page read to the
+   major heap, most of them dead once the page is evicted unhit. *)
+let hit_region t frame page =
+  let r = t.regions.(frame) in
+  if r.Mem.bytes == Page_store.bytes t.store page then r
+  else begin
+    let r = region_of_frame t frame page in
+    t.regions.(frame) <- r;
+    r
+  end
 
 (* A frame whose read is still in flight at the caller's time cannot be
    reassigned. *)
@@ -655,7 +673,8 @@ let get t page =
   Sim.busy_bufcall t.sim;
   match Page_table.find sh.table page with
   | frame when frame >= 0 ->
-      if t.prefetched.(frame) then begin
+      let arrival = t.prefetched.(frame) in
+      if arrival then begin
         t.prefetched.(frame) <- false;
         Counter.incr t.stats.prefetch_hits;
         latch_release t sh;
@@ -674,7 +693,7 @@ let get t page =
       t.ref_bit.(frame) <- true;
       t.pin.(frame) <- t.pin.(frame) + 1;
       latch_release t sh;
-      region_of_frame t frame page
+      if arrival then region_of_frame t frame page else hit_region t frame page
   | _ ->
       let frame =
         try victim_frame_demand t sh page

@@ -4,7 +4,7 @@
 
    - carry-less-multiply folding (checksum_stubs.c), which folds 16-byte
      blocks with PCLMULQDQ.  [update] runs it over the whole 16-byte
-     blocks of a span of at least 64 bytes when the CPU has PCLMULQDQ
+     blocks of a span of at least 16 bytes when the CPU has PCLMULQDQ
      and SSE4.1 (asked once, at module initialisation), then finishes
      the last [len mod 16] bytes with the table loop from its result;
    - slicing-by-8 ([table_loop]): eight 256-entry tables, where table k
@@ -21,7 +21,7 @@ external fold_available : unit -> bool = "fpb_crc32_fold_available"
 [@@noalloc]
 
 (* [fold c b off len]: the CRC register [c] advanced over [len] bytes of
-   [b] from [off]; [len] >= 64 and a multiple of 16, range unchecked. *)
+   [b] from [off]; [len] >= 16 and a multiple of 16, range unchecked. *)
 external fold : int -> Bytes.t -> int -> int -> int = "fpb_crc32_fold"
 [@@noalloc]
 
@@ -83,7 +83,7 @@ let update crc b off len =
   check_range b off len;
   let c = (crc lxor 0xffffffff) land 0xffffffff in
   let c =
-    if use_fold && len >= 64 then
+    if use_fold && len >= 16 then
       let bulk = len land lnot 15 in
       table_loop (fold c b off bulk) b (off + bulk) (len - bulk)
     else table_loop c b off len

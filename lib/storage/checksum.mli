@@ -5,7 +5,7 @@
 
     On x86-64 CPUs with PCLMULQDQ and SSE4.1 (asked once, at module
     initialisation), [update] folds the 16-byte blocks of a span of at
-    least 64 bytes by carry-less multiplication and finishes the last
+    least 16 bytes by carry-less multiplication and finishes the last
     [len mod 16] bytes with a slicing-by-8 table loop; shorter spans, and
     every span on other CPUs, take the table loop alone.  Both paths give
     bit-identical results, and nothing but the CPU chooses between them.

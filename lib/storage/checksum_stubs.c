@@ -5,13 +5,14 @@
    The method is Gopal et al., "Fast CRC Computation for Generic
    Polynomials Using PCLMULQDQ Instruction" (Intel, 2009), with the fold,
    128->64 and Barrett constants for the reflected CRC-32 that Linux's
-   crc32-pclmul uses.  Four 128-bit accumulators fold 64 bytes per step;
-   they are folded into one, which then takes the remaining 16-byte
-   blocks, and the 128-bit remainder is reduced to 32 bits.  The result is
-   bit-identical to a table CRC.
+   crc32-pclmul uses.  A span of 64 bytes or more starts with four
+   128-bit accumulators that fold 64 bytes per step; they are folded into
+   one, which then takes the remaining 16-byte blocks.  A shorter span
+   starts with that one lane.  The 128-bit remainder is reduced to 32
+   bits.  The result is bit-identical to a table CRC.
 
    The caller passes the running CRC register (not inverted: [update]
-   does the pre- and post-inversion) and a span of at least 64 bytes whose
+   does the pre- and post-inversion) and a span of at least 16 bytes whose
    length is a multiple of 16; the table loop in checksum.ml does the
    tail.  Loads are unaligned, so the span may start anywhere.
 
@@ -41,11 +42,17 @@ static uint32_t crc32_fold(const unsigned char *p, size_t len, uint32_t crc)
   const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
   __m128i x1, x2, x3, x4, t1, t2, t3, t4;
 
-  x1 = _mm_loadu_si128((const __m128i *)p);
+  x1 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p),
+                     _mm_cvtsi32_si128((int)crc));
+  if (len < 64) {
+    /* one lane from the start: each further block folds into it */
+    p += 16;
+    len -= 16;
+    goto one_lane;
+  }
   x2 = _mm_loadu_si128((const __m128i *)(p + 16));
   x3 = _mm_loadu_si128((const __m128i *)(p + 32));
   x4 = _mm_loadu_si128((const __m128i *)(p + 48));
-  x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128((int)crc));
   p += 64;
   len -= 64;
 
@@ -81,6 +88,7 @@ static uint32_t crc32_fold(const unsigned char *p, size_t len, uint32_t crc)
   x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k3k4, 0x00), t1);
   x1 = _mm_xor_si128(x1, x4);
 
+one_lane:
   while (len >= 16) {
     t1 = _mm_clmulepi64_si128(x1, k3k4, 0x11);
     x1 = _mm_xor_si128(_mm_clmulepi64_si128(x1, k3k4, 0x00), t1);
@@ -121,7 +129,7 @@ value fpb_crc32_fold_available(value unit)
 }
 
 /* [fpb_crc32_fold c b off len]: the CRC register [c] advanced over
-   [len] bytes of [b] from [off]; [len] >= 64 and a multiple of 16, the
+   [len] bytes of [b] from [off]; [len] >= 16 and a multiple of 16, the
    range checked by the caller.  Allocates nothing. */
 value fpb_crc32_fold(value c, value b, value off, value len)
 {

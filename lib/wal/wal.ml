@@ -43,11 +43,6 @@ open Fpb_storage
 module Counter = Fpb_obs.Counter
 module Histogram = Fpb_obs.Histogram
 
-(* Page-id sets and maps.  [Int.hash] is the generic [Hashtbl.hash], so
-   iteration order is the generic table's; equality skips the
-   polymorphic compare. *)
-module Pages = Hashtbl.Make (Int)
-
 exception Crashed
 
 type record =
@@ -282,11 +277,31 @@ let stats_counters s =
     s.repair_sectors; s.repair_full; s.c_truncated; s.full_diffs;
   ]
 
-(* The boundary of every record ever sealed, oldest first, for [layout]:
-   two native words per record, [end_off] and [size * 8 + kind code],
-   packed in bytes, so a log of millions of records is neither promoted
-   nor scanned by the GC. *)
-type layout_log = { mutable packed : Bytes.t; mutable records : int }
+(* A growable int array: the first [n] slots of [a] are in use. *)
+type ints = { mutable a : int array; mutable n : int }
+
+let ints () = { a = Array.make 64 0; n = 0 }
+
+let push v x =
+  if v.n = Array.length v.a then begin
+    let a = Array.make (2 * v.n) 0 in
+    Array.blit v.a 0 a 0 v.n;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.n x;
+  v.n <- v.n + 1
+
+(* The boundary of every sealed record that [truncate_to] has not
+   released, oldest first, for [layout]: two native words per record,
+   [end_off] and [size * 8 + kind code], packed in bytes, so a log of
+   millions of records is neither promoted nor scanned by the GC.
+   Records [first, records) are live; the released prefix is dropped
+   when the buffer fills. *)
+type layout_log = {
+  mutable packed : Bytes.t;
+  mutable first : int;
+  mutable records : int;
+}
 
 let kinds = [| `Image; `Delta; `Commit; `Checkpoint; `Alloc; `Free |]
 
@@ -298,23 +313,41 @@ let kind_code = function
   | `Alloc -> 4
   | `Free -> 5
 
+let end_off_at l i = Int64.to_int (Bytes.get_int64_ne l.packed (16 * i))
+
+(* A full buffer first drops the released records, in place when that
+   frees at least half of it, so each live boundary moves O(1) times
+   amortized. *)
 let note_boundary l ~end_off ~size kind =
-  let pos = 16 * l.records in
-  if pos + 16 > Bytes.length l.packed then begin
-    let b = Bytes.create (2 * Bytes.length l.packed) in
-    Bytes.blit l.packed 0 b 0 pos;
-    l.packed <- b
+  if 16 * (l.records + 1) > Bytes.length l.packed then begin
+    let live = 16 * (l.records - l.first) in
+    let b =
+      if 2 * (live + 16) <= Bytes.length l.packed then l.packed
+      else Bytes.create (2 * (live + 16))
+    in
+    Bytes.blit l.packed (16 * l.first) b 0 live;
+    l.packed <- b;
+    l.records <- l.records - l.first;
+    l.first <- 0
   end;
+  let pos = 16 * l.records in
   Bytes.set_int64_ne l.packed pos (Int64.of_int end_off);
   Bytes.set_int64_ne l.packed (pos + 8)
     (Int64.of_int ((size lsl 3) lor kind_code kind));
   l.records <- l.records + 1
 
+(* Release the boundaries of the records that end at or below logical
+   offset [floor]. *)
+let drop_boundaries l ~floor =
+  while l.first < l.records && end_off_at l l.first <= floor do
+    l.first <- l.first + 1
+  done
+
 let boundaries l =
-  List.init l.records (fun i ->
-      let end_off = Int64.to_int (Bytes.get_int64_ne l.packed (16 * i)) in
+  List.init (l.records - l.first) (fun j ->
+      let i = l.first + j in
       let w = Int64.to_int (Bytes.get_int64_ne l.packed ((16 * i) + 8)) in
-      { end_off; size = w lsr 3; kind = kinds.(w land 7) })
+      { end_off = end_off_at l i; size = w lsr 3; kind = kinds.(w land 7) })
 
 (* One mirror of one stripe of the durable log: the stripe's byte
    stream from logical offset [base] on, held in [data].  All mirrors of
@@ -323,18 +356,33 @@ let boundaries l =
    cuts all of them at the same byte).  Mirror 0 also holds the
    stripe's sealed records that are not durable yet, past [len]: a
    record is framed there once, at seal time, and a flush only copies
-   it to the other mirrors.  [truncate_to] drops a released prefix once
-   it outgrows what follows it, so the buffer stops growing with the
-   log.  Every offset below is logical. *)
+   it to the other mirrors.  Bytes below the stripe's retention floor
+   ([truncate_to]) are released: nothing reads them, and the buffer
+   drops them when it next fills, so it stops growing with the log.
+   Every offset below is logical. *)
 type mirror = { mutable data : Bytes.t; mutable base : int; mutable len : int }
 
-(* Room in [m] for logical offsets below [upto]. *)
-let m_reserve m upto =
-  let need = upto - m.base in
-  if Bytes.length m.data < need then begin
-    let nd = Bytes.create (max need (2 * Bytes.length m.data)) in
-    Bytes.blit m.data 0 nd 0 (Bytes.length m.data);
-    m.data <- nd
+(* Room in [m] for logical offsets below [upto], when the bytes in use
+   are [floor, used).  A full buffer first drops the released prefix
+   below [floor]: in place when the bytes needed then fit in two thirds
+   of it, else into a buffer of twice its size (or of the bytes needed,
+   if more).  A compaction leaves a third of the buffer free, so the
+   bytes written before the next refill at least half the bytes it
+   moved; each new buffer at least doubles the capacity, so the copies
+   into new buffers sum to less than twice the final capacity.  Each
+   retained byte thus moves O(1) times amortized, and a log that is
+   never truncated grows as by doubling. *)
+let m_reserve m ~floor ~used upto =
+  let cap = Bytes.length m.data in
+  if upto - m.base > cap then begin
+    let need = upto - floor in
+    let data =
+      if 3 * need <= 2 * cap then m.data
+      else Bytes.create (if need > 2 * cap then need else 2 * cap)
+    in
+    Bytes.blit m.data (floor - m.base) data 0 (used - floor);
+    m.data <- data;
+    m.base <- floor
   end
 
 let m_i32 m pos = Int32.to_int (Bytes.get_int32_le m.data (pos - m.base))
@@ -355,11 +403,6 @@ let m_decode m ~len pos =
   | Some (r, next) -> Some (r, next + m.base)
   | None -> None
 
-(* Drop the bytes below [floor]; [upto] bounds the bytes still in use. *)
-let m_drop_below m floor ~upto =
-  Bytes.blit m.data (floor - m.base) m.data 0 (upto - floor);
-  m.base <- floor
-
 type t = {
   pool : Buffer_pool.t;
   store : Page_store.t;
@@ -373,14 +416,14 @@ type t = {
   (* log stream.  [sealed_bytes]/[durable_len] and every offset in
      [boundaries] are *logical*: positions in the single stream of
      sealed records, independent of which stripe each record landed on.
-     Physical placement is round-robin by seal order ([seal_seq]);
+     Physical placement is round-robin by seal order ([next_stripe]);
      [stripe_sealed] tracks each stripe's sealed (including pending)
      extent so scan start marks can be captured per stripe. *)
-  mutable pending : (int * int * int) list;
-      (* (stripe, lsn, size), newest first; the frames sit in mirror 0
-         of their stripe, past its durable length *)
+  pending : ints;
+      (* (stripe, lsn, size) per record, in seal order; the frames sit in
+         mirror 0 of their stripe, past its durable length *)
   mutable pending_bytes : int;  (* sealed, not yet durable *)
-  mutable seal_seq : int;  (* records ever sealed; placement = seq mod S *)
+  mutable next_stripe : int;  (* stripe of the next sealed record *)
   stripe_sealed : int array;  (* per-stripe sealed extent *)
   mutable durable_len : int;  (* logical length of the durable stream *)
   mutable sealed_bytes : int;  (* end offset of the sealed stream *)
@@ -408,7 +451,11 @@ type t = {
   mutable alloc_snapshot : int * int list;
       (* (total pages, free list) at the last durable checkpoint: the
          base state Alloc/Free record replay advances during recovery *)
-  logged_since_ckpt : unit Pages.t;
+  (* pages logged since the last checkpoint: those whose [logged_epoch]
+     is [epoch], listed (possibly more than once) in [logged] *)
+  logged_epoch : int Vec.t;
+  mutable epoch : int;
+  logged : ints;
   (* pages dirtied by the in-flight operation: the first [n_touched]
      entries of [touched_pages], and [touched_flag] by page id *)
   mutable touched_pages : int array;
@@ -433,13 +480,13 @@ type t = {
          latency histogram records: a replication layer blocks here —
          advancing the simulated clock — until its durability mode is
          satisfied, so wal.commit_latency shows the true commit cost *)
-  mutable pre_log : (int -> (Bytes.t * int) option -> unit) option;
-      (* observer called before [log_page] advances a page's logging
-         state, with the page's newest *committed* content and its LSN
-         (the bytes are NOT copied and are invalidated by the logging
-         that follows — the observer must copy what it keeps).  The
-         shadow layer uses this to freeze the page's pre-update content
-         into checkpoint generations that still lack it. *)
+  mutable pre_log : (int -> unit) option;
+      (* observer called with the page id before a page's first logging
+         since the last checkpoint (or since its allocation), while
+         [committed_image] still returns its pre-update committed
+         content.  The shadow layer uses this to freeze that content into
+         checkpoint generations that still lack it: a flip is a
+         checkpoint, so no generation can lack a page after that. *)
   stats : stats;
   commit_latency : Histogram.t;
   checkpoint_stall : Histogram.t;
@@ -462,8 +509,21 @@ let ensure t page =
     Vec.push t.disk_img None;
     Vec.push t.disk_lsn 0;
     Vec.push t.image_marks None;
-    Vec.push t.touched_flag false
+    Vec.push t.touched_flag false;
+    Vec.push t.logged_epoch 0
   done
+
+(* The checkpoint epoch starts at 1, so epoch 0 means "not logged". *)
+let logged_now t page = Vec.get t.logged_epoch page = t.epoch
+
+let mark_logged t page =
+  Vec.set t.logged_epoch page t.epoch;
+  push t.logged page
+
+(* A checkpoint empties the logged-page set. *)
+let new_epoch t =
+  t.epoch <- t.epoch + 1;
+  t.logged.n <- 0
 
 let touched t page =
   page < Vec.length t.touched_flag && Vec.get t.touched_flag page
@@ -533,13 +593,15 @@ let lsn_of = function
    it round-robin on the next stripe in seal order: [write b at] frames
    it at [at] in that stripe's mirror 0. *)
 let seal t ~lsn kind ~size write =
-  let stripe = t.seal_seq mod n_stripes t in
+  let stripe = t.next_stripe in
   let m = t.streams.(stripe).(0) in
   let pos = t.stripe_sealed.(stripe) in
-  m_reserve m (pos + size);
+  m_reserve m ~floor:t.trunc_marks.(stripe) ~used:pos (pos + size);
   write m.data (pos - m.base);
-  t.seal_seq <- t.seal_seq + 1;
-  t.pending <- (stripe, lsn, size) :: t.pending;
+  t.next_stripe <- (if stripe + 1 = n_stripes t then 0 else stripe + 1);
+  push t.pending stripe;
+  push t.pending lsn;
+  push t.pending size;
   t.pending_bytes <- t.pending_bytes + size;
   t.stripe_sealed.(stripe) <- t.stripe_sealed.(stripe) + size;
   t.sealed_bytes <- t.sealed_bytes + size;
@@ -573,35 +635,34 @@ let append t r =
 let flush t =
   if t.crashed then raise Crashed;
   if t.pending_bytes > 0 then begin
-    let records = List.rev t.pending in (* seal order *)
-    t.pending <- [];
+    let records = t.pending.a and n = t.pending.n in (* seal order *)
+    t.pending.n <- 0;
     t.pending_bytes <- 0;
     let io_start = Array.map (fun ms -> ms.(0).len) t.streams in
     let durable = Array.copy io_start in
     let cut = ref false in
-    (try
-       List.iter
-         (fun (s, _lsn, size) ->
-           let logical_end = t.durable_len + size in
-           (match t.crash_at with
-           | Some b when logical_end > b ->
-               let keep = max 0 (b - t.durable_len) in
-               durable.(s) <- durable.(s) + keep;
-               t.durable_len <- t.durable_len + keep;
-               cut := true;
-               raise Exit
-           | _ -> ());
-           durable.(s) <- durable.(s) + size;
-           t.durable_len <- logical_end)
-         records
-     with Exit -> ());
+    let i = ref 0 in
+    while (not !cut) && !i < n do
+      let s = records.(!i) and size = records.(!i + 2) in
+      let logical_end = t.durable_len + size in
+      (match t.crash_at with
+      | Some b when logical_end > b ->
+          let keep = max 0 (b - t.durable_len) in
+          durable.(s) <- durable.(s) + keep;
+          t.durable_len <- t.durable_len + keep;
+          cut := true
+      | _ ->
+          durable.(s) <- durable.(s) + size;
+          t.durable_len <- logical_end);
+      i := !i + 3
+    done;
     Array.iteri
       (fun s ms ->
         let m0 = ms.(0) and a = io_start.(s) and b = durable.(s) in
         Array.iteri
           (fun k m ->
             if k > 0 && b > a then begin
-              m_reserve m b;
+              m_reserve m ~floor:t.trunc_marks.(s) ~used:a b;
               Bytes.blit m0.data (a - m0.base) m.data (a - m.base) (b - a)
             end;
             m.len <- b)
@@ -640,12 +701,13 @@ let flush t =
     match t.durable_obs with
     | Some f ->
         let at = Array.copy io_start in
-        List.iter
-          (fun (s, lsn, size) ->
-            let m0 = t.streams.(s).(0) in
-            f lsn (Bytes.sub_string m0.data (at.(s) - m0.base) size);
-            at.(s) <- at.(s) + size)
-          records
+        for r = 0 to (n / 3) - 1 do
+          let s = records.(3 * r) in
+          let lsn = records.((3 * r) + 1) and size = records.((3 * r) + 2) in
+          let m0 = t.streams.(s).(0) in
+          f lsn (Bytes.sub_string m0.data (at.(s) - m0.base) size);
+          at.(s) <- at.(s) + size
+        done
     | None -> ()
   end
 
@@ -668,7 +730,7 @@ let on_page_alloc t page =
     ensure t page;
     Vec.set t.shadow page None;
     Vec.set t.image_marks page None;
-    Pages.remove t.logged_since_ckpt page;
+    Vec.set t.logged_epoch page 0;
     untouch t page;
     append t (Alloc { lsn = fresh_lsn t; page })
   end
@@ -750,19 +812,8 @@ let diff_written t sh cur (span : Mem.Span.t) =
 let log_page t page =
   let cur = Page_store.bytes t.store page in
   let span = Page_store.span t.store page in
-  (match t.pre_log with
-  | Some f ->
-      let pre =
-        match Vec.get t.shadow page with
-        | Some sh -> Some (sh, Vec.get t.mem_lsn page)
-        | None -> (
-            match Vec.get t.disk_img page with
-            | Some img -> Some (img, Vec.get t.disk_lsn page)
-            | None -> None)
-      in
-      f page pre
-  | None -> ());
-  let first = not (Pages.mem t.logged_since_ckpt page) in
+  let first = not (logged_now t page) in
+  (match t.pre_log with Some f when first -> f page | _ -> ());
   (match (if first then None else Vec.get t.shadow page) with
   | None ->
       let lsn = fresh_lsn t in
@@ -785,7 +836,7 @@ let log_page t page =
           Bytes.blit cur off sh off len;
           Vec.set t.mem_lsn page lsn));
   Mem.Span.clear span;
-  if first then Pages.replace t.logged_since_ckpt page ()
+  if first then mark_logged t page
 
 let commit t ~op ~meta =
   if t.crashed then raise Crashed;
@@ -818,17 +869,20 @@ let checkpoint t ~meta =
   (* Commits must be durable before any durable image moves forward. *)
   flush t;
   Buffer_pool.flush_dirty t.pool;
-  (* Re-write pages whose image a deferred write-back left stale. *)
-  Pages.iter
-    (fun page () ->
-      if Vec.get t.disk_lsn page < Vec.get t.mem_lsn page then begin
-        set_disk_img t page (Page_store.bytes t.store page);
-        Vec.set t.disk_lsn page (Vec.get t.mem_lsn page);
-        let disk, phys = Page_store.write_location t.store page in
-        Disk_model.write t.data_disks ~disk ~phys;
-        Page_store.stamp ~lsn:(Vec.get t.mem_lsn page) t.store page
-      end)
-    t.logged_since_ckpt;
+  (* Re-write pages whose image a deferred write-back left stale, in
+     first-logging order (a page listed twice is current the second
+     time). *)
+  for i = 0 to t.logged.n - 1 do
+    let page = t.logged.a.(i) in
+    if logged_now t page && Vec.get t.disk_lsn page < Vec.get t.mem_lsn page
+    then begin
+      set_disk_img t page (Page_store.bytes t.store page);
+      Vec.set t.disk_lsn page (Vec.get t.mem_lsn page);
+      let disk, phys = Page_store.write_location t.store page in
+      Disk_model.write t.data_disks ~disk ~phys;
+      Page_store.stamp ~lsn:(Vec.get t.mem_lsn page) t.store page
+    end
+  done;
   (* A sharp checkpoint declares the data durable: wait for every queued
      data write to hit the platters before sealing the record.  This
      barrier (plus the whole-pool drain above) IS the writer stall the
@@ -843,7 +897,7 @@ let checkpoint t ~meta =
   t.ckpt_marks <- marks;
   t.alloc_snapshot <-
     (Page_store.total_pages t.store, Page_store.free_list t.store);
-  Pages.reset t.logged_since_ckpt;
+  new_epoch t;
   Histogram.record t.checkpoint_stall (Clock.now t.clock - t0)
 
 (* ---------------- shadow-paging (fuzzy checkpoint) support ----------- *)
@@ -873,14 +927,23 @@ let page_durable_lsn t page =
    image.  At flip time the shadow layer freezes these bytes for pages
    whose durable images lag the flip (dirtied or left stale after the
    worklist was captured), so a snapshot of the generation is
-   operation-consistent rather than a fuzzy mixture of harden times. *)
-let committed_image t page =
+   operation-consistent rather than a fuzzy mixture of harden times.
+   [into], a page-sized buffer, receives the copy instead of a fresh
+   one. *)
+let committed_image ?into t page =
   ensure t page;
+  let copy src =
+    match into with
+    | Some b ->
+        Bytes.blit src 0 b 0 t.page_size;
+        b
+    | None -> Bytes.copy src
+  in
   match Vec.get t.shadow page with
-  | Some sh -> Some (Bytes.copy sh, Vec.get t.mem_lsn page)
+  | Some sh -> Some (copy sh, Vec.get t.mem_lsn page)
   | None -> (
       match Vec.get t.disk_img page with
-      | Some img -> Some (Bytes.copy img, Vec.get t.disk_lsn page)
+      | Some img -> Some (copy img, Vec.get t.disk_lsn page)
       | None -> None)
 
 (* Whether an operation is in flight (pages touched since the last
@@ -914,7 +977,7 @@ let harden_page t page =
 
 (* Pages whose durable image is behind their newest logged state (the
    deferred-write-back set): the fuzzy checkpoint's worklist beyond the
-   pool's dirty frames.  A full scan, NOT the [logged_since_ckpt] set —
+   pool's dirty frames.  A full scan, NOT the logged-page set —
    that set is cleared by every flip, and a page left stale across a
    flip must still make the next checkpoint's worklist (its log records
    predate the next cut, so replay would no longer cover it). *)
@@ -942,7 +1005,7 @@ let external_checkpoint t ~marks ~alloc ~meta =
   flush t;
   t.ckpt_marks <- marks;
   t.alloc_snapshot <- alloc;
-  Pages.reset t.logged_since_ckpt
+  new_epoch t
 
 let set_recovery_base t b = t.recovery_base <- b
 let set_pre_log_observer t f = t.pre_log <- f
@@ -950,13 +1013,14 @@ let checkpoint_stall t = t.checkpoint_stall
 
 (* --------------------------- log retention --------------------------- *)
 
-(* Release log space below a durable checkpoint's cut: zero every
-   mirror's bytes in [floor, marks) per stripe and advance the retention
-   floor; a released prefix that outgrows the rest of the stripe is
-   dropped from memory instead.  Clamped to the recovery start point
-   ([ckpt_marks]) — recovery and repair scans never start below it, so
-   nothing readable is ever released.  Returns the bytes released this
-   call. *)
+(* Release log space below a durable checkpoint's cut: advance each
+   stripe's retention floor to it (the mirrors drop the released bytes
+   when they next fill) and drop the released records' boundaries.
+   Clamped to the recovery start point ([ckpt_marks]) — recovery and
+   repair scans never start below it, so nothing readable is ever
+   released.  Every clamp is a cut in seal order, so the floors together
+   release a prefix of the sealed stream, of logical length the sum of
+   the floors.  Returns the bytes released this call. *)
 let truncate_to t ~marks =
   if Array.length marks <> n_stripes t then
     invalid_arg "Wal.truncate_to: stripe count mismatch";
@@ -965,17 +1029,11 @@ let truncate_to t ~marks =
     let a = t.trunc_marks.(s) in
     let b = min marks.(s) (min t.ckpt_marks.(s) (stripe_dlen t s)) in
     if b > a then begin
-      let sealed = t.stripe_sealed.(s) in
-      Array.iteri
-        (fun k m ->
-          if b - m.base >= sealed - b then
-            m_drop_below m b ~upto:(if k = 0 then sealed else m.len)
-          else m_zero m a (b - a))
-        t.streams.(s);
       t.trunc_marks.(s) <- b;
       released := !released + ((b - a) * Array.length t.streams.(s))
     end
   done;
+  drop_boundaries t.boundaries ~floor:(Array.fold_left ( + ) 0 t.trunc_marks);
   Counter.add t.stats.c_truncated !released;
   !released
 
@@ -987,7 +1045,7 @@ let crash_now t =
   if not t.crashed then begin
     t.crashed <- true;
     (* sealed-but-unflushed records die with the power *)
-    t.pending <- [];
+    t.pending.n <- 0;
     t.pending_bytes <- 0;
     Counter.incr t.stats.crashes
   end
@@ -1578,8 +1636,8 @@ let recover t =
     Vec.set t.image_marks id None
   done;
   clear_touched t;
-  Pages.reset t.logged_since_ckpt;
-  t.pending <- [];
+  new_epoch t;
+  t.pending.n <- 0;
   t.pending_bytes <- 0;
   t.sealed_bytes <- t.durable_len;
   for s = 0 to n_stripes t - 1 do
@@ -1636,9 +1694,9 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
                 { data = Bytes.create 65536; base = 0; len = 0 }));
       page_size;
       group_commit_bytes;
-      pending = [];
+      pending = ints ();
       pending_bytes = 0;
-      seal_seq = 0;
+      next_stripe = 0;
       stripe_sealed = Array.make log_stripes 0;
       durable_len = 0;
       sealed_bytes = 0;
@@ -1646,7 +1704,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       last_op = 0;
       ckpt_marks = Array.make log_stripes 0;
       trunc_marks = Array.make log_stripes 0;
-      boundaries = { packed = Bytes.create 1024; records = 0 };
+      boundaries = { packed = Bytes.create 1024; first = 0; records = 0 };
       batched_redo = true;
       coalesce_redo = true;
       shadow = Vec.create ~dummy:None;
@@ -1655,7 +1713,9 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
       disk_lsn = Vec.create ~dummy:0;
       image_marks = Vec.create ~dummy:None;
       alloc_snapshot = (0, []);
-      logged_since_ckpt = Pages.create 256;
+      logged_epoch = Vec.create ~dummy:0;
+      epoch = 1;
+      logged = ints ();
       touched_pages = Array.make 8 0;
       n_touched = 0;
       touched_flag = Vec.create ~dummy:false;

@@ -239,8 +239,10 @@ val page_durable_lsn : t -> int -> int
 (** The page's newest {e committed} content and its LSN (a private copy):
     the last-logged shadow if the page was ever logged, else its durable
     image.  The shadow layer freezes these at flip time for pages whose
-    durable images lag the flip, keeping snapshots operation-consistent. *)
-val committed_image : t -> int -> (Bytes.t * int) option
+    durable images lag the flip, keeping snapshots operation-consistent.
+    With [into], a page-sized buffer, the copy goes there (and [into] is
+    returned) instead of into a fresh buffer. *)
+val committed_image : ?into:Bytes.t -> t -> int -> (Bytes.t * int) option
 
 (** Whether an operation is in flight (pages touched since the last
     commit).  Checkpoint cuts must not be taken mid-operation. *)
@@ -281,14 +283,13 @@ type base = {
     it instead of the WAL's own durable images. *)
 val set_recovery_base : t -> base option -> unit
 
-(** Install (or clear) the pre-log observer, called once per page per
-    commit {e before} the page's logging state advances, with the page's
-    newest committed content and its LSN ([None] if the page has neither
-    been logged nor written back).  The bytes are not copied — the
-    observer must copy what it keeps.  The shadow layer uses this to
-    freeze pre-update content into checkpoint generations lacking it. *)
-val set_pre_log_observer :
-  t -> (int -> (Bytes.t * int) option -> unit) option -> unit
+(** Install (or clear) the pre-log observer, called with the page id
+    {e before} the page's first logging since the last checkpoint (or
+    since its allocation): during the call, {!committed_image} still
+    returns the page's pre-update committed content.  The shadow layer,
+    whose flips are checkpoints ({!external_checkpoint}), uses this to
+    freeze that content into checkpoint generations lacking it. *)
+val set_pre_log_observer : t -> (int -> unit) option -> unit
 
 (** Sharp-checkpoint writer-stall distribution
     ([wal.checkpoint.stall_ns]): simulated time each {!checkpoint} call
@@ -326,10 +327,10 @@ val record_lsn : record -> int
 
 (** [truncate_to t ~marks] releases log space below the per-stripe
     offsets [marks] (a durable checkpoint's cut, e.g. the oldest shadow
-    generation still retained): every mirror's bytes between the current
-    retention floor and the mark are zeroed, or dropped from memory once
-    the released prefix outgrows the rest of the stripe, and the floor
-    advances.  Clamped to the recovery start point, so a scan from the last
+    generation still retained): the retention floor advances to the
+    mark, the released records leave {!layout}, and every mirror drops
+    the released bytes from memory when its buffer next fills.  Clamped
+    to the recovery start point, so a scan from the last
     checkpoint is never affected.  Counts physical bytes released
     (across mirrors) into [wal.log.truncated_bytes] and returns the
     bytes released by this call. *)
@@ -345,8 +346,10 @@ val log_bytes : t -> int
 
 val durable_bytes : t -> int
 
-(** Every record sealed so far, oldest first (crash-point enumeration
-    runs over a completed golden run, so this is the full stream). *)
+(** Every record sealed so far that {!truncate_to} has not released,
+    oldest first.  Crash-point enumeration runs over a completed golden
+    run that checkpoints with {!checkpoint}, which never truncates, so
+    there this is the full stream. *)
 val layout : t -> boundary list
 
 (** Arm ([Some b]) or disarm ([None]) the crash trigger: the flush whose

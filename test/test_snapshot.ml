@@ -292,6 +292,224 @@ let prop_flip_boundary_recovery =
             [ 1; 2; 3 ])
         [ X.Setup.Disk_first; X.Setup.Cache_first ])
 
+(* --- generation state against a Hashtbl model (property) --- *)
+
+type model_op =
+  | Write of int * int * int  (** page slot, word, value; then commit *)
+  | Alloc  (** create a page, write it, commit *)
+  | Begin  (** fuzzy checkpoint: later commits harden a page each *)
+  | Flip  (** finish (or run) a checkpoint *)
+  | Open  (** snapshot at the newest flip *)
+  | Read of int * int
+      (** snapshot slot, page slot (0: page 0; 63: past the snapshot) *)
+  | Close of int
+  | Recover  (** power cut, then shadow recovery *)
+
+let show_model_op = function
+  | Write (p, w, v) -> Printf.sprintf "Write(%d,%d,%d)" p w v
+  | Alloc -> "Alloc"
+  | Begin -> "Begin"
+  | Flip -> "Flip"
+  | Open -> "Open"
+  | Read (s, p) -> Printf.sprintf "Read(%d,%d)" s p
+  | Close s -> Printf.sprintf "Close(%d)" s
+  | Recover -> "Recover"
+
+(* A pool of six frames over pages written one word at a time, so pages
+   are evicted, written back and copy-on-write relocated between
+   commits.  The model keeps each page's committed bytes and, per flip,
+   a frozen copy of them: every snapshot read must return the frozen
+   bytes of its flip (nothing for a page allocated after it), and
+   recovery must restore the committed bytes.  Pages allocated after a
+   flip reach past that generation's table and the shadow layer's
+   page-indexed state, which then grows.  The WAL must log a page's
+   first change after a flip, or after its allocation, as a full image,
+   and later ones as deltas. *)
+let prop_shadow_matches_model =
+  let open QCheck2.Gen in
+  let op =
+    frequency
+      [
+        (8, map3 (fun p w v -> Write (p, w, v)) (0 -- 63) (0 -- 1023) (0 -- 0xffff));
+        (2, return Alloc);
+        (1, return Begin);
+        (1, return Flip);
+        (1, return Open);
+        (4, map2 (fun s p -> Read (s, p)) (0 -- 3) (0 -- 63));
+        (1, map (fun s -> Close s) (0 -- 3));
+        (1, return Recover);
+      ]
+  in
+  Util.qtest ~count:100
+    ~print:(fun ops -> String.concat " " (List.map show_model_op ops))
+    "shadow generations match a Hashtbl model"
+    (list_size (10 -- 60) op)
+    (fun ops ->
+      let sys = X.Setup.make ~n_disks:2 ~pool_pages:6 ~page_size:4096 () in
+      let pool = sys.X.Setup.pool and sim = sys.X.Setup.sim in
+      let store = sys.X.Setup.store in
+      let committed = Hashtbl.create 64 in
+      let write page word v =
+        let r = Fpb_storage.Buffer_pool.get pool page in
+        Mem.write_i32 sim r (4 * word) v;
+        Fpb_storage.Buffer_pool.mark_dirty pool page;
+        Fpb_storage.Buffer_pool.unpin pool page
+      in
+      let create () =
+        let page, _ = Fpb_storage.Buffer_pool.create_page pool in
+        Fpb_storage.Buffer_pool.unpin pool page;
+        write page 0 page;
+        page
+      in
+      let pages = ref (List.init 4 (fun _ -> create ())) in
+      let note () =
+        List.iter
+          (fun p ->
+            Hashtbl.replace committed p
+              (Bytes.copy (Fpb_storage.Page_store.bytes store p)))
+          !pages
+      in
+      note ();
+      let wal = Wal.attach ~meta:[] pool in
+      let shadow = Shadow.attach ~meta:[] wal pool in
+      let frozen = Hashtbl.create 8 in
+      let logged = Hashtbl.create 16 in
+      let freeze () =
+        Hashtbl.reset logged;
+        Hashtbl.replace frozen
+          (Shadow.current_generation shadow - 1)
+          (Hashtbl.copy committed)
+      in
+      freeze ();
+      let op_no = ref 0 in
+      let ok = ref true in
+      let images () = List.assoc "wal.images" (Wal.kv wal) in
+      let commit page =
+        incr op_no;
+        let before = images () in
+        Wal.commit wal ~op:!op_no ~meta:[];
+        let want = if Hashtbl.mem logged page then 0 else 1 in
+        if images () - before <> want then begin
+          ok := false;
+          Printf.eprintf "page %d logged %d images, expected %d\n%!" page
+            (images () - before) want
+        end;
+        Hashtbl.replace logged page ();
+        note ();
+        if
+          Shadow.checkpoint_in_progress shadow
+          && Shadow.checkpoint_tick ~pages:1 shadow ~meta:[]
+        then freeze ()
+      in
+      let snaps = ref [] in
+      let nth l i = List.nth l (i mod List.length l) in
+      List.iter
+        (fun op ->
+          if !ok then
+            match op with
+            | Write (p, w, v) ->
+                let page = nth !pages p in
+                write page w v;
+                commit page
+            | Alloc ->
+                let page = create () in
+                pages := !pages @ [ page ];
+                commit page
+            | Begin ->
+                if not (Shadow.checkpoint_in_progress shadow) then
+                  Shadow.checkpoint_begin shadow
+            | Flip ->
+                if Shadow.checkpoint_in_progress shadow then
+                  while not (Shadow.checkpoint_tick ~pages:max_int shadow ~meta:[]) do
+                    ()
+                  done
+                else Shadow.checkpoint_sync shadow ~meta:[];
+                freeze ()
+            | Open ->
+                if List.length !snaps < 3 then
+                  snaps := !snaps @ [ Shadow.open_at_checkpoint shadow ]
+            | Read (i, slot) -> (
+                match !snaps with
+                | [] -> ()
+                | l ->
+                    let s = nth l i in
+                    let page =
+                      match slot with
+                      | 0 -> 0
+                      | 63 -> Shadow.snapshot_pages s + 1
+                      | _ -> nth !pages slot
+                    in
+                    let want =
+                      if page < 1 || page > Shadow.snapshot_pages s then None
+                      else
+                        Hashtbl.find_opt
+                          (Hashtbl.find frozen (Shadow.snapshot_gen s))
+                          page
+                    in
+                    let got = Shadow.read s page in
+                    if not (Option.equal Bytes.equal got want) then begin
+                      ok := false;
+                      Printf.eprintf "read of page %d at gen %d differs\n%!" page
+                        (Shadow.snapshot_gen s)
+                    end)
+            | Close i -> (
+                match !snaps with
+                | [] -> ()
+                | l ->
+                    let s = nth l i in
+                    Shadow.close s;
+                    snaps := List.filter (fun x -> x != s) l)
+            | Recover ->
+                List.iter Shadow.close !snaps;
+                snaps := [];
+                Wal.crash_now wal;
+                let r = Shadow.recover shadow in
+                freeze ();
+                if r.Wal.committed_ops <> !op_no then ok := false;
+                Hashtbl.iter
+                  (fun p b ->
+                    if not (Bytes.equal b (Fpb_storage.Page_store.bytes store p))
+                    then begin
+                      ok := false;
+                      Printf.eprintf "page %d differs after recovery\n%!" p
+                    end)
+                  committed)
+        ops;
+      !ok)
+
+(* --- the layout log drops what a flip truncates --- *)
+
+let test_layout_trimmed_by_flip () =
+  let sys, pairs, idx = build_small X.Setup.Disk_first 400 in
+  let wal, shadow = attach_shadow sys idx in
+  let rng = Fpb_workload.Prng.create 5 in
+  let model = Hashtbl.create 512 in
+  let meta () = Index_sig.meta idx in
+  run_ops idx wal rng pairs model ~first_op:1 20;
+  Shadow.checkpoint_sync shadow ~meta:(meta ());
+  run_ops idx wal rng pairs model ~first_op:21 20;
+  (* the next flip retires the attach generation and truncates the log
+     to the previous flip's cut *)
+  let before = Wal.layout wal in
+  let last_end = (List.nth before (List.length before - 1)).Wal.end_off in
+  Shadow.checkpoint_sync shadow ~meta:(meta ());
+  let after = Wal.layout wal in
+  let kept = List.filter (fun b -> b.Wal.end_off <= last_end) after in
+  let n = List.length kept in
+  let suffix = List.filteri (fun i _ -> i >= List.length before - n) before in
+  check_bool "something was trimmed" true (n < List.length before);
+  check_bool "kept records are the untrimmed layout's suffix" true
+    (kept = suffix);
+  let rec contiguous = function
+    | a :: (b :: _ as rest) ->
+        b.Wal.end_off - b.Wal.size = a.Wal.end_off && contiguous rest
+    | _ -> true
+  in
+  check_bool "layout is contiguous" true (contiguous after);
+  check_bool "new records follow" true
+    (List.length after > n
+    && (List.nth after n).Wal.end_off - (List.nth after n).Wal.size = last_end)
+
 let suite =
   [
     Alcotest.test_case "table codec round-trip" `Quick test_table_roundtrip;
@@ -312,4 +530,7 @@ let suite =
     Alcotest.test_case "replay bounded by the last flip" `Quick
       test_replay_bounded_by_flip;
     prop_flip_boundary_recovery;
+    prop_shadow_matches_model;
+    Alcotest.test_case "a truncating flip trims the layout to a suffix" `Quick
+      test_layout_trimmed_by_flip;
   ]

@@ -6,6 +6,7 @@ open Fpb_storage
 module Driver = Fpb_workload.Driver
 
 let check_int = Alcotest.(check int)
+let check_bool = Alcotest.(check bool)
 let cv = Fpb_obs.Counter.value
 
 let test_vec () =
@@ -91,6 +92,42 @@ let test_buffer_pool_eviction () =
     pages;
   check_int "resident bounded by capacity" 4 (Buffer_pool.resident_pages pool);
   check_int "all reads went to disk" 10 (Disk_model.reads disks)
+
+(* A frame keeps one region while it holds a page: two [get]s of a
+   resident page return the same region, and after an eviction and
+   reload the frame's region carries the new page's bytes and span. *)
+let test_buffer_pool_region_per_frame () =
+  let sim, store, _disks, pool = Util.make_system ~capacity:1 () in
+  let a = Page_store.alloc store and b = Page_store.alloc store in
+  let get p =
+    let r = Buffer_pool.get pool p in
+    Buffer_pool.unpin pool p;
+    r
+  in
+  let carries p r =
+    r.Mem.bytes == Page_store.bytes store p
+    && r.Mem.span == Page_store.span store p
+  in
+  let ra = get a in
+  check_bool "a read carries the page" true (carries a ra);
+  let r1 = get a in
+  let r2 = get a in
+  check_bool "resident page: the same region" true (r1 == r2 && carries a r1);
+  let rb = get b in
+  check_bool "the reload carries the new page" true (carries b rb);
+  check_int "same frame" r1.Mem.base rb.Mem.base;
+  let rb1 = get b in
+  check_bool "the frame's region carries the new page" true
+    (carries b rb1 && rb1 != r1 && get b == rb1);
+  (* a charged write through the reloaded page's region widens its span *)
+  Mem.Span.clear (Page_store.span store a);
+  ignore (get a : Mem.region);
+  let ra1 = get a in
+  check_bool "reloaded page's region" true (carries a ra1 && ra1 != r1);
+  Mem.write_i32 sim ra1 8 42;
+  let sp = Page_store.span store a in
+  check_int "span start" 8 sp.Mem.Span.lo;
+  check_int "span end" 12 sp.Mem.Span.hi
 
 let test_buffer_pool_pinned_exhaustion () =
   let _sim, store, _disks, pool = Util.make_system ~capacity:2 () in
@@ -535,6 +572,8 @@ let suite =
     Alcotest.test_case "disk model timing" `Quick test_disk_model;
     Alcotest.test_case "buffer pool hits/misses" `Quick test_buffer_pool_hits_misses;
     Alcotest.test_case "buffer pool eviction" `Quick test_buffer_pool_eviction;
+    Alcotest.test_case "buffer pool keeps one region per frame" `Quick
+      test_buffer_pool_region_per_frame;
     Alcotest.test_case "pinned exhaustion" `Quick test_buffer_pool_pinned_exhaustion;
     Alcotest.test_case "prefetch overlaps seeks" `Quick test_prefetch_overlap;
     Alcotest.test_case "prefetcher limit" `Quick test_prefetcher_limit;
