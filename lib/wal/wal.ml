@@ -277,7 +277,8 @@ let stats_counters s =
     s.repair_sectors; s.repair_full; s.c_truncated; s.full_diffs;
   ]
 
-(* A growable int array: the first [n] slots of [a] are in use. *)
+(* A growable int array: the first [n] slots of [a] are in use.  Unlike
+   a [Vec], it empties in O(1) and its slots are read in place. *)
 type ints = { mutable a : int array; mutable n : int }
 
 let ints () = { a = Array.make 64 0; n = 0 }
