@@ -372,71 +372,35 @@ module Make (F : PAGE_FORMAT) = struct
       end
     end
 
-  let rec jp_prev t cur =
-    if cur.jp_page = nil then None
-    else begin
-      let r = Buffer_pool.get t.pool cur.jp_page in
-      if cur.jp_idx >= 0 then begin
-        let pid = Mem.read_i32 t.sim r (ptr_off t cur.jp_idx) in
-        cur.jp_idx <- cur.jp_idx - 1;
-        Buffer_pool.unpin t.pool cur.jp_page;
-        Some pid
-      end
-      else begin
-        let prev = Mem.read_i32 t.sim r off_prev in
-        Buffer_pool.unpin t.pool cur.jp_page;
-        cur.jp_page <- prev;
-        if prev = nil then None
-        else begin
-          let pr = Buffer_pool.get t.pool prev in
-          cur.jp_idx <- Mem.read_u16 t.sim pr off_n - 1;
-          Buffer_pool.unpin t.pool prev;
-          jp_prev t cur
-        end
-      end
-    end
-
   (* One node per page, so the node is always 0; the descent leaves the
-     leaf pinned and the cursor [dir] entries from its leaf-parent slot. *)
-  let scan_hooks t ~dir ~step ~sibling =
-    {
-      Scan.descend =
-        (fun key ~cursor:_ ->
-          let cur = { jp_page = nil; jp_idx = 0 } in
-          let page, r =
-            descend t key ~visit:(fun p _ _ i ->
-                cur.jp_page <- p;
-                cur.jp_idx <- i + dir)
-          in
-          (page, Some (r, 0), cur));
-      step = step t;
-      first = (fun _ ~seek:_ _ -> 0);
-      next = (fun _ ~page:_ _ -> 0);
-      sibling = (fun r -> Mem.read_i32 t.sim r sibling);
-      node =
-        {
-          Scan.count = (fun r _ -> Mem.read_u16 t.sim r off_n);
-          slot = (fun r _ ~n key mode -> F.find_slot t.sim t.cfg r ~n ~key mode);
-          keys = (fun _ -> key_off t 0);
-          values = (fun _ -> ptr_off t 0);
-        };
-      prefetch_page = ignore;
-      bump_nodes = false;
-    }
-
+     leaf pinned and the cursor one entry past its leaf-parent slot. *)
   let range_scan t ?(prefetch = false) ~start_key ~end_key f =
     Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
-      ~rev:false ~prefetch ~start_key ~end_key
-      (scan_hooks t ~dir:1 ~step:jp_next ~sibling:off_next)
-      f
-
-  (* Reverse (descending) range scan: walks the prev sibling links the
-     paper's DB2 implementation added for reverse scans, prefetching
-     backward along the leaf-parent level. *)
-  let range_scan_rev t ?(prefetch = false) ~start_key ~end_key f =
-    Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
-      ~rev:true ~prefetch ~start_key ~end_key
-      (scan_hooks t ~dir:(-1) ~step:jp_prev ~sibling:off_prev)
+      ~prefetch ~start_key ~end_key
+      {
+        Scan.descend =
+          (fun key ~cursor:_ ->
+            let cur = { jp_page = nil; jp_idx = 0 } in
+            let page, r =
+              descend t key ~visit:(fun p _ _ i ->
+                  cur.jp_page <- p;
+                  cur.jp_idx <- i + 1)
+            in
+            (page, Some (r, 0), cur));
+        step = jp_next t;
+        first = (fun _ ~seek:_ _ -> 0);
+        next = (fun _ ~page:_ _ -> 0);
+        sibling = (fun r -> Mem.read_i32 t.sim r off_next);
+        node =
+          {
+            Scan.count = (fun r _ -> Mem.read_u16 t.sim r off_n);
+            slot = (fun r _ ~n key -> F.find_slot t.sim t.cfg r ~n ~key `Lower);
+            keys = (fun _ -> key_off t 0);
+            values = (fun _ -> ptr_off t 0);
+          };
+        prefetch_page = ignore;
+        bump_nodes = false;
+      }
       f
 
   (* --- Introspection (uncharged; tests only) ------------------------------- *)
@@ -510,15 +474,19 @@ module Make (F : PAGE_FORMAT) = struct
     in
     check_page t.root ~lo:None ~hi:None ~depth:1;
     let expected = List.rev !leaves_seen in
-    let rec chain page acc =
+    (* forward links give tree order; each backward link names the page
+       before it *)
+    let rec chain ~prev page acc =
       if page = nil then List.rev acc
       else
         let r = peek_region t page in
-        chain (Mem.peek_i32 r off_next) (page :: acc)
+        if Mem.peek_i32 r off_prev <> prev then
+          fail "page %d: prev link %d, not %d" page (Mem.peek_i32 r off_prev) prev;
+        chain ~prev:page (Mem.peek_i32 r off_next) (page :: acc)
     in
     match expected with
     | [] -> ()
     | first :: _ ->
-        let chained = chain first [] in
+        let chained = chain ~prev:nil first [] in
         if chained <> expected then fail "leaf chain disagrees with tree order"
 end

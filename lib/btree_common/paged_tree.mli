@@ -39,17 +39,4 @@ module type PAGE_FORMAT = sig
   val entries_updated : Sim.t -> cfg -> Mem.region -> n:int -> from:int -> unit
 end
 
-module Make (F : PAGE_FORMAT) : sig
-  include Index_sig.S
-
-  (** Reverse (descending) scan of [start_key, end_key] entries, walking
-      the backward sibling links with backward jump-pointer prefetching;
-      returns the number of entries visited. *)
-  val range_scan_rev :
-    t ->
-    ?prefetch:bool ->
-    start_key:int ->
-    end_key:int ->
-    (int -> int -> unit) ->
-    int
-end
+module Make (F : PAGE_FORMAT) : Index_sig.S

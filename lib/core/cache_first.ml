@@ -799,7 +799,7 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
   let c = t.cfg in
   let link_pg = ref nil and link_ln = ref 0 in
   Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:io_prefetch_distance
-    ~rev:false ~prefetch ~start_key ~end_key
+    ~prefetch ~start_key ~end_key
     {
       Scan.descend =
         (fun key ~cursor ->
@@ -829,9 +829,8 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
         {
           Scan.count =
             (fun r line -> Mem.read_u16 t.sim r (node_off line + n_count));
-          (* forward scans only: [`Lower] *)
           slot =
-            (fun r line ~n key _ ->
+            (fun r line ~n key ->
               Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key);
           keys = (fun line -> key_off line 0);
           values = (fun line -> tid_off c line 0);

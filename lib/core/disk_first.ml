@@ -26,13 +26,18 @@
        14 u16 next free line (bump watermark)
        16 u16 first in-page leaf node line
        18 u16 number of in-page leaf nodes
+       20 u16 last in-page leaf node line
      lines 1..: in-page nodes.
 
    In-page nonleaf node (w lines): 0 u16 n; 2 u16 flags(1);
      4.. keys (4B x fn); then child line numbers (2B x fn).
    In-page leaf node (x lines): 0 u16 n; 2 u16 flags(0);
      4 u16 next leaf line; 6 u16 prev leaf line;
-     8.. keys (4B x fl); then pointers (4B x fl). *)
+     8.. keys (4B x fl); then pointers (4B x fl).
+
+   The backward links (prev page, prev leaf line, last leaf line) are the
+   paper's DB2 "links in both directions": every update keeps them, scans
+   run forward only, and [check] verifies them. *)
 
 open Fpb_simmem
 open Fpb_storage
@@ -713,8 +718,8 @@ let bulkload t pairs ~fill =
 
 (* I/O jump-pointer cursor over the in-page leaf nodes of leaf-parent pages:
    the page, in-page leaf node and slot of the next tree-leaf page ID.
-   [jp_line = 0] means the page's first (forward) or last (backward) node,
-   read from its header on arrival. *)
+   [jp_line = 0] means the page's first node, read from its header on
+   arrival. *)
 type jp_cursor = {
   mutable jp_page : int;
   mutable jp_line : int;
@@ -744,7 +749,7 @@ let descend_to_leaf t key =
   let leaf = go t.root 1 in
   (leaf, cur)
 
-(* Successive tree-leaf page IDs, forward. *)
+(* Successive tree-leaf page IDs. *)
 let rec jp_next t cur =
   if cur.jp_page = nil then None
   else begin
@@ -775,38 +780,6 @@ let rec jp_next t cur =
     end
   end
 
-(* Successive tree-leaf page IDs, backward, through the in-page prev
-   links and each page's last-leaf-node header field. *)
-let rec jp_prev t cur =
-  let page = cur.jp_page in
-  if page = nil then None
-  else begin
-    let r = Buffer_pool.get t.pool page in
-    if cur.jp_line = 0 then begin
-      cur.jp_line <- Mem.read_u16 t.sim r h_last_leaf;
-      cur.jp_idx <- read_n t r cur.jp_line - 1
-    end;
-    if cur.jp_idx >= 0 then begin
-      let pid = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg cur.jp_line cur.jp_idx) in
-      cur.jp_idx <- cur.jp_idx - 1;
-      Buffer_pool.unpin t.pool page;
-      Some pid
-    end
-    else begin
-      let prev_line = Mem.read_u16 t.sim r (node_off cur.jp_line + n_prev) in
-      if prev_line <> 0 then begin
-        cur.jp_line <- prev_line;
-        cur.jp_idx <- read_n t r prev_line - 1
-      end
-      else begin
-        cur.jp_page <- Mem.read_i32 t.sim r h_prev;
-        cur.jp_line <- 0
-      end;
-      Buffer_pool.unpin t.pool page;
-      jp_prev t cur
-    end
-  end
-
 (* Cache-granularity prefetch of all in-page leaf nodes of a leaf page
    (walks the nonleaf structure, whose nodes the search just touched). *)
 let prefetch_page_leaves t r =
@@ -825,54 +798,36 @@ let prefetch_page_leaves t r =
   go (Mem.read_u16 t.sim r h_root) 1 levels
 
 (* The walker pins each leaf page itself, the first included; a node is
-   an in-page leaf node.  [first] and [next] read the forward or backward
-   in-page chain; a forward page entry reads its first node even when it
+   an in-page leaf node.  A page entry reads its first node even when it
    then seeks. *)
-let scan_hooks t ~dir ~step ~first ~next ~sibling =
-  let c = t.cfg in
-  {
-    Scan.descend =
-      (fun key ~cursor:_ ->
-        let page, cur = descend_to_leaf t key in
-        cur.jp_idx <- cur.jp_idx + dir;
-        (page, None, cur));
-    step = step t;
-    first;
-    next = (fun r ~page:_ line -> Mem.read_u16 t.sim r (node_off line + next));
-    sibling = (fun r -> Mem.read_i32 t.sim r sibling);
-    node =
-      {
-        Scan.count = (fun r line -> read_n t r line);
-        slot = (fun r line ~n key mode -> ip_leaf_slot t r line ~n ~key mode);
-        keys = (fun line -> leaf_key_off c line 0);
-        values = (fun line -> leaf_ptr_off c line 0);
-      };
-    prefetch_page =
-      (fun r -> if t.cache_prefetch_leaves then prefetch_page_leaves t r);
-    bump_nodes = false;
-  }
-
-let seek_leaf t r key = ip_find_leaf t r key ~visit:(fun _ _ _ -> ())
-
 let range_scan t ?(prefetch = true) ~start_key ~end_key f =
+  let c = t.cfg in
   Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:t.io_prefetch_distance
-    ~rev:false ~bound:t.bound_scan_end ~prefetch ~start_key ~end_key
-    (scan_hooks t ~dir:1 ~step:jp_next ~next:n_next ~sibling:h_next
-       ~first:(fun r ~seek key ->
-         let line = Mem.read_u16 t.sim r h_first_leaf in
-         if seek then seek_leaf t r key else line))
-    f
-
-(* Reverse (descending) range scan: walks in-page leaf chains and page
-   sibling links backwards; backward I/O prefetching follows the
-   leaf-parent level in reverse from the end key's entry.  The start page
-   always bounds it: [set_bound_scan_end] ablates forward scans only. *)
-let range_scan_rev t ?(prefetch = true) ~start_key ~end_key f =
-  Scan.range_scan t.acc t.pool ~levels:t.levels ~distance:t.io_prefetch_distance
-    ~rev:true ~prefetch ~start_key ~end_key
-    (scan_hooks t ~dir:(-1) ~step:jp_prev ~next:n_prev ~sibling:h_prev
-       ~first:(fun r ~seek key ->
-         if seek then seek_leaf t r key else Mem.read_u16 t.sim r h_last_leaf))
+    ~bound:t.bound_scan_end ~prefetch ~start_key ~end_key
+    {
+      Scan.descend =
+        (fun key ~cursor:_ ->
+          let page, cur = descend_to_leaf t key in
+          cur.jp_idx <- cur.jp_idx + 1;
+          (page, None, cur));
+      step = jp_next t;
+      first =
+        (fun r ~seek key ->
+          let line = Mem.read_u16 t.sim r h_first_leaf in
+          if seek then ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) else line);
+      next = (fun r ~page:_ line -> Mem.read_u16 t.sim r (node_off line + n_next));
+      sibling = (fun r -> Mem.read_i32 t.sim r h_next);
+      node =
+        {
+          Scan.count = (fun r line -> read_n t r line);
+          slot = (fun r line ~n key -> ip_leaf_slot t r line ~n ~key `Lower);
+          keys = (fun line -> leaf_key_off c line 0);
+          values = (fun line -> leaf_ptr_off c line 0);
+        };
+      prefetch_page =
+        (fun r -> if t.cache_prefetch_leaves then prefetch_page_leaves t r);
+      bump_nodes = false;
+    }
     f
 
 (* --- Introspection (uncharged; tests only) ---------------------------------- *)
@@ -961,6 +916,15 @@ let check_in_page t r page =
   in
   let chained = chain (Mem.peek_u16 r h_first_leaf) [] in
   if chained <> leaf_lines then fail "page %d: leaf chain disagrees" page;
+  (* each prev link names the node before it in the chain *)
+  ignore
+    (List.fold_left
+       (fun prev line ->
+         if Mem.peek_u16 r (node_off line + n_prev) <> prev then
+           fail "page %d: leaf node %d's prev link is not %d" page line prev;
+         line)
+       0 chained
+      : int);
   (match List.rev chained with
   | last :: _ when last <> Mem.peek_u16 r h_last_leaf ->
       fail "page %d: stale last-leaf header" page
@@ -1014,11 +978,18 @@ let check t =
   in
   check_page t.root ~lo:None ~hi:None ~depth:1;
   let expected = List.rev !leaves_seen in
-  let rec chain page acc =
+  (* forward links give tree order; each backward link names the page
+     before it *)
+  let rec chain ~prev page acc =
     if page = nil then List.rev acc
-    else chain (Mem.peek_i32 (peek_region t page) h_next) (page :: acc)
+    else begin
+      let r = peek_region t page in
+      if Mem.peek_i32 r h_prev <> prev then
+        fail "page %d: prev link %d, not %d" page (Mem.peek_i32 r h_prev) prev;
+      chain ~prev:page (Mem.peek_i32 r h_next) (page :: acc)
+    end
   in
   match expected with
   | [] -> ()
   | first :: _ ->
-      if chain first [] <> expected then fail "leaf page chain disagrees"
+      if chain ~prev:nil first [] <> expected then fail "leaf page chain disagrees"

@@ -42,7 +42,7 @@ val cfg : t -> cfg
 val set_io_prefetch_distance : t -> int -> unit
 
 (** Ablation knobs: cache-granularity leaf-node prefetch within scanned
-    pages (default on); bounding a forward scan's I/O prefetch at the end
+    pages (default on); bounding a scan's I/O prefetch at the end
     page (default on — off reproduces overshooting). *)
 val set_cache_prefetch_leaves : t -> bool -> unit
 
@@ -61,12 +61,6 @@ val insert : t -> int -> int -> [ `Inserted | `Updated ]
 val delete : t -> int -> bool
 
 val range_scan :
-  t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int
-
-(** Reverse (descending) scan of [start_key, end_key], with backward
-    jump-pointer prefetching (the paper's DB2 implementation keeps links
-    in both directions for exactly this). *)
-val range_scan_rev :
   t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int
 
 val height : t -> int

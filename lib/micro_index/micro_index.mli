@@ -15,7 +15,3 @@
     which also states [search_batch]'s accounting convention). *)
 include Fpb_btree_common.Index_sig.S
 
-(** Reverse (descending) scan of [start_key, end_key] entries, following
-    the backward leaf chain; returns the number of entries visited. *)
-val range_scan_rev :
-  t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int

@@ -2,9 +2,10 @@
     paper's cache-optimized comparator and the model for fpB+-Tree
     in-page trees.  Memory-resident; nodes are several cache lines wide
     and prefetched in full before being searched, so a w-line node costs
-    T1 + (w-1)*Tnext instead of one miss per probed line.  Range scans
-    prefetch upcoming leaves through the leaf-parent level (the internal
-    jump-pointer array). *)
+    T1 + (w-1)*Tnext instead of one miss per probed line.
+
+    This is the subset Figure 3(b) measures: a tree is bulkloaded once,
+    then searched.  It has no updates and no range scan. *)
 
 type t
 
@@ -16,11 +17,6 @@ val create : ?node_lines:int -> Fpb_simmem.Sim.t -> t
 
 val bulkload : t -> (int * int) array -> fill:float -> unit
 val search : t -> int -> int option
-val insert : t -> int -> int -> [ `Inserted | `Updated ]
-val delete : t -> int -> bool
-
-val range_scan :
-  t -> ?prefetch:bool -> start_key:int -> end_key:int -> (int -> int -> unit) -> int
 
 (** Node levels. *)
 val height : t -> int

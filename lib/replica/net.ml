@@ -6,7 +6,6 @@
 
 module Prng = Fpb_workload.Prng
 module Counter = Fpb_obs.Counter
-module Histogram = Fpb_obs.Histogram
 
 type profile = {
   base_ns : int;
@@ -44,7 +43,6 @@ type t = {
   prng : Prng.t;
   mutable profile : profile;
   mutable last_delivery : int;
-  delay : Histogram.t;
   stats : stats;
 }
 
@@ -53,7 +51,6 @@ let create ~prng profile =
     prng;
     profile;
     last_delivery = 0;
-    delay = Histogram.make "net.delay_ns";
     stats =
       {
         msgs = Counter.make "net.msgs";
@@ -107,10 +104,8 @@ let deliver t ~send ~bytes =
   (* in-order resequencing: nothing overtakes its predecessor *)
   let dlv = max raw t.last_delivery in
   t.last_delivery <- dlv;
-  Histogram.record t.delay (dlv - send);
   dlv
 
-let delay t = t.delay
 let stats t = t.stats
 
 let kv t =

@@ -57,9 +57,6 @@ val set_profile : t -> profile -> unit
     time — the caller charges its own clock. *)
 val deliver : t -> send:int -> bytes:int -> int
 
-(** Delivery latency distribution ([net.delay_ns]). *)
-val delay : t -> Fpb_obs.Histogram.t
-
 val stats : t -> stats
 
 (** [net.*] counter values. *)

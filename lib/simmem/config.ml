@@ -29,9 +29,3 @@ let default =
 let line_shift t =
   let rec go n shift = if n <= 1 then shift else go (n lsr 1) (shift + 1) in
   go t.line_size 0
-
-let pp ppf t =
-  Fmt.pf ppf
-    "line=%dB L1=%dKB/%d-way L2=%dKB T1=%d Tnext=%d L2lat=%d handlers=%d"
-    t.line_size (t.l1_size / 1024) t.l1_assoc (t.l2_size / 1024) t.mem_latency
-    t.mem_gap t.l2_latency t.miss_handlers

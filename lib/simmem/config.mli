@@ -18,5 +18,3 @@ val default : t
 
 (** [log2 line_size], for address-to-line arithmetic. *)
 val line_shift : t -> int
-
-val pp : Format.formatter -> t -> unit

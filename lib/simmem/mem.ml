@@ -119,18 +119,17 @@ let prefetch (sim : Sim.t) r ~off ~len =
 
 (* {2 Entry windows} *)
 
-(* How many 4-byte values from the one at address [a] on, forward or
-   with [rev] backward, lie whole in [a]'s line: 0 when that one
-   straddles the line's end. *)
-let[@inline] in_line ~line ~rev a =
+(* How many 4-byte values from the one at address [a] on lie whole in
+   [a]'s line: 0 when that one straddles the line's end. *)
+let[@inline] in_line ~line a =
   let o = a land (line - 1) in
-  if o + 4 > line then 0 else if rev then (o / 4) + 1 else (line - o) / 4
+  if o + 4 > line then 0 else (line - o) / 4
 
 (* How many entries from the one whose key is at address [ka] and value
    at [va] keep their keys in [ka]'s line and values in [va]'s: 0 when
    that one's key or value straddles a line. *)
-let[@inline] window ~line ~rev ka va =
-  let wk = in_line ~line ~rev ka and wv = in_line ~line ~rev va in
+let[@inline] window ~line ka va =
+  let wk = in_line ~line ka and wv = in_line ~line va in
   if wv < wk then wv else wk
 
 (* A window is a run of entries whose keys all lie in one line and whose
@@ -139,22 +138,20 @@ let[@inline] window ~line ~rev ka va =
    a window of its own, charged by two [touch]es.  The window's in-range
    entries are charged after their callbacks, which must not move the
    clock: their loads would otherwise have run at other times. *)
-let walk_pairs (sim : Sim.t) r ~keys ~values ~n ~rev ~lo ~hi i f =
+let walk_pairs (sim : Sim.t) r ~keys ~values ~n ~hi i f =
   let line = sim.cfg.Config.line_size and busy = sim.cost.Cost_model.c_access in
   let b = r.bytes and clock = sim.clock in
-  let step = if rev then -1 else 1 in
   let i = ref i and more = ref true in
-  while !more && !i >= 0 && !i < n do
+  while !more && !i < n do
     let i0 = !i in
     let ka = r.base + keys + (4 * i0) and va = r.base + values + (4 * i0) in
-    let w = window ~line ~rev ka va in
-    let left = if rev then i0 + 1 else n - i0 in
-    let span = if w = 0 then 1 else if left < w then left else w in
+    let w = window ~line ka va in
+    let span = if w = 0 then 1 else if n - i0 < w then n - i0 else w in
     let t0 = clock.Clock.now and m = ref 0 and inside = ref true in
     while !inside && !m < span do
-      let e = i0 + (step * !m) in
+      let e = i0 + !m in
       let k = Int32.to_int (Bytes.get_int32_le b (keys + (4 * e))) in
-      if k < lo || k > hi then inside := false
+      if k > hi then inside := false
       else begin
         f k (Int32.to_int (Bytes.get_int32_le b (values + (4 * e))));
         incr m
@@ -170,12 +167,12 @@ let walk_pairs (sim : Sim.t) r ~keys ~values ~n ~rev ~lo ~hi i f =
       end
       else Cache.touch_pairs sim.cache ~busy ka va m
     end;
-    i := i0 + (step * m);
+    i := i0 + m;
     more := m = span
   done;
   !i
 
-(* The store counterpart of [walk_pairs]: the same windows, forward,
+(* The store counterpart of [walk_pairs]: the same windows,
    each charged after its stores by one [Cache.touch_pairs], or by two
    [touch]es for an entry that straddles a line; the span widens once.
    The bounds are checked first, so a store that cannot land charges
@@ -193,7 +190,7 @@ let write_pairs (sim : Sim.t) r ~keys ~values src pos n =
     while !i < n do
       let i0 = !i in
       let ka = r.base + keys + (4 * i0) and va = r.base + values + (4 * i0) in
-      let w = window ~line ~rev:false ka va in
+      let w = window ~line ka va in
       let m = if w = 0 then 1 else if n - i0 < w then n - i0 else w in
       for e = i0 to i0 + m - 1 do
         let k, v = src.(pos + e) in

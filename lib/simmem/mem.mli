@@ -70,14 +70,15 @@ val prefetch : Sim.t -> region -> off:int -> len:int -> unit
 
 (** {1 Charged entry walk} *)
 
-(** [walk_pairs sim r ~keys ~values ~n ~rev ~lo ~hi i f] walks a node's
-    [n] entries: parallel arrays of 4-byte keys at byte offset [keys] and
-    4-byte values at [values].  From entry [i], stepping forward or with
-    [rev] backward, it calls [f k v] on each entry while its key [k] lies
-    in [[lo, hi]], and returns the first index it did not consume: the
-    entry whose key lies outside, or [n] ([-1] backward).  Each consumed
-    entry costs what [read_i32] of its key and then of its value costs,
-    in the same order; the out-of-range key is not read.
+(** [walk_pairs sim r ~keys ~values ~n ~hi i f] walks a node's [n]
+    entries forward: parallel arrays of 4-byte keys at byte offset [keys]
+    and 4-byte values at [values].  From entry [i] ([0 <= i]), it calls
+    [f k v] on each entry while its key [k] is at most [hi], and returns
+    the first index it did not consume: the entry whose key lies above
+    [hi], or [n].  Each consumed entry costs what [read_i32] of its key
+    and then of its value costs, in the same order; the key above [hi]
+    is not read.  A range scan seeks its start key before the walk, so
+    no lower bound is tested here.
 
     Entries are charged one cache-line window at a time, all of a
     window's loads after its callbacks, so [f] must do no charged work
@@ -90,8 +91,6 @@ val walk_pairs :
   keys:int ->
   values:int ->
   n:int ->
-  rev:bool ->
-  lo:int ->
   hi:int ->
   int ->
   (int -> int -> unit) ->

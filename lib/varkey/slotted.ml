@@ -110,12 +110,6 @@ let insert_at sim nd ~i key ptr =
     true
   end
 
-(* Remove slot [i] (the heap space is reclaimed only by [rebuild]). *)
-let delete_at sim nd ~i =
-  let n = v sim nd o_n in
-  Mem.blit sim nd.r (slot_off nd (i + 1)) nd.r (slot_off nd i) ((n - i - 1) * 2);
-  setv sim nd o_n (n - 1)
-
 (* All (key, ptr) entries in slot order (charged). *)
 let entries sim nd =
   let n = v sim nd o_n in

@@ -70,9 +70,6 @@ val find : Sim.t -> node -> key:string -> [ `Lower | `Upper ] -> int
     @raise Invalid_argument if [key] exceeds {!max_key_len}. *)
 val insert_at : Sim.t -> node -> i:int -> string -> int -> bool
 
-(** Remove slot [i] (the heap space is reclaimed only by {!rebuild}). *)
-val delete_at : Sim.t -> node -> i:int -> unit
-
 (** All (key, ptr) entries in slot order (charged). *)
 val entries : Sim.t -> node -> (string * int) list
 

@@ -176,49 +176,6 @@ let insert t key tid =
     `Inserted
   end
 
-let delete t key =
-  Sim.busy_op t.sim;
-  let page, r = descend t key t.root ~visit:(fun _ -> ()) in
-  let nd = node t r in
-  let i = Slotted.find t.sim nd ~key `Lower in
-  let found = i < Slotted.count t.sim nd && Slotted.key_at t.sim nd i = key in
-  if found then begin
-    Slotted.delete_at t.sim nd ~i;
-    Buffer_pool.mark_dirty t.pool page
-  end;
-  Buffer_pool.unpin t.pool page;
-  found
-
-(* Ascending scan over [start_key, end_key]. *)
-let range_scan t ~start_key ~end_key f =
-  Sim.busy_op t.sim;
-  if end_key < start_key then 0
-  else begin
-    let page, r = descend t start_key t.root ~visit:(fun _ -> ()) in
-    let count = ref 0 in
-    let rec scan page r first =
-      let nd = node t r in
-      let n = Slotted.count t.sim nd in
-      let i0 = if first then Slotted.find t.sim nd ~key:start_key `Lower else 0 in
-      let stop = ref false in
-      let i = ref i0 in
-      while (not !stop) && !i < n do
-        let k = Slotted.key_at t.sim nd !i in
-        if k > end_key then stop := true
-        else begin
-          f k (Slotted.ptr_at t.sim nd !i);
-          incr count;
-          incr i
-        end
-      done;
-      let next = if !stop then nil else Mem.read_i32 t.sim r h_next in
-      Buffer_pool.unpin t.pool page;
-      if next <> nil then scan next (Buffer_pool.get t.pool next) false
-    in
-    scan page r true;
-    !count
-  end
-
 (* Sorted unique keys. *)
 let bulkload t pairs ~fill =
   if fill <= 0. || fill > 1. then invalid_arg "Vk_btree.bulkload: fill";

@@ -8,8 +8,6 @@ val name : string
 val create : Fpb_storage.Buffer_pool.t -> t
 val search : t -> string -> int option
 val insert : t -> string -> int -> [ `Inserted | `Updated ]
-val delete : t -> string -> bool
-val range_scan : t -> start_key:string -> end_key:string -> (string -> int -> unit) -> int
 
 (** Build from sorted unique keys (repeated insertion; [fill] ignored). *)
 val bulkload : t -> (string * int) array -> fill:float -> unit

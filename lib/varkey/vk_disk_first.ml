@@ -492,58 +492,6 @@ let insert t key tid =
       insert_into_parent_pages t !path sep right;
       `Inserted
 
-let delete t key =
-  Sim.busy_op t.sim;
-  let page, r = descend t key t.root 1 ~visit:(fun _ -> ()) in
-  let line = ip_find_leaf t r key ~visit:(fun _ -> ()) in
-  let nd = leaf_node t r line in
-  let i = Slotted.find t.sim nd ~key `Lower in
-  let found = i < Slotted.count t.sim nd && Slotted.key_at t.sim nd i = key in
-  if found then begin
-    Slotted.delete_at t.sim nd ~i;
-    Buffer_pool.mark_dirty t.pool page
-  end;
-  Buffer_pool.unpin t.pool page;
-  found
-
-let range_scan t ~start_key ~end_key f =
-  Sim.busy_op t.sim;
-  if end_key < start_key then 0
-  else begin
-    let page, r0 = descend t start_key t.root 1 ~visit:(fun _ -> ()) in
-    let count = ref 0 in
-    let rec scan page r first =
-      let line = ref (Mem.read_u16 t.sim r h_first_leaf) in
-      if first then line := ip_find_leaf t r start_key ~visit:(fun _ -> ());
-      let stop = ref false in
-      let first_node = ref first in
-      while (not !stop) && !line <> 0 do
-        let nd = leaf_node t r !line in
-        let n = Slotted.count t.sim nd in
-        let i0 =
-          if !first_node then Slotted.find t.sim nd ~key:start_key `Lower else 0
-        in
-        first_node := false;
-        let i = ref i0 in
-        while (not !stop) && !i < n do
-          let k = Slotted.key_at t.sim nd !i in
-          if k > end_key then stop := true
-          else begin
-            f k (Slotted.ptr_at t.sim nd !i);
-            incr count;
-            incr i
-          end
-        done;
-        if not !stop then line := Slotted.v t.sim nd Slotted.o_next
-      done;
-      let next = if !stop then nil else Mem.read_i32 t.sim r h_next in
-      Buffer_pool.unpin t.pool page;
-      if next <> nil then scan next (Buffer_pool.get t.pool next) false
-    in
-    scan page r0 true;
-    !count
-  end
-
 (* Sorted unique keys; simple repeated-insert build (fill ignored). *)
 let bulkload t pairs ~fill =
   ignore fill;

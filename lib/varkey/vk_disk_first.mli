@@ -25,8 +25,6 @@ val cfg : t -> cfg
 
 val search : t -> string -> int option
 val insert : t -> string -> int -> [ `Inserted | `Updated ]
-val delete : t -> string -> bool
-val range_scan : t -> start_key:string -> end_key:string -> (string -> int -> unit) -> int
 
 (** Build from sorted unique keys (currently repeated insertion; [fill]
     is accepted for interface parity and ignored). *)

@@ -862,6 +862,16 @@ let commit t ~op ~meta =
   (match t.commit_barrier with Some f -> f ~op ~lsn:clsn | None -> ());
   Histogram.record t.commit_latency (Clock.now t.clock - t0)
 
+(* Re-write a page whose durable image a deferred write-back left stale:
+   refresh the image and its LSN, charge one data-disk write, and stamp
+   the page's checksum header. *)
+let rewrite_stale t page =
+  set_disk_img t page (Page_store.bytes t.store page);
+  Vec.set t.disk_lsn page (Vec.get t.mem_lsn page);
+  let disk, phys = Page_store.write_location t.store page in
+  Disk_model.write t.data_disks ~disk ~phys;
+  Page_store.stamp ~lsn:(Vec.get t.mem_lsn page) t.store page
+
 let checkpoint t ~meta =
   if t.crashed then raise Crashed;
   if t.n_touched > 0 then
@@ -876,13 +886,7 @@ let checkpoint t ~meta =
   for i = 0 to t.logged.n - 1 do
     let page = t.logged.a.(i) in
     if logged_now t page && Vec.get t.disk_lsn page < Vec.get t.mem_lsn page
-    then begin
-      set_disk_img t page (Page_store.bytes t.store page);
-      Vec.set t.disk_lsn page (Vec.get t.mem_lsn page);
-      let disk, phys = Page_store.write_location t.store page in
-      Disk_model.write t.data_disks ~disk ~phys;
-      Page_store.stamp ~lsn:(Vec.get t.mem_lsn page) t.store page
-    end
+    then rewrite_stale t page
   done;
   (* A sharp checkpoint declares the data durable: wait for every queued
      data write to hit the platters before sealing the record.  This
@@ -967,11 +971,7 @@ let harden_page t page =
     else if Vec.get t.disk_lsn page < Vec.get t.mem_lsn page then begin
       (* a deferred write-back left the image stale: re-write it now *)
       flush t;
-      set_disk_img t page (Page_store.bytes t.store page);
-      Vec.set t.disk_lsn page (Vec.get t.mem_lsn page);
-      let disk, phys = Page_store.write_location t.store page in
-      Disk_model.write t.data_disks ~disk ~phys;
-      Page_store.stamp ~lsn:(Vec.get t.mem_lsn page) t.store page
+      rewrite_stale t page
     end;
     true
   end

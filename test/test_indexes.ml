@@ -202,44 +202,35 @@ let model_test_bulk name kind =
 
 (* --- pB+-Tree (memory-resident) -------------------------------------------- *)
 
-let pb_model_test =
-  Util.qtest ~count:30 "pB+tree agrees with Map oracle"
-    QCheck2.Gen.(pair (2 -- 8) (list_size (return 400) op_gen))
-    (fun (node_lines, ops) ->
+(* Figure 3(b) bulkloads a pB+-Tree and searches it; the tree offers
+   nothing else.  Keys ascend by random gaps, so some gaps hold absent
+   keys. *)
+let pb_bulkload_prop =
+  Util.qtest ~count:30 "pB+tree bulkload matches its pairs"
+    QCheck2.Gen.(
+      triple (2 -- 8)
+        (map (fun x -> 1. -. x) (float_bound_exclusive 1.))
+        (pair (-1000 -- 1000) (list_size (0 -- 5000) (1 -- 3))))
+    (fun (node_lines, fill, (base, gaps)) ->
       let open Fpb_pbtree in
+      let keys = Array.of_list gaps in
+      for i = 0 to Array.length keys - 1 do
+        keys.(i) <- (if i = 0 then base else keys.(i - 1)) + keys.(i)
+      done;
+      let pairs = Array.map (fun k -> (k, k land 0xffff)) keys in
       let sim = Fpb_simmem.Sim.create () in
       let t = Pbtree.create ~node_lines sim in
-      let m = ref M.empty in
-      let ok =
-        List.for_all
-          (fun op ->
-            let good =
-              match op with
-              | Insert (k, v) -> (
-                  match Pbtree.insert t k v with
-                  | `Inserted -> not (M.mem k !m)
-                  | `Updated -> M.mem k !m)
-              | Delete k -> Pbtree.delete t k = M.mem k !m
-              | Search k -> Pbtree.search t k = M.find_opt k !m
-              | Scan (a, b) ->
-                  let got = ref [] in
-                  let n =
-                    Pbtree.range_scan t ~start_key:a ~end_key:b (fun k v ->
-                        got := (k, v) :: !got)
-                  in
-                  let want =
-                    M.to_seq !m
-                    |> Seq.filter (fun (k, _) -> k >= a && k <= b)
-                    |> List.of_seq
-                  in
-                  List.rev !got = want && n = List.length want
-            in
-            m := apply_model !m op;
-            good)
-          ops
-      in
+      Pbtree.bulkload t pairs ~fill;
       Pbtree.check t;
-      ok)
+      let got = ref [] in
+      Pbtree.iter t (fun k v -> got := (k, v) :: !got);
+      let present = Hashtbl.create 64 in
+      Array.iter (fun (k, _) -> Hashtbl.replace present k ()) pairs;
+      List.rev !got = Array.to_list pairs
+      && Array.for_all (fun (k, v) -> Pbtree.search t k = Some v) pairs
+      && List.for_all
+           (fun k -> Hashtbl.mem present k || Pbtree.search t k = None)
+           (base :: Array.to_list (Array.map succ keys)))
 
 (* --- Suite ------------------------------------------------------------------ *)
 
@@ -264,62 +255,9 @@ let per_kind_cases =
       ])
     kinds
 
-(* --- Reverse scans ----------------------------------------------------------- *)
-
-let test_reverse_scan_disk_btree () =
-  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
-  let t = Fpb_disk_btree.Disk_btree.create pool in
-  Fpb_disk_btree.Disk_btree.bulkload t (Array.init 50_000 (fun i -> (2 * i, i))) ~fill:0.8;
-  let fwd = ref [] and rev = ref [] in
-  let n1 =
-    Fpb_disk_btree.Disk_btree.range_scan t ~start_key:1001 ~end_key:77_777
-      (fun k v -> fwd := (k, v) :: !fwd)
-  in
-  let n2 =
-    Fpb_disk_btree.Disk_btree.range_scan_rev t ~prefetch:true ~start_key:1001
-      ~end_key:77_777
-      (fun k v -> rev := (k, v) :: !rev)
-  in
-  Alcotest.(check int) "same count" n1 n2;
-  Alcotest.(check bool) "reverse order" true (!rev = List.rev !fwd)
-
-let test_reverse_scan_disk_first () =
-  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
-  let t = Fpb_core.Disk_first.create pool in
-  Fpb_core.Disk_first.bulkload t (Array.init 50_000 (fun i -> (2 * i, i))) ~fill:1.0;
-  (* splits exercise last-leaf maintenance *)
-  for i = 0 to 20_000 do
-    ignore (Fpb_core.Disk_first.insert t ((2 * i) + 1) i)
-  done;
-  Fpb_core.Disk_first.check t;
-  let fwd = ref [] and rev = ref [] in
-  let n1 =
-    Fpb_core.Disk_first.range_scan t ~start_key:999 ~end_key:33_333 (fun k v ->
-        fwd := (k, v) :: !fwd)
-  in
-  let n2 =
-    Fpb_core.Disk_first.range_scan_rev t ~start_key:999 ~end_key:33_333
-      (fun k v -> rev := (k, v) :: !rev)
-  in
-  Alcotest.(check int) "same count" n1 n2;
-  Alcotest.(check bool) "reverse order" true (!rev = List.rev !fwd)
-
-let prop_reverse_matches_forward =
-  Util.qtest ~count:25 "disk-first reverse scan mirrors forward scan"
-    QCheck2.Gen.(pair (pair (100 -- 3000) (0 -- 6000)) (0 -- 2000))
-    (fun ((n, a), len) ->
-      let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
-      let t = Fpb_core.Disk_first.create pool in
-      Fpb_core.Disk_first.bulkload t (Array.init n (fun i -> (3 * i, i))) ~fill:0.7;
-      let b = a + len in
-      let fwd = ref [] and rev = ref [] in
-      let n1 = Fpb_core.Disk_first.range_scan t ~start_key:a ~end_key:b (fun k _ -> fwd := k :: !fwd) in
-      let n2 = Fpb_core.Disk_first.range_scan_rev t ~start_key:a ~end_key:b (fun k _ -> rev := k :: !rev) in
-      n1 = n2 && !rev = List.rev !fwd)
-
 (* A scan charges a cache-line window of entries after their callbacks,
    so a callback that charged simulated time would run ahead of loads it
-   should follow; the walk refuses it in both directions. *)
+   should follow; the walk refuses it. *)
 let test_scan_rejects_charging_callback () =
   let module D = Fpb_core.Disk_first in
   let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
@@ -329,9 +267,7 @@ let test_scan_rejects_charging_callback () =
   let charge _ _ = Fpb_simmem.Sim.charge_busy sim 1 in
   let refused = Invalid_argument "Mem.walk_pairs: the callback charged simulated time" in
   Alcotest.check_raises "forward" refused (fun () ->
-      ignore (D.range_scan t ~start_key:10 ~end_key:500 charge));
-  Alcotest.check_raises "reverse" refused (fun () ->
-      ignore (D.range_scan_rev t ~start_key:10 ~end_key:500 charge))
+      ignore (D.range_scan t ~start_key:10 ~end_key:500 charge))
 
 (* --- Disk-first I/O prefetch stream ----------------------------------------- *)
 
@@ -431,7 +367,7 @@ let last_key bed i =
    page the scan touches (both descents, and each leaf-parent the cursor
    walks) misses once; of the leaf pages, only the page the scan starts
    on and a page it reads past the range's last page may miss. *)
-let stream_exact bed ~rev a b =
+let stream_exact bed a b =
   let ia = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace a))) in
   let ib = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace b))) in
   let nonleaf = Hashtbl.create 16 in
@@ -441,10 +377,7 @@ let stream_exact bed ~rev a b =
   for i = ia to ib do
     add (snd (split_last bed.paths.(i)))
   done;
-  let read_past =
-    if rev then ia > 0 && first_key bed ia >= a
-    else ib + 1 < n_leaves bed && last_key bed ib <= b
-  in
+  let read_past = ib + 1 < n_leaves bed && last_key bed ib <= b in
   let want_keys =
     Array.fold_left (fun n k -> if k >= a && k <= b then n + 1 else n) 0 bed.keys
   in
@@ -453,8 +386,7 @@ let stream_exact bed ~rev a b =
   let v = Fpb_obs.Counter.value in
   let snap () = (v s.Bp.prefetch_issued, v s.prefetch_hits, v s.misses, v s.prefetch_dropped) in
   let i0, h0, m0, d0 = snap () in
-  let scan = if rev then Df.range_scan_rev else Df.range_scan in
-  let got = scan bed.t ~start_key:a ~end_key:b (fun _ _ -> ()) in
+  let got = Df.range_scan bed.t ~start_key:a ~end_key:b (fun _ _ -> ()) in
   let i1, h1, m1, d1 = snap () in
   got = want_keys
   && i1 - i0 = ib - ia
@@ -462,11 +394,11 @@ let stream_exact bed ~rev a b =
   && m1 - m0 = Hashtbl.length nonleaf + 1 + Bool.to_int read_past
   && d1 = d0
 
-(* A range anchored on one key and spanning [span] leaf pages from it
-   (forward from its start, backward from its end).  The anchor is a
-   random key or the first or last key of a leaf page; the far end is
-   [off] keys into the far page, nudged by [nudge] so it may miss. *)
-let range_of bed ~rev ~anchor ~span ~off ~nudge =
+(* A range starting at one key and spanning [span] leaf pages from it.
+   The anchor is a random key or the first or last key of a leaf page;
+   the far end is [off] keys into the far page, nudged by [nudge] so it
+   may miss. *)
+let range_of bed ~anchor ~span ~off ~nudge =
   let nk = Array.length bed.keys in
   let key_at i = bed.keys.(max 0 (min (nk - 1) i)) in
   let a =
@@ -476,7 +408,7 @@ let range_of bed ~rev ~anchor ~span ~off ~nudge =
     | `Last i -> last_key bed (i mod n_leaves bed)
   in
   let ia = Hashtbl.find bed.index_of (snd (split_last (path_of bed.t bed.trace a))) in
-  let j = max 0 (min (n_leaves bed - 1) (if rev then ia - span else ia + span)) in
+  let j = max 0 (min (n_leaves bed - 1) (ia + span)) in
   let far = key_at (bed.first.(j) + off) + nudge in
   (min a far, max a far)
 
@@ -484,7 +416,7 @@ let prop_prefetch_stream_exact =
   Util.qtest ~count:150 "disk_first: scan prefetch stream is exact"
     QCheck2.Gen.(
       pair
-        (triple bool bool
+        (pair bool
            (oneof
               [
                 map (fun x -> `Key x) (0 -- 1_000_000);
@@ -492,36 +424,32 @@ let prop_prefetch_stream_exact =
                 map (fun i -> `Last i) (0 -- 10_000);
               ]))
         (triple (frequency [ (1, return 0); (3, 0 -- 40) ]) (0 -- 500) (-1 -- 1)))
-    (fun ((mature, rev, anchor), (span, off, nudge)) ->
+    (fun ((mature, anchor), (span, off, nudge)) ->
       let bed = Lazy.force (if mature then mature_bed else bulk_bed) in
-      let a, b = range_of bed ~rev ~anchor ~span ~off ~nudge in
-      stream_exact bed ~rev a b)
+      let a, b = range_of bed ~anchor ~span ~off ~nudge in
+      stream_exact bed a b)
 
-(* Every leaf page as the first page of a forward scan and the last page
-   of a reverse one, so the jump-pointer cursor starts on every entry of
-   every in-page leaf-parent node and every leaf-parent page. *)
+(* Every leaf page as the first page of a scan, so the jump-pointer
+   cursor starts on every entry of every in-page leaf-parent node and
+   every leaf-parent page. *)
 let test_prefetch_stream_every_leaf () =
   List.iter
     (fun (name, bed) ->
       let bed = Lazy.force bed in
       for i = 0 to n_leaves bed - 1 do
         List.iter
-          (fun (rev, anchor) ->
-            let a, b = range_of bed ~rev ~anchor ~span:2 ~off:1 ~nudge:0 in
-            if not (stream_exact bed ~rev a b) then
-              Alcotest.failf "%s: %s scan [%d, %d]" name
-                (if rev then "reverse" else "forward") a b)
-          [ (false, `First i); (false, `Last i); (true, `First i); (true, `Last i) ]
+          (fun anchor ->
+            let a, b = range_of bed ~anchor ~span:2 ~off:1 ~nudge:0 in
+            if not (stream_exact bed a b) then
+              Alcotest.failf "%s: scan [%d, %d]" name a b)
+          [ `First i; `Last i ]
       done)
     [ ("bulkloaded", bulk_bed); ("mature", mature_bed) ]
 
 let suite =
   per_kind_cases
   @ [
-      pb_model_test;
-      Alcotest.test_case "disk_btree: reverse scan" `Quick test_reverse_scan_disk_btree;
-      Alcotest.test_case "disk_first: reverse scan" `Quick test_reverse_scan_disk_first;
-      prop_reverse_matches_forward;
+      pb_bulkload_prop;
       Alcotest.test_case "disk_first: scan rejects a charging callback" `Quick
         test_scan_rejects_charging_callback;
       prop_prefetch_stream_exact;

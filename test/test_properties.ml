@@ -176,10 +176,6 @@ let scan_pins =
         ( "forward",
           [ 64857764; 142592; 200595; 18966; 69; 65; 65; 2; 2; 68 ],
           fun () -> scan_cost (module Db) ~scan:(Db.range_scan ~prefetch:true) );
-        ( "reverse",
-          [ 192857411; 142736; 200280; 18903; 70; 65; 65; 2; 2; 68 ],
-          fun () ->
-            scan_cost (module Db) ~scan:(Db.range_scan_rev ~prefetch:true) );
       ] );
     ( "micro",
       [
@@ -192,10 +188,6 @@ let scan_pins =
         ( "forward",
           [ 65258587; 158264; 50261; 22463; 73; 71; 71; 2; 2; 72 ],
           fun () -> scan_cost (module Df) ~scan:(Df.range_scan ~prefetch:true) );
-        ( "reverse",
-          [ 193351890; 158192; 69563; 22321; 73; 71; 71; 2; 2; 72 ],
-          fun () ->
-            scan_cost (module Df) ~scan:(Df.range_scan_rev ~prefetch:true) );
       ] );
     ( "cache_first",
       [
@@ -204,27 +196,6 @@ let scan_pins =
           fun () -> scan_cost (module Cf) ~scan:(Cf.range_scan ~prefetch:true) );
       ] );
   ]
-
-(* The pB+-Tree's cache-granularity scan, from a flushed cache: [sim ns;
-   busy cycles; stall cycles; L1 hits]. *)
-let test_pbtree_scan_cost_pinned () =
-  let module Pb = Fpb_pbtree.Pbtree in
-  let sim = Fpb_simmem.Sim.create () in
-  let t = Pb.create sim in
-  Pb.bulkload t (Array.init 40_000 (fun i -> (2 * i, i))) ~fill:0.7;
-  Fpb_simmem.Sim.flush_cache sim;
-  let st = sim.Fpb_simmem.Sim.stats in
-  let counters () =
-    Fpb_simmem.Sim.now sim
-    :: List.map Fpb_obs.Counter.value
-         [ st.Fpb_simmem.Stats.busy; st.stall; st.l1_hits ]
-  in
-  let c0 = counters () in
-  let n = Pb.range_scan t ~start_key:30_001 ~end_key:50_001 (fun _ _ -> ()) in
-  Alcotest.(check int) "keys scanned" 10_000 n;
-  Alcotest.(check (list int)) "pbtree forward"
-    [ 26988; 23159; 3829; 20957 ]
-    (List.map2 ( - ) (counters ()) c0)
 
 (* --- Correctness under a thrashing buffer pool ----------------------------- *)
 
@@ -394,7 +365,3 @@ let suite =
         Alcotest.test_case (name ^ ": range scan cost pinned") `Quick
           (test_scan_cost_pinned pins))
       scan_pins
-  @ [
-      Alcotest.test_case "pbtree: range scan cost pinned" `Quick
-        test_pbtree_scan_cost_pinned;
-    ]

@@ -491,8 +491,8 @@ let prop_timeline_monotone_pipeline =
         steps)
 
 (* [Mem.walk_pairs] against the per-entry loop it replaced: peek the
-   key, stop outside [[lo, hi]], else a charged read of the key and then
-   of the value.  Arrays sit at any byte offset, so keys and values may
+   key, stop above [hi], else a charged read of the key and then of the
+   value.  Arrays sit at any byte offset, so keys and values may
    straddle lines, and prefetches issued first fall due mid-walk.  Both
    runs must make the same callbacks, return the same index and leave
    the same clock and counters. *)
@@ -501,16 +501,14 @@ let prop_walk_pairs_matches_reads =
   let gen =
     let* n = 1 -- 64 in
     let* keys = 0 -- 300 and* values = 0 -- 300 and* i = 0 -- (n - 1)
-    and* rev = bool and* lo = 0 -- 40
     (* often every key, so walks cross lines *)
-    and* width = oneof [ 0 -- 60; pure 100 ]
+    and* hi = oneof [ 0 -- 60; pure 100 ]
     and* prefetch = list_size (0 -- 20) (0 -- 700)
     and* seed = int in
-    pure (n, keys, values, i, rev, lo, width, prefetch, seed)
+    pure (n, keys, values, i, hi, prefetch, seed)
   in
   Util.qtest ~count:500 "walk_pairs == per-entry key and value reads" gen
-    (fun (n, keys, values, i, rev, lo, width, prefetch, seed) ->
-      let hi = lo + width in
+    (fun (n, keys, values, i, hi, prefetch, seed) ->
       let page = Bytes.create 1024 in
       let rng = Random.State.make [| seed |] in
       for j = 0 to 255 do
@@ -526,19 +524,19 @@ let prop_walk_pairs_matches_reads =
       in
       let by_entry sim r f =
         let rec go i =
-          if i < 0 || i >= n then i
+          if i >= n then i
           else
             let k = Mem.peek_i32 r (keys + (4 * i)) in
-            if k < lo || k > hi then i
+            if k > hi then i
             else begin
               let k = Mem.read_i32 sim r (keys + (4 * i)) in
               f k (Mem.read_i32 sim r (values + (4 * i)));
-              go (if rev then i - 1 else i + 1)
+              go (i + 1)
             end
         in
         go i
       in
-      walk (fun sim r f -> Mem.walk_pairs sim r ~keys ~values ~n ~rev ~lo ~hi i f)
+      walk (fun sim r f -> Mem.walk_pairs sim r ~keys ~values ~n ~hi i f)
       = walk by_entry)
 
 (* [Mem.write_pairs] against the per-entry loop it replaced: [write_i32]
