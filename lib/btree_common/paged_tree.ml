@@ -307,7 +307,9 @@ module Make (F : PAGE_FORMAT) = struct
     else begin
       Buffer_pool.free_page t.pool t.root;
       t.n_pages <- t.n_pages - 1;
-      let per_page = max 1 (int_of_float (float_of_int t.fanout *. fill)) in
+      (* at least two entries a page, or a level of one-entry nonleaf
+         pages would never narrow to a root *)
+      let per_page = max 2 (int_of_float (float_of_int t.fanout *. fill)) in
       let build_level ~leaf entries =
         let n = Array.length entries in
         let n_pages = (n + per_page - 1) / per_page in

@@ -674,7 +674,9 @@ let bulkload t pairs ~fill =
   else begin
     Buffer_pool.free_page t.pool t.root;
     t.n_pages <- t.n_pages - 1;
-    let per_page = max 1 (int_of_float (float_of_int c.max_fanout *. fill)) in
+    (* at least two entries a page, or a level of one-entry nonleaf pages
+       would never narrow to a root *)
+    let per_page = max 2 (int_of_float (float_of_int c.max_fanout *. fill)) in
     (* Leaf pages spread entries over all leaf nodes; nonleaf pages pack. *)
     let build_level ~kind entries =
       let n = Array.length entries in

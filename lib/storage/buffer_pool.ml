@@ -32,6 +32,11 @@
    until the disk read completes.  A demand [get] of an in-flight page waits
    only for the remaining latency.  Prefetchers keep a single free-at time
    each, so a rewound client queues behind every request already issued.
+   Issuing a request does not block while a clean frame is evictable: when
+   a write-back would force the log, a prefetch's CLOCK sweep passes over
+   dirty frames, and only with none clean left does it write a dirty
+   victim back behind a log force, as a demand miss does.  Dirty pages so
+   stay resident longer, and one write-back covers more updates.
 
    Every read that crosses the disk boundary is checked against the page's
    checksum header (see [Page_store]).  Transient I/O errors are retried
@@ -50,6 +55,7 @@ type stats = {
   prefetch_issued : Counter.t;
   prefetch_hits : Counter.t;  (* gets satisfied by a prefetched page *)
   prefetch_dropped : Counter.t;  (* hints dropped: pool too hot, or I/O error *)
+  prefetch_dirty_victims : Counter.t;  (* prefetches that forced the log *)
   io_wait_ns : Counter.t;  (* time the querying thread waited on I/O *)
   shard_conflicts : Counter.t;  (* latch acquisitions that found it held *)
   shard_waits_ns : Counter.t;  (* simulated time spent waiting on latches *)
@@ -75,6 +81,7 @@ let make_stats () =
     prefetch_issued = Counter.make "pool.prefetch_issued";
     prefetch_hits = Counter.make "pool.prefetch_hits";
     prefetch_dropped = Counter.make "pool.prefetch_dropped";
+    prefetch_dirty_victims = Counter.make "pool.prefetch_dirty_victims";
     io_wait_ns = Counter.make "pool.io_wait_ns";
     shard_conflicts = Counter.make "pool.shard.conflicts";
     shard_waits_ns = Counter.make "pool.shard.waits_ns";
@@ -95,10 +102,11 @@ let make_stats () =
 let stats_counters s =
   [
     s.hits; s.misses; s.evictions; s.prefetch_issued; s.prefetch_hits;
-    s.prefetch_dropped; s.io_wait_ns; s.shard_conflicts; s.shard_waits_ns;
-    s.shard_overlaps; s.retry_read; s.retry_wait_ns; s.err_transient;
-    s.err_latent; s.err_checksum; s.err_unrecoverable; s.repair_attempts;
-    s.repair_repaired; s.repair_failed; s.overloaded; s.overload_wait_ns;
+    s.prefetch_dropped; s.prefetch_dirty_victims; s.io_wait_ns;
+    s.shard_conflicts; s.shard_waits_ns; s.shard_overlaps; s.retry_read;
+    s.retry_wait_ns; s.err_transient; s.err_latent; s.err_checksum;
+    s.err_unrecoverable; s.repair_attempts; s.repair_repaired;
+    s.repair_failed; s.overloaded; s.overload_wait_ns;
   ]
 
 let stats_kv s = List.map Counter.kv (stats_counters s)
@@ -111,7 +119,8 @@ let stats_kv s = List.map Counter.kv (stats_counters s)
    [on_page_write] runs after, so the log can refresh its durable image of
    the page.  [page_lsn] reports the LSN of the newest logged change to a
    page, which the pool stamps into the page's checksum header on every
-   write-back. *)
+   write-back.  [write_forces_log] tells whether a write-back now would
+   force the log (some sealed records are not yet durable). *)
 type wal_hooks = {
   on_page_dirty : int -> unit;
   before_page_write : int -> unit;
@@ -119,6 +128,7 @@ type wal_hooks = {
   on_page_alloc : int -> unit;
   on_page_free : int -> unit;
   page_lsn : int -> int;
+  write_forces_log : unit -> bool;
 }
 
 (* How hard a demand read fights transient errors before giving up.  The
@@ -492,23 +502,28 @@ let media_read t page ~disk ~phys =
 
 (* ----------------------------- replacement --------------------------- *)
 
-(* CLOCK sweep over the shard's frame slice: find a frame, evicting its
-   current page if needed. *)
-let victim_frame t sh =
-  let page_size = Page_store.page_size t.store in
+(* CLOCK sweep over the shard's frame slice: the frame the second-chance
+   rule gives up within [2 n] steps.  With [skip_dirty], dirty frames are
+   passed over with their ref bits left alone.  Raises [Pool_exhausted]
+   when none qualifies. *)
+let sweep t sh ~skip_dirty =
   let n = sh.hi - sh.lo in
-  let rec sweep steps =
+  let rec go steps =
     if steps > 2 * n then raise Pool_exhausted;
     let f = sh.hand in
     sh.hand <- (if f + 1 >= sh.hi then sh.lo else f + 1);
-    if not (evictable t f) then sweep (steps + 1)
+    if not (evictable t f) || (skip_dirty && t.dirty.(f)) then go (steps + 1)
     else if t.frames.(f) <> Page_store.nil && t.ref_bit.(f) then begin
       t.ref_bit.(f) <- false;
-      sweep (steps + 1)
+      go (steps + 1)
     end
     else f
   in
-  let f = sweep 0 in
+  go 0
+
+(* Take the frame [f] the sweep gave up, evicting its current page. *)
+let evict_frame t sh f =
+  let page_size = Page_store.page_size t.store in
   (match t.frames.(f) with
   | p when p = Page_store.nil -> ()
   | p ->
@@ -523,6 +538,30 @@ let victim_frame t sh =
   t.frames.(f) <- Page_store.nil;
   t.ref_bit.(f) <- false;
   f
+
+(* The demand victim: the first frame the sweep gives up, written back
+   first if dirty. *)
+let victim_frame t sh = evict_frame t sh (sweep t sh ~skip_dirty:false)
+
+(* A prefetch's victim.  While a write-back would force the log, the
+   sweep takes only a clean frame, so a hint never makes its issuer wait
+   for a log force.  Only when no clean frame is evictable does it fall
+   back to the demand victim, swept from where the clean sweep began:
+   that victim is dirty, and its write-back forces the log (counted under
+   [pool.prefetch_dirty_victims]).  With the log durable, or with no log,
+   it is the demand victim. *)
+let prefetch_frame t sh =
+  match t.wal with
+  | Some h when h.write_forces_log () -> (
+      let start = sh.hand in
+      match sweep t sh ~skip_dirty:true with
+      | f -> evict_frame t sh f
+      | exception Pool_exhausted ->
+          sh.hand <- start;
+          let f = victim_frame t sh in
+          Counter.incr t.stats.prefetch_dirty_victims;
+          f)
+  | _ -> victim_frame t sh
 
 (* Like [victim_frame], but when the sweep fails because every unpinned
    frame holds a read still in flight, wait for the earliest completion
@@ -588,7 +627,7 @@ let prefetch t page =
     Sim.charge_busy t.sim t.prefetch_request_busy;
     latch_acquire t sh;
     (try
-       let frame = victim_frame t sh in
+       let frame = prefetch_frame t sh in
        let worker = ref 0 in
        for i = 1 to Array.length t.prefetcher_free - 1 do
          if t.prefetcher_free.(i) < t.prefetcher_free.(!worker) then worker := i

@@ -49,6 +49,10 @@ type stats = {
   prefetch_dropped : Fpb_obs.Counter.t;
       (** [pool.prefetch_dropped]: hints dropped because the pool was too
           hot to find a frame or the prefetch read erred *)
+  prefetch_dirty_victims : Fpb_obs.Counter.t;
+      (** [pool.prefetch_dirty_victims]: prefetches that found no clean
+          evictable frame while the log had records to force, so wrote
+          a dirty victim back behind a log force *)
   io_wait_ns : Fpb_obs.Counter.t;
       (** [pool.io_wait_ns]: time the caller waited on I/O (includes
           retry backoff, and another client's read that has not landed
@@ -89,7 +93,10 @@ type stats = {
     (log-before-data; it may raise to simulate a crash), [on_page_write]
     after it, so the log can refresh its durable image of the page.
     [page_lsn] reports the LSN of the newest logged change to a page; the
-    pool stamps it into the page's checksum header on write-back. *)
+    pool stamps it into the page's checksum header on write-back.
+    [write_forces_log] tells whether a write-back now would force the log
+    (some sealed records are not yet durable); {!prefetch} then passes
+    over dirty frames. *)
 type wal_hooks = {
   on_page_dirty : int -> unit;
   before_page_write : int -> unit;
@@ -97,6 +104,7 @@ type wal_hooks = {
   on_page_alloc : int -> unit;
   on_page_free : int -> unit;
   page_lsn : int -> int;
+  write_forces_log : unit -> bool;
 }
 
 (** How hard a demand read fights transient errors before giving up.
@@ -197,10 +205,14 @@ val mark_dirty : t -> int -> unit
 val with_page : t -> int -> (Fpb_simmem.Mem.region -> 'a) -> 'a
 
 (** Request an asynchronous read; no-op if resident or in flight.  Served
-    by the earliest-available prefetcher.  Dropped (counted under
-    [pool.prefetch_dropped]) if the pool is too hot to find a frame or
-    the read errs; verification of prefetched bytes happens at the first
-    [get]. *)
+    by the earliest-available prefetcher.  While a write-back would force
+    the log, the read takes the first clean frame the CLOCK sweep gives
+    up, passing over dirty ones, so the hint forces no log; only when no
+    clean frame is evictable does it evict a dirty victim as a demand
+    miss would (counted under [pool.prefetch_dirty_victims]).  Dropped
+    (counted under [pool.prefetch_dropped]) if the pool is too hot to find
+    a frame or the read errs; verification of prefetched bytes happens at
+    the first [get]. *)
 val prefetch : t -> int -> unit
 
 val is_resident : t -> int -> bool

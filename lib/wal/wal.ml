@@ -1749,6 +1749,7 @@ let attach ?(group_commit_bytes = 0) ?(log_base_images = false)
          on_page_alloc = on_page_alloc t;
          on_page_free = on_page_free t;
          page_lsn = page_lsn t;
+         write_forces_log = (fun () -> (not t.crashed) && t.pending_bytes > 0);
        });
   Buffer_pool.set_repair pool
     (Some (fun page ~bad_sectors -> repair_page t ~bad_sectors page));

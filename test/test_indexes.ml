@@ -177,13 +177,16 @@ let model_test name kind =
       ok && List.rev !dumped = List.of_seq (M.to_seq !m))
 
 let model_test_bulk name kind =
-  (* start from a bulkloaded tree, then mutate *)
+  (* start from a bulkloaded tree, then mutate.  Only the bulkload
+     shrinks: each shrink step rebuilds the tree and replays the ops, and
+     shrinking 250 ops one element at a time took minutes to report a
+     failure. *)
   Util.qtest ~count:15
     (Printf.sprintf "%s bulk+ops agrees with Map oracle" name)
     QCheck2.Gen.(
       pair
         (pair (1 -- 3000) (oneofl [ 0.6; 0.8; 1.0 ]))
-        (list_size (return 250) op_gen))
+        (no_shrink (list_size (return 250) op_gen)))
     (fun ((n, fill), ops) ->
       let idx = make_index ~page_size:4096 kind in
       let pairs = Array.init n (fun i -> (2 * i, i)) in
@@ -202,35 +205,60 @@ let model_test_bulk name kind =
 
 (* --- pB+-Tree (memory-resident) -------------------------------------------- *)
 
-(* Figure 3(b) bulkloads a pB+-Tree and searches it; the tree offers
-   nothing else.  Keys ascend by random gaps, so some gaps hold absent
+(* Keys ascend from [base] by random gaps, so some gaps hold absent
    keys. *)
+let sorted_pairs_gen =
+  QCheck2.Gen.(
+    map
+      (fun (base, gaps) ->
+        let keys = Array.of_list gaps in
+        for i = 0 to Array.length keys - 1 do
+          keys.(i) <- (if i = 0 then base else keys.(i - 1)) + keys.(i)
+        done;
+        (base, Array.map (fun k -> (k, k land 0xffff)) keys))
+      (pair (-1000 -- 1000) (list_size (0 -- 5000) (1 -- 3))))
+
+(* A bulkloaded tree holds exactly [pairs]: [iter] yields them in order,
+   [search] finds each, and the keys between them are absent. *)
+let holds_pairs ~iter ~search (base, pairs) =
+  let got = ref [] in
+  iter (fun k v -> got := (k, v) :: !got);
+  let present = Hashtbl.create 64 in
+  Array.iter (fun (k, _) -> Hashtbl.replace present k ()) pairs;
+  List.rev !got = Array.to_list pairs
+  && Array.for_all (fun (k, v) -> search k = Some v) pairs
+  && List.for_all
+       (fun k -> Hashtbl.mem present k || search k = None)
+       (base :: Array.to_list (Array.map (fun (k, _) -> k + 1) pairs))
+
+(* Figure 3(b) bulkloads a pB+-Tree and searches it; the tree offers
+   nothing else. *)
 let pb_bulkload_prop =
   Util.qtest ~count:30 "pB+tree bulkload matches its pairs"
     QCheck2.Gen.(
       triple (2 -- 8)
         (map (fun x -> 1. -. x) (float_bound_exclusive 1.))
-        (pair (-1000 -- 1000) (list_size (0 -- 5000) (1 -- 3))))
-    (fun (node_lines, fill, (base, gaps)) ->
+        sorted_pairs_gen)
+    (fun (node_lines, fill, keys) ->
       let open Fpb_pbtree in
-      let keys = Array.of_list gaps in
-      for i = 0 to Array.length keys - 1 do
-        keys.(i) <- (if i = 0 then base else keys.(i - 1)) + keys.(i)
-      done;
-      let pairs = Array.map (fun k -> (k, k land 0xffff)) keys in
       let sim = Fpb_simmem.Sim.create () in
       let t = Pbtree.create ~node_lines sim in
-      Pbtree.bulkload t pairs ~fill;
+      Pbtree.bulkload t (snd keys) ~fill;
       Pbtree.check t;
-      let got = ref [] in
-      Pbtree.iter t (fun k v -> got := (k, v) :: !got);
-      let present = Hashtbl.create 64 in
-      Array.iter (fun (k, _) -> Hashtbl.replace present k ()) pairs;
-      List.rev !got = Array.to_list pairs
-      && Array.for_all (fun (k, v) -> Pbtree.search t k = Some v) pairs
-      && List.for_all
-           (fun k -> Hashtbl.mem present k || Pbtree.search t k = None)
-           (base :: Array.to_list (Array.map succ keys)))
+      holds_pairs ~iter:(Pbtree.iter t) ~search:(Pbtree.search t) keys)
+
+(* Fills are log-uniform in [0.001, 1], so about a fifth of the cases
+   leave fewer than two entries a 4 KB page: each page then takes two. *)
+let bulkload_prop name kind =
+  Util.qtest ~count:30
+    (Printf.sprintf "%s bulkload matches its pairs" name)
+    QCheck2.Gen.(
+      pair (map (fun x -> 10. ** (-3. *. x)) (float_bound_inclusive 1.)) sorted_pairs_gen)
+    (fun (fill, keys) ->
+      let idx = make_index ~page_size:4096 kind in
+      Index_sig.bulkload idx (snd keys) ~fill;
+      Index_sig.check idx;
+      holds_pairs ~iter:(Index_sig.iter idx) ~search:(Index_sig.search idx) keys)
 
 (* --- Suite ------------------------------------------------------------------ *)
 
@@ -252,6 +280,7 @@ let per_kind_cases =
           (test_prefetch_scan_equiv kind);
         model_test name kind;
         model_test_bulk name kind;
+        bulkload_prop name kind;
       ])
     kinds
 

@@ -665,6 +665,85 @@ let prop_recovery_prefix =
             points)
         X.Setup.all_kinds)
 
+(* --- a prefetch evicts clean frames --- *)
+
+(* While the log holds records to force, a prefetch hint takes a clean
+   frame, so it neither writes a page back nor forces the log; only when
+   every evictable frame is dirty does it evict a dirty victim, forcing
+   the log first.  The pool has 4 frames and a group-commit log, so
+   commits stay buffered until a force.  Its CLOCK hand stands at frame
+   0, which holds page 0: a sweep that took dirty frames would evict
+   page 0 first. *)
+let test_prefetch_passes_over_dirty () =
+  let _, _, disks, pool = Util.make_system ~n_disks:2 ~capacity:4 () in
+  let wal = Wal.attach ~group_commit_bytes:65_536 ~meta:[] pool in
+  let sim = Buffer_pool.sim pool in
+  let ids =
+    Array.init 8 (fun _ ->
+        let id, _ = Buffer_pool.create_page pool in
+        Buffer_pool.unpin pool id;
+        id)
+  in
+  let op = ref 1 in
+  Wal.commit wal ~op:!op ~meta:[];
+  Buffer_pool.clear pool;
+  let resident i = Buffer_pool.is_resident pool ids.(i) in
+  let read i = Buffer_pool.with_page pool ids.(i) ignore in
+  let dirty is =
+    List.iter
+      (fun i ->
+        Buffer_pool.with_page pool ids.(i) (fun r ->
+            Fpb_simmem.Mem.write_i32 sim r 0 (i + 1));
+        Buffer_pool.mark_dirty pool ids.(i))
+      is;
+    incr op;
+    Wal.commit wal ~op:!op ~meta:[]
+  in
+  let flushes () = List.assoc "wal.flushes" (Wal.kv wal) in
+  let writes () = Disk_model.writes disks in
+  let victims () =
+    Fpb_obs.Counter.value (Buffer_pool.stats pool).Buffer_pool.prefetch_dirty_victims
+  in
+  List.iter read [ 0; 1; 2; 3 ];
+  dirty [ 0; 1 ];
+  let f0 = flushes () and w0 = writes () in
+  Buffer_pool.prefetch pool ids.(4);
+  Alcotest.(check bool) "page 4 prefetched" true (resident 4);
+  Alcotest.(check (list bool)) "dirty pages stay" [ true; true ] [ resident 0; resident 1 ];
+  Alcotest.(check (list bool)) "page 2 went" [ false; true ] [ resident 2; resident 3 ];
+  check_int "no log force" f0 (flushes ());
+  check_int "no write-back" w0 (writes ());
+  check_int "no dirty victim" 0 (victims ());
+  (* every evictable frame dirty: fall back to a dirty victim *)
+  read 4;
+  dirty [ 3; 4 ];
+  let f1 = flushes () and w1 = writes () in
+  Buffer_pool.prefetch pool ids.(5);
+  Alcotest.(check bool) "page 5 prefetched" true (resident 5);
+  check_int "one dirty victim" 1 (victims ());
+  check_int "one log force" (f1 + 1) (flushes ());
+  check_int "one write-back" (w1 + 1) (writes ());
+  (* with the log durable a write-back forces nothing: the prefetch
+     takes the demand victim, dirty or not *)
+  read 5;
+  dirty [ 5 ];
+  Wal.flush wal;
+  let f2 = flushes () and w2 = writes () in
+  Buffer_pool.prefetch pool ids.(6);
+  Alcotest.(check bool) "page 6 prefetched" true (resident 6);
+  check_int "still one dirty victim" 1 (victims ());
+  check_int "no force of a durable log" f2 (flushes ());
+  check_int "a write-back without a force" (w2 + 1) (writes ());
+  (* WAL-before-data: when the force fails, nothing reaches the disk *)
+  read 6;
+  dirty [ 6 ];
+  Wal.set_crash_at_byte wal (Some (Wal.durable_bytes wal + 1));
+  let w3 = writes () in
+  (match Buffer_pool.prefetch pool ids.(7) with
+  | () -> Alcotest.fail "the log force should have crashed"
+  | exception Wal.Crashed -> ());
+  check_int "no write-back past a failed force" w3 (writes ())
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -692,4 +771,6 @@ let suite =
     prop_logged_delta_is_full_diff;
     Alcotest.test_case "repair forces one counted full diff" `Quick
       test_repair_forces_one_full_diff;
+    Alcotest.test_case "prefetch passes over dirty frames" `Quick
+      test_prefetch_passes_over_dirty;
   ]
