@@ -2,9 +2,12 @@
    a parallel pointer array at format-chosen offsets.  The format decides
    how a page is searched (plain binary search for the disk-optimized
    baseline; micro-index + sub-array search for micro-indexing) and what
-   bookkeeping follows an update (e.g. refreshing the micro-index).  The
-   tree-level logic — descent, splits, parent maintenance, bulkload, range
-   scans with jump-pointer prefetching, invariants — is shared.
+   bookkeeping follows an update (e.g. refreshing the micro-index).  This
+   functor holds what both formats share inside a page: descent, the
+   in-page insert and split, the untrusted-minimum fix, range scans with
+   jump-pointer prefetching and the per-page invariants.  The page level
+   every paged tree shares — sibling splice, bulkload levels, split
+   propagation, leaf walk, leaf-chain check — is [Page_chain]'s.
 
    Nonleaf routing convention: a nonleaf with n entries has keys k_0..k_n-1
    and children c_0..c_n-1, where child c_i holds keys in [k_i, k_i+1) for
@@ -62,6 +65,7 @@ module Make (F : PAGE_FORMAT) = struct
   let off_n = 2
   let off_prev = 4
   let off_next = 8
+  let links = { Page_chain.prev = off_prev; next = off_next }
   (* Leaf pages a range scan keeps in flight ahead of itself. *)
   let io_prefetch_distance = 16
   let key_off t i = F.key_base t.cfg + (Key.size * i)
@@ -185,68 +189,67 @@ module Make (F : PAGE_FORMAT) = struct
     Mem.write_u16 t.sim r off_n mid;
     F.entries_updated t.sim t.cfg rr ~n:moved ~from:0;
     F.entries_updated t.sim t.cfg r ~n:mid ~from:mid;
-    let old_next = Mem.read_i32 t.sim r off_next in
-    Mem.write_i32 t.sim rr off_next old_next;
-    Mem.write_i32 t.sim rr off_prev page;
-    Mem.write_i32 t.sim r off_next right;
-    if old_next <> nil then
-      Buffer_pool.with_page t.pool old_next (fun onr ->
-          Mem.write_i32 t.sim onr off_prev right;
-          Buffer_pool.mark_dirty t.pool old_next);
+    Page_chain.splice links t.pool ~page r ~right rr;
     let sep = Mem.read_i32 t.sim rr (key_off t 0) in
     Buffer_pool.mark_dirty t.pool page;
     Buffer_pool.mark_dirty t.pool right;
     (right, rr, sep)
 
-  let rec insert_into_parent t path sep child =
-    match path with
-    | [] ->
-        let old_root = t.root in
-        let new_root, r = new_page t ~leaf:false in
-        let old_min =
-          Buffer_pool.with_page t.pool old_root (fun orr ->
-              Mem.read_i32 t.sim orr (key_off t 0))
-        in
-        Mem.write_i32 t.sim r (key_off t 0) old_min;
-        Mem.write_i32 t.sim r (ptr_off t 0) old_root;
-        Mem.write_i32 t.sim r (key_off t 1) sep;
-        Mem.write_i32 t.sim r (ptr_off t 1) child;
-        Mem.write_u16 t.sim r off_n 2;
-        F.entries_updated t.sim t.cfg r ~n:2 ~from:0;
-        Buffer_pool.unpin t.pool new_root;
-        t.root <- new_root;
-        t.levels <- t.levels + 1
-    | parent :: rest ->
-        let r = Buffer_pool.get t.pool parent in
-        let n = Mem.read_u16 t.sim r off_n in
-        let i = F.find_slot t.sim t.cfg r ~n ~key:sep `Upper in
-        (* If child 0's subtree split at or below its recorded key 0 (which
-           is not a trusted bound), lower key 0 so the array stays sorted
-           and strictly distinct, and insert the new separator at slot 1;
-           child 0 keeps covering everything below [sep]. *)
-        let i =
-          if i = 0 || (i = 1 && Mem.read_i32 t.sim r (key_off t 0) = sep)
-          then begin
-            Mem.write_i32 t.sim r (key_off t 0) (sep - 1);
-            F.entries_updated t.sim t.cfg r ~n ~from:0;
-            1
-          end
-          else i
-        in
-        if n < t.fanout then begin
-          insert_at t r ~n ~i sep child;
-          Buffer_pool.mark_dirty t.pool parent;
-          Buffer_pool.unpin t.pool parent
-        end
-        else begin
-          let right, rr, parent_sep = split_page t parent r ~leaf:false in
-          let mid = t.fanout / 2 in
-          (if i <= mid then insert_at t r ~n:mid ~i sep child
-           else insert_at t rr ~n:(t.fanout - mid) ~i:(i - mid) sep child);
-          Buffer_pool.unpin t.pool parent;
-          Buffer_pool.unpin t.pool right;
-          insert_into_parent t rest parent_sep right
-        end
+  (* Put [(key, ptr)] at slot [i] of pinned [page], which holds [n]
+     entries, and unpin it.  A full page splits first; then the new right
+     page's separator and ID come back for the parent. *)
+  let place t page r ~leaf ~n ~i key ptr =
+    if n < t.fanout then begin
+      insert_at t r ~n ~i key ptr;
+      Buffer_pool.mark_dirty t.pool page;
+      Buffer_pool.unpin t.pool page;
+      None
+    end
+    else begin
+      let right, rr, sep = split_page t page r ~leaf in
+      let mid = t.fanout / 2 in
+      (if i <= mid then insert_at t r ~n:mid ~i key ptr
+       else insert_at t rr ~n:(t.fanout - mid) ~i:(i - mid) key ptr);
+      Buffer_pool.unpin t.pool page;
+      Buffer_pool.unpin t.pool right;
+      Some (sep, right)
+    end
+
+  let insert_into_parent t parent sep child =
+    let r = Buffer_pool.get t.pool parent in
+    let n = Mem.read_u16 t.sim r off_n in
+    let i = F.find_slot t.sim t.cfg r ~n ~key:sep `Upper in
+    (* If child 0's subtree split at or below its recorded key 0 (which
+       is not a trusted bound), lower key 0 so the array stays sorted and
+       strictly distinct, and insert the new separator at slot 1; child 0
+       keeps covering everything below [sep]. *)
+    let i =
+      if i = 0 || (i = 1 && Mem.read_i32 t.sim r (key_off t 0) = sep) then begin
+        Mem.write_i32 t.sim r (key_off t 0) (sep - 1);
+        F.entries_updated t.sim t.cfg r ~n ~from:0;
+        1
+      end
+      else i
+    in
+    place t parent r ~leaf:false ~n ~i sep child
+
+  (* A new root over the old one and its new right sibling [child]. *)
+  let grow_root t sep child =
+    let old_root = t.root in
+    let new_root, r = new_page t ~leaf:false in
+    let old_min =
+      Buffer_pool.with_page t.pool old_root (fun orr ->
+          Mem.read_i32 t.sim orr (key_off t 0))
+    in
+    Mem.write_i32 t.sim r (key_off t 0) old_min;
+    Mem.write_i32 t.sim r (ptr_off t 0) old_root;
+    Mem.write_i32 t.sim r (key_off t 1) sep;
+    Mem.write_i32 t.sim r (ptr_off t 1) child;
+    Mem.write_u16 t.sim r off_n 2;
+    F.entries_updated t.sim t.cfg r ~n:2 ~from:0;
+    Buffer_pool.unpin t.pool new_root;
+    t.root <- new_root;
+    t.levels <- t.levels + 1
 
   let insert t key tid =
     if not (Key.valid key) then invalid_arg (F.name ^ ".insert: key out of range");
@@ -261,20 +264,12 @@ module Make (F : PAGE_FORMAT) = struct
       Buffer_pool.unpin t.pool page;
       `Updated
     end
-    else if n < t.fanout then begin
-      insert_at t r ~n ~i key tid;
-      Buffer_pool.mark_dirty t.pool page;
-      Buffer_pool.unpin t.pool page;
-      `Inserted
-    end
     else begin
-      let right, rr, sep = split_page t page r ~leaf:true in
-      let mid = t.fanout / 2 in
-      (if i <= mid then insert_at t r ~n:mid ~i key tid
-       else insert_at t rr ~n:(t.fanout - mid) ~i:(i - mid) key tid);
-      Buffer_pool.unpin t.pool page;
-      Buffer_pool.unpin t.pool right;
-      insert_into_parent t !path sep right;
+      (match place t page r ~leaf:true ~n ~i key tid with
+      | None -> ()
+      | Some (sep, right) ->
+          Page_chain.propagate ~insert:(insert_into_parent t) ~grow:(grow_root t)
+            !path sep right);
       `Inserted
     end
 
@@ -302,50 +297,21 @@ module Make (F : PAGE_FORMAT) = struct
   let bulkload t pairs ~fill =
     if fill <= 0. || fill > 1. then invalid_arg (F.name ^ ".bulkload: fill");
     if t.n_pages > 1 then invalid_arg (F.name ^ ".bulkload: tree not empty");
-    let total = Array.length pairs in
-    if total = 0 then ()
-    else begin
+    if Array.length pairs > 0 then begin
       Buffer_pool.free_page t.pool t.root;
       t.n_pages <- t.n_pages - 1;
-      (* at least two entries a page, or a level of one-entry nonleaf
-         pages would never narrow to a root *)
-      let per_page = max 2 (int_of_float (float_of_int t.fanout *. fill)) in
-      let build_level ~leaf entries =
-        let n = Array.length entries in
-        let n_pages = (n + per_page - 1) / per_page in
-        let ups = Array.make n_pages (0, 0) in
-        let prev = ref nil in
-        for p = 0 to n_pages - 1 do
-          let lo = p * per_page in
-          let cnt = min per_page (n - lo) in
-          let page, r = new_page t ~leaf in
-          Mem.write_pairs t.sim r ~keys:(key_off t 0) ~values:(ptr_off t 0) entries
-            lo cnt;
-          Mem.write_u16 t.sim r off_n cnt;
-          F.entries_updated t.sim t.cfg r ~n:cnt ~from:0;
-          Mem.write_i32 t.sim r off_prev !prev;
-          if !prev <> nil then begin
-            Buffer_pool.with_page t.pool !prev (fun pr ->
-                Mem.write_i32 t.sim pr off_next page);
-            Buffer_pool.mark_dirty t.pool !prev
-          end;
-          Buffer_pool.unpin t.pool page;
-          prev := page;
-          ups.(p) <- (fst entries.(lo), page)
-        done;
-        ups
+      let root, levels =
+        Page_chain.build links t.pool ~fanout:t.fanout ~fill pairs
+          ~make:(fun ~leaf entries lo cnt ->
+            let page, r = new_page t ~leaf in
+            Mem.write_pairs t.sim r ~keys:(key_off t 0) ~values:(ptr_off t 0) entries
+              lo cnt;
+            Mem.write_u16 t.sim r off_n cnt;
+            F.entries_updated t.sim t.cfg r ~n:cnt ~from:0;
+            (page, r))
       in
-      let level = ref (build_level ~leaf:true pairs) in
-      let levels = ref 1 in
-      while Array.length !level > 1 do
-        level := build_level ~leaf:false !level;
-        incr levels
-      done;
-      match !level with
-      | [| (_, root) |] ->
-          t.root <- root;
-          t.levels <- !levels
-      | _ -> assert false
+      t.root <- root;
+      t.levels <- levels
     end
 
   (* --- Range scan ---------------------------------------------------------- *)
@@ -409,44 +375,30 @@ module Make (F : PAGE_FORMAT) = struct
 
   let height t = t.levels
   let page_count t = t.n_pages
-  let meta t = [ t.root; t.levels; t.n_pages ]
+  let meta t = Page_chain.meta ~root:t.root ~levels:t.levels ~n_pages:t.n_pages
 
-  let restore_meta t = function
-    | [ root; levels; n_pages ] ->
-        t.root <- root;
-        t.levels <- levels;
-        t.n_pages <- n_pages
-    | _ -> invalid_arg (F.name ^ ".restore_meta: bad shape")
-
-  let peek_region t page =
-    let r = Buffer_pool.get t.pool page in
-    Buffer_pool.unpin t.pool page;
-    r
+  let restore_meta t m =
+    let root, levels, n_pages = Page_chain.restore_meta ~name m in
+    t.root <- root;
+    t.levels <- levels;
+    t.n_pages <- n_pages
 
   let iter t f =
-    let rec leftmost page =
-      let r = peek_region t page in
-      if Mem.peek_u8 r off_is_leaf = 1 then page
-      else leftmost (Mem.peek_i32 r (ptr_off t 0))
-    in
-    let rec walk page =
-      if page <> nil then begin
-        let r = peek_region t page in
-        let n = Mem.peek_u16 r off_n in
-        for i = 0 to n - 1 do
+    Page_chain.iter_leaves links t.pool ~root:t.root
+      ~down:(fun ~depth:_ page ->
+        let r = Page_chain.peek t.pool page in
+        if Mem.peek_u8 r off_is_leaf = 1 then nil else Mem.peek_i32 r (ptr_off t 0))
+      (fun r ->
+        for i = 0 to Mem.peek_u16 r off_n - 1 do
           f (Mem.peek_i32 r (key_off t i)) (Mem.peek_i32 r (ptr_off t i))
-        done;
-        walk (Mem.peek_i32 r off_next)
-      end
-    in
-    walk (leftmost t.root)
+        done)
 
   let fail fmt = Fmt.kstr failwith fmt
 
   let check t =
     let leaves_seen = ref [] in
     let rec check_page page ~lo ~hi ~depth =
-      let r = peek_region t page in
+      let r = Page_chain.peek t.pool page in
       let leaf = Mem.peek_u8 r off_is_leaf = 1 in
       let n = Mem.peek_u16 r off_n in
       if leaf <> (depth = t.levels) then fail "page %d: leaf at wrong depth" page;
@@ -475,20 +427,5 @@ module Make (F : PAGE_FORMAT) = struct
         done
     in
     check_page t.root ~lo:None ~hi:None ~depth:1;
-    let expected = List.rev !leaves_seen in
-    (* forward links give tree order; each backward link names the page
-       before it *)
-    let rec chain ~prev page acc =
-      if page = nil then List.rev acc
-      else
-        let r = peek_region t page in
-        if Mem.peek_i32 r off_prev <> prev then
-          fail "page %d: prev link %d, not %d" page (Mem.peek_i32 r off_prev) prev;
-        chain ~prev:page (Mem.peek_i32 r off_next) (page :: acc)
-    in
-    match expected with
-    | [] -> ()
-    | first :: _ ->
-        let chained = chain ~prev:nil first [] in
-        if chained <> expected then fail "leaf chain disagrees with tree order"
+    Page_chain.check links t.pool (List.rev !leaves_seen)
 end

@@ -2,9 +2,11 @@
     and a parallel pointer array at format-chosen offsets.  The format
     decides how a page is searched (plain binary search for the
     disk-optimized baseline; micro-index + sub-array search for
-    micro-indexing) and what bookkeeping follows an update; the
-    tree-level logic — descent, splits, parent maintenance, bulkload,
-    range scans with jump-pointer prefetching, invariants — is shared.
+    micro-indexing) and what bookkeeping follows an update.  Both
+    formats share the descent, the in-page insert and split, range scans
+    with jump-pointer prefetching and the per-page invariants; the page
+    level (sibling splice, bulkload levels, split propagation, leaf walk,
+    leaf-chain check) is {!Page_chain}'s.
 
     Sibling links are kept at every level (as the paper's DB2
     implementation does); the leaf-parent level doubles as the internal

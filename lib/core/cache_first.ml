@@ -85,6 +85,11 @@ let h_jp_chunk = 20
 let h_first_leaf = 24
 let h_free_count = 26
 
+(* The page links sit in the opposite order from the other paged trees'
+   (next at 4, prev at 8).  The WAL logs each commit's written byte span,
+   so moving them would change the logged bytes. *)
+let links = { Page_chain.prev = h_prev; next = h_next }
+
 (* Node field offsets *)
 let n_count = 0
 let n_next_ln = 2
@@ -363,15 +368,7 @@ let split_leaf_page t pg =
   Mem.write_i32 t.sim r (node_off pred + n_next_pg) np;
   Mem.write_u16 t.sim r (node_off pred + n_next_ln) (Hashtbl.find moved chain.(mid));
   Mem.write_u16 t.sim nr h_first_leaf (Hashtbl.find moved chain.(mid));
-  (* page sibling links *)
-  let old_next = Mem.read_i32 t.sim r h_next in
-  Mem.write_i32 t.sim nr h_next old_next;
-  Mem.write_i32 t.sim nr h_prev pg;
-  Mem.write_i32 t.sim r h_next np;
-  if old_next <> nil then
-    Buffer_pool.with_page t.pool old_next (fun onr ->
-        Mem.write_i32 t.sim onr h_prev np;
-        Buffer_pool.mark_dirty t.pool old_next);
+  Page_chain.splice links t.pool ~page:pg r ~right:np nr;
   (* update parent child-pointers via the back-pointer + sibling chain *)
   let parent_pg = Mem.read_i32 t.sim r h_parent_pg in
   let parent_ln = Mem.read_u16 t.sim r h_parent_ln in
@@ -885,17 +882,12 @@ let restore_meta t = function
       List.iter (fun (d, p) -> Hashtbl.replace t.level_pool d p) pools
   | _ -> invalid_arg (name ^ ".restore_meta: bad shape")
 
-let peek_region t page =
-  let r = Buffer_pool.get t.pool page in
-  Buffer_pool.unpin t.pool page;
-  r
-
 let iter t f =
   let c = t.cfg in
   let rec leftmost p depth =
     if depth = t.levels then p
     else begin
-      let r = peek_region t p.pg in
+      let r = Page_chain.peek t.pool p.pg in
       leftmost
         { pg = Mem.peek_i32 r (cpg_off c p.ln 0);
           ln = Mem.peek_u16 r (cln_off c p.ln 0) }
@@ -904,7 +896,7 @@ let iter t f =
   in
   let rec walk p =
     if p.pg <> nil then begin
-      let r = peek_region t p.pg in
+      let r = Page_chain.peek t.pool p.pg in
       let n = Mem.peek_u16 r (node_off p.ln + n_count) in
       for i = 0 to n - 1 do
         f (Mem.peek_i32 r (key_off p.ln i)) (Mem.peek_i32 r (tid_off c p.ln i))
@@ -923,7 +915,7 @@ let check t =
   let leaf_pages_seen = ref [] in
   (* recursive structural check with key bounds *)
   let rec check_node p ~lo ~hi ~depth =
-    let r = peek_region t p.pg in
+    let r = Page_chain.peek t.pool p.pg in
     let kind = Mem.peek_u8 r h_kind in
     let is_leaf = depth = t.levels in
     if is_leaf && kind <> 0 then fail "leaf node %d/%d not in a leaf page" p.pg p.ln;
@@ -976,10 +968,10 @@ let check t =
   (* every leaf page's recorded chunk actually contains it *)
   List.iter
     (fun pg ->
-      let r = peek_region t pg in
+      let r = Page_chain.peek t.pool pg in
       let chunk = Mem.peek_i32 r h_jp_chunk in
       if chunk = nil then fail "leaf page %d has no jump-pointer chunk" pg;
-      let cr = peek_region t chunk in
+      let cr = Page_chain.peek t.pool chunk in
       let n = Mem.peek_u16 cr 8 in
       let found = ref false in
       for i = 0 to n - 1 do
@@ -987,13 +979,5 @@ let check t =
       done;
       if not !found then fail "leaf page %d not in its chunk %d" pg chunk)
     expected;
-  (* leaf node chain equals in-order traversal, and the leaf page chain
-     matches the jump-pointer array *)
-  let rec page_chain pg acc =
-    if pg = nil then List.rev acc
-    else page_chain (Mem.peek_i32 (peek_region t pg) h_next) (pg :: acc)
-  in
-  match expected with
-  | [] -> ()
-  | first :: _ ->
-      if page_chain first [] <> expected then fail "leaf page chain disagrees"
+  (* the leaf page chain, both ways, matches the jump-pointer array *)
+  Page_chain.check links t.pool expected

@@ -82,6 +82,7 @@ let h_free = 14
 let h_first_leaf = 16
 let h_n_leaves = 18
 let h_last_leaf = 20
+let links = { Page_chain.prev = h_prev; next = h_next }
 
 (* In-page node field offsets (from the node's first byte). *)
 let n_count = 0
@@ -551,15 +552,7 @@ let insert_into_page t page key ptr =
         let right, rr = new_page t ~kind in
         build_in_page t r left ~n_leaves:c.max_leaves;
         build_in_page t rr right_entries ~n_leaves:c.max_leaves;
-        (* page sibling links *)
-        let old_next = Mem.read_i32 t.sim r h_next in
-        Mem.write_i32 t.sim rr h_next old_next;
-        Mem.write_i32 t.sim rr h_prev page;
-        Mem.write_i32 t.sim r h_next right;
-        if old_next <> nil then
-          Buffer_pool.with_page t.pool old_next (fun onr ->
-              Mem.write_i32 t.sim onr h_prev right;
-              Buffer_pool.mark_dirty t.pool old_next);
+        Page_chain.splice links t.pool ~page r ~right rr;
         let sep = fst right_entries.(0) in
         let target_r = if key < sep then r else rr in
         (match ip_insert t target_r key ptr with
@@ -580,31 +573,30 @@ let lower_page_min t r k =
   let first = Mem.read_u16 t.sim r h_first_leaf in
   Mem.write_i32 t.sim r (leaf_key_off t.cfg first 0) k
 
-let rec insert_into_parent_pages t path sep child_page =
-  match path with
-  | [] ->
-      let old_root = t.root in
-      let root, r = new_page t ~kind:1 in
-      let old_min =
-        Buffer_pool.with_page t.pool old_root (fun orr -> page_min_key t orr)
-      in
-      build_in_page t r [| (old_min, old_root); (sep, child_page) |] ~n_leaves:1;
-      Buffer_pool.unpin t.pool root;
-      t.root <- root;
-      t.levels <- t.levels + 1
-  | parent :: rest -> (
-      (* untrusted-minimum fix: keep page key arrays sorted when the
-         leftmost subtree splits below the recorded minimum *)
-      let sep =
-        let r = Buffer_pool.get t.pool parent in
-        let m = page_min_key t r in
-        if sep <= m then lower_page_min t r (sep - 1);
-        Buffer_pool.unpin t.pool parent;
-        sep
-      in
-      match insert_into_page t parent sep child_page with
-      | `Done | `Updated -> ()
-      | `Split (psep, pright) -> insert_into_parent_pages t rest psep pright)
+(* Add [(sep, child_page)] to nonleaf page [parent]; its split, if it
+   split. *)
+let insert_into_parent t parent sep child_page =
+  (* untrusted-minimum fix: keep page key arrays sorted when the leftmost
+     subtree splits below the recorded minimum *)
+  let r = Buffer_pool.get t.pool parent in
+  let m = page_min_key t r in
+  if sep <= m then lower_page_min t r (sep - 1);
+  Buffer_pool.unpin t.pool parent;
+  match insert_into_page t parent sep child_page with
+  | `Done | `Updated -> None
+  | `Split split -> Some split
+
+(* A new root page over the old root and its new right sibling. *)
+let grow_root t sep child_page =
+  let old_root = t.root in
+  let root, r = new_page t ~kind:1 in
+  let old_min =
+    Buffer_pool.with_page t.pool old_root (fun orr -> page_min_key t orr)
+  in
+  build_in_page t r [| (old_min, old_root); (sep, child_page) |] ~n_leaves:1;
+  Buffer_pool.unpin t.pool root;
+  t.root <- root;
+  t.levels <- t.levels + 1
 
 let insert t key tid =
   if not (Key.valid key) then invalid_arg "Disk_first.insert: key out of range";
@@ -628,7 +620,8 @@ let insert t key tid =
   | `Done -> `Inserted
   | `Updated -> `Updated
   | `Split (sep, right) ->
-      insert_into_parent_pages t path sep right;
+      Page_chain.propagate ~insert:(insert_into_parent t) ~grow:(grow_root t) path
+        sep right;
       `Inserted
 
 (* --- Deletion -------------------------------------------------------------- *)
@@ -665,55 +658,24 @@ let delete t key =
 
 (* --- Bulkload --------------------------------------------------------------- *)
 
+(* Leaf pages spread entries over all leaf nodes; nonleaf pages pack. *)
 let bulkload t pairs ~fill =
   if fill <= 0. || fill > 1. then invalid_arg "Disk_first.bulkload: fill";
   if t.n_pages > 1 then invalid_arg "Disk_first.bulkload: tree not empty";
   let c = t.cfg in
-  let total = Array.length pairs in
-  if total = 0 then ()
-  else begin
+  if Array.length pairs > 0 then begin
     Buffer_pool.free_page t.pool t.root;
     t.n_pages <- t.n_pages - 1;
-    (* at least two entries a page, or a level of one-entry nonleaf pages
-       would never narrow to a root *)
-    let per_page = max 2 (int_of_float (float_of_int c.max_fanout *. fill)) in
-    (* Leaf pages spread entries over all leaf nodes; nonleaf pages pack. *)
-    let build_level ~kind entries =
-      let n = Array.length entries in
-      let n_pages = (n + per_page - 1) / per_page in
-      let ups = Array.make n_pages (0, 0) in
-      let prev = ref nil in
-      for p = 0 to n_pages - 1 do
-        let lo = p * per_page in
-        let cnt = min per_page (n - lo) in
-        let page, r = new_page t ~kind in
-        let n_leaves =
-          if kind = 0 then c.max_leaves else (cnt + c.fl - 1) / c.fl
-        in
-        build_in_page t r (Array.sub entries lo cnt) ~n_leaves;
-        Mem.write_i32 t.sim r h_prev !prev;
-        if !prev <> nil then begin
-          Buffer_pool.with_page t.pool !prev (fun pr ->
-              Mem.write_i32 t.sim pr h_next page);
-          Buffer_pool.mark_dirty t.pool !prev
-        end;
-        Buffer_pool.unpin t.pool page;
-        prev := page;
-        ups.(p) <- (fst entries.(lo), page)
-      done;
-      ups
+    let root, levels =
+      Page_chain.build links t.pool ~fanout:c.max_fanout ~fill pairs
+        ~make:(fun ~leaf entries lo cnt ->
+          let page, r = new_page t ~kind:(if leaf then 0 else 1) in
+          let n_leaves = if leaf then c.max_leaves else (cnt + c.fl - 1) / c.fl in
+          build_in_page t r (Array.sub entries lo cnt) ~n_leaves;
+          (page, r))
     in
-    let level = ref (build_level ~kind:0 pairs) in
-    let levels = ref 1 in
-    while Array.length !level > 1 do
-      level := build_level ~kind:1 !level;
-      incr levels
-    done;
-    match !level with
-    | [| (_, root) |] ->
-        t.root <- root;
-        t.levels <- !levels
-    | _ -> assert false
+    t.root <- root;
+    t.levels <- levels
   end
 
 (* --- Range scan ------------------------------------------------------------- *)
@@ -836,21 +798,15 @@ let range_scan t ?(prefetch = true) ~start_key ~end_key f =
 
 let height t = t.levels
 let page_count t = t.n_pages
-let meta t = [ t.root; t.levels; t.n_pages ]
+let meta t = Page_chain.meta ~root:t.root ~levels:t.levels ~n_pages:t.n_pages
 
-let restore_meta t = function
-  | [ root; levels; n_pages ] ->
-      t.root <- root;
-      t.levels <- levels;
-      t.n_pages <- n_pages
-  | _ -> invalid_arg (name ^ ".restore_meta: bad shape")
+let restore_meta t m =
+  let root, levels, n_pages = Page_chain.restore_meta ~name m in
+  t.root <- root;
+  t.levels <- levels;
+  t.n_pages <- n_pages
+
 let cfg t = t.cfg
-
-let peek_region t page =
-  let r = Buffer_pool.get t.pool page in
-  Buffer_pool.unpin t.pool page;
-  r
-
 let fail fmt = Fmt.kstr failwith fmt
 
 (* Uncharged in-page leaf iteration. *)
@@ -867,22 +823,13 @@ let peek_page_entries t r f =
   done
 
 let iter t f =
-  let rec leftmost page depth =
-    if depth = t.levels then page
-    else begin
-      let r = peek_region t page in
-      let first = Mem.peek_u16 r h_first_leaf in
-      leftmost (Mem.peek_i32 r (leaf_ptr_off t.cfg first 0)) (depth + 1)
-    end
-  in
-  let rec walk page =
-    if page <> nil then begin
-      let r = peek_region t page in
-      peek_page_entries t r f;
-      walk (Mem.peek_i32 r h_next)
-    end
-  in
-  walk (leftmost t.root 1)
+  Page_chain.iter_leaves links t.pool ~root:t.root
+    ~down:(fun ~depth page ->
+      if depth = t.levels then nil
+      else
+        let r = Page_chain.peek t.pool page in
+        Mem.peek_i32 r (leaf_ptr_off t.cfg (Mem.peek_u16 r h_first_leaf) 0))
+    (fun r -> peek_page_entries t r f)
 
 (* Check the in-page tree of one page; returns its entries in order. *)
 let check_in_page t r page =
@@ -951,7 +898,7 @@ let check_in_page t r page =
 let check t =
   let leaves_seen = ref [] in
   let rec check_page page ~lo ~hi ~depth =
-    let r = peek_region t page in
+    let r = Page_chain.peek t.pool page in
     let kind = Mem.peek_u8 r h_kind in
     if (kind = 0) <> (depth = t.levels) then
       fail "page %d: wrong kind at depth %d" page depth;
@@ -979,19 +926,4 @@ let check t =
     end
   in
   check_page t.root ~lo:None ~hi:None ~depth:1;
-  let expected = List.rev !leaves_seen in
-  (* forward links give tree order; each backward link names the page
-     before it *)
-  let rec chain ~prev page acc =
-    if page = nil then List.rev acc
-    else begin
-      let r = peek_region t page in
-      if Mem.peek_i32 r h_prev <> prev then
-        fail "page %d: prev link %d, not %d" page (Mem.peek_i32 r h_prev) prev;
-      chain ~prev:page (Mem.peek_i32 r h_next) (page :: acc)
-    end
-  in
-  match expected with
-  | [] -> ()
-  | first :: _ ->
-      if chain ~prev:nil first [] <> expected then fail "leaf page chain disagrees"
+  Page_chain.check links t.pool (List.rev !leaves_seen)

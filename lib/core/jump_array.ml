@@ -11,11 +11,13 @@
 
 open Fpb_simmem
 open Fpb_storage
+open Fpb_btree_common
 
 let c_next = 0
 let c_prev = 4
 let c_n = 8
 let ids_base = 12
+let links = { Page_chain.prev = c_prev; next = c_next }
 
 type t = {
   pool : Buffer_pool.t;
@@ -115,14 +117,7 @@ let insert_after t ~chunk ~after_page ~new_page ~on_assign =
     for j = 0 to moved - 1 do
       on_assign (Mem.read_i32 t.sim rr (id_off j)) ~chunk:right
     done;
-    let old_next = Mem.read_i32 t.sim r c_next in
-    Mem.write_i32 t.sim rr c_next old_next;
-    Mem.write_i32 t.sim rr c_prev chunk;
-    Mem.write_i32 t.sim r c_next right;
-    if old_next <> nil then
-      Buffer_pool.with_page t.pool old_next (fun onr ->
-          Mem.write_i32 t.sim onr c_prev right;
-          Buffer_pool.mark_dirty t.pool old_next);
+    Page_chain.splice links t.pool ~page:chunk r ~right rr;
     Buffer_pool.mark_dirty t.pool right;
     let target, tr, tn, tpos =
       if pos <= mid then (chunk, r, mid, pos) else (right, rr, moved, pos - mid)
@@ -201,8 +196,7 @@ let peek_all t =
   let out = ref [] in
   let cur = ref t.head in
   while !cur <> nil do
-    let r = Buffer_pool.get t.pool !cur in
-    Buffer_pool.unpin t.pool !cur;
+    let r = Page_chain.peek t.pool !cur in
     let n = Mem.peek_u16 r c_n in
     for i = 0 to n - 1 do
       out := Mem.peek_i32 r (id_off i) :: !out

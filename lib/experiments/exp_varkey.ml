@@ -46,7 +46,7 @@ let run scale =
           measure
             (fun sys ->
               let t = Fpb_varkey.Vk_btree.create sys.Setup.pool in
-              Fpb_varkey.Vk_btree.bulkload t pairs ~fill:1.0;
+              Fpb_varkey.Vk_btree.bulkload t pairs;
               t)
             (fun t k -> ignore (Fpb_varkey.Vk_btree.search t k))
             (fun t k -> ignore (Fpb_varkey.Vk_btree.insert t k 1))
@@ -55,7 +55,7 @@ let run scale =
           measure
             (fun sys ->
               let t = Fpb_varkey.Vk_disk_first.create ~avg_key_len:len sys.Setup.pool in
-              Fpb_varkey.Vk_disk_first.bulkload t pairs ~fill:1.0;
+              Fpb_varkey.Vk_disk_first.bulkload t pairs;
               t)
             (fun t k -> ignore (Fpb_varkey.Vk_disk_first.search t k))
             (fun t k -> ignore (Fpb_varkey.Vk_disk_first.insert t k 1))

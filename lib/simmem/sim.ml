@@ -10,10 +10,11 @@ type t = {
   cache : Cache.t;
 }
 
-let create ?(cfg = Config.default) ?(cost = Cost_model.default) () =
+let create () =
+  let cfg = Config.default in
   let clock = Clock.create () in
   let stats = Stats.create () in
-  { cfg; cost; clock; stats; cache = Cache.create cfg clock stats }
+  { cfg; cost = Cost_model.default; clock; stats; cache = Cache.create cfg clock stats }
 
 let charge_busy t cycles =
   if cycles > 0 then begin

@@ -10,7 +10,7 @@ type t = {
   cache : Cache.t;
 }
 
-val create : ?cfg:Config.t -> ?cost:Cost_model.t -> unit -> t
+val create : unit -> t
 
 (** Charge busy cycles: advances the clock and the busy counter. *)
 val charge_busy : t -> int -> unit

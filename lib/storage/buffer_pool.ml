@@ -212,7 +212,6 @@ type t = {
   prefetched : bool array;  (* frame filled by a prefetch no get has seen *)
   shards : shard array;
   prefetcher_free : int array;  (* per prefetcher: time it becomes idle *)
-  prefetch_request_busy : int;  (* cycles to enqueue a prefetch request *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
   mutable retry : retry_policy;
@@ -301,8 +300,7 @@ let invalidate_page t page =
       let page_size = Page_store.page_size t.store in
       Cache.invalidate_range t.sim.Sim.cache (frame * page_size) page_size
 
-let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
-    ~capacity sim store disks =
+let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
   if capacity <= 0 then invalid_arg "Buffer_pool.create";
   if n_shards < 1 || n_shards > capacity then
     invalid_arg "Buffer_pool.create: n_shards must be in [1, capacity]";
@@ -336,7 +334,6 @@ let create ?(n_prefetchers = 8) ?(prefetch_request_busy = 200) ?(n_shards = 1)
       prefetched = Array.make capacity false;
       shards;
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
-      prefetch_request_busy;
       readahead = 0;
       wal = None;
       retry = default_retry_policy;
@@ -617,6 +614,9 @@ let drop_frame t sh frame page =
   let page_size = Page_store.page_size t.store in
   Cache.invalidate_range t.sim.Sim.cache (frame * page_size) page_size
 
+(* Cycles to enqueue a prefetch request. *)
+let prefetch_request_busy = 200
+
 (* Request an asynchronous read of [page].  No-op if already resident or in
    flight.  The request is served by the earliest-available prefetcher.  A
    prefetcher does not retry or repair: on any I/O error it drops the hint
@@ -624,7 +624,7 @@ let drop_frame t sh frame page =
 let prefetch t page =
   let sh = shard_of t page in
   if not (Page_table.mem sh.table page) then begin
-    Sim.charge_busy t.sim t.prefetch_request_busy;
+    Sim.charge_busy t.sim prefetch_request_busy;
     latch_acquire t sh;
     (try
        let frame = prefetch_frame t sh in

@@ -151,7 +151,6 @@ exception Overloaded of { page : int; scans : int }
     [1, capacity]. *)
 val create :
   ?n_prefetchers:int ->
-  ?prefetch_request_busy:int ->
   ?n_shards:int ->
   capacity:int ->
   Fpb_simmem.Sim.t ->

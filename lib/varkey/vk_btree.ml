@@ -12,6 +12,7 @@
 
 open Fpb_simmem
 open Fpb_storage
+open Fpb_btree_common
 
 type t = {
   pool : Buffer_pool.t;
@@ -29,6 +30,7 @@ let h_prev = 4
 let h_next = 8
 let h_leftmost = 12
 let node_base = 16
+let links = { Page_chain.prev = h_prev; next = h_next }
 
 let node t r = { Slotted.r; off = node_base; size = t.page_size - node_base }
 
@@ -104,47 +106,42 @@ let split_page t pg r =
   in
   Slotted.rebuild t.sim nd (Array.to_list left_items);
   Slotted.rebuild t.sim rnd (Array.to_list right_items);
-  (* sibling links *)
-  let old_next = Mem.read_i32 t.sim r h_next in
-  Mem.write_i32 t.sim rr h_next old_next;
-  Mem.write_i32 t.sim rr h_prev pg;
-  Mem.write_i32 t.sim r h_next right;
-  if old_next <> nil then
-    Buffer_pool.with_page t.pool old_next (fun onr ->
-        Mem.write_i32 t.sim onr h_prev right;
-        Buffer_pool.mark_dirty t.pool old_next);
+  Page_chain.splice links t.pool ~page:pg r ~right rr;
   Buffer_pool.mark_dirty t.pool pg;
   Buffer_pool.mark_dirty t.pool right;
   (sep, right, rr)
 
-let rec insert_into_parent t path sep child =
-  match path with
-  | [] ->
-      let old_root = t.root in
-      let root, r = new_page t ~leaf:false in
-      Mem.write_i32 t.sim r h_leftmost old_root;
-      ignore (Slotted.insert_at t.sim (node t r) ~i:0 sep child);
-      Buffer_pool.unpin t.pool root;
-      t.root <- root;
-      t.levels <- t.levels + 1
-  | parent :: rest ->
-      let r = Buffer_pool.get t.pool parent in
-      let nd = node t r in
-      let i = Slotted.find t.sim nd ~key:sep `Upper in
-      Buffer_pool.mark_dirty t.pool parent;
-      if Slotted.insert_at t.sim nd ~i sep child then
-        Buffer_pool.unpin t.pool parent
-      else begin
-        let psep, right, rr = split_page t parent r in
-        let target_r = if sep < psep then r else rr in
-        let tnd = node t target_r in
-        let ti = Slotted.find t.sim tnd ~key:sep `Upper in
-        if not (Slotted.insert_at t.sim tnd ~i:ti sep child) then
-          failwith "Vk_btree: separator does not fit after split";
-        Buffer_pool.unpin t.pool parent;
-        Buffer_pool.unpin t.pool right;
-        insert_into_parent t rest psep right
-      end
+(* Add [(sep, child)] to nonleaf page [parent]; its split, if it split. *)
+let insert_into_parent t parent sep child =
+  let r = Buffer_pool.get t.pool parent in
+  let nd = node t r in
+  let i = Slotted.find t.sim nd ~key:sep `Upper in
+  Buffer_pool.mark_dirty t.pool parent;
+  if Slotted.insert_at t.sim nd ~i sep child then begin
+    Buffer_pool.unpin t.pool parent;
+    None
+  end
+  else begin
+    let psep, right, rr = split_page t parent r in
+    let target_r = if sep < psep then r else rr in
+    let tnd = node t target_r in
+    let ti = Slotted.find t.sim tnd ~key:sep `Upper in
+    if not (Slotted.insert_at t.sim tnd ~i:ti sep child) then
+      failwith "Vk_btree: separator does not fit after split";
+    Buffer_pool.unpin t.pool parent;
+    Buffer_pool.unpin t.pool right;
+    Some (psep, right)
+  end
+
+(* A new root over the old one and its new right sibling [child]. *)
+let grow_root t sep child =
+  let old_root = t.root in
+  let root, r = new_page t ~leaf:false in
+  Mem.write_i32 t.sim r h_leftmost old_root;
+  ignore (Slotted.insert_at t.sim (node t r) ~i:0 sep child);
+  Buffer_pool.unpin t.pool root;
+  t.root <- root;
+  t.levels <- t.levels + 1
 
 let insert t key tid =
   if String.length key = 0 || String.length key > Slotted.max_key_len then
@@ -172,49 +169,36 @@ let insert t key tid =
       failwith "Vk_btree: entry does not fit after split";
     Buffer_pool.unpin t.pool page;
     Buffer_pool.unpin t.pool right;
-    insert_into_parent t !path sep right;
+    Page_chain.propagate ~insert:(insert_into_parent t) ~grow:(grow_root t) !path
+      sep right;
     `Inserted
   end
 
 (* Sorted unique keys. *)
-let bulkload t pairs ~fill =
-  if fill <= 0. || fill > 1. then invalid_arg "Vk_btree.bulkload: fill";
+let bulkload t pairs =
   if t.n_pages > 1 then invalid_arg "Vk_btree.bulkload: not empty";
-  Array.iter (fun (k, v) -> ignore (insert t k v)) pairs;
-  ignore fill
+  Array.iter (fun (k, v) -> ignore (insert t k v)) pairs
 
 let height t = t.levels
 let page_count t = t.n_pages
 
-let peek_region t page =
-  let r = Buffer_pool.get t.pool page in
-  Buffer_pool.unpin t.pool page;
-  r
-
 let iter t f =
-  let rec leftmost page =
-    let r = peek_region t page in
-    if Mem.peek_u8 r h_is_leaf = 1 then page
-    else leftmost (Mem.peek_i32 r h_leftmost)
-  in
-  let rec walk page =
-    if page <> nil then begin
-      let r = peek_region t page in
+  Page_chain.iter_leaves links t.pool ~root:t.root
+    ~down:(fun ~depth:_ page ->
+      let r = Page_chain.peek t.pool page in
+      if Mem.peek_u8 r h_is_leaf = 1 then nil else Mem.peek_i32 r h_leftmost)
+    (fun r ->
       let nd = node t r in
-      let n = Slotted.peek nd Slotted.o_n in
-      for i = 0 to n - 1 do
+      for i = 0 to Slotted.peek nd Slotted.o_n - 1 do
         f (Slotted.peek_key nd i) (Slotted.peek_ptr nd i)
-      done;
-      walk (Mem.peek_i32 r h_next)
-    end
-  in
-  walk (leftmost t.root)
+      done)
 
 let fail fmt = Fmt.kstr failwith fmt
 
 let check t =
+  let leaves_seen = ref [] in
   let rec check_page page ~lo ~hi ~depth =
-    let r = peek_region t page in
+    let r = Page_chain.peek t.pool page in
     let leaf = Mem.peek_u8 r h_is_leaf = 1 in
     if leaf <> (depth = t.levels) then fail "vk page %d: leaf at wrong depth" page;
     let nd = node t r in
@@ -231,7 +215,8 @@ let check t =
       | Some b when k >= b -> fail "vk page %d: key above bound" page
       | _ -> ()
     done;
-    if not leaf then begin
+    if leaf then leaves_seen := page :: !leaves_seen
+    else begin
       check_page (Mem.peek_i32 r h_leftmost) ~lo
         ~hi:(if n > 0 then Some (Slotted.peek_key nd 0) else hi)
         ~depth:(depth + 1);
@@ -242,4 +227,5 @@ let check t =
       done
     end
   in
-  check_page t.root ~lo:None ~hi:None ~depth:1
+  check_page t.root ~lo:None ~hi:None ~depth:1;
+  Page_chain.check links t.pool (List.rev !leaves_seen)

@@ -9,8 +9,8 @@ val create : Fpb_storage.Buffer_pool.t -> t
 val search : t -> string -> int option
 val insert : t -> string -> int -> [ `Inserted | `Updated ]
 
-(** Build from sorted unique keys (repeated insertion; [fill] ignored). *)
-val bulkload : t -> (string * int) array -> fill:float -> unit
+(** Build from sorted unique keys by repeated insertion. *)
+val bulkload : t -> (string * int) array -> unit
 
 val height : t -> int
 val page_count : t -> int

@@ -31,6 +31,7 @@
 
 open Fpb_simmem
 open Fpb_storage
+open Fpb_btree_common
 
 type cfg = {
   page_size : int;
@@ -63,6 +64,7 @@ let h_first_leaf = 16
 let h_n_leaves = 18
 let h_last_leaf = 20
 let h_leftmost_page = 24
+let links = { Page_chain.prev = h_prev; next = h_next }
 
 (* Node-size selection: the fixed-key tuner's figure of merit with
    byte-based capacities for the expected key length. *)
@@ -447,35 +449,22 @@ let insert_into_page t page key ptr =
           Mem.write_i32 t.sim r h_leftmost_page leftmost;
           build_in_page t rr (rebuild right_items) ~kind;
           Mem.write_i32 t.sim rr h_leftmost_page right_leftmost;
-          (* sibling links *)
-          let old_next = Mem.read_i32 t.sim r h_next in
-          Mem.write_i32 t.sim rr h_next old_next;
-          Mem.write_i32 t.sim rr h_prev page;
-          Mem.write_i32 t.sim r h_next right_page;
-          if old_next <> nil then
-            Buffer_pool.with_page t.pool old_next (fun onr ->
-                Mem.write_i32 t.sim onr h_prev right_page;
-                Buffer_pool.mark_dirty t.pool old_next);
+          Page_chain.splice links t.pool ~page r ~right:right_page rr;
           Buffer_pool.mark_dirty t.pool right_page;
           Buffer_pool.unpin t.pool right_page;
           finish (`Split (sep, right_page)))
 
-let rec insert_into_parent_pages t path sep child_page =
-  match path with
-  | [] ->
-      let old_root = t.root in
-      let root, r = new_page t ~kind:1 in
-      Mem.write_i32 t.sim r h_leftmost_page old_root;
-      (match ip_insert t r sep child_page with
-      | `Done -> ()
-      | _ -> failwith "vk: new root insert failed");
-      Buffer_pool.unpin t.pool root;
-      t.root <- root;
-      t.levels <- t.levels + 1
-  | parent :: rest -> (
-      match insert_into_page t parent sep child_page with
-      | `Done | `Updated -> ()
-      | `Split (psep, pright) -> insert_into_parent_pages t rest psep pright)
+(* A new root page over the old root and its new right sibling. *)
+let grow_root t sep child_page =
+  let old_root = t.root in
+  let root, r = new_page t ~kind:1 in
+  Mem.write_i32 t.sim r h_leftmost_page old_root;
+  (match ip_insert t r sep child_page with
+  | `Done -> ()
+  | _ -> failwith "vk: new root insert failed");
+  Buffer_pool.unpin t.pool root;
+  t.root <- root;
+  t.levels <- t.levels + 1
 
 let insert t key tid =
   if String.length key = 0 || String.length key > 48 then
@@ -489,12 +478,15 @@ let insert t key tid =
   | `Done -> `Inserted
   | `Updated -> `Updated
   | `Split (sep, right) ->
-      insert_into_parent_pages t !path sep right;
+      Page_chain.propagate ~grow:(grow_root t) !path sep right
+        ~insert:(fun parent sep child ->
+          match insert_into_page t parent sep child with
+          | `Done | `Updated -> None
+          | `Split split -> Some split);
       `Inserted
 
-(* Sorted unique keys; simple repeated-insert build (fill ignored). *)
-let bulkload t pairs ~fill =
-  ignore fill;
+(* Sorted unique keys; simple repeated-insert build. *)
+let bulkload t pairs =
   Array.iter (fun (k, v) -> ignore (insert t k v)) pairs
 
 let height t = t.levels
@@ -502,11 +494,6 @@ let page_count t = t.n_pages
 let cfg t = t.cfg
 
 (* --- Uncharged checks ----------------------------------------------------------- *)
-
-let peek_region t page =
-  let r = Buffer_pool.get t.pool page in
-  Buffer_pool.unpin t.pool page;
-  r
 
 let fail fmt = Fmt.kstr failwith fmt
 
@@ -522,18 +509,11 @@ let peek_page_entries t r f =
   done
 
 let iter t f =
-  let rec leftmost page depth =
-    if depth = t.levels then page
-    else leftmost (Mem.peek_i32 (peek_region t page) h_leftmost_page) (depth + 1)
-  in
-  let rec walk page =
-    if page <> nil then begin
-      let r = peek_region t page in
-      peek_page_entries t r f;
-      walk (Mem.peek_i32 r h_next)
-    end
-  in
-  walk (leftmost t.root 1)
+  Page_chain.iter_leaves links t.pool ~root:t.root
+    ~down:(fun ~depth page ->
+      if depth = t.levels then nil
+      else Mem.peek_i32 (Page_chain.peek t.pool page) h_leftmost_page)
+    (fun r -> peek_page_entries t r f)
 
 let check_in_page t r page =
   let levels = Mem.peek_u8 r h_ip_levels in
@@ -591,7 +571,7 @@ let check_in_page t r page =
 let check t =
   let leaves_seen = ref [] in
   let rec check_page page ~lo ~hi ~depth =
-    let r = peek_region t page in
+    let r = Page_chain.peek t.pool page in
     let kind = Mem.peek_u8 r h_kind in
     if (kind = 0) <> (depth = t.levels) then fail "vk page %d: wrong kind" page;
     let entries = check_in_page t r page in
@@ -620,12 +600,4 @@ let check t =
     end
   in
   check_page t.root ~lo:None ~hi:None ~depth:1;
-  let expected = List.rev !leaves_seen in
-  let rec chain page acc =
-    if page = nil then List.rev acc
-    else chain (Mem.peek_i32 (peek_region t page) h_next) (page :: acc)
-  in
-  match expected with
-  | [] -> ()
-  | first :: _ ->
-      if chain first [] <> expected then fail "vk leaf page chain disagrees"
+  Page_chain.check links t.pool (List.rev !leaves_seen)

@@ -26,9 +26,8 @@ val cfg : t -> cfg
 val search : t -> string -> int option
 val insert : t -> string -> int -> [ `Inserted | `Updated ]
 
-(** Build from sorted unique keys (currently repeated insertion; [fill]
-    is accepted for interface parity and ignored). *)
-val bulkload : t -> (string * int) array -> fill:float -> unit
+(** Build from sorted unique keys by repeated insertion. *)
+val bulkload : t -> (string * int) array -> unit
 
 val height : t -> int
 val page_count : t -> int

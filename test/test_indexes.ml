@@ -260,6 +260,24 @@ let bulkload_prop name kind =
       Index_sig.check idx;
       holds_pairs ~iter:(Index_sig.iter idx) ~search:(Index_sig.search idx) keys)
 
+(* Every paged tree keeps its leaf pages linked both ways, and [check]
+   reads the backward links too: breaking one must fail it. *)
+let test_prev_link_checked kind () =
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let idx = Fpb_experiments.Setup.make_index kind pool in
+  for i = 1 to 20_000 do
+    ignore (Index_sig.insert idx i i)
+  done;
+  let kind_byte r = Fpb_simmem.Mem.peek_u8 r 0 in
+  let is_leaf, prev, next =
+    match kind with
+    | Fpb_experiments.Setup.Disk_opt | Micro -> ((fun r -> kind_byte r = 1), 4, 8)
+    | Disk_first -> ((fun r -> kind_byte r = 0), 4, 8)
+    | Cache_first -> ((fun r -> kind_byte r = 0), 8, 4)
+  in
+  Util.expect_prev_link_caught pool ~is_leaf ~prev ~next (fun () ->
+      Index_sig.check idx)
+
 (* --- Suite ------------------------------------------------------------------ *)
 
 let per_kind_cases =
@@ -278,6 +296,8 @@ let per_kind_cases =
           (test_sentinel_rejected kind);
         Alcotest.test_case (name ^ ": prefetch scan equivalence") `Quick
           (test_prefetch_scan_equiv kind);
+        Alcotest.test_case (name ^ ": check reads prev links") `Quick
+          (test_prev_link_checked kind);
         model_test name kind;
         model_test_bulk name kind;
         bulkload_prop name kind;

@@ -124,6 +124,20 @@ let test_vk_sentinel_cases () =
      with Invalid_argument _ -> true);
   Alcotest.(check (option int)) "search empty tree" None (VD.search t "zzz")
 
+(* Both varkey trees link their leaf pages both ways, and [check] reads
+   the backward links: breaking one must fail it. *)
+let prev_link_checked vk_module ~leaf_kind () =
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let (module T : VK) = vk_module pool in
+  let t = T.create () in
+  for i = 0 to 2999 do
+    ignore (T.insert t (Printf.sprintf "key%06d" i) i)
+  done;
+  Util.expect_prev_link_caught pool
+    ~is_leaf:(fun r -> Mem.peek_u8 r 0 = leaf_kind)
+    ~prev:4 ~next:8
+    (fun () -> T.check t)
+
 let suite =
   [
     Alcotest.test_case "slotted node basics" `Quick test_slotted_basics;
@@ -131,4 +145,8 @@ let suite =
     Alcotest.test_case "vk disk-first vs string Map" `Slow test_vk_disk_first_oracle;
     prop_vk_disk_first_small;
     Alcotest.test_case "vk key validation" `Quick test_vk_sentinel_cases;
+    Alcotest.test_case "vk B+tree: check reads prev links" `Quick
+      (prev_link_checked vb_module ~leaf_kind:1);
+    Alcotest.test_case "vk disk-first: check reads prev links" `Quick
+      (prev_link_checked vd_module ~leaf_kind:0);
   ]
