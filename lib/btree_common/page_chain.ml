@@ -95,7 +95,7 @@ let check l pool leaves =
   | [] -> ()
   | first :: _ ->
       if walk ~prev:nil first [] <> leaves then
-        fail "leaf page chain disagrees with tree order"
+        fail "page chain disagrees with tree order"
 
 let meta ~root ~levels ~n_pages = [ root; levels; n_pages ]
 

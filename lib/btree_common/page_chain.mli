@@ -63,9 +63,10 @@ val iter_leaves :
   (Mem.region -> unit) ->
   unit
 
-(** [check l pool leaves] fails unless the next links from the first of
-    [leaves] give exactly [leaves] (the tree-order leaf pages) and each
-    prev link names the page before it. *)
+(** [check l pool pages] fails unless the next links from the first of
+    [pages] give exactly [pages] (one chain in order: a tree's leaf
+    pages, or a jump-pointer array's chunks) and each prev link names the
+    page before it. *)
 val check : links -> Buffer_pool.t -> int list -> unit
 
 (** The durable handle [[root; levels; n_pages]] of a tree, and back;

@@ -966,18 +966,25 @@ let check t =
     fail "jump-pointer array (%d pages) disagrees with leaf pages (%d)"
       (List.length jp_pages) (List.length expected);
   (* every leaf page's recorded chunk actually contains it *)
-  List.iter
-    (fun pg ->
-      let r = Page_chain.peek t.pool pg in
-      let chunk = Mem.peek_i32 r h_jp_chunk in
-      if chunk = nil then fail "leaf page %d has no jump-pointer chunk" pg;
-      let cr = Page_chain.peek t.pool chunk in
-      let n = Mem.peek_u16 cr 8 in
-      let found = ref false in
-      for i = 0 to n - 1 do
-        if Mem.peek_i32 cr (12 + (4 * i)) = pg then found := true
-      done;
-      if not !found then fail "leaf page %d not in its chunk %d" pg chunk)
-    expected;
-  (* the leaf page chain, both ways, matches the jump-pointer array *)
-  Page_chain.check links t.pool expected
+  let chunks =
+    List.fold_left
+      (fun chunks pg ->
+        let r = Page_chain.peek t.pool pg in
+        let chunk = Mem.peek_i32 r h_jp_chunk in
+        if chunk = nil then fail "leaf page %d has no jump-pointer chunk" pg;
+        let cr = Page_chain.peek t.pool chunk in
+        let n = Mem.peek_u16 cr 8 in
+        let found = ref false in
+        for i = 0 to n - 1 do
+          if Mem.peek_i32 cr (12 + (4 * i)) = pg then found := true
+        done;
+        if not !found then fail "leaf page %d not in its chunk %d" pg chunk;
+        match chunks with
+        | last :: _ when last = chunk -> chunks
+        | _ -> chunk :: chunks)
+      [] expected
+  in
+  (* the leaf page chain and the chunk list, both ways, match the order
+     the leaves give *)
+  Page_chain.check links t.pool expected;
+  Page_chain.check Jump_array.links t.pool (List.rev chunks)

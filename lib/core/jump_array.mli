@@ -6,6 +6,9 @@
 
 type t
 
+(** Header offsets of a chunk page's links to its neighbour chunks. *)
+val links : Fpb_btree_common.Page_chain.links
+
 val create : Fpb_storage.Buffer_pool.t -> t
 
 (** Chunk pages currently allocated. *)

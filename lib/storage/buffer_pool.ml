@@ -56,6 +56,7 @@ type stats = {
   prefetch_hits : Counter.t;  (* gets satisfied by a prefetched page *)
   prefetch_dropped : Counter.t;  (* hints dropped: pool too hot, or I/O error *)
   prefetch_dirty_victims : Counter.t;  (* prefetches that forced the log *)
+  demand_dirty_victims : Counter.t;  (* misses whose victim was dirty *)
   io_wait_ns : Counter.t;  (* time the querying thread waited on I/O *)
   shard_conflicts : Counter.t;  (* latch acquisitions that found it held *)
   shard_waits_ns : Counter.t;  (* simulated time spent waiting on latches *)
@@ -82,6 +83,7 @@ let make_stats () =
     prefetch_hits = Counter.make "pool.prefetch_hits";
     prefetch_dropped = Counter.make "pool.prefetch_dropped";
     prefetch_dirty_victims = Counter.make "pool.prefetch_dirty_victims";
+    demand_dirty_victims = Counter.make "pool.demand_dirty_victims";
     io_wait_ns = Counter.make "pool.io_wait_ns";
     shard_conflicts = Counter.make "pool.shard.conflicts";
     shard_waits_ns = Counter.make "pool.shard.waits_ns";
@@ -102,11 +104,11 @@ let make_stats () =
 let stats_counters s =
   [
     s.hits; s.misses; s.evictions; s.prefetch_issued; s.prefetch_hits;
-    s.prefetch_dropped; s.prefetch_dirty_victims; s.io_wait_ns;
-    s.shard_conflicts; s.shard_waits_ns; s.shard_overlaps; s.retry_read;
-    s.retry_wait_ns; s.err_transient; s.err_latent; s.err_checksum;
-    s.err_unrecoverable; s.repair_attempts; s.repair_repaired;
-    s.repair_failed; s.overloaded; s.overload_wait_ns;
+    s.prefetch_dropped; s.prefetch_dirty_victims; s.demand_dirty_victims;
+    s.io_wait_ns; s.shard_conflicts; s.shard_waits_ns; s.shard_overlaps;
+    s.retry_read; s.retry_wait_ns; s.err_transient; s.err_latent;
+    s.err_checksum; s.err_unrecoverable; s.repair_attempts;
+    s.repair_repaired; s.repair_failed; s.overloaded; s.overload_wait_ns;
   ]
 
 let stats_kv s = List.map Counter.kv (stats_counters s)
@@ -212,6 +214,9 @@ type t = {
   prefetched : bool array;  (* frame filled by a prefetch no get has seen *)
   shards : shard array;
   prefetcher_free : int array;  (* per prefetcher: time it becomes idle *)
+  mutable unwritten : int;
+      (* the dirty page the last victim held, its write-back not yet
+         submitted (Page_store.nil if none): see [write_victim] *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
   mutable retry : retry_policy;
@@ -334,6 +339,7 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       prefetched = Array.make capacity false;
       shards;
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
+      unwritten = Page_store.nil;
       readahead = 0;
       wal = None;
       retry = default_retry_policy;
@@ -438,12 +444,14 @@ let apply_corruption t page spec =
       let start = off mod ps land lnot 511 in
       Bytes.fill b start (min 512 (ps - start)) '\000'
 
-(* Read [page]'s media into its backing bytes.  Transient errors are
-   retried up to the policy with exponential backoff charged to simulated
-   time; persistent damage (latent sector, checksum mismatch) escalates to
-   the repair hook.  Returns whether the bytes came back clean or had to
-   be repaired; raises [Io_error] when the page cannot be produced. *)
-let media_read t page ~disk ~phys =
+(* Finish reading [page]'s media into its backing bytes, given the outcome
+   of the first attempt, already submitted to the disk.  Transient errors
+   are retried up to the policy with exponential backoff charged to
+   simulated time; persistent damage (latent sector, checksum mismatch)
+   escalates to the repair hook.  Returns whether the bytes came back
+   clean or had to be repaired; raises [Io_error] when the page cannot be
+   produced. *)
+let media_finish t page ~disk ~phys first =
   let fail ~attempts ~cause ~repair =
     Counter.incr t.stats.err_unrecoverable;
     raise (Io_error { page; attempts; cause; repair })
@@ -469,8 +477,8 @@ let media_read t page ~disk ~phys =
         Counter.incr t.stats.err_checksum;
         repair_or ~attempts ~cause:`Checksum ~bad_sectors
   in
-  let rec attempt n backoff =
-    match Disk_model.read_result t.disks ~disk ~phys () with
+  let rec attempt n backoff outcome =
+    match outcome with
     | Disk_model.Read_ok c ->
         wait_until t c;
         verify ~attempts:n
@@ -487,7 +495,9 @@ let media_read t page ~disk ~phys =
               Counter.incr t.stats.retry_read;
               Counter.add t.stats.retry_wait_ns backoff;
               wait_until t (Clock.now t.sim.Sim.clock + backoff);
-              attempt (n + 1) (backoff * t.retry.backoff_mult)
+              attempt (n + 1)
+                (backoff * t.retry.backoff_mult)
+                (Disk_model.read_result t.disks ~disk ~phys ())
             end
             else fail ~attempts:n ~cause:`Transient ~repair:`Not_attempted
         | `Latent ->
@@ -495,7 +505,7 @@ let media_read t page ~disk ~phys =
             (* the whole page is unreadable: no sector localisation *)
             repair_or ~attempts:n ~cause:`Latent ~bad_sectors:[])
   in
-  attempt 1 t.retry.backoff_ns
+  attempt 1 t.retry.backoff_ns first
 
 (* ----------------------------- replacement --------------------------- *)
 
@@ -518,7 +528,9 @@ let sweep t sh ~skip_dirty =
   in
   go 0
 
-(* Take the frame [f] the sweep gave up, evicting its current page. *)
+(* Take the frame [f] the sweep gave up, evicting its current page.  A
+   dirty page is not written back here but left in [t.unwritten] for
+   [write_victim], so a demand miss can submit its own read first. *)
 let evict_frame t sh f =
   let page_size = Page_store.page_size t.store in
   (match t.frames.(f) with
@@ -529,15 +541,24 @@ let evict_frame t sh f =
       Counter.incr t.stats.evictions;
       if t.dirty.(f) then begin
         t.dirty.(f) <- false;
-        write_back t p
+        t.unwritten <- p
       end;
       Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size);
   t.frames.(f) <- Page_store.nil;
   t.ref_bit.(f) <- false;
   f
 
-(* The demand victim: the first frame the sweep gives up, written back
-   first if dirty. *)
+(* Write back the dirty page the last victim held, if any: the log force
+   first, then the data write. *)
+let write_victim t =
+  let p = t.unwritten in
+  if p <> Page_store.nil then begin
+    t.unwritten <- Page_store.nil;
+    write_back t p
+  end
+
+(* The demand victim: the first frame the sweep gives up, its dirty page
+   left for [write_victim]. *)
 let victim_frame t sh = evict_frame t sh (sweep t sh ~skip_dirty:false)
 
 (* A prefetch's victim.  While a write-back would force the log, the
@@ -548,17 +569,21 @@ let victim_frame t sh = evict_frame t sh (sweep t sh ~skip_dirty:false)
    [pool.prefetch_dirty_victims]).  With the log durable, or with no log,
    it is the demand victim. *)
 let prefetch_frame t sh =
-  match t.wal with
-  | Some h when h.write_forces_log () -> (
-      let start = sh.hand in
-      match sweep t sh ~skip_dirty:true with
-      | f -> evict_frame t sh f
-      | exception Pool_exhausted ->
-          sh.hand <- start;
-          let f = victim_frame t sh in
-          Counter.incr t.stats.prefetch_dirty_victims;
-          f)
-  | _ -> victim_frame t sh
+  let f =
+    match t.wal with
+    | Some h when h.write_forces_log () -> (
+        let start = sh.hand in
+        match sweep t sh ~skip_dirty:true with
+        | f -> evict_frame t sh f
+        | exception Pool_exhausted ->
+            sh.hand <- start;
+            let f = victim_frame t sh in
+            Counter.incr t.stats.prefetch_dirty_victims;
+            f)
+    | _ -> victim_frame t sh
+  in
+  write_victim t;
+  f
 
 (* Like [victim_frame], but when the sweep fails because every unpinned
    frame holds a read still in flight, wait for the earliest completion
@@ -699,13 +724,20 @@ let verify_arrival t sh page frame =
 (* Pin a page, reading it from disk if not resident.  Returns the region to
    access its contents through.  Must be balanced by [unpin].
 
+   A miss whose CLOCK victim is dirty submits its own read first, then
+   writes the victim back (the log force, then the data write), then
+   waits for the read: the client waits about the longer of the read and
+   the log force, not their sum, and on a shared disk the read is served
+   ahead of the write.
+
    Latch discipline: the shard latch covers the hash lookup and any
-   frame-state mutation, but is released across disk waits (the remaining
-   latency of an in-flight prefetch, a read another client started, or a
-   demand media read) and re-acquired to install the result — holding a
-   latch across I/O would serialise the whole shard on the disk.  Each
-   hold is recorded as a span on the shard's timeline, so the release is
-   real for a client replayed at an earlier time too. *)
+   frame-state mutation, including a dirty victim's write-back and its
+   log force, but is released across disk waits (the remaining latency
+   of an in-flight prefetch, a read another client started, or a demand
+   media read) and re-acquired to install the result — holding a latch
+   across a read would serialise the whole shard on the disk.  Each hold
+   is recorded as a span on the shard's timeline, so the release is real
+   for a client replayed at an earlier time too. *)
 let get t page =
   let sh = shard_of t page in
   latch_acquire t sh;
@@ -742,8 +774,18 @@ let get t page =
       in
       let disk, phys = Page_store.location t.store page in
       Counter.incr t.stats.misses;
+      if t.unwritten <> Page_store.nil then begin
+        (* capture the victim's bytes for its write before the read lands
+           in the frame: a page-sized move *)
+        Counter.incr t.stats.demand_dirty_victims;
+        Sim.charge_busy t.sim
+          (Page_store.page_size t.store
+          / t.sim.Sim.cost.Cost_model.move_bytes_per_cycle)
+      end;
+      let first = Disk_model.read_result t.disks ~disk ~phys () in
+      write_victim t;
       latch_release t sh;
-      ignore (media_read t page ~disk ~phys : [ `Ok | `Repaired ]);
+      ignore (media_finish t page ~disk ~phys first : [ `Ok | `Repaired ]);
       t.ready_at.(frame) <- Clock.now t.sim.Sim.clock;
       latch_acquire t sh;
       t.frames.(frame) <- page;
@@ -821,7 +863,10 @@ let check_media t page =
   if is_resident t page then `Resident
   else
     let disk, phys = Page_store.location t.store page in
-    match media_read t page ~disk ~phys with
+    match
+      media_finish t page ~disk ~phys
+        (Disk_model.read_result t.disks ~disk ~phys ())
+    with
     | `Ok -> `Ok
     | `Repaired -> `Repaired
     (* A transient streak that exhausts the retry budget is the disk
@@ -860,6 +905,7 @@ let create_page t =
       Page_store.free t.store page;
       raise e
   in
+  write_victim t;
   t.frames.(frame) <- page;
   Page_table.replace sh.table page frame;
   t.ready_at.(frame) <- Clock.now t.sim.Sim.clock;

@@ -53,6 +53,10 @@ type stats = {
       (** [pool.prefetch_dirty_victims]: prefetches that found no clean
           evictable frame while the log had records to force, so wrote
           a dirty victim back behind a log force *)
+  demand_dirty_victims : Fpb_obs.Counter.t;
+      (** [pool.demand_dirty_victims]: demand misses whose CLOCK victim
+          was dirty, so its write-back (and the log force before it) ran
+          while the miss's own read was in flight *)
   io_wait_ns : Fpb_obs.Counter.t;
       (** [pool.io_wait_ns]: time the caller waited on I/O (includes
           retry backoff, and another client's read that has not landed
@@ -176,7 +180,9 @@ val shard_of_page : t -> int -> int
 
 (** Pin a page, reading (and verifying) it from disk if not resident;
     returns the region to access its contents through.  Balance with
-    [unpin].  May raise {!Io_error} under fault injection. *)
+    [unpin].  A miss whose victim is dirty submits its read before the
+    victim's log force and write-back, so it waits for the longer of the
+    two, not their sum.  May raise {!Io_error} under fault injection. *)
 val get : t -> int -> Fpb_simmem.Mem.region
 
 val unpin : t -> int -> unit

@@ -133,6 +133,36 @@ let test_cf_jp_tracks_splits () =
      in order, so passing it after heavy splitting is the assertion *)
   Cache_first.check t
 
+(* [check] reads the jump-pointer chunk list both ways, the links a chunk
+   split wrote included: it passes after inserts split the first chunk,
+   and fails with the second chunk's prev link overwritten.  Chunk
+   layout: 0 i32 next chunk, 4 i32 prev chunk. *)
+let test_cf_jp_prev_link_checked () =
+  let pool = Util.make_pool ~page_size:1024 ~capacity:16384 () in
+  let t = Cache_first.create pool in
+  Cache_first.bulkload t (Array.init 40_000 (fun i -> (2 * i, i))) ~fill:1.0;
+  let n_chunks () = List.nth (Cache_first.meta t) 6 in
+  let built = n_chunks () in
+  for i = 0 to 9_999 do
+    ignore (Cache_first.insert t ((2 * i) + 1) i)
+  done;
+  if n_chunks () <= built then Alcotest.fail "no chunk split";
+  Cache_first.check t;
+  let head = List.nth (Cache_first.meta t) 5 in
+  let peek = Fpb_btree_common.Page_chain.peek pool in
+  let second = Mem.peek_i32 (peek head) 0 in
+  if second = Page_store.nil then Alcotest.fail "the jump-pointer array has one chunk";
+  Alcotest.(check int) "second chunk points back at the head" head
+    (Mem.peek_i32 (peek second) 4);
+  Buffer_pool.with_page pool second (fun r ->
+      Mem.write_i32 (Buffer_pool.sim pool) r 4 Page_store.nil);
+  match Cache_first.check t with
+  | () -> Alcotest.fail "check passed with a chunk's prev link broken"
+  | exception Failure msg ->
+      let expected = Printf.sprintf "page %d: prev link" second in
+      if not (String.starts_with ~prefix:expected msg) then
+        Alcotest.failf "check failed otherwise: %s" msg
+
 let test_cf_page_count_includes_jp () =
   let pool = Util.make_pool ~page_size:4096 () in
   let t = Cache_first.create pool in
@@ -180,6 +210,8 @@ let suite =
     Alcotest.test_case "cache-first: tuned config" `Quick test_cf_config;
     Alcotest.test_case "cache-first: deep tree + overflow" `Slow test_cf_overflow_pages_exist;
     Alcotest.test_case "cache-first: jump array tracks splits" `Quick test_cf_jp_tracks_splits;
+    Alcotest.test_case "cache-first: check reads chunk prev links" `Quick
+      test_cf_jp_prev_link_checked;
     Alcotest.test_case "cache-first: page count includes jump array" `Quick
       test_cf_page_count_includes_jp;
     Alcotest.test_case "space overhead bounds (Fig 16a)" `Slow test_space_overhead_bounds;

@@ -364,12 +364,17 @@ let check_table2_claims (outcome : string -> Registry.outcome) =
   exact "16KB" [ ("df nonleaf", "192B") ];
   claim t "disk-first fan-out >= 1953 at 16KB" (cell t "16KB" "df fanout" >= 1953.)
 
+(* A committed file from the repository root, which every build copies
+   beside the test executable (test/dune).  Found from the executable,
+   not the working directory, so the test reads the same file under
+   [dune runtest] and when run directly. *)
+let root_file name = Filename.concat (Filename.dirname Sys.executable_name) name
+
 (* The committed tiny report, [BENCH_results.json] at the repository
-   root (a dependency of this test, so dune copies it next to the test
-   directory).  Regenerate it with
+   root.  Regenerate it with
    [dune exec bench/main.exe -- --tiny --json BENCH_results.json all]
    whenever a change moves a simulated number on purpose. *)
-let committed_report = "../BENCH_results.json"
+let committed_report = root_file "BENCH_results.json"
 
 (* First path at which two JSON values differ, for the failure message. *)
 let rec first_diff path (a : Fpb_obs.Json.t) (b : Fpb_obs.Json.t) =
@@ -584,7 +589,7 @@ let test_oracle_not_vacuous () =
    failed operation. *)
 let test_fpbench_trajectory () =
   let module J = Fpb_obs.Json in
-  let json = J.parse (In_channel.with_open_bin "../BENCH_fpbench.json" In_channel.input_all) in
+  let json = J.parse (In_channel.with_open_bin (root_file "BENCH_fpbench.json") In_channel.input_all) in
   let points = Option.value ~default:[] (Option.bind (J.member "points" json) J.to_list) in
   if points = [] then Alcotest.fail "BENCH_fpbench.json: no points";
   let last = List.length points - 1 in

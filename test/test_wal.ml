@@ -744,6 +744,85 @@ let test_prefetch_passes_over_dirty () =
   | exception Wal.Crashed -> ());
   check_int "no write-back past a failed force" w3 (writes ())
 
+(* --- a demand miss reads while its dirty victim is written back --- *)
+
+(* A one-frame pool holds dirty page [a] while the group-commit log holds
+   unforced records, so evicting [a] forces the log.  A demand miss on
+   [b] submits its read first, then forces the log and submits [a]'s
+   write: it completes at the later of its read and the force, not their
+   sum.  On distinct disks [a]'s write runs beside the read; on one disk
+   it queues behind it.  Either way the write starts only after the
+   force, and a failed force submits no write. *)
+let test_demand_read_overlaps_writeback () =
+  let read_ns =
+    Disk_model.default_seek_ns + Disk_model.transfer_ns_of_page_size 4096
+  in
+  let case ~n_disks ~b_index =
+    let label = Printf.sprintf "%d disk(s)" n_disks in
+    let _, _, disks, pool = Util.make_system ~n_disks ~capacity:1 () in
+    let wal = Wal.attach ~group_commit_bytes:65_536 ~meta:[] pool in
+    let sim = Buffer_pool.sim pool in
+    let clock = sim.Fpb_simmem.Sim.clock in
+    let ids =
+      Array.init 3 (fun _ ->
+          let id, _ = Buffer_pool.create_page pool in
+          Buffer_pool.unpin pool id;
+          id)
+    in
+    Wal.commit wal ~op:1 ~meta:[];
+    Buffer_pool.clear pool;
+    let a = ids.(0) and b = ids.(b_index) in
+    let da, _ = Page_store.location (Buffer_pool.store pool) a in
+    let db, _ = Page_store.location (Buffer_pool.store pool) b in
+    Alcotest.(check bool) (label ^ ": disks as intended") (n_disks = 1) (da = db);
+    let idle () =
+      Fpb_simmem.Clock.advance_to clock (Fpb_simmem.Clock.now clock + 100_000_000)
+    in
+    let dirty_a () =
+      idle ();
+      Buffer_pool.with_page pool a (fun r -> Fpb_simmem.Mem.write_i32 sim r 0 7);
+      Buffer_pool.mark_dirty pool a;
+      Wal.commit wal ~op:2 ~meta:[];
+      idle ()
+    in
+    let flush_wait () = List.assoc "wal.flush_wait_ns" (Wal.kv wal) in
+    dirty_a ();
+    let t0 = Fpb_simmem.Clock.now clock and w0 = flush_wait () in
+    Buffer_pool.with_page pool b ignore;
+    let elapsed = Fpb_simmem.Clock.now clock - t0 in
+    let force_ns = flush_wait () - w0 in
+    Alcotest.(check bool) (label ^ ": the victim forced the log") true (force_ns > 0);
+    let overlap = max read_ns force_ns in
+    if elapsed < overlap || elapsed > overlap + 50_000 then
+      Alcotest.failf "%s: miss took %d ns; read %d ns, log force %d ns" label
+        elapsed read_ns force_ns;
+    (* the victim's write, a positioned page like the read, is the last
+       request on the farm to finish *)
+    let write_start = Disk_model.drain disks - read_ns in
+    if write_start < t0 + force_ns then
+      Alcotest.failf "%s: write-back started %d ns before the log was durable"
+        label (t0 + force_ns - write_start);
+    if n_disks = 1 && write_start < t0 + read_ns then
+      Alcotest.failf "%s: write-back served %d ns ahead of the read" label
+        (t0 + read_ns - write_start);
+    check_int (label ^ ": one dirty victim") 1
+      (Fpb_obs.Counter.value
+         (Buffer_pool.stats pool).Buffer_pool.demand_dirty_victims);
+    (* WAL-before-data: a failed force leaves the read submitted and the
+       write not *)
+    dirty_a ();
+    Wal.set_crash_at_byte wal (Some (Wal.durable_bytes wal + 1));
+    let r0 = Disk_model.reads disks and w0 = Disk_model.writes disks in
+    (match Buffer_pool.with_page pool b ignore with
+    | () -> Alcotest.failf "%s: the log force should have crashed" label
+    | exception Wal.Crashed -> ());
+    check_int (label ^ ": the read went out") (r0 + 1) (Disk_model.reads disks);
+    check_int (label ^ ": no write-back past a failed force") w0
+      (Disk_model.writes disks)
+  in
+  case ~n_disks:2 ~b_index:1;
+  case ~n_disks:1 ~b_index:2
+
 let suite =
   [
     Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
@@ -773,4 +852,6 @@ let suite =
       test_repair_forces_one_full_diff;
     Alcotest.test_case "prefetch passes over dirty frames" `Quick
       test_prefetch_passes_over_dirty;
+    Alcotest.test_case "demand read overlaps the victim's write-back" `Quick
+      test_demand_read_overlaps_writeback;
   ]
