@@ -18,10 +18,8 @@
    Archive LSNs are consecutive (the WAL allocates LSNs in seal order
    and the observer sees records in seal order), so seq = lsn - lo is
    O(1).  Across a failover the promoted WAL continues the LSN space
-   ([first_lsn = committed_lsn + 1]) and the old group stays reachable
-   through [prev] with [valid_upto] marking where its history stops
-   being authoritative — the chain is what [rejoin]'s (LSN, CRC)
-   divergence scan walks. *)
+   ([first_lsn = committed_lsn + 1]), and the resumed group starts a
+   fresh archive there. *)
 
 module Clock = Fpb_simmem.Clock
 module Sim = Fpb_simmem.Sim
@@ -30,7 +28,6 @@ module Histogram = Fpb_obs.Histogram
 module Disk_model = Fpb_storage.Disk_model
 module Page_store = Fpb_storage.Page_store
 module Buffer_pool = Fpb_storage.Buffer_pool
-module Checksum = Fpb_storage.Checksum
 module Vec = Fpb_storage.Vec
 module Prng = Fpb_workload.Prng
 module Shadow = Fpb_snapshot.Shadow
@@ -70,7 +67,6 @@ type entry = {
   lsn : int;
   framed : string;
   record : Wal.record;
-  crc : int;
   shipped_ns : int;
 }
 
@@ -79,7 +75,6 @@ let dummy_entry =
     lsn = 0;
     framed = "";
     record = Wal.Commit { lsn = 0; op = 0; meta = [] };
-    crc = 0;
     shipped_ns = 0;
   }
 
@@ -110,9 +105,6 @@ type stats = {
   c_failovers : Counter.t;
   c_failover_trunc : Counter.t;
   c_rebaselined : Counter.t;
-  c_rejoin_forks : Counter.t;
-  c_rejoin_trunc : Counter.t;
-  c_rejoin_pages : Counter.t;
   c_trimmed : Counter.t;
   c_catchup_log : Counter.t;
   c_catchup_pages : Counter.t;
@@ -127,9 +119,6 @@ let make_stats () =
     c_failovers = Counter.make "replica.failovers";
     c_failover_trunc = Counter.make "replica.failover.truncated_records";
     c_rebaselined = Counter.make "replica.rebaselined_records";
-    c_rejoin_forks = Counter.make "replica.rejoin.forks";
-    c_rejoin_trunc = Counter.make "replica.rejoin.truncated_records";
-    c_rejoin_pages = Counter.make "replica.rejoin.pages_copied";
     c_trimmed = Counter.make "replica.archive.trimmed_records";
     c_catchup_log = Counter.make "replica.catchup.log_records";
     c_catchup_pages = Counter.make "replica.catchup.snapshot_pages";
@@ -149,9 +138,6 @@ type t = {
   mutable next_id : int;
   mutable killed : bool;
   mutable killed_at : int;
-  first_lsn : int;  (* this group's history covers LSNs >= first_lsn *)
-  mutable valid_upto : int option;  (* ... and <= this, once superseded *)
-  mutable prev : t option;  (* pre-failover group, for the rejoin scan *)
   (* committed cursor the group started from (commits before any record
      shipped) *)
   init_op : int;
@@ -190,9 +176,7 @@ let set_page n id v =
 let get_page n id = if id < Vec.length n.pages then Vec.get n.pages id else None
 
 (* Redo one archived record into the node's applied state.  All cases
-   are idempotent (images and deltas overwrite, alloc/free set-update),
-   which is what makes authoritative re-ships after a rejoin safe even
-   when they overlap records the node already held. *)
+   are idempotent (images and deltas overwrite, alloc/free set-update). *)
 let apply_record t n e =
   match e.record with
   | Wal.Image { page; img; _ } ->
@@ -262,8 +246,7 @@ let ship t lsn framed =
       | Some (r, _) -> r
       | None -> invalid_arg "Fpb_replica: undecodable shipped record"
     in
-    Vec.push t.archive
-      { lsn; framed; record; crc = Checksum.string framed; shipped_ns = now };
+    Vec.push t.archive { lsn; framed; record; shipped_ns = now };
     Counter.incr t.stats.c_shipped;
     Counter.add t.stats.c_shipped_bytes (String.length framed);
     Array.iter
@@ -392,9 +375,6 @@ let create ~config:cfg ~prng ~profiles (wal, pool) =
       next_id = 0;
       killed = false;
       killed_at = 0;
-      first_lsn = Wal.last_lsn wal + 1;
-      valid_upto = None;
-      prev = None;
       init_op = Wal.last_committed_op wal;
       init_lsn = Wal.last_lsn wal;
       init_meta;
@@ -471,22 +451,17 @@ type promotion = {
   wal : Wal.t;
 }
 
-let promote ?node t =
+let promote t =
   if not t.killed then invalid_arg "Replica.promote: primary not killed";
   let horizon = t.killed_at in
   let live = List.filter (fun n -> n.alive) (Array.to_list t.nodes) in
   if live = [] then invalid_arg "Replica.promote: no live replica";
   List.iter (fun n -> ignore (sync t n ~horizon : int)) live;
   let best =
-    match node with
-    | Some n ->
-        if not n.alive then invalid_arg "Replica.promote: dead node";
-        n
-    | None ->
-        List.fold_left
-          (fun (a : node) (n : node) ->
-            if n.committed_lsn > a.committed_lsn then n else a)
-          (List.hd live) (List.tl live)
+    List.fold_left
+      (fun (a : node) (n : node) ->
+        if n.committed_lsn > a.committed_lsn then n else a)
+      (List.hd live) (List.tl live)
   in
   (* the staged suffix: durable on the node by the kill but beyond its
      last commit — exactly what the promotion truncates *)
@@ -538,11 +513,6 @@ let promote ?node t =
     wal;
   }
 
-let copy_pages src =
-  let dst = Vec.create ~dummy:None in
-  Vec.iteri (fun _ b -> Vec.push dst (Option.map Bytes.copy b)) src;
-  dst
-
 let resume (t : t) p =
   let promoted =
     match List.find_opt (fun n -> n.id = p.node_id) (Array.to_list t.nodes) with
@@ -555,21 +525,13 @@ let resume (t : t) p =
   in
   List.iter
     (fun n ->
-      if n.applied_seq > cut then begin
-        (* the survivor out-ran the promoted node (explicit [?node]
-           override chose a laggard): reprovision it wholesale from the
-           promoted state — it applied commits the new history dropped *)
-        n.pages <- copy_pages promoted.pages;
-        Hashtbl.reset n.free;
-        Hashtbl.iter (fun k () -> Hashtbl.replace n.free k ()) promoted.free;
-        n.total_pages <- promoted.total_pages
-      end
-      else begin
-        Counter.add t.stats.c_rebaselined (cut - n.applied_seq);
-        for j = n.applied_seq to cut - 1 do
-          apply_record t n (Vec.get t.archive j)
-        done
-      end;
+      (* [promote] chose the live node with the newest applied commit,
+         so no survivor has applied past it *)
+      assert (n.applied_seq <= cut);
+      Counter.add t.stats.c_rebaselined (cut - n.applied_seq);
+      for j = n.applied_seq to cut - 1 do
+        apply_record t n (Vec.get t.archive j)
+      done;
       n.applied_seq <- 0;
       n.committed_op <- p.committed_op;
       n.committed_lsn <- p.committed_lsn;
@@ -577,7 +539,6 @@ let resume (t : t) p =
       n.durable_ns <- Vec.create ~dummy:0;
       n.ack_ns <- Vec.create ~dummy:0)
     survivors;
-  t.valid_upto <- Some p.committed_lsn;
   let nt =
     {
       t with
@@ -588,9 +549,6 @@ let resume (t : t) p =
       nodes = Array.of_list survivors;
       killed = false;
       killed_at = 0;
-      first_lsn = p.committed_lsn + 1;
-      valid_upto = None;
-      prev = Some t;
       init_op = p.committed_op;
       init_lsn = p.committed_lsn;
       init_meta = p.meta;
@@ -599,51 +557,7 @@ let resume (t : t) p =
   install nt;
   nt
 
-(* ----------------------------- rejoin ------------------------------- *)
-
-type rejoin_result =
-  | Rejoined of { fork_lsn : int; truncated_records : int; pages_copied : int }
-  | Snapshot_required of { fork_lsn : int }
-
-(* Locate [lsn] in the shipped history, walking the failover chain:
-   each group is authoritative for (prev.valid_upto, valid_upto]. *)
-let rec classify g lsn =
-  if
-    lsn >= g.first_lsn
-    && match g.valid_upto with None -> true | Some v -> lsn <= v
-  then
-    if Vec.length g.archive = 0 then `Divergent
-    else
-      let s = lsn - (Vec.get g.archive 0).lsn in
-      if s < 0 || s >= Vec.length g.archive then
-        (* LSNs this group's WAL owns but never shipped (e.g. its
-           attach-time checkpoint) or hasn't reached: either way the old
-           primary's record there is not shared history *)
-        `Divergent
-      else if s < g.base_seq then `Trimmed
-      else `Hit (Vec.get g.archive s)
-  else
-    match g.prev with Some p -> classify p lsn | None -> `Base
-
-let pages_of_record acc = function
-  | Wal.Image { page; _ }
-  | Wal.Delta { page; _ }
-  | Wal.Alloc { page; _ }
-  | Wal.Free { page; _ } ->
-      Hashtbl.replace acc page ()
-  | Wal.Commit _ | Wal.Checkpoint _ -> ()
-
-let rec collect_history_pages g ~fork acc =
-  Vec.iteri
-    (fun _ e ->
-      if
-        e.lsn >= fork
-        && match g.valid_upto with None -> true | Some v -> e.lsn <= v
-      then pages_of_record acc e.record)
-    g.archive;
-  match g.prev with
-  | Some p -> collect_history_pages p ~fork acc
-  | None -> ()
+(* ---------------------- retention & catch-up ------------------------ *)
 
 (* Re-ship archive entries [from, len) to the node serially (each send
    gated on the previous record's durability), recording real delivery
@@ -666,123 +580,6 @@ let ship_tail t n ~from ~start_cursor =
     incr shipped
   done;
   (!shipped, !cursor)
-
-let rejoin (t : t) ~old_pool ~old_wal ~prng ?(profile = Net.default_profile)
-    () =
-  if Wal.is_crashed old_wal then
-    invalid_arg "Replica.rejoin: recover the old primary's WAL first";
-  if Wal.in_operation t.wal then invalid_arg "Replica.rejoin: mid-operation";
-  Wal.flush t.wal;
-  let old_recs = Wal.durable_records old_wal in
-  let fork = ref None and trimmed = ref None in
-  List.iter
-    (fun r ->
-      if !fork = None && !trimmed = None then
-        let lsn = Wal.record_lsn r in
-        match classify t lsn with
-        | `Base -> ()
-        | `Hit e ->
-            if e.crc <> Checksum.string (Wal.Codec.encode r) then
-              fork := Some lsn
-        | `Divergent -> fork := Some lsn
-        | `Trimmed -> trimmed := Some lsn)
-    old_recs;
-  match !trimmed with
-  | Some fork_lsn -> Snapshot_required { fork_lsn }
-  | None ->
-      let fork_lsn =
-        match !fork with
-        | Some l -> l
-        | None ->
-            (* pure prefix, no divergence: fork just past its head *)
-            1 + List.fold_left (fun a r -> max a (Wal.record_lsn r)) 0 old_recs
-      in
-      let truncated_records =
-        List.length
-          (List.filter (fun r -> Wal.record_lsn r >= fork_lsn) old_recs)
-      in
-      (* pages to rewind: touched by the divergent suffix, or by the
-         surviving history since the fork — everything else is provably
-         identical on both sides *)
-      let rewind = Hashtbl.create 64 in
-      List.iter
-        (fun r ->
-          if Wal.record_lsn r >= fork_lsn then pages_of_record rewind r)
-        old_recs;
-      collect_history_pages t ~fork:fork_lsn rewind;
-      let nstore = Buffer_pool.store t.pool in
-      let ostore = Buffer_pool.store old_pool in
-      let total = Page_store.total_pages nstore in
-      let free = Hashtbl.create 16 in
-      List.iter
-        (fun id -> Hashtbl.replace free id ())
-        (Page_store.free_list nstore);
-      let pages = Vec.create ~dummy:None in
-      Vec.push pages None;
-      let copied = ref 0 in
-      for id = 1 to total do
-        if Hashtbl.mem free id then Vec.push pages None
-        else if Hashtbl.mem rewind id then begin
-          incr copied;
-          Vec.push pages (Some (Bytes.copy (Page_store.bytes nstore id)))
-        end
-        else if id <= Page_store.total_pages ostore && Page_store.is_live ostore id
-        then Vec.push pages (Some (Bytes.copy (Page_store.bytes ostore id)))
-        else Vec.push pages (Some (Bytes.copy (Page_store.bytes nstore id)))
-      done;
-      (* committed cursor + replay point from the current archive *)
-      let last_commit = ref (-1) in
-      for i = 0 to Vec.length t.archive - 1 do
-        if is_commit_entry (Vec.get t.archive i) then last_commit := i
-      done;
-      let applied_seq = !last_commit + 1 in
-      let committed_op, committed_lsn, meta =
-        if !last_commit >= 0 then
-          let e = Vec.get t.archive !last_commit in
-          match e.record with
-          | Wal.Commit { op; meta; _ } | Wal.Checkpoint { op; meta; _ } ->
-              (op, e.lsn, meta)
-          | _ -> assert false
-        else (t.init_op, t.init_lsn, t.init_meta)
-      in
-      let now = Clock.now t.clock in
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      let n =
-        {
-          id;
-          link = Net.create ~prng:(Prng.split prng) profile;
-          ack_link =
-            Net.create ~prng:(Prng.split prng) { profile with partitions = [] };
-          log_disk =
-            Disk_model.create
-              ~transfer_ns:(Disk_model.transfer_ns_of_page_size t.page_size)
-              ~n_disks:1 t.clock;
-          log_bytes = 0;
-          pages;
-          total_pages = total;
-          free;
-          applied_seq;
-          committed_op;
-          committed_lsn;
-          meta;
-          alive = true;
-          durable_ns = Vec.create ~dummy:0;
-          ack_ns = Vec.create ~dummy:0;
-        }
-      in
-      for _ = 1 to applied_seq do
-        Vec.push n.durable_ns now;
-        Vec.push n.ack_ns now
-      done;
-      ignore (ship_tail t n ~from:applied_seq ~start_cursor:now : int * int);
-      t.nodes <- Array.append t.nodes [| n |];
-      Counter.incr t.stats.c_rejoin_forks;
-      Counter.add t.stats.c_rejoin_trunc truncated_records;
-      Counter.add t.stats.c_rejoin_pages !copied;
-      Rejoined { fork_lsn; truncated_records; pages_copied = !copied }
-
-(* ---------------------- retention & catch-up ------------------------ *)
 
 let trim_archive t ~below_lsn =
   if Vec.length t.archive = 0 then 0
@@ -872,9 +669,6 @@ let kv t =
         s.c_failovers;
         s.c_failover_trunc;
         s.c_rebaselined;
-        s.c_rejoin_forks;
-        s.c_rejoin_trunc;
-        s.c_rejoin_pages;
         s.c_trimmed;
         s.c_catchup_log;
         s.c_catchup_pages;

@@ -1,6 +1,6 @@
 (** WAL log-shipping replication: primary/replica groups over faulty
     links, semi-sync commits, failover with zero-committed-loss,
-    divergence detection, snapshot catch-up.
+    snapshot catch-up.
 
     A {!t} (replication group) wraps an attached {!Fpb_wal.Wal}: it
     installs the WAL's durable-record observer — every record a
@@ -28,12 +28,11 @@
     the failure-detection timeout, and materialises a full node from its
     applied state: a fresh {!Fpb_storage.Page_store}, data disks,
     {!Fpb_storage.Buffer_pool} and an attached {!Fpb_wal.Wal} whose LSN
-    sequence continues the shipped history ([first_lsn]) — which is what
-    makes a rejoining old primary's divergent suffix detectable by
-    (LSN, CRC) comparison.  The caller rebuilds its index handle from
-    the returned metadata ({!Fpb_btree_common.Index_sig.restore_meta});
-    {!resume} re-attaches the surviving replicas to the new primary,
-    re-shipping them the delta they missed.
+    sequence continues the shipped history ([first_lsn]).  The caller
+    rebuilds its index handle from the returned metadata
+    ({!Fpb_btree_common.Index_sig.restore_meta}); {!resume} re-attaches
+    the surviving replicas to the new primary, re-shipping them the
+    delta they missed.
 
     Because every link delivers in order, each replica's durable record
     set is a prefix of the shipped stream; the most advanced replica's
@@ -43,7 +42,7 @@
 
     {2 Catch-up}
 
-    A lagging or rejoining replica catches up by log re-shipping
+    A lagging replica catches up by log re-shipping
     ({!catch_up_via_log}) while the archive still holds the records it
     needs; once retention ({!trim_archive}, driven by
     {!Fpb_snapshot.Shadow.retention_lsn}) has released them, it
@@ -146,7 +145,7 @@ type promotion = {
   wal : Wal.t;  (** attached with [first_lsn = committed_lsn + 1] *)
 }
 
-(** Promote the most advanced live replica (or [node]): sync every
+(** Promote the most advanced live replica: sync every
     replica to the kill horizon, drop the chosen node's staged suffix,
     charge [detect_timeout_ns], and materialise store, disks, pool and a
     freshly attached WAL from its applied state.  The caller rebuilds
@@ -154,7 +153,7 @@ type promotion = {
     allocated before calling [restore_meta], so the replicated page
     space stays exact).  Requires {!kill} first and at least one live
     replica. *)
-val promote : ?node:node -> t -> promotion
+val promote : t -> promotion
 
 (** [resume t p] returns a new group on the promoted WAL, shipping to
     the surviving replicas: each is first re-baselined to the promotion
@@ -163,36 +162,6 @@ val promote : ?node:node -> t -> promotion
     staged suffix dropped.  Counters are shared with [t], so totals
     aggregate across the failover. *)
 val resume : t -> promotion -> t
-
-(** {2 Divergence detection (old-primary rejoin)} *)
-
-type rejoin_result =
-  | Rejoined of { fork_lsn : int; truncated_records : int; pages_copied : int }
-      (** the old primary's durable log forked from the surviving
-          history at [fork_lsn]; its [truncated_records] records at or
-          beyond the fork were discarded and [pages_copied] pages
-          re-shipped from the new primary's committed state *)
-  | Snapshot_required of { fork_lsn : int }
-      (** the fork lies below the archive's retention floor: delta
-          re-ship is impossible, bootstrap from a snapshot instead *)
-
-(** [rejoin t ~old_pool ~old_wal ~prng] re-admits a crashed-and-locally-
-    recovered old primary as a replica of the current group.  Its
-    durable records ({!Fpb_wal.Wal.durable_records}) are compared, by
-    (LSN, CRC of the framed record), against the shipped history —
-    walking the group chain across failovers — to find the fork point;
-    on [Rejoined] the node joins the group (pages below the fork kept
-    from the old primary's own store, pages the divergent suffix or the
-    new history touched re-copied from the new primary).  [old_wal] must
-    not be in the crashed state (run {!Fpb_wal.Wal.recover} first). *)
-val rejoin :
-  t ->
-  old_pool:Fpb_storage.Buffer_pool.t ->
-  old_wal:Wal.t ->
-  prng:Fpb_workload.Prng.t ->
-  ?profile:Net.profile ->
-  unit ->
-  rejoin_result
 
 (** {2 Retention and catch-up} *)
 

@@ -143,8 +143,7 @@ type retry_policy = {
 }
 
 (* 4 retries, 0.5 ms initial backoff, doubling. *)
-let default_retry_policy =
-  { max_retries = 4; backoff_ns = 500_000; backoff_mult = 2 }
+let retry = { max_retries = 4; backoff_ns = 500_000; backoff_mult = 2 }
 
 type io_cause = [ `Transient | `Latent | `Checksum ]
 
@@ -219,7 +218,6 @@ type t = {
          submitted (Page_store.nil if none): see [write_victim] *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
-  mutable retry : retry_policy;
   mutable repair :
     (int -> bad_sectors:int list -> [ `Repaired | `Unrecoverable of string ])
       option;
@@ -342,7 +340,6 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       unwritten = Page_store.nil;
       readahead = 0;
       wal = None;
-      retry = default_retry_policy;
       repair = None;
       stats = make_stats ();
     }
@@ -352,13 +349,6 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
 
 let set_wal_hooks t hooks = t.wal <- hooks
 let set_repair t hook = t.repair <- hook
-
-let set_retry_policy t policy =
-  if policy.max_retries < 0 || policy.backoff_ns < 0 || policy.backoff_mult < 1
-  then invalid_arg "Buffer_pool.set_retry_policy";
-  t.retry <- policy
-
-let retry_policy t = t.retry
 
 let stats t = t.stats
 let sim t = t.sim
@@ -491,12 +481,12 @@ let media_finish t page ~disk ~phys first =
         match kind with
         | `Transient ->
             Counter.incr t.stats.err_transient;
-            if n <= t.retry.max_retries then begin
+            if n <= retry.max_retries then begin
               Counter.incr t.stats.retry_read;
               Counter.add t.stats.retry_wait_ns backoff;
               wait_until t (Clock.now t.sim.Sim.clock + backoff);
               attempt (n + 1)
-                (backoff * t.retry.backoff_mult)
+                (backoff * retry.backoff_mult)
                 (Disk_model.read_result t.disks ~disk ~phys ())
             end
             else fail ~attempts:n ~cause:`Transient ~repair:`Not_attempted
@@ -505,7 +495,7 @@ let media_finish t page ~disk ~phys first =
             (* the whole page is unreadable: no sector localisation *)
             repair_or ~attempts:n ~cause:`Latent ~bad_sectors:[])
   in
-  attempt 1 t.retry.backoff_ns first
+  attempt 1 retry.backoff_ns first
 
 (* ----------------------------- replacement --------------------------- *)
 

@@ -111,15 +111,6 @@ type wal_hooks = {
   write_forces_log : unit -> bool;
 }
 
-(** How hard a demand read fights transient errors before giving up.
-    Backoff doubles (by [backoff_mult]) per retry and is charged to the
-    simulated clock, so retry storms show up in latency results. *)
-type retry_policy = {
-  max_retries : int;  (** attempts beyond the first *)
-  backoff_ns : int;  (** wait before the first retry *)
-  backoff_mult : int;  (** multiplier per subsequent retry *)
-}
-
 type io_cause = [ `Transient | `Latent | `Checksum ]
 
 (** A page could not be produced intact: retries exhausted (transient), a
@@ -275,9 +266,6 @@ val set_repair :
   (int -> bad_sectors:int list -> [ `Repaired | `Unrecoverable of string ])
   option ->
   unit
-
-val set_retry_policy : t -> retry_policy -> unit
-val retry_policy : t -> retry_policy
 
 val resident_pages : t -> int
 

@@ -40,7 +40,6 @@ type fault_state = {
 type t = {
   clock : Clock.t;
   n_disks : int;
-  seek_ns : int;
   transfer_ns : int;
   request_overhead_ns : int;  (* fixed per-request controller cost *)
   free_at : int array;  (* per disk: time the disk becomes idle *)
@@ -62,13 +61,11 @@ let default_seek_ns = 8_000_000
 
 let transfer_ns_of_page_size page_size = page_size * 25 (* 40 MB/s = 25 ns/B *)
 
-let create ?(seek_ns = default_seek_ns) ?(request_overhead_ns = 0) ~transfer_ns
-    ~n_disks clock =
+let create ?(request_overhead_ns = 0) ~transfer_ns ~n_disks clock =
   if n_disks <= 0 then invalid_arg "Disk_model.create";
   {
     clock;
     n_disks;
-    seek_ns;
     transfer_ns;
     request_overhead_ns;
     free_at = Array.make n_disks 0;
@@ -200,7 +197,7 @@ let service t ?(append = false) ~earliest ~disk ~phys () =
   in
   let cost =
     t.request_overhead_ns
-    + if sequential then t.transfer_ns else t.seek_ns + t.transfer_ns
+    + if sequential then t.transfer_ns else default_seek_ns + t.transfer_ns
   in
   let completion = start + cost in
   t.free_at.(disk) <- completion;
@@ -272,13 +269,13 @@ let write_run t ?earliest ~disk ~phys ~n () =
     ref
       (t.request_overhead_ns
       + (n * t.transfer_ns)
-      + if phys = t.last_phys.(disk) + 1 then 0 else t.seek_ns)
+      + if phys = t.last_phys.(disk) + 1 then 0 else default_seek_ns)
   in
   Counter.add t.c_writes n;
   Counter.incr t.c_write_runs;
   for i = 0 to n - 1 do
     if draw_write_fault t ~disk ~phys:(phys + i) then
-      cost := !cost + t.seek_ns + t.transfer_ns
+      cost := !cost + default_seek_ns + t.transfer_ns
   done;
   let completion = start + !cost in
   t.free_at.(disk) <- completion;
@@ -302,7 +299,6 @@ let kv t = List.map Counter.kv (counters t)
 let reads t = Counter.value t.c_reads
 let writes t = Counter.value t.c_writes
 let write_runs t = Counter.value t.c_write_runs
-let busy_ns t = Counter.value t.c_busy_ns
 let reset_stats t = List.iter Counter.reset (counters t)
 
 (* Forget positioning state and pending work, e.g. between experiments.

@@ -40,7 +40,6 @@ val transfer_ns_of_page_size : int -> int
     what makes coalescing adjacent writes into one request
     ({!write_run}) worth measuring. *)
 val create :
-  ?seek_ns:int ->
   ?request_overhead_ns:int ->
   transfer_ns:int ->
   n_disks:int ->
@@ -93,9 +92,6 @@ val writes : t -> int
 
 (** Coalesced multi-page write requests issued via {!write_run}. *)
 val write_runs : t -> int
-
-(** Total time disks spent servicing requests. *)
-val busy_ns : t -> int
 
 (** Completion time (absolute ns) of the last submitted request across
     the farm: a durability barrier — e.g. a sharp checkpoint's data

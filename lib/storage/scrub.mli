@@ -42,12 +42,9 @@ val merge : report -> report -> report
     eventually visited without a stop-the-world pass. *)
 type sched
 
-(** [scheduler ?pages_per_tick pool] (default bandwidth 1 page/tick). *)
+(** [scheduler ?pages_per_tick pool] (default bandwidth 1 page/tick;
+    [0] pauses the scrubber). *)
 val scheduler : ?pages_per_tick:int -> Buffer_pool.t -> sched
-
-(** Set the bandwidth knob: pages checked per {!tick}.  [0] pauses the
-    scrubber. *)
-val set_bandwidth : sched -> int -> unit
 
 (** Install (or with [None] remove) a backpressure probe.  While it
     returns [true] — e.g. the foreground backlog is above its watermark
@@ -72,8 +69,8 @@ val total : sched -> report
 
 (** AIMD auto-throttle over a scheduler's bandwidth knob.  Feed it the
     foreground operation latencies you care about; every [window]
-    observations it computes that window's p99 and adjusts
-    {!set_bandwidth}: halve when the p99 exceeds [target_p99_ns]
+    observations it computes that window's p99 and sets the scheduler's
+    bandwidth: halve when the p99 exceeds [target_p99_ns]
     (multiplicative decrease under pressure), plus one when at or below
     it (additive increase while idle), clamped to [[min_bw, max_bw]]. *)
 type throttler

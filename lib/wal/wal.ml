@@ -1323,9 +1323,8 @@ let scan_committed t ~charge ~from =
 let parse_durable t = scan_committed t ~charge:false ~from:t.ckpt_marks
 
 (* Every readable durable record above the retention floor, including
-   the uncommitted tail — charge-free.  A rejoining old primary compares
-   this, by (LSN, CRC of the re-encoded frame), against the new
-   history's shipping archive to locate the fork point. *)
+   the uncommitted tail — charge-free.  Replication reads the base
+   backup's index metadata from the newest commit among them. *)
 let durable_records t =
   let records, _, _, _ = scan_stream t ~charge:false ~from:t.trunc_marks in
   records
@@ -1776,7 +1775,6 @@ let log_bytes t = t.sealed_bytes
 let durable_bytes t = t.durable_len
 let layout t = boundaries t.boundaries
 let last_lsn t = t.next_lsn - 1
-let record_lsn = lsn_of
 let set_durable_observer t f = t.durable_obs <- f
 let set_commit_barrier t f = t.commit_barrier <- f
 

@@ -162,9 +162,9 @@ type recovery = {
     [log_mirrors] (default 1) is the number of mirrored log disks per
     stripe; [log_stripes] (default 1) is the number of stripes sealed
     records are round-robined across.  [first_lsn] (default 1) starts
-    the LSN sequence higher — a promoted replica continues its shipped
-    history's LSN space so a rejoining old primary's divergent suffix is
-    detectable by (LSN, CRC) comparison. *)
+    the LSN sequence higher: a promoted replica ([Replica.promote])
+    continues its shipped history's LSN space, so the LSN stamped on
+    every page it copied stays below each record its new log seals. *)
 val attach :
   ?group_commit_bytes:int ->
   ?log_base_images:bool ->
@@ -206,7 +206,15 @@ val commit : t -> op:int -> meta:int list -> unit
 
 (** Sharp checkpoint: force the log, write back all dirty pages, refresh
     stale durable images, and seal a checkpoint record carrying [meta].
-    Must not be called mid-operation (with undirtied commits pending). *)
+    Must not be called mid-operation (with undirtied commits pending).
+
+    It stays beside the shadow fuzzy checkpoint
+    ({!external_checkpoint}, driven by [Shadow]) on purpose: it is the
+    stop-the-world baseline that [fpb exp checkpoint] (table
+    [checkpoint-a]) measures the fuzzy checkpoint's writer stall
+    against, and [exp_recovery] and [crashtest] crash around it to
+    check recovery from a checkpoint the WAL took itself, with no
+    shadow attached. *)
 val checkpoint : t -> meta:int list -> unit
 
 (** Force all sealed records to their stripes' durable streams (every
@@ -322,9 +330,6 @@ val set_commit_barrier : t -> (op:int -> lsn:int -> unit) option -> unit
 (** Newest allocated LSN (0 before the first record). *)
 val last_lsn : t -> int
 
-(** A record's LSN. *)
-val record_lsn : record -> int
-
 (** [truncate_to t ~marks] releases log space below the per-stripe
     offsets [marks] (a durable checkpoint's cut, e.g. the oldest shadow
     generation still retained): the retention floor advances to the
@@ -337,8 +342,9 @@ val record_lsn : record -> int
 val truncate_to : t -> marks:int array -> int
 
 (** Every readable durable record above the retention floor, including
-    the uncommitted tail; charge-free.  A rejoining old primary compares
-    these by (LSN, CRC) against the new history to find the fork. *)
+    the uncommitted tail; charge-free.  [Replica.create] reads the base
+    backup's index metadata from the newest commit or checkpoint among
+    them. *)
 val durable_records : t -> record list
 
 (** Total bytes ever sealed / durably flushed. *)

@@ -615,6 +615,72 @@ let test_fpbench_trajectory () =
       | _ -> Alcotest.failf "BENCH_fpbench.json: %s has no runs" name)
     points
 
+(* Every counter and histogram key in the committed report is named in
+   docs/OBSERVABILITY.md (copied beside the test executable by
+   test/dune).  The catalogue is the backquoted names in the first
+   column of each table headed [name]; in a pattern, [<x>] matches one
+   dotted component (or the rest of one, as in [level<i>_accesses]) and
+   [*] matches any suffix. *)
+let catalogue_patterns doc =
+  let first_cell line =
+    match String.split_on_char '|' line with _ :: c :: _ -> String.trim c | _ -> ""
+  in
+  let backquoted cell =
+    match String.split_on_char '`' cell with
+    | _ :: rest -> List.filteri (fun i _ -> i mod 2 = 0) rest
+    | [] -> []
+  in
+  let in_name_table = ref false in
+  List.concat_map
+    (fun line ->
+      if not (String.starts_with ~prefix:"|" line) then (in_name_table := false; [])
+      else
+        let c = first_cell line in
+        if c = "name" then (in_name_table := true; [])
+        else if !in_name_table && not (String.starts_with ~prefix:"-" c) then
+          backquoted c
+        else [])
+    (String.split_on_char '\n' doc)
+
+let rec pattern_matches p i k j =
+  if i = String.length p then j = String.length k
+  else
+    match p.[i] with
+    | '*' -> true
+    | '<' ->
+        let close = String.index_from p i '>' in
+        let rec component n =
+          j + n <= String.length k
+          && k.[j + n - 1] <> '.'
+          && (pattern_matches p (close + 1) k (j + n) || component (n + 1))
+        in
+        component 1
+    | c -> j < String.length k && k.[j] = c && pattern_matches p (i + 1) k (j + 1)
+
+let test_report_keys_catalogued () =
+  let module J = Fpb_obs.Json in
+  let read name = In_channel.with_open_bin (root_file name) In_channel.input_all in
+  let patterns = catalogue_patterns (read "OBSERVABILITY.md") in
+  let keys =
+    Option.value ~default:[]
+      (Option.bind (J.member "experiments" (J.parse (read "BENCH_results.json"))) J.to_list)
+    |> List.concat_map (fun e ->
+           List.concat_map
+             (fun section ->
+               match Option.bind (J.member "metrics" e) (J.member section) with
+               | Some (J.Obj kvs) -> List.map fst kvs
+               | _ -> [])
+             [ "counters"; "histograms" ])
+    |> List.sort_uniq compare
+  in
+  if keys = [] then Alcotest.fail "BENCH_results.json: no metric keys";
+  let missing =
+    List.filter
+      (fun k -> not (List.exists (fun p -> pattern_matches p 0 k 0) patterns))
+      keys
+  in
+  Alcotest.(check (list string)) "keys missing from docs/OBSERVABILITY.md" [] missing
+
 let suite =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
@@ -627,4 +693,5 @@ let suite =
     Alcotest.test_case "recovery oracle is not vacuous" `Quick
       test_oracle_not_vacuous;
     Alcotest.test_case "fpbench trajectory" `Quick test_fpbench_trajectory;
+    Alcotest.test_case "report keys catalogued" `Quick test_report_keys_catalogued;
   ]

@@ -174,34 +174,30 @@ let test_retry_recovers () =
   check_int "retries" 2 (counter pool (fun s -> s.Buffer_pool.retry_read));
   check_int "transient errors" 2
     (counter pool (fun s -> s.Buffer_pool.err_transient));
-  let policy = Buffer_pool.retry_policy pool in
-  let backoff =
-    policy.Buffer_pool.backoff_ns
-    + (policy.Buffer_pool.backoff_ns * policy.Buffer_pool.backoff_mult)
-  in
+  (* the pool's fixed policy: 0.5 ms before the first retry, doubling *)
+  let backoff = 500_000 + 1_000_000 in
   check_int "backoff charged" backoff
     (counter pool (fun s -> s.Buffer_pool.retry_wait_ns));
   check_bool "clock advanced past backoff" true
     (Clock.now (Buffer_pool.sim pool).Sim.clock - t0 >= backoff)
 
-(* More consecutive failures than the policy allows must surface as a
-   typed, counted Io_error. *)
+(* More consecutive failures than the pool's 4 retries allow must surface
+   as a typed, counted Io_error. *)
 let test_retry_exhausted () =
   let _, store, disks, pool = Util.make_system ~page_size:512 ~capacity:8 () in
   let p = Page_store.alloc store in
   Page_store.stamp store p;
-  Buffer_pool.set_retry_policy pool
-    { Buffer_pool.max_retries = 1; backoff_ns = 1000; backoff_mult = 2 };
-  (* One scheduled failure eating 5 attempts outlasts a 1-retry budget. *)
+  (* One scheduled failure eating 6 attempts outlasts the first attempt
+     plus 4 retries. *)
   let seed = find_seed store p (fun u1 _ -> u1 < 0.5) in
   Disk_model.set_faults disks
     (Some
-       { Fault.none with Fault.seed; transient_read = 0.5; transient_fail_len = 5 });
+       { Fault.none with Fault.seed; transient_read = 0.5; transient_fail_len = 6 });
   (match Buffer_pool.get pool p with
   | _ -> Alcotest.fail "expected Io_error"
   | exception Buffer_pool.Io_error { page; attempts; cause; repair } ->
       check_int "page" p page;
-      check_int "attempts" 2 attempts;
+      check_int "attempts" 5 attempts;
       check_bool "cause" true (cause = `Transient);
       check_bool "no repair tried" true (repair = `Not_attempted));
   check_int "unrecoverable counted" 1
@@ -268,15 +264,14 @@ let test_scrub_scheduler_paces () =
   check_bool "every page came back clean" true
     ((Scrub.total sched).Scrub.clean >= n);
   (* Bandwidth 0 pauses the walk. *)
-  Scrub.set_bandwidth sched 0;
-  check_int "paused tick scans nothing" 0 (Scrub.tick sched).Scrub.scanned;
+  let paused = Scrub.scheduler ~pages_per_tick:0 pool in
+  check_int "paused tick scans nothing" 0 (Scrub.tick paused).Scrub.scanned;
   (* The cursor wraps: damage planted anywhere is found on a later lap,
      and with no repair hook it is reported, not hidden. *)
-  Scrub.set_bandwidth sched 4;
   let victim = List.nth pages 5 in
   Bytes.set (Page_store.bytes store victim) 9 '\xee';
   let found = ref false in
-  for _ = 1 to (n + 3) / 4 do
+  for _ = 1 to (n + 2) / 3 do
     let r = Scrub.tick sched in
     if List.mem_assoc victim r.Scrub.unrecoverable then found := true
   done;

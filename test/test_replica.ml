@@ -1,7 +1,7 @@
 (* Tests for WAL log-shipping replication: link-level in-order delivery
    and determinism, PRNG splitting, the zero-committed-loss failover
    property at random async kill points, a semi-sync boundary sweep,
-   divergence detection on old-primary rejoin, and the retention /
+   a resumed group committing on the promoted WAL, and the retention /
    snapshot catch-up path. *)
 
 open Fpb_btree_common
@@ -180,10 +180,10 @@ let async_kill_prop frac =
      but never the primary's own durable log *)
   p.Replica.committed_op = best && best <= acked && acked <= !committed
 
-(* --- divergence detection on old-primary rejoin ----------------------- *)
+(* --- failover: the resumed group keeps committing ---------------------- *)
 
-let test_rejoin_divergence () =
-  let sys, idx, wal, group = build_group ~mode:(Replica.Semi_sync 1) () in
+let test_failover_resume () =
+  let _sys, idx, wal, group = build_group ~mode:(Replica.Semi_sync 1) () in
   let committed = ref 0 in
   for _ = 1 to 30 do
     step idx wal committed
@@ -202,25 +202,11 @@ let test_rejoin_divergence () =
   for _ = 1 to 8 do
     step idx2 p.Replica.wal committed2
   done;
-  (* the old primary comes back: its durable suffix (ops 31..35) forks
-     from the surviving history right after the promotion point *)
-  match
-    Replica.rejoin group2 ~old_pool:sys.X.Setup.pool ~old_wal:wal
-      ~prng:(W.Prng.create 99) ()
-  with
-  | Replica.Snapshot_required _ ->
-      Alcotest.fail "untrimmed archive must allow a delta rejoin"
-  | Replica.Rejoined { fork_lsn; truncated_records; pages_copied } ->
-      check_int "fork right after the promoted commit"
-        (p.Replica.committed_lsn + 1) fork_lsn;
-      check_bool "divergent suffix truncated" true (truncated_records > 0);
-      check_bool "fork-touched pages re-shipped" true (pages_copied > 0);
-      (* one replica became the primary, one survived, plus the rejoin *)
-      check_int "rejoined node added" 2 (Replica.n_nodes group2);
-      let back = Replica.node group2 (Replica.n_nodes group2 - 1) in
-      check_int "rejoined node converges on the surviving history" 38
-        (Replica.sync_node group2 ~horizon:max_int back);
-      Index_sig.check idx2
+  (* one replica became the primary; the other survived and follows it *)
+  check_int "one surviving replica" 1 (Replica.n_nodes group2);
+  check_int "survivor converges on the resumed history" 38
+    (Replica.sync_node group2 ~horizon:max_int (Replica.node group2 0));
+  Index_sig.check idx2
 
 (* --- retention: log catch-up refused, snapshot path succeeds ---------- *)
 
@@ -269,8 +255,8 @@ let suite =
     Util.qtest ~count:12 "async: promotion = most advanced durable prefix"
       QCheck2.Gen.(int_bound 9999)
       async_kill_prop;
-    Alcotest.test_case "rejoin: divergent suffix detected and truncated"
-      `Quick test_rejoin_divergence;
+    Alcotest.test_case "failover: resumed group keeps committing on the promoted WAL"
+      `Quick test_failover_resume;
     Alcotest.test_case "retention: snapshot catch-up after trim" `Quick
       test_retention_snapshot_catchup;
   ]

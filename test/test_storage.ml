@@ -46,19 +46,21 @@ let test_page_store_alloc_free () =
 
 let test_disk_model () =
   let clock = Clock.create () in
-  let d = Disk_model.create ~seek_ns:1000 ~transfer_ns:100 ~n_disks:2 clock in
+  let d = Disk_model.create ~transfer_ns:100 ~n_disks:2 clock in
+  let random = Disk_model.default_seek_ns + 100 in
   let c1 = Disk_model.read d ~disk:0 ~phys:5 () in
-  check_int "random read = seek+transfer" 1100 c1;
+  check_int "random read = seek+transfer" random c1;
   let c2 = Disk_model.read d ~disk:0 ~phys:6 () in
   check_int "sequential read = transfer only" (c1 + 100) c2;
   let c3 = Disk_model.read d ~disk:0 ~phys:0 () in
-  check_int "back to random" (c2 + 1100) c3;
+  check_int "back to random" (c2 + random) c3;
   (* the other disk is idle: requests run in parallel *)
   let c4 = Disk_model.read d ~disk:1 ~phys:0 () in
-  check_int "parallel disk" 1100 c4;
-  (* deferred start *)
-  let c5 = Disk_model.read d ~earliest:10_000 ~disk:1 ~phys:1 () in
-  check_int "earliest honoured" 10_100 c5;
+  check_int "parallel disk" random c4;
+  (* deferred start, past the disk's busy time *)
+  let earliest = c4 + 10_000 in
+  let c5 = Disk_model.read d ~earliest ~disk:1 ~phys:1 () in
+  check_int "earliest honoured" (earliest + 100) c5;
   check_int "reads counted" 5 (Disk_model.reads d)
 
 let test_buffer_pool_hits_misses () =
