@@ -53,6 +53,7 @@ module Make (F : PAGE_FORMAT) = struct
     cfg : F.cfg;
     fanout : int;
     mutable root : int;
+    held : Buffer_pool.held;  (* the root's frame *)
     mutable levels : int;  (* 1 = root is a leaf *)
     mutable n_pages : int;
     acc : Level_acc.t;
@@ -92,6 +93,7 @@ module Make (F : PAGE_FORMAT) = struct
         cfg;
         fanout = F.fanout cfg;
         root = nil;
+        held = Buffer_pool.held ();
         levels = 1;
         n_pages = 0;
         acc = Level_acc.create sim;
@@ -115,7 +117,10 @@ module Make (F : PAGE_FORMAT) = struct
   let descend t key ~visit =
     let rec go page depth =
       let stall0 = Level_acc.stall_now t.acc in
-      let r = Buffer_pool.get t.pool page in
+      let r =
+        if depth = 1 then Buffer_pool.get_held t.pool t.held page
+        else Buffer_pool.get t.pool page
+      in
       Sim.busy_node t.sim;
       if Mem.read_u8 t.sim r off_is_leaf = 1 then begin
         Level_acc.note t.acc ~page ~depth ~stall0;
@@ -152,7 +157,7 @@ module Make (F : PAGE_FORMAT) = struct
      the keys) are already being prefetched. *)
   let search_batch t keys =
     let area = F.key_base t.cfg + (Key.size * t.fanout) in
-    Wave.search_batch t.acc t.pool ~root:(t.root, 0) keys
+    Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~held:t.held keys
       {
         Wave.is_leaf = (fun ~depth:_ r -> Mem.read_u8 t.sim r off_is_leaf = 1);
         lookahead =

@@ -48,10 +48,11 @@ let pin_level pool pgs =
 (* One wave over the sorted probes [order.(lo..hi-1)].  Probes arrive
    sorted by key, so the probes routing through one node are consecutive
    and the frontier stays key-ordered: dedup is "same child as the
-   previous probe".  Only one level's pages are pinned at a time, and
-   [Buffer_pool.get_batch] unwinds its own pins on [Overloaded], so the
-   exception escapes with nothing pinned and the caller can split. *)
-let wave acc pool h ~root keys order lo hi out =
+   previous probe".  The root level is one page, pinned through the
+   tree's held root frame.  Only one level's pages are pinned at a time,
+   and [Buffer_pool.get_batch] unwinds its own pins on [Overloaded], so
+   the exception escapes with nothing pinned and the caller can split. *)
+let wave acc pool h ~root ~held keys order lo hi out =
   let np = hi - lo in
   Batch_stats.note_wave np;
   for _ = 1 to np do
@@ -62,7 +63,10 @@ let wave acc pool h ~root keys order lo hi out =
      [starts.(g) .. starts.(g+1)-1] its slice of sorted probes. *)
   let rec go pgs lns starts depth =
     let ng = Array.length pgs in
-    let pages, regs = pin_level pool pgs in
+    let pages, regs =
+      if depth = 1 then ([| pgs.(0) |], [| Buffer_pool.get_held pool held pgs.(0) |])
+      else pin_level pool pgs
+    in
     let leaf = h.is_leaf ~depth regs.(0) in
     let prev_pg = ref (-1) and prev_ln = ref (-1) in
     for g = 0 to ng - 1 do
@@ -120,10 +124,11 @@ let wave acc pool h ~root keys order lo hi out =
   in
   go [| fst root |] [| snd root |] [| lo; hi |] 1
 
-(* [Index_sig.S.search_batch] for the tree rooted at node [root]: sort,
-   then run one wave, splitting it in halves under [Overloaded] down to
-   singleton [h.search]. *)
-let search_batch acc pool ~root (keys : int array) h =
+(* [Index_sig.S.search_batch] for the tree rooted at node [root], whose
+   page each wave enters through [held]: sort, then run one wave,
+   splitting it in halves under [Overloaded] down to singleton
+   [h.search]. *)
+let search_batch acc pool ~root ~held (keys : int array) h =
   let m = Array.length keys in
   let out = Array.make m None in
   if m > 0 then begin
@@ -139,7 +144,7 @@ let search_batch acc pool ~root (keys : int array) h =
         out.(order.(lo)) <- h.search keys.(order.(lo))
       end
       else
-        try wave acc pool h ~root keys order lo hi out
+        try wave acc pool h ~root ~held keys order lo hi out
         with Buffer_pool.Overloaded _ ->
           let mid = (lo + hi) / 2 in
           run lo mid;

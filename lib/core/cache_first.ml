@@ -61,6 +61,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : ptr;
+  held : Buffer_pool.held;  (* the root page's frame *)
   mutable levels : int;  (* node levels; 1 = root is a leaf node *)
   mutable n_pages : int;
   jp : Jump_array.t;
@@ -200,6 +201,7 @@ let create_with_cfg pool cfg =
       sim;
       cfg;
       root = null_ptr;
+      held = Buffer_pool.held ();
       levels = 1;
       n_pages = 0;
       jp = Jump_array.create pool;
@@ -272,7 +274,7 @@ let descend t key ~visit =
       end
     end
   in
-  let r = Buffer_pool.get t.pool t.root.pg in
+  let r = Buffer_pool.get_held t.pool t.held t.root.pg in
   go t.root.pg r t.root.ln 1
 
 let leaf_lookup t r line ~n key =
@@ -295,7 +297,7 @@ let search t key =
    node's lines while this one is searched, so they arrive before its
    own [prefetch_node]. *)
 let search_batch t keys =
-  Wave.search_batch t.acc t.pool ~root:(t.root.pg, t.root.ln) keys
+  Wave.search_batch t.acc t.pool ~root:(t.root.pg, t.root.ln) ~held:t.held keys
     {
       Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
       lookahead = (fun _ _ -> ());

@@ -59,6 +59,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : int;
+  held : Buffer_pool.held;  (* the root's frame *)
   mutable levels : int;  (* page levels; 1 = root is a leaf page *)
   mutable n_pages : int;
   mutable io_prefetch_distance : int;
@@ -229,6 +230,7 @@ let create_with_cfg pool cfg =
       sim;
       cfg;
       root = nil;
+      held = Buffer_pool.held ();
       levels = 1;
       n_pages = 0;
       io_prefetch_distance = 16;
@@ -309,6 +311,11 @@ let ip_route t r key =
 
 (* --- Search --------------------------------------------------------------- *)
 
+(* Pin a descent's page at [depth]: the root through its held frame. *)
+let pin_at t page depth =
+  if depth = 1 then Buffer_pool.get_held t.pool t.held page
+  else Buffer_pool.get t.pool page
+
 (* Look [key] up in leaf page [r] through its in-page tree. *)
 let page_lookup t r key =
   let line = ip_find_leaf t r key ~visit:(fun _ _ _ -> ()) in
@@ -322,7 +329,7 @@ let search t key =
   Sim.busy_op t.sim;
   let rec go page depth =
     let stall0 = Level_acc.stall_now t.acc in
-    let r = Buffer_pool.get t.pool page in
+    let r = pin_at t page depth in
     if depth = t.levels then begin
       let result = page_lookup t r key in
       Level_acc.note t.acc ~page ~depth ~stall0;
@@ -343,7 +350,7 @@ let search t key =
    the next frontier page's header line is warmed before each page is
    entered. *)
 let search_batch t keys =
-  Wave.search_batch t.acc t.pool ~root:(t.root, 0) keys
+  Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~held:t.held keys
     {
       Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
       lookahead = (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:line_bytes);
@@ -608,7 +615,7 @@ let insert t key tid =
       (page, path)
     end
     else begin
-      let r = Buffer_pool.get t.pool page in
+      let r = pin_at t page depth in
       let child = ip_route t r key in
       Level_acc.bump t.acc depth;
       Buffer_pool.unpin t.pool page;
@@ -629,7 +636,7 @@ let insert t key tid =
 let delete t key =
   Sim.busy_op t.sim;
   let rec go page depth =
-    let r = Buffer_pool.get t.pool page in
+    let r = pin_at t page depth in
     Level_acc.bump t.acc depth;
     if depth < t.levels then begin
       let child = ip_route t r key in
@@ -699,7 +706,7 @@ let descend_to_leaf t key =
   let rec go page depth =
     if depth = t.levels then page
     else begin
-      let r = Buffer_pool.get t.pool page in
+      let r = pin_at t page depth in
       let line, slot = ip_route_slot t r key in
       let child = Mem.read_i32 t.sim r (leaf_ptr_off t.cfg line slot) in
       Level_acc.bump t.acc depth;

@@ -50,6 +50,7 @@ module Counter = Fpb_obs.Counter
 
 type stats = {
   hits : Counter.t;
+  held_hits : Counter.t;  (* [get_held] calls served from the held frame *)
   misses : Counter.t;  (* demand reads that went to disk *)
   evictions : Counter.t;  (* pages replaced by the CLOCK sweep *)
   prefetch_issued : Counter.t;
@@ -77,6 +78,7 @@ type stats = {
 let make_stats () =
   {
     hits = Counter.make "pool.hits";
+    held_hits = Counter.make "pool.held_hits";
     misses = Counter.make "pool.misses";
     evictions = Counter.make "pool.evictions";
     prefetch_issued = Counter.make "pool.prefetch_issued";
@@ -103,8 +105,9 @@ let make_stats () =
 
 let stats_counters s =
   [
-    s.hits; s.misses; s.evictions; s.prefetch_issued; s.prefetch_hits;
-    s.prefetch_dropped; s.prefetch_dirty_victims; s.demand_dirty_victims;
+    s.hits; s.held_hits; s.misses; s.evictions; s.prefetch_issued;
+    s.prefetch_hits; s.prefetch_dropped; s.prefetch_dirty_victims;
+    s.demand_dirty_victims;
     s.io_wait_ns; s.shard_conflicts; s.shard_waits_ns; s.shard_overlaps;
     s.retry_read; s.retry_wait_ns; s.err_transient; s.err_latent;
     s.err_checksum; s.err_unrecoverable; s.repair_attempts;
@@ -789,6 +792,40 @@ let get t page =
 
 (* The frame of [page], or -1 if it is not resident. *)
 let frame_of_page t page = Page_table.find (shard_of t page).table page
+
+(* A page's frame as its holder last saw it: a tree handle keeps one for
+   its root.  Frame 0 exists in every pool, so a fresh record needs no
+   sentinel: its first [get_held] validates it like any other. *)
+type held = { mutable frame : int }
+
+let held () = { frame = 0 }
+
+(* Pin [page] through the frame [h] remembers, skipping the page table,
+   the buffer-manager call and the shard latch, when that frame still
+   holds [page], its read has landed at the caller's time, and it is not
+   a prefetch arrival whose bytes no [get] has verified yet.  The
+   validation is two loads of frame state.  Anything else (eviction, a
+   cleared or crashed pool, the page freed and reallocated, a new root)
+   fails one of the three tests and falls back to [get], which also
+   re-reads the frame into [h]. *)
+let get_held t h page =
+  let f = h.frame in
+  Sim.charge_busy t.sim (2 * t.sim.Sim.cost.Cost_model.c_access);
+  if
+    t.frames.(f) = page
+    && t.ready_at.(f) <= Clock.now t.sim.Sim.clock
+    && not t.prefetched.(f)
+  then begin
+    Counter.incr t.stats.held_hits;
+    t.ref_bit.(f) <- true;
+    t.pin.(f) <- t.pin.(f) + 1;
+    hit_region t f page
+  end
+  else begin
+    let r = get t page in
+    h.frame <- frame_of_page t page;
+    r
+  end
 
 let unpin t page =
   let frame = frame_of_page t page in

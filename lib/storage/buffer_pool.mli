@@ -39,6 +39,9 @@
     WAL-based page repair. *)
 type stats = {
   hits : Fpb_obs.Counter.t;  (** [pool.hits] *)
+  held_hits : Fpb_obs.Counter.t;
+      (** [pool.held_hits]: {!get_held} calls served from the held frame,
+          without a page-table lookup or a shard latch *)
   misses : Fpb_obs.Counter.t;
       (** [pool.misses]: demand reads that went to disk *)
   evictions : Fpb_obs.Counter.t;
@@ -177,6 +180,27 @@ val shard_of_page : t -> int -> int
 val get : t -> int -> Fpb_simmem.Mem.region
 
 val unpin : t -> int -> unit
+
+(** A page's frame as its holder last saw it: a tree handle keeps one for
+    its root. *)
+type held
+
+(** A fresh record.  It names frame 0, which its first {!get_held}
+    validates like any other. *)
+val held : unit -> held
+
+(** [get_held t h page] pins [page] like {!get}.  When the frame [h]
+    remembers still holds [page], its read has landed at the caller's
+    time, and it is not a prefetch arrival no [get] has verified, the pin
+    skips the page-table lookup, the buffer-manager call and the shard
+    latch: it charges two loads ([2 x c_access] busy cycles), sets the
+    frame's reference bit and counts [pool.held_hits] instead of
+    [pool.hits].  Otherwise (the page evicted, the pool cleared or
+    dropped, the page freed and reallocated elsewhere, [h] naming
+    another page's frame) it is {!get}, and [h] then remembers [page]'s
+    frame.
+    Balance with [unpin]. *)
+val get_held : t -> held -> int -> Fpb_simmem.Mem.region
 
 (** Pin a batch of pages together (one {!get} each, in order), returning
     their regions in the same order.  Before pinning, every page that

@@ -19,6 +19,7 @@ type t = {
   sim : Sim.t;
   page_size : int;
   mutable root : int;
+  held : Buffer_pool.held;  (* the root's frame *)
   mutable levels : int;
   mutable n_pages : int;
 }
@@ -47,7 +48,17 @@ let new_page t ~leaf =
 let create pool =
   let sim = Buffer_pool.sim pool in
   let page_size = Page_store.page_size (Buffer_pool.store pool) in
-  let t = { pool; sim; page_size; root = nil; levels = 1; n_pages = 0 } in
+  let t =
+    {
+      pool;
+      sim;
+      page_size;
+      root = nil;
+      held = Buffer_pool.held ();
+      levels = 1;
+      n_pages = 0;
+    }
+  in
   let root, _ = new_page t ~leaf:true in
   Buffer_pool.unpin pool root;
   t.root <- root;
@@ -61,7 +72,10 @@ let child_for t r key =
   else Slotted.ptr_at t.sim nd (i - 1)
 
 let rec descend t key page ~visit =
-  let r = Buffer_pool.get t.pool page in
+  let r =
+    if page = t.root then Buffer_pool.get_held t.pool t.held page
+    else Buffer_pool.get t.pool page
+  in
   Sim.busy_node t.sim;
   if Mem.read_u8 t.sim r h_is_leaf = 1 then (page, r)
   else begin

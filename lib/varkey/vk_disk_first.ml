@@ -46,6 +46,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : int;
+  held : Buffer_pool.held;  (* the root's frame *)
   mutable levels : int;  (* page levels *)
   mutable n_pages : int;
 }
@@ -218,6 +219,7 @@ let create ?avg_key_len pool =
       sim;
       cfg = make_cfg ?avg_key_len page_size;
       root = nil;
+      held = Buffer_pool.held ();
       levels = 1;
       n_pages = 0;
     }
@@ -266,7 +268,10 @@ let page_route t r key =
   else Slotted.ptr_at t.sim nd (i - 1)
 
 let rec descend t key page depth ~visit =
-  let r = Buffer_pool.get t.pool page in
+  let r =
+    if depth = 1 then Buffer_pool.get_held t.pool t.held page
+    else Buffer_pool.get t.pool page
+  in
   Sim.busy_node t.sim;
   if depth = t.levels then (page, r)
   else begin

@@ -174,25 +174,25 @@ let scan_pins =
     ( "disk_opt",
       [
         ( "forward",
-          [ 64857764; 142592; 200595; 18966; 69; 65; 65; 2; 2; 68 ],
+          [ 64857556; 142386; 200595; 18966; 68; 65; 65; 2; 2; 68 ],
           fun () -> scan_cost (module Db) ~scan:(Db.range_scan ~prefetch:true) );
       ] );
     ( "micro",
       [
         ( "forward",
-          [ 65060171; 144395; 215005; 18878; 70; 66; 66; 2; 2; 69 ],
+          [ 65059963; 144189; 215005; 18878; 69; 66; 66; 2; 2; 69 ],
           fun () -> scan_cost (module Mi) ~scan:(Mi.range_scan ~prefetch:true) );
       ] );
     ( "disk_first",
       [
         ( "forward",
-          [ 65258587; 158264; 50261; 22463; 73; 71; 71; 2; 2; 72 ],
+          [ 65258379; 158058; 50261; 22463; 72; 71; 71; 2; 2; 72 ],
           fun () -> scan_cost (module Df) ~scan:(Df.range_scan ~prefetch:true) );
       ] );
     ( "cache_first",
       [
         ( "forward",
-          [ 73549064; 153576; 44274; 21622; 72; 67; 67; 2; 2; 2; 478 ],
+          [ 73548868; 153370; 44286; 21622; 71; 67; 67; 2; 2; 2; 478 ],
           fun () -> scan_cost (module Cf) ~scan:(Cf.range_scan ~prefetch:true) );
       ] );
   ]
@@ -318,6 +318,112 @@ let prop_indexes_work_at_64kb =
           Index_sig.search idx 2000 = Some 1000)
         Fpb_experiments.Setup.all_kinds)
 
+(* --- Held roots on a 3-frame pool ------------------------------------------ *)
+
+(* Every paged tree enters its root through a held frame.  On a 3-frame
+   pool that frame is evicted all the time, and [Buffer_pool.clear]
+   between operations empties it outright, so a stale held frame that
+   were trusted would serve another page's bytes.  Each tree is checked
+   against a Map model after every operation it offers, then with
+   [check]. *)
+let held_root_ops =
+  QCheck2.Gen.(
+    pair (0 -- 600)
+      (list_size (10 -- 80) (triple (0 -- 5) (0 -- 1500) (0 -- 60))))
+
+let prop_held_root_int =
+  Util.qtest ~count:8 "held roots on a 3-frame pool: four int-key trees"
+    held_root_ops
+    (fun (n, ops) ->
+      List.for_all
+        (fun kind ->
+          let pool = Util.make_pool ~page_size:4096 ~capacity:3 () in
+          let idx = Fpb_experiments.Setup.make_index kind pool in
+          let pairs = Array.init n (fun i -> (2 * i, i)) in
+          Index_sig.bulkload idx pairs ~fill:0.3;
+          let m = ref (Array.fold_left (fun m (k, v) -> M.add k v m) M.empty pairs) in
+          let ok =
+            List.for_all
+              (fun (op, k, x) ->
+                match op with
+                | 0 ->
+                    let fresh = not (M.mem k !m) in
+                    m := M.add k x !m;
+                    Index_sig.insert idx k x
+                    = if fresh then `Inserted else `Updated
+                | 1 ->
+                    let had = M.mem k !m in
+                    m := M.remove k !m;
+                    Index_sig.delete idx k = had
+                | 2 -> Index_sig.search idx k = M.find_opt k !m
+                | 3 ->
+                    let got = ref [] in
+                    let cnt =
+                      Index_sig.range_scan idx ~start_key:k ~end_key:(k + (10 * x))
+                        (fun k v -> got := (k, v) :: !got)
+                    in
+                    let want =
+                      M.bindings (M.filter (fun key _ -> key >= k && key <= k + (10 * x)) !m)
+                    in
+                    cnt = List.length want && List.rev !got = want
+                | 4 ->
+                    let keys = Array.init (1 + (x mod 20)) (fun i -> k + (7 * i)) in
+                    Index_sig.search_batch idx keys
+                    = Array.map (fun key -> M.find_opt key !m) keys
+                | _ ->
+                    Fpb_storage.Buffer_pool.clear pool;
+                    true)
+              ops
+          in
+          Index_sig.check idx;
+          let all = ref [] in
+          Index_sig.iter idx (fun k v -> all := (k, v) :: !all);
+          ok && List.rev !all = M.bindings !m)
+        Fpb_experiments.Setup.all_kinds)
+
+module SM = Map.Make (String)
+
+(* Variable-length keys of 2 to 8 bytes, so pages split after a few
+   hundred inserts. *)
+let vk_key k = String.make (1 + (k mod 4)) (Char.chr (97 + (k mod 26))) ^ string_of_int k
+
+let prop_held_root_varkey =
+  Util.qtest ~count:8 "held roots on a 3-frame pool: two varkey trees"
+    held_root_ops
+    (fun (n, ops) ->
+      let run name create insert search check iter =
+        let pool = Util.make_pool ~page_size:4096 ~capacity:3 () in
+        let t = create pool in
+        let m = ref SM.empty in
+        let put k v =
+          let fresh = not (SM.mem k !m) in
+          m := SM.add k v !m;
+          insert t k v = if fresh then `Inserted else `Updated
+        in
+        let ok =
+          List.for_all (fun i -> put (vk_key (2 * i)) i) (List.init n Fun.id)
+          && List.for_all
+               (fun (op, k, x) ->
+                 match op with
+                 | 0 | 1 | 3 -> put (vk_key k) x
+                 | 2 | 4 -> search t (vk_key k) = SM.find_opt (vk_key k) !m
+                 | _ ->
+                     Fpb_storage.Buffer_pool.clear pool;
+                     true)
+               ops
+        in
+        check t;
+        let all = ref [] in
+        iter t (fun k v -> all := (k, v) :: !all);
+        if not (ok && List.rev !all = SM.bindings !m) then
+          QCheck2.Test.fail_reportf "%s disagrees with the model" name;
+        true
+      in
+      let module B = Fpb_varkey.Vk_btree in
+      let module D = Fpb_varkey.Vk_disk_first in
+      run B.name B.create B.insert B.search B.check B.iter
+      && run D.name (fun p -> D.create p) D.insert D.search D.check D.iter)
+
 let kinds =
   [
     ("disk_opt", Fpb_experiments.Setup.Disk_opt);
@@ -327,7 +433,8 @@ let kinds =
   ]
 
 let suite =
-  prop_indexes_equivalent :: prop_search_batch_equiv
+  prop_indexes_equivalent :: prop_search_batch_equiv :: prop_held_root_int
+  :: prop_held_root_varkey
   :: prop_jump_array_model :: prop_slotted_model :: prop_indexes_work_at_64kb
   :: List.map
        (fun (name, kind) ->
@@ -348,17 +455,17 @@ let suite =
           (test_batch_cost_pinned kind ~roomy ~tiny))
       [
         ( "disk_opt", Fpb_experiments.Setup.Disk_opt,
-          [ 25836; 1; 17; 88; 0; 1; 39 ],
-          [ 255563524; 13; 27; 248; 127; 13; 43 ] );
+          [ 25838; 1; 17; 88; 0; 1; 39 ],
+          [ 255562036; 13; 27; 248; 127; 13; 43 ] );
         ( "micro", Fpb_experiments.Setup.Micro,
-          [ 23978; 1; 20; 92; 0; 1; 35 ],
-          [ 239656746; 13; 30; 253; 114; 13; 38 ] );
+          [ 23980; 1; 20; 92; 0; 1; 35 ],
+          [ 239655210; 13; 30; 253; 114; 13; 38 ] );
         ( "disk_first", Fpb_experiments.Setup.Disk_first,
-          [ 29166; 1; 20; 91; 0; 1; 36 ],
-          [ 247550374; 13; 31; 252; 113; 13; 39 ] );
+          [ 29168; 1; 20; 91; 0; 1; 36 ],
+          [ 247548886; 13; 31; 252; 113; 13; 39 ] );
         ( "cache_first", Fpb_experiments.Setup.Cache_first,
-          [ 24842; 1; 19; 129; 0; 1; 8; 54 ],
-          [ 311434222; 13; 58; 437; 158; 13; 39; 55 ] );
+          [ 24844; 1; 19; 129; 0; 1; 8; 54 ],
+          [ 311432286; 13; 58; 437; 158; 13; 39; 55 ] );
       ]
   @ List.map
       (fun (name, pins) ->

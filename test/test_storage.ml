@@ -567,6 +567,158 @@ let prop_page_table_matches_hashtbl =
       in
       List.for_all agrees ops && refuses_ninth ())
 
+(* --- Held frames ------------------------------------------------------------ *)
+
+(* [get_held] then [unpin]; returns the counter deltas the call made:
+   (held hits, hits + misses + prefetch hits). *)
+let held_pin pool h p =
+  let s = Buffer_pool.stats pool in
+  let got () =
+    ( cv s.Buffer_pool.held_hits,
+      cv s.hits + cv s.misses + cv s.prefetch_hits )
+  in
+  let h0, g0 = got () in
+  let r = Buffer_pool.get_held pool h p in
+  Buffer_pool.unpin pool p;
+  let h1, g1 = got () in
+  (r, (h1 - h0, g1 - g0))
+
+let check_held label pool h p =
+  Alcotest.(check (pair int int)) (label ^ ": held hit") (1, 0)
+    (snd (held_pin pool h p))
+
+let check_fallback label pool h p =
+  Alcotest.(check (pair int int)) (label ^ ": falls back to get") (0, 1)
+    (snd (held_pin pool h p));
+  check_held (label ^ ", then refreshed") pool h p
+
+(* A held hit skips the page table, the buffer-manager call and the
+   shard latch: exactly its two validation loads of busy time, no latch
+   conflict even inside another client's hold, and a [pool.held_hits]
+   count instead of a [pool.hits] one. *)
+let test_held_hit_cost () =
+  let sim, store, _disks, pool = Util.make_system ~capacity:4 ~n_shards:1 () in
+  let clock = sim.Sim.clock in
+  let p = Page_store.alloc store in
+  let h = Buffer_pool.held () in
+  check_fallback "cold" pool h p;
+  let busy () = cv sim.Sim.stats.Stats.busy in
+  let s = Buffer_pool.stats pool in
+  let b0 = busy () and t0 = Clock.now clock in
+  check_held "warm" pool h p;
+  check_int "busy cycles" (2 * sim.Sim.cost.Cost_model.c_access) (busy () - b0);
+  check_int "simulated time" (2 * sim.Sim.cost.Cost_model.c_access)
+    (Clock.now clock - t0);
+  (* Client A takes the latch at t0 with a plain get; client B, replayed
+     inside A's hold, enters through the held frame without waiting.  A
+     plain get at the same time does wait: the hold is real. *)
+  let t0 = Clock.now clock in
+  Clock.set clock t0;
+  ignore (Buffer_pool.get pool p);
+  Buffer_pool.unpin pool p;
+  let inside = t0 + sim.Sim.cost.Cost_model.latch_cycles + 10 in
+  Clock.set clock inside;
+  let c0 = cv s.Buffer_pool.shard_conflicts in
+  check_held "inside another client's hold" pool h p;
+  check_int "no latch conflict" c0 (cv s.Buffer_pool.shard_conflicts);
+  Clock.set clock inside;
+  ignore (Buffer_pool.get pool p);
+  Buffer_pool.unpin pool p;
+  check_int "a plain get there conflicts" (c0 + 1) (cv s.Buffer_pool.shard_conflicts)
+
+(* Every way the held frame can stop holding the page, or hold it before
+   it may be read, sends [get_held] back to [get], which refreshes the
+   record. *)
+let test_held_fallbacks () =
+  let _sim, store, _disks, pool = Util.make_system ~capacity:4 () in
+  let p = Page_store.alloc store in
+  let h = Buffer_pool.held () in
+  check_fallback "first use" pool h p;
+  Buffer_pool.clear pool;
+  check_fallback "after clear" pool h p;
+  Buffer_pool.drop_all pool;
+  check_fallback "after drop_all" pool h p;
+  let others = Array.init 8 (fun _ -> Page_store.alloc store) in
+  Array.iter
+    (fun q ->
+      ignore (Buffer_pool.get pool q);
+      Buffer_pool.unpin pool q)
+    others;
+  check_bool "thrash evicted the page" false (Buffer_pool.is_resident pool p);
+  check_fallback "after eviction" pool h p;
+  (* the page evicted, another one now in its frame *)
+  Array.iter
+    (fun q ->
+      ignore (Buffer_pool.get pool q);
+      Buffer_pool.unpin pool q)
+    others;
+  ignore (Buffer_pool.get pool p);
+  Buffer_pool.unpin pool p;
+  check_fallback "after a reload into another frame" pool h p;
+  (* a pinned-full pool refuses the fallback as it refuses a get *)
+  Buffer_pool.clear pool;
+  Array.iter (fun q -> ignore (Buffer_pool.get pool q)) (Array.sub others 0 4);
+  (match Buffer_pool.get_held pool h p with
+  | _ -> Alcotest.fail "a pinned-full pool served the held page"
+  | exception Buffer_pool.Overloaded _ -> ());
+  Array.iter (Buffer_pool.unpin pool) (Array.sub others 0 4)
+
+(* The page is freed and its id reallocated into another frame: the held
+   frame is empty, so the fallback finds the new page, zeroed.  (A fresh
+   record names frame 0, where the pool put the page: a held hit.) *)
+let test_held_free_realloc () =
+  let sim, _store, _disks, pool = Util.make_system ~capacity:2 () in
+  let p, r = Buffer_pool.create_page pool in
+  Mem.write_i32 sim r 0 99;
+  Buffer_pool.unpin pool p;
+  let h = Buffer_pool.held () in
+  check_held "the page in frame 0" pool h p;
+  Buffer_pool.free_page pool p;
+  let p', _ = Buffer_pool.create_page pool in
+  Buffer_pool.unpin pool p';
+  check_int "id reused" p p';
+  let r, got = held_pin pool h p in
+  Alcotest.(check (pair int int)) "falls back to get" (0, 1) got;
+  check_int "the new page's bytes" 0 (Mem.read_i32 sim r 0);
+  check_held "then refreshed" pool h p
+
+(* A client replayed before the held page's read landed waits for it
+   through [get], as I/O. *)
+let test_held_read_in_flight () =
+  let sim, store, _disks, pool = Util.make_system ~capacity:4 () in
+  let clock = sim.Sim.clock in
+  let p = Page_store.alloc store in
+  let h = Buffer_pool.held () in
+  let t0 = Clock.now clock in
+  Clock.set clock t0;
+  check_int "cold read" 1 (snd (snd (held_pin pool h p)));
+  let landed = Clock.now clock in
+  Clock.set clock (t0 + 1_000);
+  let s = Buffer_pool.stats pool in
+  let w0 = cv s.Buffer_pool.io_wait_ns in
+  Alcotest.(check (pair int int)) "read in flight: falls back to get" (0, 1)
+    (snd (held_pin pool h p));
+  check_bool "waited for the read" true (Clock.now clock >= landed);
+  check_bool "as I/O" true (cv s.Buffer_pool.io_wait_ns > w0);
+  check_held "then held" pool h p
+
+(* A prefetch landed in the held frame but no get has verified its bytes
+   yet: the fallback's get verifies them, as a prefetch hit. *)
+let test_held_prefetch_arrival () =
+  let sim, store, _disks, pool = Util.make_system ~capacity:1 () in
+  let p = Page_store.alloc store in
+  let h = Buffer_pool.held () in
+  check_fallback "first use" pool h p;
+  Buffer_pool.clear pool;
+  Buffer_pool.prefetch pool p;
+  Clock.advance sim.Sim.clock 100_000_000;
+  let s = Buffer_pool.stats pool in
+  let ph0 = cv s.Buffer_pool.prefetch_hits in
+  Alcotest.(check (pair int int)) "arrival: falls back to get" (0, 1)
+    (snd (held_pin pool h p));
+  check_int "verified as a prefetch hit" (ph0 + 1) (cv s.Buffer_pool.prefetch_hits);
+  check_held "then held" pool h p
+
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
@@ -597,6 +749,13 @@ let suite =
       test_latch_overlap_counted;
     Alcotest.test_case "multi-client pin/evict interleaving" `Quick
       test_multi_client_pin_evict;
+    Alcotest.test_case "held hit: two loads, no latch" `Quick test_held_hit_cost;
+    Alcotest.test_case "held frame: clear, drop, eviction" `Quick
+      test_held_fallbacks;
+    Alcotest.test_case "held frame: free + realloc" `Quick test_held_free_realloc;
+    Alcotest.test_case "held frame: read in flight" `Quick test_held_read_in_flight;
+    Alcotest.test_case "held frame: prefetch arrival" `Quick
+      test_held_prefetch_arrival;
     prop_sharded_pool_equivalent;
     prop_clock_never_past_capacity;
     prop_page_table_matches_hashtbl;
