@@ -14,12 +14,13 @@
              hit rate and shrinks the tail
      ycsb-c  the same mix A system driven closed loop (clients sweep)
              and open loop (arrival-rate sweep around the measured
-             closed-loop capacity).  Closed loop, offered load adapts:
-             throughput plateaus at capacity and p99 stays near service
-             time however many clients pile on.  Open loop, arrivals
-             don't care: past capacity the queue grows for the whole
-             run and p99/p999 explode.  Overload is a latency
-             phenomenon, and only the open-loop driver can show it. *)
+             closed-loop capacity, then at fixed rates).  Closed loop,
+             offered load adapts: throughput plateaus at capacity and
+             p99 stays near service time however many clients pile on.
+             Open loop, arrivals don't care: past capacity the queue
+             grows for the whole run and p99/p999 explode.  Overload is
+             a latency phenomenon, and only the open-loop driver can
+             show it. *)
 
 open Fpb_btree_common
 module W = Fpb_workload
@@ -228,6 +229,21 @@ let arrival_sweep scale ~pool_pages =
             ~n_clients:open_clients ~rate_ops_per_s:rate W.Mix.a ))
       [ 50; 80; 95; 110; 140 ]
   in
+  (* The rows above offer a share of the capacity this run measured, so
+     a change that moves capacity moves their load too.  These offer the
+     same fixed rates to every build: ~50, 75 and 90 % of the tiny
+     scale's capacity when they were added (6.1 Kops/s), ~55, 80 and
+     100 % of quick's (5.5 Kops/s). *)
+  let fixed_cells =
+    List.map
+      (fun rate ->
+        ( Printf.sprintf "open at %d ops/s" rate,
+          run_open scale ~pool_pages
+            ~label:(Printf.sprintf "A open at %d" rate)
+            ~n_clients:open_clients ~rate_ops_per_s:(float_of_int rate)
+            W.Mix.a ))
+      [ 3_000; 4_500; 5_500 ]
+  in
   let row (name, c) =
     (name
     :: (match c.offered_ops_per_s with
@@ -243,12 +259,13 @@ let arrival_sweep scale ~pool_pages =
          "Mix A closed vs open loop (%d service clients; capacity = best \
           closed-loop throughput = %.1f Kops/s).  Closed loop saturates \
           gracefully; open loop past capacity queues for the whole run and \
-          the tail explodes"
+          the tail explodes; the \"open at\" rows offer fixed rates, the \
+          same load for every build"
          open_clients (capacity /. 1e3))
     ~header:
       [ "driver"; "offered Kops/s"; "Kops/s"; "p50"; "p99"; "p999";
         "max backlog" ]
-    (List.map row (closed @ open_cells))
+    (List.map row (closed @ open_cells @ fixed_cells))
 
 let run scale =
   let pool_pages = Bed.pool_pages ~share:2 (Bed.pairs (bulk_entries scale)) in

@@ -1,4 +1,4 @@
-(* Buffer pool with sharded CLOCK replacement, pinning, asynchronous
+(* Buffer pool with sharded SIEVE replacement, pinning, asynchronous
    prefetch, and media-failure handling.
 
    Page contents always live in the page store; the pool tracks which pages
@@ -8,17 +8,26 @@
    sees a stable, conflict-realistic address space; reassigning a frame
    invalidates its CPU-cache lines.
 
-   The page table and CLOCK replacement are split into [n_shards]
+   The page table and SIEVE replacement are split into [n_shards]
    independent shards keyed by a mix of the page id (PostgreSQL's
    buffer-mapping partitions, LeanStore's partitioned pools).  Each shard
-   owns a disjoint slice of the frame arena, its own hash table, CLOCK
-   hand, and a simulated latch: acquiring the latch costs
+   owns a disjoint slice of the frame arena, its own hash table, SIEVE
+   queue and hand, and a simulated latch: acquiring the latch costs
    [Cost_model.latch_cycles] busy time, and acquiring it at a time that
    falls inside another logical client's hold additionally waits until
    that hold ends, counted in [pool.shard.conflicts] /
    [pool.shard.waits_ns].  With one shard and one client the latch never
    conflicts and the pool behaves exactly like the pre-sharding
    implementation.
+
+   SIEVE (Zhang et al., NSDI 2024) replaces the paper's CLOCK.  Each shard
+   keeps its frames in the order they took their pages, oldest to newest.
+   A page enters unvisited; a later hit marks it visited.  The hand walks
+   from the oldest frame toward the newest, then wraps to the oldest,
+   clearing visited bits as it passes, and evicts the first unvisited
+   frame it meets; that frame takes the new page and becomes the newest,
+   and the hand stays where it stopped.  So a page touched once leaves
+   before one touched again, without moving a frame on a hit.
 
    Every frame carries the time its contents became valid: demand-read
    completion, prefetch completion or page creation.  A client replayed
@@ -33,10 +42,11 @@
    only for the remaining latency.  Prefetchers keep a single free-at time
    each, so a rewound client queues behind every request already issued.
    Issuing a request does not block while a clean frame is evictable: when
-   a write-back would force the log, a prefetch's CLOCK sweep passes over
-   dirty frames, and only with none clean left does it write a dirty
-   victim back behind a log force, as a demand miss does.  Dirty pages so
-   stay resident longer, and one write-back covers more updates.
+   a write-back would force the log, a prefetch's sweep passes over dirty
+   frames and parks the hand on the first it passed, and only with none
+   clean left does it write a dirty victim back behind a log force, as a
+   demand miss does.  Dirty pages so stay resident longer, and one
+   write-back covers more updates.
 
    Every read that crosses the disk boundary is checked against the page's
    checksum header (see [Page_store]).  Transient I/O errors are retried
@@ -52,7 +62,7 @@ type stats = {
   hits : Counter.t;
   held_hits : Counter.t;  (* [get_held] calls served from the held frame *)
   misses : Counter.t;  (* demand reads that went to disk *)
-  evictions : Counter.t;  (* pages replaced by the CLOCK sweep *)
+  evictions : Counter.t;  (* pages replaced by the SIEVE sweep *)
   prefetch_issued : Counter.t;
   prefetch_hits : Counter.t;  (* gets satisfied by a prefetched page *)
   prefetch_dropped : Counter.t;  (* hints dropped: pool too hot, or I/O error *)
@@ -175,18 +185,20 @@ let () =
              | `Failed msg -> ", repair failed: " ^ msg))
     | _ -> None)
 
-(* One shard: a disjoint frame slice [lo, hi), its own page table and
-   CLOCK hand, plus the simulated latch state.  The latch is a cost
-   model, not a mutex: operations execute atomically in host order, but
-   [holds] records every span [acquire, release) in simulated time, so a
-   logical client replayed at an earlier time waits only if it lands
-   inside another client's hold, not behind the latest release (an
-   approximation: see [latch_acquire]). *)
+(* One shard: a disjoint frame slice [lo, hi), its own page table, the
+   SIEVE queue of its frames and its hand, plus the simulated latch
+   state.  The latch is a cost model, not a mutex: operations execute
+   atomically in host order, but [holds] records every span [acquire,
+   release) in simulated time, so a logical client replayed at an
+   earlier time waits only if it lands inside another client's hold, not
+   behind the latest release (an approximation: see [latch_acquire]). *)
 type shard = {
   table : Page_table.t;  (* page id -> frame *)
   lo : int;  (* first frame owned (inclusive) *)
   hi : int;  (* last frame owned (exclusive) *)
-  mutable hand : int;
+  mutable oldest : int;  (* the queue's ends: see [newer] / [older] *)
+  mutable newest : int;
+  mutable hand : int;  (* the frame the next sweep starts at *)
   holds : Timeline.t;
   mutable held_from : int;  (* when the current holder acquired *)
   mutable conflicts : int;  (* per-shard tally of contended acquires *)
@@ -209,7 +221,11 @@ type t = {
   frames : int array;  (* frame -> page id (Page_store.nil if empty) *)
   regions : Mem.region array;
       (* frame -> the region the last hit on it returned *)
-  ref_bit : bool array;
+  ref_bit : bool array;  (* SIEVE's visited bit *)
+  newer : int array;
+  older : int array;
+      (* frame -> its neighbours in its shard's queue, in the order the
+         frames took their pages (-1 past either end) *)
   pin : int array;
   dirty : bool array;
   ready_at : int array;  (* frame -> when its contents became valid *)
@@ -318,6 +334,8 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
           table = Page_table.create (2 * (hi - lo));
           lo;
           hi;
+          oldest = lo;
+          newest = hi - 1;
           hand = lo;
           holds = Timeline.create ~floor:(fun () -> Clock.floor sim.Sim.clock);
           held_from = 0;
@@ -334,6 +352,8 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       frames = Array.make capacity Page_store.nil;
       regions = Array.make capacity (Mem.make ~bytes:Bytes.empty ~base:0);
       ref_bit = Array.make capacity false;
+      newer = Array.init capacity (fun f -> f + 1);
+      older = Array.init capacity (fun f -> f - 1);
       pin = Array.make capacity 0;
       dirty = Array.make capacity false;
       ready_at = Array.make capacity 0;
@@ -347,6 +367,11 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       stats = make_stats ();
     }
   in
+  Array.iter
+    (fun sh ->
+      t.older.(sh.lo) <- -1;
+      t.newer.(sh.hi - 1) <- -1)
+    shards;
   Page_store.add_on_free store (invalidate_page t);
   t
 
@@ -502,26 +527,58 @@ let media_finish t page ~disk ~phys first =
 
 (* ----------------------------- replacement --------------------------- *)
 
-(* CLOCK sweep over the shard's frame slice: the frame the second-chance
-   rule gives up within [2 n] steps.  With [skip_dirty], dirty frames are
-   passed over with their ref bits left alone.  Raises [Pool_exhausted]
-   when none qualifies. *)
+(* The frame after [f] on the hand's walk: the next newer one, or past
+   the newest, the oldest. *)
+let next_frame t sh f =
+  let n = t.newer.(f) in
+  if n < 0 then sh.oldest else n
+
+(* SIEVE sweep over the shard's queue from the hand: the first evictable
+   frame, empty or unvisited, within two laps ([steps] so far).  Visited
+   frames it passes lose their bit; pinned and in-flight ones keep it.
+   The hand then stays on the frame after the victim.  With
+   [skip_dirty], dirty frames are passed over with their bits left
+   alone, and the hand parks on the first of them, [parked] (-1 while
+   none), so a prefetch's clean sweep does not carry it past frames a
+   demand miss would take.  When nothing is evictable, no bit was
+   cleared; the hand stays where the walk stopped, one frame on from
+   where it began, and [Pool_exhausted] is raised. *)
 let sweep t sh ~skip_dirty =
   let n = sh.hi - sh.lo in
-  let rec go steps =
-    if steps > 2 * n then raise Pool_exhausted;
-    let f = sh.hand in
-    sh.hand <- (if f + 1 >= sh.hi then sh.lo else f + 1);
-    if not (evictable t f) || (skip_dirty && t.dirty.(f)) then go (steps + 1)
+  let rec go f steps parked =
+    if steps > 2 * n then begin
+      sh.hand <- f;
+      raise Pool_exhausted
+    end
+    else if not (evictable t f) then go (next_frame t sh f) (steps + 1) parked
+    else if skip_dirty && t.dirty.(f) then
+      go (next_frame t sh f) (steps + 1) (if parked < 0 then f else parked)
     else if t.frames.(f) <> Page_store.nil && t.ref_bit.(f) then begin
       t.ref_bit.(f) <- false;
-      go (steps + 1)
+      go (next_frame t sh f) (steps + 1) parked
     end
-    else f
+    else begin
+      sh.hand <- (if parked >= 0 then parked else next_frame t sh f);
+      f
+    end
   in
-  go 0
+  go sh.hand 0 (-1)
 
-(* Take the frame [f] the sweep gave up, evicting its current page.  A
+(* Move frame [f] to the newest end of its shard's queue. *)
+let relink_newest t sh f =
+  let n = t.newer.(f) in
+  if n >= 0 then begin
+    let o = t.older.(f) in
+    t.older.(n) <- o;
+    if o >= 0 then t.newer.(o) <- n else sh.oldest <- n;
+    t.newer.(sh.newest) <- f;
+    t.older.(f) <- sh.newest;
+    t.newer.(f) <- -1;
+    sh.newest <- f
+  end
+
+(* Take the frame [f] the sweep gave up, evicting its current page, and
+   make it the newest: it is about to take a new page, unvisited.  A
    dirty page is not written back here but left in [t.unwritten] for
    [write_victim], so a demand miss can submit its own read first. *)
 let evict_frame t sh f =
@@ -539,6 +596,7 @@ let evict_frame t sh f =
       Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size);
   t.frames.(f) <- Page_store.nil;
   t.ref_bit.(f) <- false;
+  relink_newest t sh f;
   f
 
 (* Write back the dirty page the last victim held, if any: the log force
@@ -556,11 +614,12 @@ let victim_frame t sh = evict_frame t sh (sweep t sh ~skip_dirty:false)
 
 (* A prefetch's victim.  While a write-back would force the log, the
    sweep takes only a clean frame, so a hint never makes its issuer wait
-   for a log force.  Only when no clean frame is evictable does it fall
-   back to the demand victim, swept from where the clean sweep began:
-   that victim is dirty, and its write-back forces the log (counted under
-   [pool.prefetch_dirty_victims]).  With the log durable, or with no log,
-   it is the demand victim. *)
+   for a log force, and it parks the hand on the first dirty frame it
+   passed, for the next demand miss.  Only when no clean frame is
+   evictable does it fall back to the demand victim, swept from where the
+   clean sweep began: that victim is dirty, and its write-back forces the
+   log (counted under [pool.prefetch_dirty_victims]).  With the log
+   durable, or with no log, it is the demand victim. *)
 let prefetch_frame t sh =
   let f =
     match t.wal with
@@ -717,7 +776,7 @@ let verify_arrival t sh page frame =
 (* Pin a page, reading it from disk if not resident.  Returns the region to
    access its contents through.  Must be balanced by [unpin].
 
-   A miss whose CLOCK victim is dirty submits its own read first, then
+   A miss whose victim is dirty submits its own read first, then
    writes the victim back (the log force, then the data write), then
    waits for the read: the client waits about the longer of the read and
    the log force, not their sum, and on a shared disk the read is served
@@ -739,6 +798,7 @@ let get t page =
   | frame when frame >= 0 ->
       let arrival = t.prefetched.(frame) in
       if arrival then begin
+        (* the page's first use: it stays unvisited *)
         t.prefetched.(frame) <- false;
         Counter.incr t.stats.prefetch_hits;
         latch_release t sh;
@@ -748,13 +808,13 @@ let get t page =
       end
       else begin
         Counter.incr t.stats.hits;
+        t.ref_bit.(frame) <- true;
         if t.ready_at.(frame) > Clock.now t.sim.Sim.clock then begin
           latch_release t sh;
           wait_until t t.ready_at.(frame);
           latch_acquire t sh
         end
       end;
-      t.ref_bit.(frame) <- true;
       t.pin.(frame) <- t.pin.(frame) + 1;
       latch_release t sh;
       if arrival then region_of_frame t frame page else hit_region t frame page
@@ -783,7 +843,6 @@ let get t page =
       latch_acquire t sh;
       t.frames.(frame) <- page;
       Page_table.replace sh.table page frame;
-      t.ref_bit.(frame) <- true;
       t.pin.(frame) <- 1;
       latch_release t sh;
       let region = region_of_frame t frame page in
@@ -936,6 +995,8 @@ let create_page t =
   t.frames.(frame) <- page;
   Page_table.replace sh.table page frame;
   t.ready_at.(frame) <- Clock.now t.sim.Sim.clock;
+  (* unlike a page read in, a page born here enters visited: its
+     creator is about to fill it *)
   t.ref_bit.(frame) <- true;
   t.pin.(frame) <- 1;
   t.dirty.(frame) <- true;

@@ -1,10 +1,10 @@
-(** Buffer pool with sharded CLOCK replacement, pinning, asynchronous
+(** Buffer pool with sharded SIEVE replacement, pinning, asynchronous
     prefetch, and media-failure handling.
 
-    The page table and CLOCK replacement are split into [n_shards]
+    The page table and SIEVE replacement are split into [n_shards]
     independent shards keyed by a mix of the page id, each owning a
-    disjoint slice of the frame arena with its own hash table, CLOCK hand
-    and simulated latch.  Acquiring a shard latch costs
+    disjoint slice of the frame arena with its own hash table, SIEVE
+    queue and hand, and simulated latch.  Acquiring a shard latch costs
     {!Fpb_simmem.Cost_model.latch_cycles} busy time; acquiring it at a
     time inside another logical client's hold (each shard keeps its holds
     as a {!Fpb_simmem.Timeline}) additionally waits until that hold ends,
@@ -12,6 +12,16 @@
     latch is released across disk waits.  With one shard and a single
     client the latch never conflicts and behaviour is identical to the
     unsharded pool.
+
+    Replacement is SIEVE (Zhang et al., NSDI 2024), where the paper's
+    buffer manager uses CLOCK.  Each shard keeps its frames in the order
+    they took their pages.  A page enters unvisited, whether a demand
+    miss or a prefetch read it, and a later hit marks it visited.  The
+    hand walks from the oldest frame toward the newest, then wraps; it
+    clears the visited bits it passes, skips pinned and in-flight frames
+    with their bits intact, and evicts the first unvisited frame, which
+    becomes the newest.  A page used once so leaves before a page used
+    again.
 
     Every frame records when its contents became valid (read completion
     or page creation); a client replayed at an earlier time waits for a
@@ -45,7 +55,7 @@ type stats = {
   misses : Fpb_obs.Counter.t;
       (** [pool.misses]: demand reads that went to disk *)
   evictions : Fpb_obs.Counter.t;
-      (** [pool.evictions]: resident pages replaced by the CLOCK sweep *)
+      (** [pool.evictions]: resident pages replaced by the SIEVE sweep *)
   prefetch_issued : Fpb_obs.Counter.t;  (** [pool.prefetch_issued] *)
   prefetch_hits : Fpb_obs.Counter.t;
       (** [pool.prefetch_hits]: gets satisfied by a prefetched page *)
@@ -57,7 +67,7 @@ type stats = {
           evictable frame while the log had records to force, so wrote
           a dirty victim back behind a log force *)
   demand_dirty_victims : Fpb_obs.Counter.t;
-      (** [pool.demand_dirty_victims]: demand misses whose CLOCK victim
+      (** [pool.demand_dirty_victims]: demand misses whose SIEVE victim
           was dirty, so its write-back (and the log force before it) ran
           while the miss's own read was in flight *)
   io_wait_ns : Fpb_obs.Counter.t;
@@ -144,7 +154,7 @@ exception Pool_exhausted
     counted under [pool.overloaded]. *)
 exception Overloaded of { page : int; scans : int }
 
-(** [n_shards] (default 1) splits the page table, CLOCK replacement and
+(** [n_shards] (default 1) splits the page table, SIEVE replacement and
     frame arena into that many independent shards; must lie in
     [1, capacity]. *)
 val create :
@@ -194,7 +204,7 @@ val held : unit -> held
     time, and it is not a prefetch arrival no [get] has verified, the pin
     skips the page-table lookup, the buffer-manager call and the shard
     latch: it charges two loads ([2 x c_access] busy cycles), sets the
-    frame's reference bit and counts [pool.held_hits] instead of
+    frame's visited bit and counts [pool.held_hits] instead of
     [pool.hits].  Otherwise (the page evicted, the pool cleared or
     dropped, the page freed and reallocated elsewhere, [h] naming
     another page's frame) it is {!get}, and [h] then remembers [page]'s
@@ -226,8 +236,9 @@ val with_page : t -> int -> (Fpb_simmem.Mem.region -> 'a) -> 'a
 
 (** Request an asynchronous read; no-op if resident or in flight.  Served
     by the earliest-available prefetcher.  While a write-back would force
-    the log, the read takes the first clean frame the CLOCK sweep gives
-    up, passing over dirty ones, so the hint forces no log; only when no
+    the log, the read takes the first clean frame the SIEVE sweep gives
+    up, passing over dirty ones and leaving the hand on the first of
+    them for the next demand miss, so the hint forces no log; only when no
     clean frame is evictable does it evict a dirty victim as a demand
     miss would (counted under [pool.prefetch_dirty_victims]).  Dropped
     (counted under [pool.prefetch_dropped]) if the pool is too hot to find

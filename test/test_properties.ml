@@ -456,16 +456,16 @@ let suite =
       [
         ( "disk_opt", Fpb_experiments.Setup.Disk_opt,
           [ 25838; 1; 17; 88; 0; 1; 39 ],
-          [ 255562036; 13; 27; 248; 127; 13; 43 ] );
+          [ 231461982; 13; 27; 248; 127; 13; 43 ] );
         ( "micro", Fpb_experiments.Setup.Micro,
           [ 23980; 1; 20; 92; 0; 1; 35 ],
-          [ 239655210; 13; 30; 253; 114; 13; 38 ] );
+          [ 255755880; 13; 30; 253; 109; 13; 38 ] );
         ( "disk_first", Fpb_experiments.Setup.Disk_first,
           [ 29168; 1; 20; 91; 0; 1; 36 ],
-          [ 247548886; 13; 31; 252; 113; 13; 39 ] );
+          [ 247031051; 13; 31; 252; 113; 13; 39 ] );
         ( "cache_first", Fpb_experiments.Setup.Cache_first,
           [ 24844; 1; 19; 129; 0; 1; 8; 54 ],
-          [ 311432286; 13; 58; 437; 158; 13; 39; 55 ] );
+          [ 286722542; 13; 58; 437; 159; 13; 39; 55 ] );
       ]
   @ List.map
       (fun (name, pins) ->

@@ -1,5 +1,5 @@
 (* Unit tests for the storage substrate: page store, disk model, buffer
-   pool (CLOCK, pinning, prefetchers, failure injection). *)
+   pool (SIEVE, pinning, prefetchers, failure injection). *)
 
 open Fpb_simmem
 open Fpb_storage
@@ -418,7 +418,7 @@ let test_latch_overlap_counted () =
   Buffer_pool.unpin pool q
 
 let test_multi_client_pin_evict () =
-  (* Clients hold a pin while faulting other pages in, so CLOCK keeps
+  (* Clients hold a pin while faulting other pages in, so the sweep keeps
      evicting around live pins on every shard.  No read may ever see
      stale bytes and residency must stay bounded. *)
   let sim, store, _disks, pool = Util.make_system ~capacity:8 ~n_shards:4 () in
@@ -491,7 +491,7 @@ let prop_sharded_pool_equivalent =
                  page)
            pages)
 
-let prop_clock_never_past_capacity =
+let prop_never_past_capacity =
   Util.qtest ~count:50 "resident pages never exceed capacity"
     QCheck2.Gen.(list_size (10 -- 80) (0 -- 19))
     (fun accesses ->
@@ -639,19 +639,22 @@ let test_held_fallbacks () =
   Buffer_pool.drop_all pool;
   check_fallback "after drop_all" pool h p;
   let others = Array.init 8 (fun _ -> Page_store.alloc store) in
-  Array.iter
-    (fun q ->
-      ignore (Buffer_pool.get pool q);
-      Buffer_pool.unpin pool q)
-    others;
+  (* Each thrash page is used twice, as [p] was: SIEVE evicts pages used
+     once before a page used again. *)
+  let thrash () =
+    Array.iter
+      (fun q ->
+        for _ = 1 to 2 do
+          ignore (Buffer_pool.get pool q);
+          Buffer_pool.unpin pool q
+        done)
+      others
+  in
+  thrash ();
   check_bool "thrash evicted the page" false (Buffer_pool.is_resident pool p);
   check_fallback "after eviction" pool h p;
   (* the page evicted, another one now in its frame *)
-  Array.iter
-    (fun q ->
-      ignore (Buffer_pool.get pool q);
-      Buffer_pool.unpin pool q)
-    others;
+  thrash ();
   ignore (Buffer_pool.get pool p);
   Buffer_pool.unpin pool p;
   check_fallback "after a reload into another frame" pool h p;
@@ -719,6 +722,275 @@ let test_held_prefetch_arrival () =
   check_int "verified as a prefetch hit" (ph0 + 1) (cv s.Buffer_pool.prefetch_hits);
   check_held "then held" pool h p
 
+(* ----------------------------- SIEVE ------------------------------- *)
+
+let touch pool p =
+  ignore (Buffer_pool.get pool p);
+  Buffer_pool.unpin pool p
+
+let check_resident label pool pages want =
+  List.iter
+    (fun (name, p) ->
+      check_bool
+        (Printf.sprintf "%s: %s resident" label name)
+        (List.mem name want)
+        (Buffer_pool.is_resident pool p))
+    pages
+
+(* A pool of [capacity] frames and eight pages named a to h.  Pages used
+   once each fill the pool oldest to newest, and leave the hand on the
+   oldest: each frame moves to the newest end as it takes its page, and
+   the hand stays on the frame after it. *)
+let named_pages ~capacity =
+  let sim, store, _disks, pool = Util.make_system ~capacity () in
+  let pages =
+    List.map
+      (fun n -> (n, Page_store.alloc store))
+      [ "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" ]
+  in
+  (sim, pool, pages, fun n -> List.assoc n pages)
+
+(* A run of pages used once does not evict a page used twice: each new
+   page enters unvisited, and the hand, just past the page used twice,
+   evicts the run in the order it came. *)
+let test_sieve_once_used_leave_first () =
+  let _sim, store, _disks, pool = Util.make_system ~capacity:4 () in
+  let p = Page_store.alloc store in
+  touch pool p;
+  touch pool p;
+  let run = Array.init 12 (fun _ -> Page_store.alloc store) in
+  Array.iter (touch pool) run;
+  check_bool "the page used twice stays" true (Buffer_pool.is_resident pool p);
+  check_int "evictions" 9 (cv (Buffer_pool.stats pool).Buffer_pool.evictions);
+  Array.iteri
+    (fun i q ->
+      check_bool (Printf.sprintf "run page %d" i) (i >= 9)
+        (Buffer_pool.is_resident pool q))
+    run
+
+(* The hand walks from the oldest frame to the newest, clearing visited
+   bits, then wraps to the oldest. *)
+let test_sieve_hand_wraps () =
+  let _sim, pool, pages, pg = named_pages ~capacity:4 in
+  List.iter (fun n -> touch pool (pg n)) [ "a"; "b"; "c"; "d" ];
+  List.iter (fun n -> touch pool (pg n)) [ "b"; "c"; "d" ];
+  touch pool (pg "e");
+  check_resident "the oldest, unvisited, goes" pool pages
+    [ "b"; "c"; "d"; "e" ];
+  (* b c d lose their bits; e, the newest, goes; the hand wraps to b *)
+  touch pool (pg "f");
+  check_resident "past the visited run to the newest" pool pages
+    [ "b"; "c"; "d"; "f" ];
+  touch pool (pg "g");
+  check_resident "wrapped to the oldest" pool pages [ "c"; "d"; "f"; "g" ];
+  (* every page visited: a full lap clears them all and the oldest goes *)
+  List.iter (fun n -> touch pool (pg n)) [ "c"; "d"; "f"; "g" ];
+  touch pool (pg "h");
+  check_resident "a full lap, then the oldest" pool pages [ "d"; "f"; "g"; "h" ]
+
+(* The hand passes a pinned frame, and a frame whose read has not landed
+   at the sweeping client's time, without clearing their bits: the next
+   lap still finds them visited. *)
+let test_sieve_skipped_frames_keep_bits () =
+  let _sim, pool, pages, pg = named_pages ~capacity:3 in
+  List.iter (fun n -> touch pool (pg n)) [ "a"; "b"; "c" ];
+  ignore (Buffer_pool.get pool (pg "a"));
+  (* a is visited and pinned: the hand passes it, and b goes *)
+  touch pool (pg "d");
+  check_resident "pinned a skipped" pool pages [ "a"; "c"; "d" ];
+  Buffer_pool.unpin pool (pg "a");
+  List.iter (fun n -> touch pool (pg n)) [ "c"; "d" ];
+  touch pool (pg "e");
+  check_resident "a kept its bit while pinned" pool pages [ "a"; "d"; "e" ];
+  let sim, pool, pages, pg = named_pages ~capacity:3 in
+  let clock = sim.Sim.clock in
+  List.iter (fun n -> touch pool (pg n)) [ "a"; "b" ];
+  let before_c = Clock.now clock in
+  touch pool (pg "c");
+  List.iter (fun n -> touch pool (pg n)) [ "a"; "b"; "c" ];
+  (* a client replayed before c's read landed: it clears a and b, passes
+     c with its bit, and wraps to a *)
+  Clock.set clock before_c;
+  touch pool (pg "d");
+  check_resident "in-flight c skipped" pool pages [ "b"; "c"; "d" ];
+  Clock.advance clock 100_000_000;
+  touch pool (pg "b");
+  touch pool (pg "e");
+  check_resident "c kept its bit while in flight" pool pages [ "b"; "c"; "e" ]
+
+(* While a write-back would force the log, a prefetch takes a clean
+   frame, passing dirty ones, and leaves the hand on the first dirty
+   frame it passed: the next demand miss evicts that frame. *)
+let test_sieve_prefetch_parks_hand () =
+  let sim, pool, pages, pg = named_pages ~capacity:4 in
+  Buffer_pool.set_wal_hooks pool
+    (Some
+       {
+         Buffer_pool.on_page_dirty = ignore;
+         before_page_write = ignore;
+         on_page_write = ignore;
+         on_page_alloc = ignore;
+         on_page_free = ignore;
+         page_lsn = (fun _ -> 0);
+         write_forces_log = (fun () -> true);
+       });
+  List.iter (fun n -> touch pool (pg n)) [ "a"; "b"; "c"; "d" ];
+  Buffer_pool.mark_dirty pool (pg "a");
+  Buffer_pool.mark_dirty pool (pg "b");
+  Buffer_pool.prefetch pool (pg "e");
+  Clock.advance sim.Sim.clock 100_000_000;
+  check_resident "the prefetch took clean c" pool pages [ "a"; "b"; "d"; "e" ];
+  let s = Buffer_pool.stats pool in
+  let dv0 = cv s.Buffer_pool.demand_dirty_victims in
+  touch pool (pg "f");
+  check_resident "the demand miss took dirty a" pool pages
+    [ "b"; "d"; "e"; "f" ];
+  check_int "a dirty victim" (dv0 + 1) (cv s.Buffer_pool.demand_dirty_victims)
+
+(* A reference SIEVE model of a one-shard pool with no log: its frames
+   oldest first, each holding a page (or -1), a visited bit, a pin count
+   and whether it is a prefetch no get has seen, and the hand as an
+   index into that order. *)
+type slot = {
+  mutable page : int;
+  mutable visited : bool;
+  mutable pins : int;
+  mutable arrival : bool;
+}
+
+type model = {
+  mutable slots : slot array;
+  mutable hand : int;
+  mutable evicted : int;
+}
+
+(* The victim slot for [page], which becomes the newest; the hand stays
+   on the slot after the victim.  Only called with a frame unpinned. *)
+let model_take m page ~arrival ~pins =
+  let n = Array.length m.slots in
+  let rec go i =
+    let sl = m.slots.(i) in
+    if sl.pins > 0 then go ((i + 1) mod n)
+    else if sl.visited then begin
+      sl.visited <- false;
+      go ((i + 1) mod n)
+    end
+    else i
+  in
+  let i = go m.hand in
+  let sl = m.slots.(i) in
+  if sl.page >= 0 then m.evicted <- m.evicted + 1;
+  m.slots <-
+    Array.concat
+      [ Array.sub m.slots 0 i; Array.sub m.slots (i + 1) (n - i - 1); [| sl |] ];
+  m.hand <- (if i = n - 1 then 0 else i);
+  sl.page <- page;
+  sl.visited <- false;
+  sl.pins <- pins;
+  sl.arrival <- arrival
+
+type op = Get of int | Unpin of int | Prefetch of int | Clear | Drop_all
+
+let show_op = function
+  | Get i -> Printf.sprintf "get %d" i
+  | Unpin i -> Printf.sprintf "unpin #%d" i
+  | Prefetch i -> Printf.sprintf "prefetch %d" i
+  | Clear -> "clear"
+  | Drop_all -> "drop_all"
+
+(* Random gets, unpins, prefetches, clears and crashes on a pool of 3-8
+   frames agree with the model, step by step, on which pages are
+   resident and on [pool.evictions].  Ops that would need a frame while
+   every frame is pinned are skipped, and each prefetch is let land
+   before the next op, so no sweep ever comes up empty. *)
+let prop_sieve_matches_model =
+  let n_pages = 12 in
+  let gen =
+    QCheck2.Gen.(
+      pair (3 -- 8)
+        (list_size (1 -- 80)
+           (frequency
+              [
+                (6, map (fun i -> Get i) (0 -- (n_pages - 1)));
+                (4, map (fun i -> Unpin i) (0 -- 7));
+                (2, map (fun i -> Prefetch i) (0 -- (n_pages - 1)));
+                (1, pure Clear);
+                (1, pure Drop_all);
+              ])))
+  in
+  Util.qtest ~count:300 "SIEVE matches a reference model" gen
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "%d frames: %s" cap
+        (String.concat "; " (List.map show_op ops)))
+    (fun (capacity, ops) ->
+      let sim, store, _, pool = Util.make_system ~capacity ~n_shards:1 () in
+      let pages = Array.init n_pages (fun _ -> Page_store.alloc store) in
+      let m =
+        {
+          slots =
+            Array.init capacity (fun _ ->
+                { page = -1; visited = false; pins = 0; arrival = false });
+          hand = 0;
+          evicted = 0;
+        }
+      in
+      let find p = Array.find_opt (fun sl -> sl.page = p) m.slots in
+      let full () = Array.for_all (fun sl -> sl.pins > 0) m.slots in
+      let pinned () =
+        Array.to_list m.slots
+        |> List.concat_map (fun sl -> List.init sl.pins (fun _ -> sl))
+      in
+      let unpin sl =
+        Buffer_pool.unpin pool sl.page;
+        sl.pins <- sl.pins - 1
+      in
+      let empty sl =
+        sl.page <- -1;
+        sl.visited <- false;
+        sl.pins <- 0;
+        sl.arrival <- false
+      in
+      let step = function
+        | Get i -> (
+            let p = pages.(i) in
+            match find p with
+            | Some sl ->
+                ignore (Buffer_pool.get pool p);
+                if sl.arrival then sl.arrival <- false else sl.visited <- true;
+                sl.pins <- sl.pins + 1
+            | None ->
+                if not (full ()) then begin
+                  ignore (Buffer_pool.get pool p);
+                  model_take m p ~arrival:false ~pins:1
+                end)
+        | Unpin k -> (
+            match pinned () with
+            | [] -> ()
+            | l -> unpin (List.nth l (k mod List.length l)))
+        | Prefetch i ->
+            let p = pages.(i) in
+            if find p = None && not (full ()) then begin
+              Buffer_pool.prefetch pool p;
+              Clock.advance sim.Sim.clock 100_000_000;
+              model_take m p ~arrival:true ~pins:0
+            end
+        | Clear ->
+            List.iter unpin (pinned ());
+            Buffer_pool.clear pool;
+            Array.iter empty m.slots
+        | Drop_all ->
+            Buffer_pool.drop_all pool;
+            Array.iter empty m.slots
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          Array.for_all
+            (fun p -> Buffer_pool.is_resident pool p = (find p <> None))
+            pages
+          && cv (Buffer_pool.stats pool).Buffer_pool.evictions = m.evicted)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "vec" `Quick test_vec;
@@ -756,7 +1028,16 @@ let suite =
     Alcotest.test_case "held frame: read in flight" `Quick test_held_read_in_flight;
     Alcotest.test_case "held frame: prefetch arrival" `Quick
       test_held_prefetch_arrival;
+    Alcotest.test_case "sieve: pages used once leave first" `Quick
+      test_sieve_once_used_leave_first;
+    Alcotest.test_case "sieve: hand walks oldest to newest, wraps" `Quick
+      test_sieve_hand_wraps;
+    Alcotest.test_case "sieve: pinned and in-flight frames keep bits" `Quick
+      test_sieve_skipped_frames_keep_bits;
+    Alcotest.test_case "sieve: clean prefetch sweep parks the hand" `Quick
+      test_sieve_prefetch_parks_hand;
     prop_sharded_pool_equivalent;
-    prop_clock_never_past_capacity;
+    prop_never_past_capacity;
+    prop_sieve_matches_model;
     prop_page_table_matches_hashtbl;
   ]

@@ -671,9 +671,9 @@ let prop_recovery_prefix =
    frame, so it neither writes a page back nor forces the log; only when
    every evictable frame is dirty does it evict a dirty victim, forcing
    the log first.  The pool has 4 frames and a group-commit log, so
-   commits stay buffered until a force.  Its CLOCK hand stands at frame
-   0, which holds page 0: a sweep that took dirty frames would evict
-   page 0 first. *)
+   commits stay buffered until a force.  Its SIEVE hand stands on the
+   oldest frame, which holds page 0: a sweep that took dirty frames
+   would evict page 0 first. *)
 let test_prefetch_passes_over_dirty () =
   let _, _, disks, pool = Util.make_system ~n_disks:2 ~capacity:4 () in
   let wal = Wal.attach ~group_commit_bytes:65_536 ~meta:[] pool in
