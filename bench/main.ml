@@ -128,7 +128,10 @@ let wal_tests () =
    touches each line, cycling over 4 MB of nodes so every one is cold
    again when its turn comes.  The leaf tests store a 47-entry leaf's
    keys and values: through [Mem.write_pairs], and through the
-   [write_i32] per key and per value it replaced. *)
+   [write_i32] per key and per value it replaced.  The pool tests pin
+   and unpin one resident page of a 4-frame pool: through the
+   buffer-manager call ([Buffer_pool.get]) and through a held frame
+   ([Buffer_pool.get_held]), the two ways a descent pins a page. *)
 let simmem_tests () =
   let open Bechamel in
   let module Mem = Fpb_simmem.Mem in
@@ -180,7 +183,28 @@ let simmem_tests () =
       Mem.write_i32 sim r (196 + (4 * j)) v
     done
   in
+  let pin get =
+    let sim = Fpb_simmem.Sim.create () in
+    let store = Fpb_storage.Page_store.create ~page_size:4096 ~n_disks:1 in
+    let disks =
+      Fpb_storage.Disk_model.create
+        ~transfer_ns:(Fpb_storage.Disk_model.transfer_ns_of_page_size 4096)
+        ~n_disks:1 sim.Fpb_simmem.Sim.clock
+    in
+    let pool = Fpb_storage.Buffer_pool.create ~capacity:4 sim store disks in
+    let page = Fpb_storage.Page_store.alloc store in
+    let h = Fpb_storage.Buffer_pool.held () in
+    get pool h page;
+    Fpb_storage.Buffer_pool.unpin pool page;
+    Staged.stage (fun () ->
+        get pool h page;
+        Fpb_storage.Buffer_pool.unpin pool page)
+  in
   [
+    Test.make ~name:"pool/get-hit"
+      (pin (fun pool _ page -> ignore (Fpb_storage.Buffer_pool.get pool page)));
+    Test.make ~name:"pool/get-held-hit"
+      (pin (fun pool h page -> ignore (Fpb_storage.Buffer_pool.get_held pool h page)));
     Test.make ~name:"read-i32-l1-hit" (cycle ~stride:0 1);
     Test.make ~name:"read-i32-l2-hit" (cycle ~stride:l1_stride 3);
     Test.make ~name:"read-i32-mem-miss" (cycle ~stride:cfg.l2_size 3);

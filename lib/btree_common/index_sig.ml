@@ -27,7 +27,7 @@ module type S = sig
 
      Accounting convention: a node shared by k probes of one wave counts
      ONE page access — one [level_accesses] bump, one [node_access]
-     trace event, one buffer-pool [get] — plus k-1 probe-routings
+     trace event, one buffer-pool pin — plus k-1 probe-routings
      reported under [batch.dup_probes] (with the node itself counted in
      [batch.shared_nodes]).  [level_accesses] therefore counts physical
      page accesses under both disciplines and stays comparable between

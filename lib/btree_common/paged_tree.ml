@@ -53,7 +53,7 @@ module Make (F : PAGE_FORMAT) = struct
     cfg : F.cfg;
     fanout : int;
     mutable root : int;
-    held : Buffer_pool.held;  (* the root's frame *)
+    held : Buffer_pool.held;  (* its nonleaf pages' frames *)
     mutable levels : int;  (* 1 = root is a leaf *)
     mutable n_pages : int;
     acc : Level_acc.t;
@@ -118,7 +118,7 @@ module Make (F : PAGE_FORMAT) = struct
     let rec go page depth =
       let stall0 = Level_acc.stall_now t.acc in
       let r =
-        if depth = 1 then Buffer_pool.get_held t.pool t.held page
+        if depth < t.levels then Buffer_pool.get_held t.pool t.held page
         else Buffer_pool.get t.pool page
       in
       Sim.busy_node t.sim;
@@ -157,10 +157,10 @@ module Make (F : PAGE_FORMAT) = struct
      the keys) are already being prefetched. *)
   let search_batch t keys =
     let area = F.key_base t.cfg + (Key.size * t.fanout) in
-    Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~held:t.held keys
+    Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~levels:t.levels
+      ~held:t.held keys
       {
-        Wave.is_leaf = (fun ~depth:_ r -> Mem.read_u8 t.sim r off_is_leaf = 1);
-        lookahead =
+        Wave.lookahead =
           (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:(min (Mem.length r) area));
         enter =
           (fun r _ ~next:_ ->

@@ -12,9 +12,6 @@ open Fpb_simmem
 open Fpb_storage
 
 type hooks = {
-  is_leaf : depth:int -> Mem.region -> bool;
-      (* whether level [depth] is the leaf level; gets the region of the
-         level's first node *)
   lookahead : Mem.region -> int -> unit;
       (* cache prefetch of the next frontier node, issued before the
          current node's visit (and its trace stall window) opens *)
@@ -30,8 +27,9 @@ type hooks = {
 
 (* Pin each page under the frontier nodes [pgs] exactly once, in
    first-seen order (cache-first nodes of one level may share pages in
-   any order).  Returns the pinned pages and each node's region. *)
-let pin_level pool pgs =
+   any order), through [held]'s frames when given.  Returns the pinned
+   pages and each node's region. *)
+let pin_level ?held pool pgs =
   let slot = Hashtbl.create (2 * Array.length pgs) in
   let pages = ref [] in
   Array.iter
@@ -42,17 +40,18 @@ let pin_level pool pgs =
       end)
     pgs;
   let pages = Array.of_list (List.rev !pages) in
-  let regions = Buffer_pool.get_batch pool pages in
+  let regions = Buffer_pool.get_batch ?held pool pages in
   (pages, Array.map (fun p -> regions.(Hashtbl.find slot p)) pgs)
 
 (* One wave over the sorted probes [order.(lo..hi-1)].  Probes arrive
    sorted by key, so the probes routing through one node are consecutive
    and the frontier stays key-ordered: dedup is "same child as the
-   previous probe".  The root level is one page, pinned through the
-   tree's held root frame.  Only one level's pages are pinned at a time,
-   and [Buffer_pool.get_batch] unwinds its own pins on [Overloaded], so
-   the exception escapes with nothing pinned and the caller can split. *)
-let wave acc pool h ~root ~held keys order lo hi out =
+   previous probe".  Level [levels] is the leaf level; the pages of every
+   level above it are pinned through the tree's held frames.  Only one
+   level's pages are pinned at a time, and [Buffer_pool.get_batch]
+   unwinds its own pins on [Overloaded], so the exception escapes with
+   nothing pinned and the caller can split. *)
+let wave acc pool h ~root ~levels ~held keys order lo hi out =
   let np = hi - lo in
   Batch_stats.note_wave np;
   for _ = 1 to np do
@@ -63,11 +62,10 @@ let wave acc pool h ~root ~held keys order lo hi out =
      [starts.(g) .. starts.(g+1)-1] its slice of sorted probes. *)
   let rec go pgs lns starts depth =
     let ng = Array.length pgs in
+    let leaf = depth = levels in
     let pages, regs =
-      if depth = 1 then ([| pgs.(0) |], [| Buffer_pool.get_held pool held pgs.(0) |])
-      else pin_level pool pgs
+      if leaf then pin_level pool pgs else pin_level ~held pool pgs
     in
-    let leaf = h.is_leaf ~depth regs.(0) in
     let prev_pg = ref (-1) and prev_ln = ref (-1) in
     for g = 0 to ng - 1 do
       let page = pgs.(g) and line = lns.(g) and r = regs.(g) in
@@ -124,11 +122,11 @@ let wave acc pool h ~root ~held keys order lo hi out =
   in
   go [| fst root |] [| snd root |] [| lo; hi |] 1
 
-(* [Index_sig.S.search_batch] for the tree rooted at node [root], whose
-   page each wave enters through [held]: sort, then run one wave,
-   splitting it in halves under [Overloaded] down to singleton
-   [h.search]. *)
-let search_batch acc pool ~root ~held (keys : int array) h =
+(* [Index_sig.S.search_batch] for the tree of [levels] levels rooted at
+   node [root], whose nonleaf pages each wave pins through [held]: sort,
+   then run one wave, splitting it in halves under [Overloaded] down to
+   singleton [h.search]. *)
+let search_batch acc pool ~root ~levels ~held (keys : int array) h =
   let m = Array.length keys in
   let out = Array.make m None in
   if m > 0 then begin
@@ -144,7 +142,7 @@ let search_batch acc pool ~root ~held (keys : int array) h =
         out.(order.(lo)) <- h.search keys.(order.(lo))
       end
       else
-        try wave acc pool h ~root ~held keys order lo hi out
+        try wave acc pool h ~root ~levels ~held keys order lo hi out
         with Buffer_pool.Overloaded _ ->
           let mid = (lo + hi) / 2 in
           run lo mid;

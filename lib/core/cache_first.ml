@@ -61,7 +61,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : ptr;
-  held : Buffer_pool.held;  (* the root page's frame *)
+  held : Buffer_pool.held;  (* its nonleaf pages' frames *)
   mutable levels : int;  (* node levels; 1 = root is a leaf node *)
   mutable n_pages : int;
   jp : Jump_array.t;
@@ -249,6 +249,12 @@ let child_at t r line slot =
   let ln = Mem.read_u16 t.sim r (cln_off t.cfg line slot) in
   (pg, ln)
 
+(* Pin the page of a descent's node at [depth]: a nonleaf node's page
+   through its held frame. *)
+let pin_at t page depth =
+  if depth < t.levels then Buffer_pool.get_held t.pool t.held page
+  else Buffer_pool.get t.pool page
+
 (* Descend to the leaf node containing [key].  Returns (page, region, line)
    with the page pinned.  [visit] sees each nonleaf (ptr, slot taken). *)
 let descend t key ~visit =
@@ -269,13 +275,12 @@ let descend t key ~visit =
       if child_pg = page then go page r child_ln (depth + 1)
       else begin
         Buffer_pool.unpin t.pool page;
-        let cr = Buffer_pool.get t.pool child_pg in
+        let cr = pin_at t child_pg (depth + 1) in
         go child_pg cr child_ln (depth + 1)
       end
     end
   in
-  let r = Buffer_pool.get_held t.pool t.held t.root.pg in
-  go t.root.pg r t.root.ln 1
+  go t.root.pg (pin_at t t.root.pg 1) t.root.ln 1
 
 let leaf_lookup t r line ~n key =
   let i = Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key in
@@ -297,10 +302,10 @@ let search t key =
    node's lines while this one is searched, so they arrive before its
    own [prefetch_node]. *)
 let search_batch t keys =
-  Wave.search_batch t.acc t.pool ~root:(t.root.pg, t.root.ln) ~held:t.held keys
+  Wave.search_batch t.acc t.pool ~root:(t.root.pg, t.root.ln)
+    ~levels:t.levels ~held:t.held keys
     {
-      Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
-      lookahead = (fun _ _ -> ());
+      Wave.lookahead = (fun _ _ -> ());
       enter =
         (fun r line ~next ->
           prefetch_node t r line;

@@ -59,7 +59,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : int;
-  held : Buffer_pool.held;  (* the root's frame *)
+  held : Buffer_pool.held;  (* its nonleaf pages' frames *)
   mutable levels : int;  (* page levels; 1 = root is a leaf page *)
   mutable n_pages : int;
   mutable io_prefetch_distance : int;
@@ -311,9 +311,10 @@ let ip_route t r key =
 
 (* --- Search --------------------------------------------------------------- *)
 
-(* Pin a descent's page at [depth]: the root through its held frame. *)
+(* Pin a descent's page at [depth]: a nonleaf page through its held
+   frame. *)
 let pin_at t page depth =
-  if depth = 1 then Buffer_pool.get_held t.pool t.held page
+  if depth < t.levels then Buffer_pool.get_held t.pool t.held page
   else Buffer_pool.get t.pool page
 
 (* Look [key] up in leaf page [r] through its in-page tree. *)
@@ -350,10 +351,10 @@ let search t key =
    the next frontier page's header line is warmed before each page is
    entered. *)
 let search_batch t keys =
-  Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~held:t.held keys
+  Wave.search_batch t.acc t.pool ~root:(t.root, 0) ~levels:t.levels
+    ~held:t.held keys
     {
-      Wave.is_leaf = (fun ~depth _ -> depth = t.levels);
-      lookahead = (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:line_bytes);
+      Wave.lookahead = (fun r _ -> Mem.prefetch t.sim r ~off:0 ~len:line_bytes);
       enter = (fun _ _ ~next:_ -> 0);
       route = (fun r _ ~n:_ key -> (ip_route t r key, 0));
       lookup = (fun r _ ~n:_ key -> page_lookup t r key);

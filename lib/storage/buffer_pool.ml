@@ -235,6 +235,7 @@ type t = {
   mutable unwritten : int;
       (* the dirty page the last victim held, its write-back not yet
          submitted (Page_store.nil if none): see [write_victim] *)
+  mutable pinned : int;  (* the frame the last [get] pinned *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
   mutable repair :
@@ -361,6 +362,7 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       shards;
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
       unwritten = Page_store.nil;
+      pinned = 0;
       readahead = 0;
       wal = None;
       repair = None;
@@ -816,6 +818,7 @@ let get t page =
         end
       end;
       t.pin.(frame) <- t.pin.(frame) + 1;
+      t.pinned <- frame;
       latch_release t sh;
       if arrival then region_of_frame t frame page else hit_region t frame page
   | _ ->
@@ -844,6 +847,7 @@ let get t page =
       t.frames.(frame) <- page;
       Page_table.replace sh.table page frame;
       t.pin.(frame) <- 1;
+      t.pinned <- frame;
       latch_release t sh;
       let region = region_of_frame t frame page in
       if t.readahead > 0 then issue_readahead t ~disk ~phys;
@@ -852,23 +856,40 @@ let get t page =
 (* The frame of [page], or -1 if it is not resident. *)
 let frame_of_page t page = Page_table.find (shard_of t page).table page
 
-(* A page's frame as its holder last saw it: a tree handle keeps one for
-   its root.  Frame 0 exists in every pool, so a fresh record needs no
-   sentinel: its first [get_held] validates it like any other. *)
-type held = { mutable frame : int }
+(* The frames a tree last saw its pages in, indexed by page id: a tree
+   handle keeps one for its nonleaf pages.  Ids are dense (the store
+   hands out 1, 2, ...), so the array grows by doubling to the largest
+   id remembered.  An unremembered id reads frame 0, which exists in
+   every pool, so the memo needs no sentinel: [get_held] validates frame
+   0 like any other. *)
+type held = { mutable frame_of : int array }
 
-let held () = { frame = 0 }
+let held () = { frame_of = [||] }
 
-(* Pin [page] through the frame [h] remembers, skipping the page table,
-   the buffer-manager call and the shard latch, when that frame still
-   holds [page], its read has landed at the caller's time, and it is not
-   a prefetch arrival whose bytes no [get] has verified yet.  The
+let remember h page frame =
+  let n = Array.length h.frame_of in
+  if page >= n then begin
+    let m = ref (if n = 0 then 64 else 2 * n) in
+    while page >= !m do
+      m := 2 * !m
+    done;
+    let a = Array.make !m 0 in
+    Array.blit h.frame_of 0 a 0 n;
+    h.frame_of <- a
+  end;
+  h.frame_of.(page) <- frame
+
+(* Pin [page] through the frame [h] remembers for it, skipping the page
+   table, the buffer-manager call and the shard latch, when that frame
+   still holds [page], its read has landed at the caller's time, and it
+   is not a prefetch arrival whose bytes no [get] has verified yet.  The
    validation is two loads of frame state.  Anything else (eviction, a
-   cleared or crashed pool, the page freed and reallocated, a new root)
-   fails one of the three tests and falls back to [get], which also
-   re-reads the frame into [h]. *)
+   cleared or crashed pool, the page freed and reallocated, a page never
+   remembered) fails one of the three tests and falls back to [get],
+   whose pinned frame [h] then remembers. *)
 let get_held t h page =
-  let f = h.frame in
+  let memo = h.frame_of in
+  let f = if page < Array.length memo then memo.(page) else 0 in
   Sim.charge_busy t.sim (2 * t.sim.Sim.cost.Cost_model.c_access);
   if
     t.frames.(f) = page
@@ -882,7 +903,7 @@ let get_held t h page =
   end
   else begin
     let r = get t page in
-    h.frame <- frame_of_page t page;
+    remember h page t.pinned;
     r
   end
 
@@ -894,7 +915,8 @@ let unpin t page =
 (* Pin a batch of pages together.  The whole batch's missing pages are
    first issued as asynchronous prefetches, so their disk reads overlap
    across the prefetcher pool instead of serialising one demand miss at
-   a time; then every page is pinned in order.  If a frame cannot be
+   a time; then every page is pinned in order, through [held]'s frames
+   ([get_held]) when given, else by [get].  If a frame cannot be
    found partway through ([Overloaded] — or any other error), the pages
    already pinned by this call are unpinned before the exception
    escapes, so a refused batch never leaks pins and can be retried
@@ -903,7 +925,7 @@ let unpin t page =
 
    Pages should be distinct for the coalescing to help, but duplicates
    are handled correctly (each occurrence takes its own pin). *)
-let get_batch t pages =
+let get_batch ?held t pages =
   let n = Array.length pages in
   if n = 0 then [||]
   else begin
@@ -914,11 +936,12 @@ let get_batch t pages =
       (fun p ->
         if not (Page_table.mem (shard_of t p).table p) then prefetch t p)
       pages;
+    let pin = match held with Some h -> get_held t h | None -> get t in
     let acc = ref [] in
     let pinned = ref 0 in
     (try
        for i = 0 to n - 1 do
-         acc := get t pages.(i) :: !acc;
+         acc := pin pages.(i) :: !acc;
          incr pinned
        done
      with e ->

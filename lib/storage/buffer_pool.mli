@@ -191,29 +191,31 @@ val get : t -> int -> Fpb_simmem.Mem.region
 
 val unpin : t -> int -> unit
 
-(** A page's frame as its holder last saw it: a tree handle keeps one for
-    its root. *)
+(** The frames a holder last saw its pages in, one per page id: a tree
+    handle keeps one for its nonleaf pages (root included). *)
 type held
 
-(** A fresh record.  It names frame 0, which its first {!get_held}
-    validates like any other. *)
+(** A fresh memo.  Every page id reads frame 0, which its first
+    {!get_held} validates like any other frame. *)
 val held : unit -> held
 
 (** [get_held t h page] pins [page] like {!get}.  When the frame [h]
-    remembers still holds [page], its read has landed at the caller's
-    time, and it is not a prefetch arrival no [get] has verified, the pin
-    skips the page-table lookup, the buffer-manager call and the shard
-    latch: it charges two loads ([2 x c_access] busy cycles), sets the
-    frame's visited bit and counts [pool.held_hits] instead of
+    remembers for [page] still holds it, its read has landed at the
+    caller's time, and it is not a prefetch arrival no [get] has verified,
+    the pin skips the page-table lookup, the buffer-manager call and the
+    shard latch: it charges two loads ([2 x c_access] busy cycles), sets
+    the frame's visited bit and counts [pool.held_hits] instead of
     [pool.hits].  Otherwise (the page evicted, the pool cleared or
-    dropped, the page freed and reallocated elsewhere, [h] naming
-    another page's frame) it is {!get}, and [h] then remembers [page]'s
-    frame.
+    dropped, the page freed and reallocated elsewhere, [page] never
+    remembered) it is {!get}, and [h] then remembers the frame that
+    [get] pinned.  The memo grows by doubling to the largest page id
+    remembered.
     Balance with [unpin]. *)
 val get_held : t -> held -> int -> Fpb_simmem.Mem.region
 
-(** Pin a batch of pages together (one {!get} each, in order), returning
-    their regions in the same order.  Before pinning, every page that
+(** Pin a batch of pages together (one {!get} each, in order, or one
+    {!get_held} through [held] when it is given), returning their regions
+    in the same order.  Before pinning, every page that
     would demand-miss is issued as an asynchronous {!prefetch}, so the
     batch's disk reads overlap across the prefetcher pool instead of
     serialising one miss at a time.  Balance with one [unpin] per array
@@ -226,7 +228,7 @@ val get_held : t -> held -> int -> Fpb_simmem.Mem.region
     [docs/BATCHING.md]).  Pages should be distinct for the coalescing to
     help; duplicates are still pinned (and must be unpinned) once per
     occurrence. *)
-val get_batch : t -> int array -> Fpb_simmem.Mem.region array
+val get_batch : ?held:held -> t -> int array -> Fpb_simmem.Mem.region array
 
 (** Mark a resident page dirty; it is written back on eviction. *)
 val mark_dirty : t -> int -> unit

@@ -19,7 +19,7 @@ type t = {
   sim : Sim.t;
   page_size : int;
   mutable root : int;
-  held : Buffer_pool.held;  (* the root's frame *)
+  held : Buffer_pool.held;  (* its nonleaf pages' frames *)
   mutable levels : int;
   mutable n_pages : int;
 }
@@ -71,9 +71,9 @@ let child_for t r key =
   if i = 0 then Mem.read_i32 t.sim r h_leftmost
   else Slotted.ptr_at t.sim nd (i - 1)
 
-let rec descend t key page ~visit =
+let rec descend t key page depth ~visit =
   let r =
-    if page = t.root then Buffer_pool.get_held t.pool t.held page
+    if depth < t.levels then Buffer_pool.get_held t.pool t.held page
     else Buffer_pool.get t.pool page
   in
   Sim.busy_node t.sim;
@@ -82,12 +82,12 @@ let rec descend t key page ~visit =
     let child = child_for t r key in
     visit page;
     Buffer_pool.unpin t.pool page;
-    descend t key child ~visit
+    descend t key child (depth + 1) ~visit
   end
 
 let search t key =
   Sim.busy_op t.sim;
-  let page, r = descend t key t.root ~visit:(fun _ -> ()) in
+  let page, r = descend t key t.root 1 ~visit:(fun _ -> ()) in
   let nd = node t r in
   let i = Slotted.find t.sim nd ~key `Lower in
   let result =
@@ -162,7 +162,7 @@ let insert t key tid =
     invalid_arg "Vk_btree.insert: bad key";
   Sim.busy_op t.sim;
   let path = ref [] in
-  let page, r = descend t key t.root ~visit:(fun p -> path := p :: !path) in
+  let page, r = descend t key t.root 1 ~visit:(fun p -> path := p :: !path) in
   let nd = node t r in
   let i = Slotted.find t.sim nd ~key `Lower in
   Buffer_pool.mark_dirty t.pool page;

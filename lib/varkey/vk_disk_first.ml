@@ -46,7 +46,7 @@ type t = {
   sim : Sim.t;
   cfg : cfg;
   mutable root : int;
-  held : Buffer_pool.held;  (* the root's frame *)
+  held : Buffer_pool.held;  (* its nonleaf pages' frames *)
   mutable levels : int;  (* page levels *)
   mutable n_pages : int;
 }
@@ -269,7 +269,7 @@ let page_route t r key =
 
 let rec descend t key page depth ~visit =
   let r =
-    if depth = 1 then Buffer_pool.get_held t.pool t.held page
+    if depth < t.levels then Buffer_pool.get_held t.pool t.held page
     else Buffer_pool.get t.pool page
   in
   Sim.busy_node t.sim;
@@ -411,10 +411,13 @@ let insert_into_page t page key ptr =
   | `Page_full -> (
       let kind = Mem.read_u8 t.sim r h_kind in
       let entries = collect_entries t r in
-      (* re-insert the pending entry into the collected set *)
+      (* re-insert the pending entry into the collected set.  It may be
+         there already: an in-page leaf split places it before the
+         parent's line allocation can fail. *)
       let all =
         let l = Array.to_list entries in
         let rec ins = function
+          | (k, _) :: rest when key = k -> (key, ptr) :: rest
           | (k, _) :: _ as rest when key < k -> (key, ptr) :: rest
           | kv :: rest -> kv :: ins rest
           | [] -> [ (key, ptr) ]

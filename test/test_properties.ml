@@ -174,25 +174,25 @@ let scan_pins =
     ( "disk_opt",
       [
         ( "forward",
-          [ 64857556; 142386; 200595; 18966; 68; 65; 65; 2; 2; 68 ],
+          [ 64857560; 142390; 200595; 18966; 68; 65; 65; 2; 2; 68 ],
           fun () -> scan_cost (module Db) ~scan:(Db.range_scan ~prefetch:true) );
       ] );
     ( "micro",
       [
         ( "forward",
-          [ 65059963; 144189; 215005; 18878; 69; 66; 66; 2; 2; 69 ],
+          [ 65059967; 144193; 215005; 18878; 69; 66; 66; 2; 2; 69 ],
           fun () -> scan_cost (module Mi) ~scan:(Mi.range_scan ~prefetch:true) );
       ] );
     ( "disk_first",
       [
         ( "forward",
-          [ 65258379; 158058; 50261; 22463; 72; 71; 71; 2; 2; 72 ],
+          [ 65258383; 158062; 50261; 22463; 72; 71; 71; 2; 2; 72 ],
           fun () -> scan_cost (module Df) ~scan:(Df.range_scan ~prefetch:true) );
       ] );
     ( "cache_first",
       [
         ( "forward",
-          [ 73548868; 153370; 44286; 21622; 71; 67; 67; 2; 2; 2; 478 ],
+          [ 73548872; 153374; 44286; 21622; 71; 67; 67; 2; 2; 2; 478 ],
           fun () -> scan_cost (module Cf) ~scan:(Cf.range_scan ~prefetch:true) );
       ] );
   ]
@@ -318,30 +318,71 @@ let prop_indexes_work_at_64kb =
           Index_sig.search idx 2000 = Some 1000)
         Fpb_experiments.Setup.all_kinds)
 
-(* --- Held roots on a 3-frame pool ------------------------------------------ *)
+(* --- Held frames on a 3-frame pool ------------------------------------------ *)
 
-(* Every paged tree enters its root through a held frame.  On a 3-frame
-   pool that frame is evicted all the time, and [Buffer_pool.clear]
-   between operations empties it outright, so a stale held frame that
-   were trusted would serve another page's bytes.  Each tree is checked
-   against a Map model after every operation it offers, then with
-   [check]. *)
-let held_root_ops =
+(* Every paged tree pins its nonleaf pages, root included, through the
+   frames its handle remembers.  On a 3-frame pool those frames are
+   evicted all the time, and [Buffer_pool.clear] between operations
+   empties them outright, so a stale frame that were trusted would serve
+   another page's bytes.  Each tree grows from empty by [n] inserts in a
+   shuffled order, the pool cleared every [period] of them, through leaf,
+   nonleaf and root splits to at least 3 page levels (1 KB pages).  It is
+   then checked against a Map model after every operation it offers, and
+   with [check].  Operation 6 replays a search from a cold pool as two
+   clients starting at one simulated time: when the second pins the
+   root, the first's read of it cannot have landed, so at most the
+   nonleaf pages below the root can be its held hits. *)
+let held_ops =
   QCheck2.Gen.(
-    pair (0 -- 600)
-      (list_size (10 -- 80) (triple (0 -- 5) (0 -- 1500) (0 -- 60))))
+    quad (13_000 -- 16_000) (50 -- 2_000) (0 -- 1_000)
+      (list_size (10 -- 80) (triple (0 -- 6) (0 -- 33_000) (0 -- 60))))
 
-let prop_held_root_int =
+let held_pool () = Util.make_pool ~page_size:1024 ~capacity:3 ()
+
+(* The keys [0, 2, .. 2(n-1)] in a shuffled order. *)
+let shuffled_keys n seed =
+  let keys = Array.init n (fun i -> 2 * i) in
+  Fpb_workload.Prng.shuffle (Fpb_workload.Prng.create seed) keys;
+  keys
+
+(* [search k] from a cold pool as client A, then again as client B
+   replayed at A's start.  Returns both results and B's held hits. *)
+let replay_cold pool search k =
+  let module Bp = Fpb_storage.Buffer_pool in
+  let clock = (Bp.sim pool).Fpb_simmem.Sim.clock in
+  let held () = Fpb_obs.Counter.value (Bp.stats pool).Bp.held_hits in
+  Bp.clear pool;
+  let t0 = Fpb_simmem.Clock.now clock in
+  Fpb_simmem.Clock.set clock t0;
+  let a = search k in
+  let t1 = Fpb_simmem.Clock.now clock in
+  Fpb_simmem.Clock.set clock t0;
+  let h0 = held () in
+  let b = search k in
+  let h = held () - h0 in
+  Fpb_simmem.Clock.join clock (max t1 (Fpb_simmem.Clock.now clock));
+  (a, b, h)
+
+let prop_held_int =
   Util.qtest ~count:8 "held roots on a 3-frame pool: four int-key trees"
-    held_root_ops
-    (fun (n, ops) ->
+    held_ops
+    (fun (n, period, seed, ops) ->
       List.for_all
         (fun kind ->
-          let pool = Util.make_pool ~page_size:4096 ~capacity:3 () in
+          let pool = held_pool () in
           let idx = Fpb_experiments.Setup.make_index kind pool in
-          let pairs = Array.init n (fun i -> (2 * i, i)) in
-          Index_sig.bulkload idx pairs ~fill:0.3;
-          let m = ref (Array.fold_left (fun m (k, v) -> M.add k v m) M.empty pairs) in
+          let m = ref M.empty in
+          let grown =
+            Array.to_list (shuffled_keys n seed)
+            |> List.mapi (fun i k ->
+                   if i mod period = 0 then Fpb_storage.Buffer_pool.clear pool;
+                   m := M.add k i !m;
+                   Index_sig.insert idx k i = `Inserted)
+            |> List.for_all Fun.id
+          in
+          if Index_sig.height idx < 3 then
+            QCheck2.Test.fail_reportf "%s: %d keys grew only %d levels"
+              (Index_sig.name idx) n (Index_sig.height idx);
           let ok =
             List.for_all
               (fun (op, k, x) ->
@@ -370,16 +411,82 @@ let prop_held_root_int =
                     let keys = Array.init (1 + (x mod 20)) (fun i -> k + (7 * i)) in
                     Index_sig.search_batch idx keys
                     = Array.map (fun key -> M.find_opt key !m) keys
-                | _ ->
+                | 5 ->
                     Fpb_storage.Buffer_pool.clear pool;
-                    true)
+                    true
+                | _ ->
+                    let want = M.find_opt k !m in
+                    let a, b, held = replay_cold pool (Index_sig.search idx) k in
+                    a = want && b = want && held <= Index_sig.height idx - 2)
               ops
           in
           Index_sig.check idx;
           let all = ref [] in
           Index_sig.iter idx (fun k v -> all := (k, v) :: !all);
-          ok && List.rev !all = M.bindings !m)
+          grown && ok && List.rev !all = M.bindings !m)
         Fpb_experiments.Setup.all_kinds)
+
+(* --- Held nonleaf pages: what a resident search costs ----------------------- *)
+
+(* The pages [search idx key] visits, in descent order, consecutive
+   repeats (cache-first nodes sharing a page) merged. *)
+let search_pages idx key =
+  let tr = Fpb_obs.Trace.create () in
+  Index_sig.set_trace idx (Some tr);
+  ignore (Index_sig.search idx key);
+  Index_sig.set_trace idx None;
+  List.fold_left
+    (fun acc e ->
+      match (List.assoc "page" e.Fpb_obs.Trace.ev_attrs, acc) with
+      | Fpb_obs.Json.Int p, q :: _ when p = q -> acc
+      | Fpb_obs.Json.Int p, _ -> p :: acc
+      | _ -> acc)
+    [] (Fpb_obs.Trace.events tr)
+  |> List.rev
+
+(* In a resident 3-page-level tree, a search pins its root and every
+   nonleaf page below it through held frames and calls the buffer
+   manager once, for its leaf.  Each held pin below the root saves a
+   call and a latch less its two validation loads: [root_only], the busy
+   cycles of the same search when only the root was held, less that
+   saving per nonleaf page below the root.  A batch whose probes share
+   one path pins each nonleaf level as a held hit too. *)
+let test_held_search_cost kind ~root_only () =
+  let module Bp = Fpb_storage.Buffer_pool in
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let idx = Fpb_experiments.Setup.make_index kind pool in
+  Index_sig.bulkload idx (Array.init 40_000 (fun i -> (2 * i, i))) ~fill:0.3;
+  let key = 50_000 in
+  (* the first search teaches the handle its path's frames *)
+  let pages = List.length (search_pages idx key) in
+  Alcotest.(check bool) "3 page levels" true (pages = 3);
+  if kind <> Fpb_experiments.Setup.Cache_first then
+    Alcotest.(check int) "height" pages (Index_sig.height idx);
+  let sim = Bp.sim pool and s = Bp.stats pool in
+  let cost = sim.Fpb_simmem.Sim.cost in
+  let cv = Fpb_obs.Counter.value in
+  let counts () =
+    ( cv s.Bp.held_hits,
+      cv s.hits + cv s.misses + cv s.prefetch_hits,
+      cv sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.busy )
+  in
+  let h0, g0, b0 = counts () in
+  Alcotest.(check (option int)) "found" (Some (key / 2)) (Index_sig.search idx key);
+  let h1, g1, b1 = counts () in
+  Alcotest.(check int) "held hits: one per nonleaf page" (pages - 1) (h1 - h0);
+  Alcotest.(check int) "buffer-manager calls: the leaf's" 1 (g1 - g0);
+  let saving =
+    cost.Fpb_simmem.Cost_model.c_bufcall + cost.latch_cycles - (2 * cost.c_access)
+  in
+  Alcotest.(check int) "busy cycles" (root_only - (saving * (pages - 2))) (b1 - b0);
+  let keys = [| key; key + 2; key + 4 |] in
+  Alcotest.(check (array (option int))) "batch found"
+    (Array.map (fun k -> Some (k / 2)) keys)
+    (Index_sig.search_batch idx keys);
+  let h2, g2, _ = counts () in
+  Alcotest.(check int) "batch: one held hit per nonleaf level"
+    (Index_sig.height idx - 1) (h2 - h1);
+  Alcotest.(check int) "batch: one buffer-manager call, the leaf's" 1 (g2 - g1)
 
 module SM = Map.Make (String)
 
@@ -387,12 +494,12 @@ module SM = Map.Make (String)
    hundred inserts. *)
 let vk_key k = String.make (1 + (k mod 4)) (Char.chr (97 + (k mod 26))) ^ string_of_int k
 
-let prop_held_root_varkey =
+let prop_held_varkey =
   Util.qtest ~count:8 "held roots on a 3-frame pool: two varkey trees"
-    held_root_ops
-    (fun (n, ops) ->
-      let run name create insert search check iter =
-        let pool = Util.make_pool ~page_size:4096 ~capacity:3 () in
+    held_ops
+    (fun (n, period, seed, ops) ->
+      let run name create insert search height check iter =
+        let pool = held_pool () in
         let t = create pool in
         let m = ref SM.empty in
         let put k v =
@@ -400,29 +507,42 @@ let prop_held_root_varkey =
           m := SM.add k v !m;
           insert t k v = if fresh then `Inserted else `Updated
         in
+        let grown =
+          Array.to_list (shuffled_keys n seed)
+          |> List.mapi (fun i k ->
+                 if i mod period = 0 then Fpb_storage.Buffer_pool.clear pool;
+                 put (vk_key k) i)
+          |> List.for_all Fun.id
+        in
+        if height t < 3 then
+          QCheck2.Test.fail_reportf "%s: %d keys grew only %d levels" name n
+            (height t);
         let ok =
-          List.for_all (fun i -> put (vk_key (2 * i)) i) (List.init n Fun.id)
-          && List.for_all
-               (fun (op, k, x) ->
-                 match op with
-                 | 0 | 1 | 3 -> put (vk_key k) x
-                 | 2 | 4 -> search t (vk_key k) = SM.find_opt (vk_key k) !m
-                 | _ ->
-                     Fpb_storage.Buffer_pool.clear pool;
-                     true)
-               ops
+          List.for_all
+            (fun (op, k, x) ->
+              let want () = SM.find_opt (vk_key k) !m in
+              match op with
+              | 0 | 1 | 3 -> put (vk_key k) x
+              | 2 | 4 -> search t (vk_key k) = want ()
+              | 5 ->
+                  Fpb_storage.Buffer_pool.clear pool;
+                  true
+              | _ ->
+                  let a, b, held = replay_cold pool (search t) (vk_key k) in
+                  a = want () && b = want () && held <= height t - 2)
+            ops
         in
         check t;
         let all = ref [] in
         iter t (fun k v -> all := (k, v) :: !all);
-        if not (ok && List.rev !all = SM.bindings !m) then
+        if not (grown && ok && List.rev !all = SM.bindings !m) then
           QCheck2.Test.fail_reportf "%s disagrees with the model" name;
         true
       in
       let module B = Fpb_varkey.Vk_btree in
       let module D = Fpb_varkey.Vk_disk_first in
-      run B.name B.create B.insert B.search B.check B.iter
-      && run D.name (fun p -> D.create p) D.insert D.search D.check D.iter)
+      run B.name B.create B.insert B.search B.height B.check B.iter
+      && run D.name (fun p -> D.create p) D.insert D.search D.height D.check D.iter)
 
 let kinds =
   [
@@ -433,8 +553,8 @@ let kinds =
   ]
 
 let suite =
-  prop_indexes_equivalent :: prop_search_batch_equiv :: prop_held_root_int
-  :: prop_held_root_varkey
+  prop_indexes_equivalent :: prop_search_batch_equiv :: prop_held_int
+  :: prop_held_varkey
   :: prop_jump_array_model :: prop_slotted_model :: prop_indexes_work_at_64kb
   :: List.map
        (fun (name, kind) ->
@@ -455,17 +575,28 @@ let suite =
           (test_batch_cost_pinned kind ~roomy ~tiny))
       [
         ( "disk_opt", Fpb_experiments.Setup.Disk_opt,
-          [ 25838; 1; 17; 88; 0; 1; 39 ],
-          [ 231461982; 13; 27; 248; 127; 13; 43 ] );
+          [ 25836; 1; 17; 88; 0; 1; 39 ],
+          [ 231462228; 13; 27; 248; 127; 13; 43 ] );
         ( "micro", Fpb_experiments.Setup.Micro,
-          [ 23980; 1; 20; 92; 0; 1; 35 ],
-          [ 255755880; 13; 30; 253; 109; 13; 38 ] );
+          [ 23978; 1; 20; 92; 0; 1; 35 ],
+          [ 255756197; 13; 30; 253; 109; 13; 38 ] );
         ( "disk_first", Fpb_experiments.Setup.Disk_first,
           [ 29168; 1; 20; 91; 0; 1; 36 ],
-          [ 247031051; 13; 31; 252; 113; 13; 39 ] );
+          [ 247031291; 13; 31; 252; 113; 13; 39 ] );
         ( "cache_first", Fpb_experiments.Setup.Cache_first,
-          [ 24844; 1; 19; 129; 0; 1; 8; 54 ],
-          [ 286722542; 13; 58; 437; 159; 13; 39; 55 ] );
+          [ 24638; 1; 19; 129; 0; 1; 8; 54 ],
+          [ 286720544; 13; 58; 437; 159; 13; 39; 55 ] );
+      ]
+  @ List.map
+      (fun (name, kind, root_only) ->
+        Alcotest.test_case (name ^ ": held nonleaf pages, exact search cost")
+          `Quick
+          (test_held_search_cost kind ~root_only))
+      [
+        ("disk_opt", Fpb_experiments.Setup.Disk_opt, 667);
+        ("micro", Fpb_experiments.Setup.Micro, 681);
+        ("disk_first", Fpb_experiments.Setup.Disk_first, 749);
+        ("cache_first", Fpb_experiments.Setup.Cache_first, 725);
       ]
   @ List.map
       (fun (name, pins) ->

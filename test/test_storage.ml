@@ -666,6 +666,23 @@ let test_held_fallbacks () =
   | exception Buffer_pool.Overloaded _ -> ());
   Array.iter (Buffer_pool.unpin pool) (Array.sub others 0 4)
 
+(* One memo remembers a frame per page, ids past its first size
+   included: after each page's first pin taught it, every page is a held
+   hit, and a batch pinned through it is all held hits. *)
+let test_held_memo () =
+  let _sim, store, _disks, pool = Util.make_system ~capacity:8 () in
+  let ids = Array.init 300 (fun _ -> Page_store.alloc store) in
+  let pages = [| ids.(0); ids.(70); ids.(299) |] in
+  let h = Buffer_pool.held () in
+  Array.iter (fun p -> check_fallback (Printf.sprintf "page %d" p) pool h p) pages;
+  Array.iter (fun p -> check_held (Printf.sprintf "page %d again" p) pool h p) pages;
+  let s = Buffer_pool.stats pool in
+  let h0 = cv s.Buffer_pool.held_hits and g0 = cv s.hits + cv s.misses in
+  ignore (Buffer_pool.get_batch ~held:h pool pages);
+  Array.iter (Buffer_pool.unpin pool) pages;
+  check_int "batch: held hits" (h0 + 3) (cv s.Buffer_pool.held_hits);
+  check_int "batch: no buffer-manager call" g0 (cv s.hits + cv s.misses)
+
 (* The page is freed and its id reallocated into another frame: the held
    frame is empty, so the fallback finds the new page, zeroed.  (A fresh
    record names frame 0, where the pool put the page: a held hit.) *)
@@ -1024,6 +1041,7 @@ let suite =
     Alcotest.test_case "held hit: two loads, no latch" `Quick test_held_hit_cost;
     Alcotest.test_case "held frame: clear, drop, eviction" `Quick
       test_held_fallbacks;
+    Alcotest.test_case "held memo: one frame per page" `Quick test_held_memo;
     Alcotest.test_case "held frame: free + realloc" `Quick test_held_free_realloc;
     Alcotest.test_case "held frame: read in flight" `Quick test_held_read_in_flight;
     Alcotest.test_case "held frame: prefetch arrival" `Quick
