@@ -249,18 +249,27 @@ let child_at t r line slot =
   let ln = Mem.read_u16 t.sim r (cln_off t.cfg line slot) in
   (pg, ln)
 
-(* Pin the page of a descent's node at [depth]: a nonleaf node's page
-   through its held frame. *)
-let pin_at t page depth =
+(* Pin the page of a descent's node [line] at [depth]: a nonleaf node's
+   page through its held frame, a leaf node's by the buffer manager,
+   with the node's lines prefetched before the call when the memo still
+   holds the page's frame. *)
+let pin_at t page line depth =
   if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-  else Buffer_pool.get t.pool page
+  else
+    Buffer_pool.get_hinted t.pool t.held page ~off:(node_off line)
+      ~len:(t.cfg.w * line_bytes)
+
+(* Whether the pin of a leaf page just made by [pin_at] prefetched its
+   node's lines. *)
+let hinted t depth = depth = t.levels && Buffer_pool.hinted t.pool
 
 (* Descend to the leaf node containing [key].  Returns (page, region, line)
-   with the page pinned.  [visit] sees each nonleaf (ptr, slot taken). *)
+   with the page pinned.  [visit] sees each nonleaf (ptr, slot taken).  A
+   node whose lines its pin already [fetched] is not prefetched again. *)
 let descend t key ~visit =
-  let rec go page r line depth =
+  let rec go page r line depth ~fetched =
     let stall0 = Level_acc.stall_now t.acc in
-    prefetch_node t r line;
+    if fetched then Sim.busy_node t.sim else prefetch_node t r line;
     if depth = t.levels then begin
       Level_acc.note t.acc ~page ~depth ~stall0;
       (page, r, line)
@@ -272,15 +281,16 @@ let descend t key ~visit =
       Level_acc.note t.acc ~page ~depth ~stall0;
       visit { pg = page; ln = line } slot;
       let child_pg, child_ln = child_at t r line slot in
-      if child_pg = page then go page r child_ln (depth + 1)
+      if child_pg = page then go page r child_ln (depth + 1) ~fetched:false
       else begin
         Buffer_pool.unpin t.pool page;
-        let cr = pin_at t child_pg (depth + 1) in
-        go child_pg cr child_ln (depth + 1)
+        let cr = pin_at t child_pg child_ln (depth + 1) in
+        go child_pg cr child_ln (depth + 1) ~fetched:(hinted t (depth + 1))
       end
     end
   in
-  go t.root.pg (pin_at t t.root.pg 1) t.root.ln 1
+  let r = pin_at t t.root.pg t.root.ln 1 in
+  go t.root.pg r t.root.ln 1 ~fetched:(hinted t 1)
 
 let leaf_lookup t r line ~n key =
   let i = Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key in

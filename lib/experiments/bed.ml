@@ -91,8 +91,13 @@ let closed b ~n_clients ~n_ops op =
        (W.Driver.Closed { ops_per_client = n_ops / n_clients }))
     (W.Driver.each op)
 
+(* Pins served from a resident page, through the buffer-manager call or
+   a held frame, per pin that either served or read from disk. *)
 let hit_pct b =
   let p = Buffer_pool.stats b.sys.Setup.pool in
-  let hits = Fpb_obs.Counter.value p.Buffer_pool.hits in
+  let hits =
+    Fpb_obs.Counter.value p.Buffer_pool.hits
+    + Fpb_obs.Counter.value p.Buffer_pool.held_hits
+  in
   let misses = Fpb_obs.Counter.value p.Buffer_pool.misses in
   100. *. float_of_int hits /. float_of_int (max 1 (hits + misses))

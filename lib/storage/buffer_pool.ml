@@ -236,6 +236,7 @@ type t = {
       (* the dirty page the last victim held, its write-back not yet
          submitted (Page_store.nil if none): see [write_victim] *)
   mutable pinned : int;  (* the frame the last [get] pinned *)
+  mutable hinted : bool;  (* whether the last [get_hinted] issued its hint *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
   mutable repair :
@@ -363,6 +364,7 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
       unwritten = Page_store.nil;
       pinned = 0;
+      hinted = false;
       readahead = 0;
       wal = None;
       repair = None;
@@ -879,15 +881,12 @@ let remember h page frame =
   end;
   h.frame_of.(page) <- frame
 
-(* Pin [page] through the frame [h] remembers for it, skipping the page
-   table, the buffer-manager call and the shard latch, when that frame
-   still holds [page], its read has landed at the caller's time, and it
-   is not a prefetch arrival whose bytes no [get] has verified yet.  The
-   validation is two loads of frame state.  Anything else (eviction, a
+(* The frame [h] remembers for [page], if it still holds [page], its
+   read has landed at the caller's time, and it is not a prefetch arrival
+   whose bytes no [get] has verified yet; -1 otherwise (eviction, a
    cleared or crashed pool, the page freed and reallocated, a page never
-   remembered) fails one of the three tests and falls back to [get],
-   whose pinned frame [h] then remembers. *)
-let get_held t h page =
+   remembered).  The validation is two loads of frame state. *)
+let[@inline] held_frame t h page =
   let memo = h.frame_of in
   let f = if page < Array.length memo then memo.(page) else 0 in
   Sim.charge_busy t.sim (2 * t.sim.Sim.cost.Cost_model.c_access);
@@ -895,7 +894,15 @@ let get_held t h page =
     t.frames.(f) = page
     && t.ready_at.(f) <= Clock.now t.sim.Sim.clock
     && not t.prefetched.(f)
-  then begin
+  then f
+  else -1
+
+(* Pin [page] through its [held_frame], skipping the page table, the
+   buffer-manager call and the shard latch.  Without one, fall back to
+   [get], whose pinned frame [h] then remembers. *)
+let get_held t h page =
+  let f = held_frame t h page in
+  if f >= 0 then begin
     Counter.incr t.stats.held_hits;
     t.ref_bit.(f) <- true;
     t.pin.(f) <- t.pin.(f) + 1;
@@ -906,6 +913,25 @@ let get_held t h page =
     remember h page t.pinned;
     r
   end
+
+(* Pin [page] by [get], but first, when it has a [held_frame], start the
+   fetch of the bytes [off, off + len) of that frame, so their memory
+   latency overlaps the buffer-manager call.  [get] then finds the page
+   in that same frame.  [h] remembers the frame [get] pinned either way;
+   [t.hinted] tells whether the hint was issued. *)
+let get_hinted t h page ~off ~len =
+  let f = held_frame t h page in
+  t.hinted <- f >= 0;
+  if f >= 0 then
+    Cache.prefetch_range t.sim.Sim.cache
+      ~busy_per_line:t.sim.Sim.cost.Cost_model.c_prefetch
+      ((f * Page_store.page_size t.store) + off)
+      len;
+  let r = get t page in
+  remember h page t.pinned;
+  r
+
+let hinted t = t.hinted
 
 let unpin t page =
   let frame = frame_of_page t page in
@@ -1042,6 +1068,13 @@ let free_page t page =
   (match t.wal with Some h -> h.on_page_free page | None -> ());
   Page_store.free t.store page
 
+(* With every frame empty, each shard's hand restarts at its oldest
+   frame, so the sweeps that follow fill the empty frames oldest to
+   newest before they meet a page read since.  Left where it was, a hand
+   partway along the queue reaches the frames it already filled (now
+   the newest, unvisited) before the empty ones behind it. *)
+let restart_hands t = Array.iter (fun sh -> sh.hand <- sh.oldest) t.shards
+
 (* Evict every unpinned page (writing back dirty ones): a cold pool, as in
    the paper's search-I/O experiments.  Raises [Pool_exhausted] via victim
    search only if pages remain pinned. *)
@@ -1062,6 +1095,7 @@ let clear t =
         t.ref_bit.(f) <- false;
         Cache.invalidate_range t.sim.Sim.cache (f * page_size) page_size
   done;
+  restart_hands t;
   Array.fill t.prefetcher_free 0 (Array.length t.prefetcher_free) 0
 
 (* Write back every dirty page without evicting anything: the data half of
@@ -1120,6 +1154,7 @@ let drop_all t =
     t.prefetched.(f) <- false;
     t.pin.(f) <- 0
   done;
+  restart_hands t;
   Array.fill t.prefetcher_free 0 (Array.length t.prefetcher_free) 0
 
 let resident_pages t =

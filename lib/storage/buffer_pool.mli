@@ -192,7 +192,8 @@ val get : t -> int -> Fpb_simmem.Mem.region
 val unpin : t -> int -> unit
 
 (** The frames a holder last saw its pages in, one per page id: a tree
-    handle keeps one for its nonleaf pages (root included). *)
+    handle keeps one for its nonleaf pages (root included), and the
+    cache-first tree's also remembers its leaf pages ({!get_hinted}). *)
 type held
 
 (** A fresh memo.  Every page id reads frame 0, which its first
@@ -212,6 +213,18 @@ val held : unit -> held
     remembered.
     Balance with [unpin]. *)
 val get_held : t -> held -> int -> Fpb_simmem.Mem.region
+
+(** [get_hinted t h page ~off ~len] pins [page] by {!get}: the
+    buffer-manager call, the shard latch and [pool.hits] are unchanged.
+    Before that call, when the frame [h] remembers for [page] passes
+    {!get_held}'s three tests (charged the same two loads), it issues a
+    software prefetch of the [len] bytes at offset [off] of that frame,
+    so their memory latency overlaps the call.  [h] then remembers the frame
+    [get] pinned.  Balance with [unpin]. *)
+val get_hinted : t -> held -> int -> off:int -> len:int -> Fpb_simmem.Mem.region
+
+(** Whether the last {!get_hinted} issued its prefetch. *)
+val hinted : t -> bool
 
 (** Pin a batch of pages together (one {!get} each, in order, or one
     {!get_held} through [held] when it is given), returning their regions
@@ -268,7 +281,9 @@ val create_page : t -> int * Fpb_simmem.Mem.region
 (** Release an unpinned page back to the store. *)
 val free_page : t -> int -> unit
 
-(** Evict every unpinned page (writing back dirty ones): a cold pool. *)
+(** Evict every unpinned page (writing back dirty ones): a cold pool.
+    Each shard's SIEVE hand restarts at its oldest frame, so the misses
+    that follow fill every empty frame before evicting a page. *)
 val clear : t -> unit
 
 (** Write back every dirty page without evicting anything: the data half
@@ -285,8 +300,9 @@ val is_dirty : t -> int -> bool
 (** Currently dirty resident pages: a fuzzy checkpoint's worklist. *)
 val dirty_pages : t -> int list
 
-(** Discard every frame WITHOUT write-back and reset pins, in-flight reads
-    and prefetcher state: the pool's contents after a machine crash. *)
+(** Discard every frame WITHOUT write-back and reset pins, in-flight reads,
+    prefetcher state and the SIEVE hands (as {!clear} does): the pool's
+    contents after a machine crash. *)
 val drop_all : t -> unit
 
 (** Install (or with [None] remove) the write-ahead-log hooks. *)

@@ -192,7 +192,7 @@ let scan_pins =
     ( "cache_first",
       [
         ( "forward",
-          [ 73548872; 153374; 44286; 21622; 71; 67; 67; 2; 2; 2; 478 ],
+          [ 73548876; 153378; 44286; 21622; 71; 67; 67; 2; 2; 2; 478 ],
           fun () -> scan_cost (module Cf) ~scan:(Cf.range_scan ~prefetch:true) );
       ] );
   ]
@@ -449,8 +449,11 @@ let search_pages idx key =
    manager once, for its leaf.  Each held pin below the root saves a
    call and a latch less its two validation loads: [root_only], the busy
    cycles of the same search when only the root was held, less that
-   saving per nonleaf page below the root.  A batch whose probes share
-   one path pins each nonleaf level as a held hit too. *)
+   saving per nonleaf page below the root.  Cache-first's leaf pin
+   checks the memo for the leaf's frame before its buffer-manager call,
+   two more loads; its hint's prefetches replace the leaf node's own.  A
+   batch whose probes share one path pins each nonleaf level as a held
+   hit too. *)
 let test_held_search_cost kind ~root_only () =
   let module Bp = Fpb_storage.Buffer_pool in
   let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
@@ -478,7 +481,12 @@ let test_held_search_cost kind ~root_only () =
   let saving =
     cost.Fpb_simmem.Cost_model.c_bufcall + cost.latch_cycles - (2 * cost.c_access)
   in
-  Alcotest.(check int) "busy cycles" (root_only - (saving * (pages - 2))) (b1 - b0);
+  let leaf_check =
+    if kind = Fpb_experiments.Setup.Cache_first then 2 * cost.c_access else 0
+  in
+  Alcotest.(check int) "busy cycles"
+    (root_only - (saving * (pages - 2)) + leaf_check)
+    (b1 - b0);
   let keys = [| key; key + 2; key + 4 |] in
   Alcotest.(check (array (option int))) "batch found"
     (Array.map (fun k -> Some (k / 2)) keys)
@@ -487,6 +495,53 @@ let test_held_search_cost kind ~root_only () =
   Alcotest.(check int) "batch: one held hit per nonleaf level"
     (Index_sig.height idx - 1) (h2 - h1);
   Alcotest.(check int) "batch: one buffer-manager call, the leaf's" 1 (g2 - g1)
+
+(* On a resident cache-first tree, a leaf pin whose memo still holds the
+   leaf page's frame prefetches the leaf node's lines before its
+   buffer-manager call, so the search stalls less than the same search
+   once the page was evicted and read back into another frame: there
+   the stale memo entry issues no hint.  Each measured search starts
+   from an empty CPU cache. *)
+let test_leaf_hint () =
+  let module Bp = Fpb_storage.Buffer_pool in
+  let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
+  let idx =
+    Fpb_experiments.Setup.make_index Fpb_experiments.Setup.Cache_first pool
+  in
+  Index_sig.bulkload idx (Array.init 40_000 (fun i -> (2 * i, i))) ~fill:0.3;
+  let key = 50_000 in
+  (* the first search teaches the handle its path's frames *)
+  let path = search_pages idx key in
+  let leaf = List.nth path (List.length path - 1) in
+  let sim = Bp.sim pool in
+  let touch p =
+    let r = Bp.get pool p in
+    Bp.unpin pool p;
+    r.Fpb_simmem.Mem.base
+  in
+  let search () =
+    Fpb_simmem.Sim.flush_cache sim;
+    let stall () =
+      Fpb_obs.Counter.value sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.stall
+    in
+    let s0 = stall () in
+    Alcotest.(check (option int)) "found" (Some (key / 2)) (Index_sig.search idx key);
+    (stall () - s0, Bp.hinted pool)
+  in
+  let held_stall, held_hint = search () in
+  Alcotest.(check bool) "held leaf frame: hinted" true held_hint;
+  let old_base = touch leaf in
+  Bp.clear pool;
+  (* the path's pages back in, root first: they take the cleared pool's
+     oldest frames *)
+  let new_base = List.fold_left (fun _ p -> touch p) 0 path in
+  Alcotest.(check bool) "the leaf came back in another frame" true
+    (new_base <> old_base);
+  let stale_stall, stale_hint = search () in
+  Alcotest.(check bool) "stale memo entry: no hint" false stale_hint;
+  if held_stall >= stale_stall then
+    Alcotest.failf "hinted leaf stalled %d cycles, unhinted %d" held_stall
+      stale_stall
 
 module SM = Map.Make (String)
 
@@ -598,6 +653,8 @@ let suite =
         ("disk_first", Fpb_experiments.Setup.Disk_first, 749);
         ("cache_first", Fpb_experiments.Setup.Cache_first, 725);
       ]
+  @ [ Alcotest.test_case "cache_first: leaf hint from a held frame" `Quick
+        test_leaf_hint ]
   @ List.map
       (fun (name, pins) ->
         Alcotest.test_case (name ^ ": range scan cost pinned") `Quick

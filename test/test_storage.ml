@@ -864,6 +864,32 @@ let test_sieve_prefetch_parks_hand () =
     [ "b"; "d"; "e"; "f" ];
   check_int "a dirty victim" (dv0 + 1) (cv s.Buffer_pool.demand_dirty_victims)
 
+(* After [clear] or [drop_all] the hand restarts at the oldest frame,
+   so a cold search fills every empty frame before it evicts a page it
+   just read, and a replay of the search reads nothing.  Before the
+   wipe, a visited a sends the sweep for d past it to evict b, so the
+   hand stays on the frame after b's, c's, in the middle of the queue.
+   A hand left there would take c's frame for e, b's for f, and then
+   come back to e's frame for g while a's is still empty. *)
+let test_sieve_hand_restarts_after_wipe () =
+  List.iter
+    (fun (label, wipe) ->
+      let _sim, pool, pages, pg = named_pages ~capacity:3 in
+      List.iter (fun n -> touch pool (pg n)) [ "a"; "b"; "c"; "a" ];
+      touch pool (pg "d");
+      check_resident (label ^ ": visited a kept") pool pages [ "a"; "c"; "d" ];
+      wipe pool;
+      let s = Buffer_pool.stats pool in
+      let search () = List.iter (fun n -> touch pool (pg n)) [ "e"; "f"; "g" ] in
+      let e0 = cv s.Buffer_pool.evictions in
+      search ();
+      check_int (label ^ ": the cold search evicts nothing") e0
+        (cv s.Buffer_pool.evictions);
+      let m0 = cv s.Buffer_pool.misses in
+      search ();
+      check_int (label ^ ": the replay reads nothing") m0 (cv s.Buffer_pool.misses))
+    [ ("clear", Buffer_pool.clear); ("drop_all", Buffer_pool.drop_all) ]
+
 (* A reference SIEVE model of a one-shard pool with no log: its frames
    oldest first, each holding a page (or -1), a visited bit, a pin count
    and whether it is a prefetch no get has seen, and the hand as an
@@ -994,10 +1020,12 @@ let prop_sieve_matches_model =
         | Clear ->
             List.iter unpin (pinned ());
             Buffer_pool.clear pool;
-            Array.iter empty m.slots
+            Array.iter empty m.slots;
+            m.hand <- 0
         | Drop_all ->
             Buffer_pool.drop_all pool;
-            Array.iter empty m.slots
+            Array.iter empty m.slots;
+            m.hand <- 0
       in
       List.for_all
         (fun op ->
@@ -1054,6 +1082,8 @@ let suite =
       test_sieve_skipped_frames_keep_bits;
     Alcotest.test_case "sieve: clean prefetch sweep parks the hand" `Quick
       test_sieve_prefetch_parks_hand;
+    Alcotest.test_case "sieve: hand restarts at the oldest after a wipe" `Quick
+      test_sieve_hand_restarts_after_wipe;
     prop_sharded_pool_equivalent;
     prop_never_past_capacity;
     prop_sieve_matches_model;
