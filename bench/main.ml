@@ -130,10 +130,10 @@ let wal_tests () =
    keys and values: through [Mem.write_pairs], and through the
    [write_i32] per key and per value it replaced.  The pool tests pin
    and unpin one resident page of a 4-frame pool: through the
-   buffer-manager call ([Buffer_pool.get]), through a held frame
-   ([Buffer_pool.get_held]), and through the call after an 8-line hint
-   into the held frame ([Buffer_pool.get_hinted]), the three ways a
-   descent pins a page. *)
+   buffer-manager call ([Buffer_pool.get]), and by [Buffer_pool.pin] as
+   a nonleaf page (its held frame) and as a leaf page with an 8-line
+   hint into its held frame before the call, the three ways a descent
+   pins a page. *)
 let simmem_tests () =
   let open Bechamel in
   let module Mem = Fpb_simmem.Mem in
@@ -206,11 +206,13 @@ let simmem_tests () =
     Test.make ~name:"pool/get-hit"
       (pin (fun pool _ page -> ignore (Fpb_storage.Buffer_pool.get pool page)));
     Test.make ~name:"pool/get-held-hit"
-      (pin (fun pool h page -> ignore (Fpb_storage.Buffer_pool.get_held pool h page)));
+      (pin (fun pool h page ->
+           ignore
+             (Fpb_storage.Buffer_pool.pin pool h page ~leaf:false ~off:0 ~len:0)));
     Test.make ~name:"pool/get-hinted"
       (pin (fun pool h page ->
            ignore
-             (Fpb_storage.Buffer_pool.get_hinted pool h page ~off:64
+             (Fpb_storage.Buffer_pool.pin pool h page ~leaf:true ~off:64
                 ~len:(8 * line))));
     Test.make ~name:"read-i32-l1-hit" (cycle ~stride:0 1);
     Test.make ~name:"read-i32-l2-hit" (cycle ~stride:l1_stride 3);

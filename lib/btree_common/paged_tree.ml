@@ -118,8 +118,8 @@ module Make (F : PAGE_FORMAT) = struct
     let rec go page depth =
       let stall0 = Level_acc.stall_now t.acc in
       let r =
-        if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-        else Buffer_pool.get t.pool page
+        Buffer_pool.pin t.pool t.held page ~leaf:(depth = t.levels) ~off:0
+          ~len:0
       in
       Sim.busy_node t.sim;
       if Mem.read_u8 t.sim r off_is_leaf = 1 then begin

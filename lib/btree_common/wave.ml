@@ -27,9 +27,9 @@ type hooks = {
 
 (* Pin each page under the frontier nodes [pgs] exactly once, in
    first-seen order (cache-first nodes of one level may share pages in
-   any order), through [held]'s frames when given.  Returns the pinned
-   pages and each node's region. *)
-let pin_level ?held pool pgs =
+   any order), by [Buffer_pool.get_batch]'s policy for a [leaf] level or
+   a nonleaf one.  Returns the pinned pages and each node's region. *)
+let pin_level pool held ~leaf pgs =
   let slot = Hashtbl.create (2 * Array.length pgs) in
   let pages = ref [] in
   Array.iter
@@ -40,14 +40,13 @@ let pin_level ?held pool pgs =
       end)
     pgs;
   let pages = Array.of_list (List.rev !pages) in
-  let regions = Buffer_pool.get_batch ?held pool pages in
+  let regions = Buffer_pool.get_batch pool held ~leaf pages in
   (pages, Array.map (fun p -> regions.(Hashtbl.find slot p)) pgs)
 
 (* One wave over the sorted probes [order.(lo..hi-1)].  Probes arrive
    sorted by key, so the probes routing through one node are consecutive
    and the frontier stays key-ordered: dedup is "same child as the
-   previous probe".  Level [levels] is the leaf level; the pages of every
-   level above it are pinned through the tree's held frames.  Only one
+   previous probe".  Level [levels] is the leaf level.  Only one
    level's pages are pinned at a time, and [Buffer_pool.get_batch]
    unwinds its own pins on [Overloaded], so the exception escapes with
    nothing pinned and the caller can split. *)
@@ -63,9 +62,7 @@ let wave acc pool h ~root ~levels ~held keys order lo hi out =
   let rec go pgs lns starts depth =
     let ng = Array.length pgs in
     let leaf = depth = levels in
-    let pages, regs =
-      if leaf then pin_level pool pgs else pin_level ~held pool pgs
-    in
+    let pages, regs = pin_level pool held ~leaf pgs in
     let prev_pg = ref (-1) and prev_ln = ref (-1) in
     for g = 0 to ng - 1 do
       let page = pgs.(g) and line = lns.(g) and r = regs.(g) in
@@ -123,7 +120,7 @@ let wave acc pool h ~root ~levels ~held keys order lo hi out =
   go [| fst root |] [| snd root |] [| lo; hi |] 1
 
 (* [Index_sig.S.search_batch] for the tree of [levels] levels rooted at
-   node [root], whose nonleaf pages each wave pins through [held]: sort,
+   node [root], whose pages each wave pins through its memo [held]: sort,
    then run one wave, splitting it in halves under [Overloaded] down to
    singleton [h.search]. *)
 let search_batch acc pool ~root ~levels ~held (keys : int array) h =

@@ -249,23 +249,16 @@ let child_at t r line slot =
   let ln = Mem.read_u16 t.sim r (cln_off t.cfg line slot) in
   (pg, ln)
 
-(* Pin the page of a descent's node [line] at [depth]: a nonleaf node's
-   page through its held frame, a leaf node's by the buffer manager,
-   with the node's lines prefetched before the call when the memo still
-   holds the page's frame. *)
+(* Pin the page of a descent's node [line] at [depth]
+   ([Buffer_pool.pin]'s policy): a leaf node's lines are in flight when
+   it returns. *)
 let pin_at t page line depth =
-  if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-  else
-    Buffer_pool.get_hinted t.pool t.held page ~off:(node_off line)
-      ~len:(t.cfg.w * line_bytes)
-
-(* Whether the pin of a leaf page just made by [pin_at] prefetched its
-   node's lines. *)
-let hinted t depth = depth = t.levels && Buffer_pool.hinted t.pool
+  Buffer_pool.pin t.pool t.held page ~leaf:(depth = t.levels)
+    ~off:(node_off line) ~len:(t.cfg.w * line_bytes)
 
 (* Descend to the leaf node containing [key].  Returns (page, region, line)
    with the page pinned.  [visit] sees each nonleaf (ptr, slot taken).  A
-   node whose lines its pin already [fetched] is not prefetched again. *)
+   leaf node that its pin [fetched] is not prefetched again. *)
 let descend t key ~visit =
   let rec go page r line depth ~fetched =
     let stall0 = Level_acc.stall_now t.acc in
@@ -285,12 +278,12 @@ let descend t key ~visit =
       else begin
         Buffer_pool.unpin t.pool page;
         let cr = pin_at t child_pg child_ln (depth + 1) in
-        go child_pg cr child_ln (depth + 1) ~fetched:(hinted t (depth + 1))
+        go child_pg cr child_ln (depth + 1) ~fetched:(depth + 1 = t.levels)
       end
     end
   in
   let r = pin_at t t.root.pg t.root.ln 1 in
-  go t.root.pg r t.root.ln 1 ~fetched:(hinted t 1)
+  go t.root.pg r t.root.ln 1 ~fetched:(t.levels = 1)
 
 let leaf_lookup t r line ~n key =
   let i = Array_search.lower_bound t.sim r ~off:(key_off line 0) ~n ~key in

@@ -311,11 +311,9 @@ let ip_route t r key =
 
 (* --- Search --------------------------------------------------------------- *)
 
-(* Pin a descent's page at [depth]: a nonleaf page through its held
-   frame. *)
+(* Pin a descent's page at [depth] ([Buffer_pool.pin]'s policy). *)
 let pin_at t page depth =
-  if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-  else Buffer_pool.get t.pool page
+  Buffer_pool.pin t.pool t.held page ~leaf:(depth = t.levels) ~off:0 ~len:0
 
 (* Look [key] up in leaf page [r] through its in-page tree. *)
 let page_lookup t r key =

@@ -60,7 +60,7 @@ module Counter = Fpb_obs.Counter
 
 type stats = {
   hits : Counter.t;
-  held_hits : Counter.t;  (* [get_held] calls served from the held frame *)
+  held_hits : Counter.t;  (* nonleaf [pin]s served from the held frame *)
   misses : Counter.t;  (* demand reads that went to disk *)
   evictions : Counter.t;  (* pages replaced by the SIEVE sweep *)
   prefetch_issued : Counter.t;
@@ -236,7 +236,6 @@ type t = {
       (* the dirty page the last victim held, its write-back not yet
          submitted (Page_store.nil if none): see [write_victim] *)
   mutable pinned : int;  (* the frame the last [get] pinned *)
-  mutable hinted : bool;  (* whether the last [get_hinted] issued its hint *)
   mutable readahead : int;  (* sequential readahead depth (0 = off) *)
   mutable wal : wal_hooks option;
   mutable repair :
@@ -364,7 +363,6 @@ let create ?(n_prefetchers = 8) ?(n_shards = 1) ~capacity sim store disks =
       prefetcher_free = Array.make (max 1 n_prefetchers) 0;
       unwritten = Page_store.nil;
       pinned = 0;
-      hinted = false;
       readahead = 0;
       wal = None;
       repair = None;
@@ -859,11 +857,11 @@ let get t page =
 let frame_of_page t page = Page_table.find (shard_of t page).table page
 
 (* The frames a tree last saw its pages in, indexed by page id: a tree
-   handle keeps one for its nonleaf pages.  Ids are dense (the store
-   hands out 1, 2, ...), so the array grows by doubling to the largest
-   id remembered.  An unremembered id reads frame 0, which exists in
-   every pool, so the memo needs no sentinel: [get_held] validates frame
-   0 like any other. *)
+   handle keeps one for its descents.  Ids are dense (the store hands
+   out 1, 2, ...), so the array grows by doubling to the largest id
+   remembered.  An unremembered id reads frame 0, which exists in every
+   pool, so the memo needs no sentinel: [held_frame] validates frame 0
+   like any other. *)
 type held = { mutable frame_of : int array }
 
 let held () = { frame_of = [||] }
@@ -897,41 +895,48 @@ let[@inline] held_frame t h page =
   then f
   else -1
 
-(* Pin [page] through its [held_frame], skipping the page table, the
-   buffer-manager call and the shard latch.  Without one, fall back to
-   [get], whose pinned frame [h] then remembers. *)
-let get_held t h page =
-  let f = held_frame t h page in
-  if f >= 0 then begin
-    Counter.incr t.stats.held_hits;
-    t.ref_bit.(f) <- true;
-    t.pin.(f) <- t.pin.(f) + 1;
-    hit_region t f page
-  end
+(* The pin policy of every descent, singleton or batched.
+
+   A nonleaf page (the root included) is pinned through its
+   [held_frame]: two loads instead of the paper's buffer-manager call
+   and the shard latch, the FB+-tree's optimistic inner-node read;
+   without one, by [get].  A leaf page keeps the full call in every
+   tree: that call is the baseline busy time of the paper's Fig. 3(b),
+   and holding leaves too would put the pB+-Tree above its 40 % of the
+   baseline.
+
+   Only a caller that knows the leaf node's lines before the pin passes
+   a span, and only the cache-first tree does: its child pointer names
+   the node's first line as well as its page, while a disk-first or
+   micro-indexing parent names only the page.  The pin starts the
+   span's fetch as early as it can: when the leaf page has a
+   [held_frame], there before the call, so the node's memory latency
+   overlaps it; otherwise right after it, into the frame [get] pinned.
+   Either way the span is in flight when the pin returns, so the caller
+   does not prefetch it again.  After a call, [h] remembers the frame
+   it pinned. *)
+let pin t h page ~leaf ~off ~len =
+  if leaf && len = 0 then get t page
   else begin
-    let r = get t page in
-    remember h page t.pinned;
-    r
+    let f = held_frame t h page in
+    if f >= 0 && not leaf then begin
+      Counter.incr t.stats.held_hits;
+      t.ref_bit.(f) <- true;
+      t.pin.(f) <- t.pin.(f) + 1;
+      hit_region t f page
+    end
+    else begin
+      if f >= 0 then
+        Cache.prefetch_range t.sim.Sim.cache
+          ~busy_per_line:t.sim.Sim.cost.Cost_model.c_prefetch
+          ((f * Page_store.page_size t.store) + off)
+          len;
+      let r = get t page in
+      remember h page t.pinned;
+      if leaf && f < 0 then Mem.prefetch t.sim r ~off ~len;
+      r
+    end
   end
-
-(* Pin [page] by [get], but first, when it has a [held_frame], start the
-   fetch of the bytes [off, off + len) of that frame, so their memory
-   latency overlaps the buffer-manager call.  [get] then finds the page
-   in that same frame.  [h] remembers the frame [get] pinned either way;
-   [t.hinted] tells whether the hint was issued. *)
-let get_hinted t h page ~off ~len =
-  let f = held_frame t h page in
-  t.hinted <- f >= 0;
-  if f >= 0 then
-    Cache.prefetch_range t.sim.Sim.cache
-      ~busy_per_line:t.sim.Sim.cost.Cost_model.c_prefetch
-      ((f * Page_store.page_size t.store) + off)
-      len;
-  let r = get t page in
-  remember h page t.pinned;
-  r
-
-let hinted t = t.hinted
 
 let unpin t page =
   let frame = frame_of_page t page in
@@ -941,17 +946,17 @@ let unpin t page =
 (* Pin a batch of pages together.  The whole batch's missing pages are
    first issued as asynchronous prefetches, so their disk reads overlap
    across the prefetcher pool instead of serialising one demand miss at
-   a time; then every page is pinned in order, through [held]'s frames
-   ([get_held]) when given, else by [get].  If a frame cannot be
-   found partway through ([Overloaded] — or any other error), the pages
-   already pinned by this call are unpinned before the exception
+   a time; then every page is pinned in order under [pin]'s policy: a
+   nonleaf level through [h], a leaf level by [get].  If a frame cannot
+   be found partway through ([Overloaded] — or any other error), the
+   pages already pinned by this call are unpinned before the exception
    escapes, so a refused batch never leaks pins and can be retried
-   smaller: callers degrade by splitting the batch (the PR 8 overload
-   discipline), not by deadlocking on frame exhaustion.
+   smaller: callers degrade by splitting the batch (docs/BATCHING.md),
+   not by deadlocking on frame exhaustion.
 
    Pages should be distinct for the coalescing to help, but duplicates
    are handled correctly (each occurrence takes its own pin). *)
-let get_batch ?held t pages =
+let get_batch t h ~leaf pages =
   let n = Array.length pages in
   if n = 0 then [||]
   else begin
@@ -962,12 +967,11 @@ let get_batch ?held t pages =
       (fun p ->
         if not (Page_table.mem (shard_of t p).table p) then prefetch t p)
       pages;
-    let pin = match held with Some h -> get_held t h | None -> get t in
     let acc = ref [] in
     let pinned = ref 0 in
     (try
        for i = 0 to n - 1 do
-         acc := pin pages.(i) :: !acc;
+         acc := pin t h pages.(i) ~leaf ~off:0 ~len:0 :: !acc;
          incr pinned
        done
      with e ->

@@ -36,6 +36,14 @@
     this); a demand [get] of an in-flight page waits only for the
     remaining latency.
 
+    A tree's descents pin their pages by {!pin} (one page) and
+    {!get_batch} (one level of a batch), which hold the pin policy: a
+    nonleaf page through the frame the tree's memo ({!held}) remembers,
+    without the buffer-manager call; a leaf page by that call, the
+    cache-first tree's with its leaf node's lines prefetched.  Pins that
+    are not a descent's (scan leaves, the jump-pointer cursor, inserts'
+    page-level work, checkers) call {!get}.
+
     Every read that crosses the disk boundary is verified against the
     page's checksum header ({!Page_store.verify}).  Transient I/O errors
     are retried with exponential backoff charged to simulated time;
@@ -50,7 +58,7 @@
 type stats = {
   hits : Fpb_obs.Counter.t;  (** [pool.hits] *)
   held_hits : Fpb_obs.Counter.t;
-      (** [pool.held_hits]: {!get_held} calls served from the held frame,
+      (** [pool.held_hits]: nonleaf {!pin}s served from the held frame,
           without a page-table lookup or a shard latch *)
   misses : Fpb_obs.Counter.t;
       (** [pool.misses]: demand reads that went to disk *)
@@ -191,48 +199,45 @@ val get : t -> int -> Fpb_simmem.Mem.region
 
 val unpin : t -> int -> unit
 
-(** The frames a holder last saw its pages in, one per page id: a tree
-    handle keeps one for its nonleaf pages (root included), and the
-    cache-first tree's also remembers its leaf pages ({!get_hinted}). *)
+(** The frames a tree last saw its pages in, one per page id: a tree
+    handle keeps one for its descents. *)
 type held
 
-(** A fresh memo.  Every page id reads frame 0, which its first
-    {!get_held} validates like any other frame. *)
+(** A fresh memo.  Every page id reads frame 0, which its first {!pin}
+    validates like any other frame. *)
 val held : unit -> held
 
-(** [get_held t h page] pins [page] like {!get}.  When the frame [h]
-    remembers for [page] still holds it, its read has landed at the
-    caller's time, and it is not a prefetch arrival no [get] has verified,
-    the pin skips the page-table lookup, the buffer-manager call and the
-    shard latch: it charges two loads ([2 x c_access] busy cycles), sets
-    the frame's visited bit and counts [pool.held_hits] instead of
-    [pool.hits].  Otherwise (the page evicted, the pool cleared or
-    dropped, the page freed and reallocated elsewhere, [page] never
-    remembered) it is {!get}, and [h] then remembers the frame that
-    [get] pinned.  The memo grows by doubling to the largest page id
-    remembered.
-    Balance with [unpin]. *)
-val get_held : t -> held -> int -> Fpb_simmem.Mem.region
+(** [pin t h page ~leaf ~off ~len] pins a page of a descent under the
+    pin policy every tree shares.  Balance with [unpin].
 
-(** [get_hinted t h page ~off ~len] pins [page] by {!get}: the
-    buffer-manager call, the shard latch and [pool.hits] are unchanged.
-    Before that call, when the frame [h] remembers for [page] passes
-    {!get_held}'s three tests (charged the same two loads), it issues a
-    software prefetch of the [len] bytes at offset [off] of that frame,
-    so their memory latency overlaps the call.  [h] then remembers the frame
-    [get] pinned.  Balance with [unpin]. *)
-val get_hinted : t -> held -> int -> off:int -> len:int -> Fpb_simmem.Mem.region
+    A nonleaf page is served from the frame [h] remembers for it when
+    that frame still holds [page], its read has landed at the caller's
+    time, and it is not a prefetch arrival no [get] has verified: two
+    loads ([2 x c_access] busy cycles) and no page-table lookup,
+    buffer-manager call or shard latch; it sets the frame's visited bit
+    and counts [pool.held_hits] instead of [pool.hits].  Otherwise (the
+    page evicted, the pool cleared or dropped, the page freed and
+    reallocated elsewhere, [page] never remembered) it is {!get}.
 
-(** Whether the last {!get_hinted} issued its prefetch. *)
-val hinted : t -> bool
+    A leaf page is {!get}, the paper's per-page buffer-manager call.
+    With [len > 0], the [len] bytes at offset [off] are in flight when
+    the pin returns: prefetched before the call when the frame [h]
+    remembers passes the checks above (the same two loads), else right
+    after it.  A nonleaf pin ignores [off] and [len].
 
-(** Pin a batch of pages together (one {!get} each, in order, or one
-    {!get_held} through [held] when it is given), returning their regions
-    in the same order.  Before pinning, every page that
-    would demand-miss is issued as an asynchronous {!prefetch}, so the
-    batch's disk reads overlap across the prefetcher pool instead of
-    serialising one miss at a time.  Balance with one [unpin] per array
-    element.
+    When the pin checked [h] and called {!get}, [h] then remembers the
+    frame [get] pinned; it grows by doubling to the largest page id
+    remembered. *)
+val pin :
+  t -> held -> int -> leaf:bool -> off:int -> len:int -> Fpb_simmem.Mem.region
+
+(** Pin a batch of pages of one descent level together, returning their
+    regions in the same order: a nonleaf level through [h] and a leaf
+    level by {!get}, as {!pin} pins them (no span).  Before pinning,
+    every page that would demand-miss is issued as an asynchronous
+    {!prefetch}, so the batch's disk reads overlap across the prefetcher
+    pool instead of serialising one miss at a time.  Balance with one
+    [unpin] per array element.
 
     If a frame cannot be found partway through, the pages already pinned
     by this call are unpinned before the exception ({!Overloaded} under
@@ -241,7 +246,7 @@ val hinted : t -> bool
     [docs/BATCHING.md]).  Pages should be distinct for the coalescing to
     help; duplicates are still pinned (and must be unpinned) once per
     occurrence. *)
-val get_batch : ?held:held -> t -> int array -> Fpb_simmem.Mem.region array
+val get_batch : t -> held -> leaf:bool -> int array -> Fpb_simmem.Mem.region array
 
 (** Mark a resident page dirty; it is written back on eviction. *)
 val mark_dirty : t -> int -> unit

@@ -73,8 +73,7 @@ let child_for t r key =
 
 let rec descend t key page depth ~visit =
   let r =
-    if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-    else Buffer_pool.get t.pool page
+    Buffer_pool.pin t.pool t.held page ~leaf:(depth = t.levels) ~off:0 ~len:0
   in
   Sim.busy_node t.sim;
   if Mem.read_u8 t.sim r h_is_leaf = 1 then (page, r)

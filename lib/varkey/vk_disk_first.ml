@@ -269,8 +269,7 @@ let page_route t r key =
 
 let rec descend t key page depth ~visit =
   let r =
-    if depth < t.levels then Buffer_pool.get_held t.pool t.held page
-    else Buffer_pool.get t.pool page
+    Buffer_pool.pin t.pool t.held page ~leaf:(depth = t.levels) ~off:0 ~len:0
   in
   Sim.busy_node t.sim;
   if depth = t.levels then (page, r)

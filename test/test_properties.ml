@@ -501,7 +501,12 @@ let test_held_search_cost kind ~root_only () =
    buffer-manager call, so the search stalls less than the same search
    once the page was evicted and read back into another frame: there
    the stale memo entry issues no hint.  Each measured search starts
-   from an empty CPU cache. *)
+   from an empty CPU cache.  Whether a pin hinted is read off a leaf
+   [Bp.pin] of the leaf page through a second memo, taught when the
+   tree's was: the hint requests the span's first line in the frame the
+   memo remembers before the call, so that line has landed when it is
+   read right after the pin; a line requested after the call, or never,
+   stalls. *)
 let test_leaf_hint () =
   let module Bp = Fpb_storage.Buffer_pool in
   let pool = Util.make_pool ~page_size:4096 ~capacity:16384 () in
@@ -519,14 +524,30 @@ let test_leaf_hint () =
     Bp.unpin pool p;
     r.Fpb_simmem.Mem.base
   in
+  let stall () =
+    Fpb_obs.Counter.value sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.stall
+  in
+  let probe = Bp.held () and remembered = ref 0 in
+  let pin_leaf () =
+    let r = Bp.pin pool probe leaf ~leaf:true ~off:0 ~len:512 in
+    Bp.unpin pool leaf;
+    remembered := r.Fpb_simmem.Mem.base
+  in
+  pin_leaf ();
+  let hinted () =
+    Fpb_simmem.Sim.flush_cache sim;
+    let line = Fpb_simmem.Mem.make ~bytes:(Bytes.make 4 '\000') ~base:!remembered in
+    pin_leaf ();
+    let s0 = stall () in
+    ignore (Fpb_simmem.Mem.read_i32 sim line 0 : int);
+    stall () = s0
+  in
   let search () =
     Fpb_simmem.Sim.flush_cache sim;
-    let stall () =
-      Fpb_obs.Counter.value sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.stall
-    in
     let s0 = stall () in
     Alcotest.(check (option int)) "found" (Some (key / 2)) (Index_sig.search idx key);
-    (stall () - s0, Bp.hinted pool)
+    let s = stall () - s0 in
+    (s, hinted ())
   in
   let held_stall, held_hint = search () in
   Alcotest.(check bool) "held leaf frame: hinted" true held_hint;
@@ -599,6 +620,40 @@ let prop_held_varkey =
       run B.name B.create B.insert B.search B.height B.check B.iter
       && run D.name (fun p -> D.create p) D.insert D.search D.height D.check D.iter)
 
+(* A resident varkey search pins every nonleaf page through a held frame
+   and calls the buffer manager once, for its leaf.  The bulkload's
+   inserts taught the handle its paths; the first search re-teaches any
+   nonleaf page they left it without, by a call and a latch more than a
+   held hit costs. *)
+let test_vk_held_search_cost create bulkload search height () =
+  let module Bp = Fpb_storage.Buffer_pool in
+  let pool = Util.make_pool ~page_size:1024 ~capacity:16384 () in
+  let t = create pool in
+  let keys = Array.init 20_000 vk_key in
+  Array.sort compare keys;
+  bulkload t (Array.mapi (fun i k -> (k, i)) keys);
+  let levels = height t in
+  Alcotest.(check bool) "3 page levels or more" true (levels >= 3);
+  let sim = Bp.sim pool and s = Bp.stats pool and cv = Fpb_obs.Counter.value in
+  let cost = sim.Fpb_simmem.Sim.cost in
+  let counts () =
+    ( cv s.Bp.held_hits,
+      cv s.hits + cv s.misses + cv s.prefetch_hits,
+      cv sim.Fpb_simmem.Sim.stats.Fpb_simmem.Stats.busy )
+  in
+  let key = keys.(12_345) in
+  let _, g0, b0 = counts () in
+  Alcotest.(check (option int)) "found" (Some 12_345) (search t key);
+  let h1, g1, b1 = counts () in
+  Alcotest.(check (option int)) "found again" (Some 12_345) (search t key);
+  let h2, g2, b2 = counts () in
+  Alcotest.(check int) "held hits: one per nonleaf page" (levels - 1) (h2 - h1);
+  Alcotest.(check int) "buffer-manager calls: the leaf's" 1 (g2 - g1);
+  Alcotest.(check int) "busy cycles: the first search's, less its fallbacks"
+    (b1 - b0
+    - ((g1 - g0 - 1) * (cost.Fpb_simmem.Cost_model.c_bufcall + cost.latch_cycles)))
+    (b2 - b1)
+
 let kinds =
   [
     ("disk_opt", Fpb_experiments.Setup.Disk_opt);
@@ -653,6 +708,17 @@ let suite =
         ("disk_first", Fpb_experiments.Setup.Disk_first, 749);
         ("cache_first", Fpb_experiments.Setup.Cache_first, 725);
       ]
+  @ (let module B = Fpb_varkey.Vk_btree in
+     let module D = Fpb_varkey.Vk_disk_first in
+     [
+       Alcotest.test_case "vk_btree: held nonleaf pages, exact search cost"
+         `Quick
+         (test_vk_held_search_cost B.create B.bulkload B.search B.height);
+       Alcotest.test_case "vk_disk_first: held nonleaf pages, exact search cost"
+         `Quick
+         (test_vk_held_search_cost (fun p -> D.create p) D.bulkload D.search
+            D.height);
+     ])
   @ [ Alcotest.test_case "cache_first: leaf hint from a held frame" `Quick
         test_leaf_hint ]
   @ List.map

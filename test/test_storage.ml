@@ -569,8 +569,8 @@ let prop_page_table_matches_hashtbl =
 
 (* --- Held frames ------------------------------------------------------------ *)
 
-(* [get_held] then [unpin]; returns the counter deltas the call made:
-   (held hits, hits + misses + prefetch hits). *)
+(* A nonleaf [pin] then [unpin]; returns the counter deltas the call
+   made: (held hits, hits + misses + prefetch hits). *)
 let held_pin pool h p =
   let s = Buffer_pool.stats pool in
   let got () =
@@ -578,7 +578,7 @@ let held_pin pool h p =
       cv s.hits + cv s.misses + cv s.prefetch_hits )
   in
   let h0, g0 = got () in
-  let r = Buffer_pool.get_held pool h p in
+  let r = Buffer_pool.pin pool h p ~leaf:false ~off:0 ~len:0 in
   Buffer_pool.unpin pool p;
   let h1, g1 = got () in
   (r, (h1 - h0, g1 - g0))
@@ -627,7 +627,7 @@ let test_held_hit_cost () =
   check_int "a plain get there conflicts" (c0 + 1) (cv s.Buffer_pool.shard_conflicts)
 
 (* Every way the held frame can stop holding the page, or hold it before
-   it may be read, sends [get_held] back to [get], which refreshes the
+   it may be read, sends a nonleaf [pin] back to [get], which refreshes the
    record. *)
 let test_held_fallbacks () =
   let _sim, store, _disks, pool = Util.make_system ~capacity:4 () in
@@ -661,7 +661,7 @@ let test_held_fallbacks () =
   (* a pinned-full pool refuses the fallback as it refuses a get *)
   Buffer_pool.clear pool;
   Array.iter (fun q -> ignore (Buffer_pool.get pool q)) (Array.sub others 0 4);
-  (match Buffer_pool.get_held pool h p with
+  (match Buffer_pool.pin pool h p ~leaf:false ~off:0 ~len:0 with
   | _ -> Alcotest.fail "a pinned-full pool served the held page"
   | exception Buffer_pool.Overloaded _ -> ());
   Array.iter (Buffer_pool.unpin pool) (Array.sub others 0 4)
@@ -678,7 +678,7 @@ let test_held_memo () =
   Array.iter (fun p -> check_held (Printf.sprintf "page %d again" p) pool h p) pages;
   let s = Buffer_pool.stats pool in
   let h0 = cv s.Buffer_pool.held_hits and g0 = cv s.hits + cv s.misses in
-  ignore (Buffer_pool.get_batch ~held:h pool pages);
+  ignore (Buffer_pool.get_batch pool h ~leaf:false pages);
   Array.iter (Buffer_pool.unpin pool) pages;
   check_int "batch: held hits" (h0 + 3) (cv s.Buffer_pool.held_hits);
   check_int "batch: no buffer-manager call" g0 (cv s.hits + cv s.misses)
